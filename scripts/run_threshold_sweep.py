@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plumecpd.dataio import write_report_csv
+from plumecpd.dataio import sweep_row, write_report_csv
 from plumecpd.detector import DetectorConfig
 from plumecpd.inference import estimate_sigma_e
 from plumecpd.metrics import evaluate_cell
@@ -38,22 +38,7 @@ def _cell(payload):
         fm=fm,
         n_boot=boot,
     )
-    return {
-        "experiment_id": exp.experiment_id,
-        "x_m": exp.fetch_m,
-        "lrr_or_jnr": lrr,
-        "threshold": cfg.threshold,
-        "recall": report.recall,
-        "recall_lo": report.recall_ci[0],
-        "recall_hi": report.recall_ci[1],
-        "det_recall": report.detection_recall,
-        "det_recall_lo": report.detection_recall_ci[0],
-        "det_recall_hi": report.detection_recall_ci[1],
-        "det_delay": report.detection_delay,
-        "fpr": report.false_positive_rate,
-        "fpr_lo": report.false_positive_rate_ci[0],
-        "fpr_hi": report.false_positive_rate_ci[1],
-    }
+    return sweep_row(exp, lrr, cfg.threshold, report)
 
 
 def main() -> int:

@@ -36,9 +36,9 @@ from .inference import (
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    bayes_update_from_likelihood,
     grid_integrate,
     likelihood_vector,
+    log_space_update,
     uniform_prior,
 )
 from .transport import ForwardModel
@@ -48,24 +48,6 @@ DEFAULT_PRUNE_THRESHOLD = 1e-12
 
 PredictiveMethod = Literal["scaling", "marginal"]
 DEFAULT_PREDICTIVE_METHOD: PredictiveMethod = "marginal"
-
-
-@dataclass(frozen=True)
-class HazardConfig:
-    """Constant hazard 1/lam from a geometric run-length prior."""
-
-    lam: float = DEFAULT_LAMBDA
-
-    def __post_init__(self) -> None:
-        if not self.lam > 1:
-            raise ValueError("expected run length lambda must exceed 1")
-
-
-def hazard(hz: HazardConfig, run_length: int) -> float:
-    """Changepoint probability after a run of the given length."""
-    if run_length < 0:
-        raise ValueError("run length must be non-negative")
-    return 1.0 / hz.lam
 
 
 def _scaling_ratio(fm: ForwardModel) -> float:
@@ -179,20 +161,27 @@ def bocd_step(
     cy: float,
     fm: ForwardModel,
     cfg: LikelihoodConfig,
-    hz: HazardConfig,
+    lam: float,
     method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD,
-    likelihood: np.ndarray | None = None,
     prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
 ) -> RunLengthState:
     """Advance the run-length posterior with one pass measurement.
 
-    A precomputed likelihood vector may be passed in so callers that also
-    update a separate rate posterior can share the single evaluation.
+    ``lam`` is the expected run length of the geometric run-length prior,
+    so the hazard is the constant 1/lam. The full-run row of the result,
+    ``run_posterior(k)``, is the rate posterior given every measurement
+    since the state was initialized.
+
+    A row whose product with the likelihood underflows on the whole grid
+    is renormalized in log space. If even that is empty, the row is set
+    flat when its hypothesis carries no weight; a live hypothesis raises
+    ``MeasurementIncompatibleError``.
     """
+    if not lam > 1:
+        raise ValueError("expected run length lambda must exceed 1")
     grid = state.grid
-    if likelihood is None:
-        likelihood = likelihood_vector(cy, grid, fm, cfg)
-    h = hazard(hz, 0)
+    likelihood = likelihood_vector(cy, grid, fm, cfg)
+    h = 1.0 / lam
     flat = 1.0 / (grid.q_max - grid.q_min)
 
     weighted = state.posteriors * likelihood
@@ -230,9 +219,13 @@ def bocd_step(
     good = norms > 0
     posteriors[1:][good] = weighted[good] / norms[good, np.newaxis]
     for idx in np.nonzero(~good)[0]:
-        if weights[idx + 1] > 0:
-            revived = bayes_update_from_likelihood(state.run_posterior(idx), likelihood)
-            posteriors[idx + 1] = revived.density
+        revived = log_space_update(grid, state.posteriors[idx], likelihood)
+        if revived is not None:
+            posteriors[idx + 1] = revived
+        elif weights[idx + 1] > 0:
+            raise MeasurementIncompatibleError(
+                "measurement incompatible with the rate grid support"
+            )
         else:
             posteriors[idx + 1] = flat
 

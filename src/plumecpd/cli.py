@@ -226,7 +226,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _sweep_cell_worker(payload: tuple) -> dict:
-    exp, fm, cfg, lrr, axis_value, x_m, n_instances, n_repetitions, seed, n_boot = payload
+    exp, fm, cfg, lrr, axis_value, n_instances, n_repetitions, seed, n_boot = payload
     report = evaluate_cell(
         exp,
         lrr,
@@ -237,22 +237,7 @@ def _sweep_cell_worker(payload: tuple) -> dict:
         fm=fm,
         n_boot=n_boot,
     )
-    return {
-        "experiment_id": exp.experiment_id,
-        "x_m": x_m,
-        "lrr_or_jnr": axis_value,
-        "threshold": cfg.threshold,
-        "recall": report.recall,
-        "recall_lo": report.recall_ci[0],
-        "recall_hi": report.recall_ci[1],
-        "det_recall": report.detection_recall,
-        "det_recall_lo": report.detection_recall_ci[0],
-        "det_recall_hi": report.detection_recall_ci[1],
-        "det_delay": report.detection_delay,
-        "fpr": report.false_positive_rate,
-        "fpr_lo": report.false_positive_rate_ci[0],
-        "fpr_hi": report.false_positive_rate_ci[1],
-    }
+    return dataio.sweep_row(exp, axis_value, cfg.threshold, report)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -306,7 +291,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     cfg,
                     lrr,
                     axis_value,
-                    met_rows[exp.experiment_id].x_m,
                     args.instances,
                     args.repetitions,
                     args.seed,

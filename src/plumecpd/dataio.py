@@ -18,6 +18,7 @@ import numpy as np
 
 from .detector import DetectionEvent, PassReport
 from .errors import InputDataError
+from .metrics import PerformanceReport
 from .synthesis import ExperimentRecord, SynthesizedInstance
 from .transport import MetSummary, RawSample
 
@@ -65,6 +66,45 @@ REPORT_COLUMNS = [
     "fpr_lo",
     "fpr_hi",
 ]
+PASS_REPORT_COLUMNS = [
+    "experiment_id",
+    "pass_index",
+    "cy_g_per_m2",
+    "changepoint_probability",
+    "mode_g_per_s",
+    "mean_g_per_s",
+    "std_g_per_s",
+]
+INSTANCE_COLUMNS = [
+    "experiment_id",
+    "lrr",
+    "instance_index",
+    "pass_index",
+    "cy_g_per_m2",
+    "is_post_change",
+]
+
+
+def sweep_row(
+    exp: ExperimentRecord, axis_value: float, threshold: float, report: PerformanceReport
+) -> dict:
+    """One ``report.csv`` row: a sweep cell's scores keyed by REPORT_COLUMNS."""
+    return {
+        "experiment_id": exp.experiment_id,
+        "x_m": exp.fetch_m,
+        "lrr_or_jnr": axis_value,
+        "threshold": threshold,
+        "recall": report.recall,
+        "recall_lo": report.recall_ci[0],
+        "recall_hi": report.recall_ci[1],
+        "det_recall": report.detection_recall,
+        "det_recall_lo": report.detection_recall_ci[0],
+        "det_recall_hi": report.detection_recall_ci[1],
+        "det_delay": report.detection_delay,
+        "fpr": report.false_positive_rate,
+        "fpr_lo": report.false_positive_rate_ci[0],
+        "fpr_hi": report.false_positive_rate_ci[1],
+    }
 
 
 def _fmt(value: float) -> str:
@@ -220,16 +260,7 @@ def write_passes_csv(path: Path, rows: Iterable[tuple[str, int, float]]) -> None
 
 
 def write_pass_reports_csv(path: Path, rows: Iterable[tuple[str, PassReport]]) -> None:
-    header = [
-        "experiment_id",
-        "pass_index",
-        "cy_g_per_m2",
-        "changepoint_probability",
-        "mode_g_per_s",
-        "mean_g_per_s",
-        "std_g_per_s",
-    ]
-    lines = [",".join(header)]
+    lines = [",".join(PASS_REPORT_COLUMNS)]
     for exp, r in rows:
         lines.append(
             ",".join(
@@ -266,15 +297,7 @@ def write_events_json(path: Path, rows: Iterable[tuple[str, DetectionEvent, floa
 def write_instances_csv(
     path: Path, rows: Iterable[tuple[str, SynthesizedInstance, int]]
 ) -> None:
-    header = [
-        "experiment_id",
-        "lrr",
-        "instance_index",
-        "pass_index",
-        "cy_g_per_m2",
-        "is_post_change",
-    ]
-    lines = [",".join(header)]
+    lines = [",".join(INSTANCE_COLUMNS)]
     for exp, inst, index in rows:
         for k, cy in enumerate(inst.series, start=1):
             post = int(k > inst.true_cp_index)
@@ -300,25 +323,6 @@ def write_report_csv(path: Path, rows: Iterable[dict]) -> None:
                 cells.append(_fmt(value))
         lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-PASS_REPORT_COLUMNS = [
-    "experiment_id",
-    "pass_index",
-    "cy_g_per_m2",
-    "changepoint_probability",
-    "mode_g_per_s",
-    "mean_g_per_s",
-    "std_g_per_s",
-]
-INSTANCE_COLUMNS = [
-    "experiment_id",
-    "lrr",
-    "instance_index",
-    "pass_index",
-    "cy_g_per_m2",
-    "is_post_change",
-]
 
 
 def read_pass_reports_csv(path: Path) -> list[tuple[str, PassReport]]:

@@ -1,27 +1,26 @@
 """Streaming orchestration: joint rate estimation and change detection.
 
-Each pass updates two things with one shared likelihood evaluation, the
-run-length posterior used for detection and a running rate posterior used
-for reporting. When the changepoint probability crosses the configured
-threshold the detector emits an event carrying the rate posterior as it
-stood after the previous pass, then restarts both recursions: the rate
-posterior returns to the flat prior and the run-length state is cleared.
-The measurement noise scale is widened once for all passes after the
-first detected change, reflecting that post-change rates are no longer
-pinned by a controlled release.
+One recursion serves both purposes. Each pass advances the run-length
+state, whose changepoint probability drives detection and whose
+full-run row, the rate posterior given every pass since the last reset,
+is what a pass report summarizes. When the changepoint probability
+crosses the configured threshold the detector emits an event carrying
+that row as it stood after the previous pass, then restarts the state
+from the flat prior. The measurement noise scale is widened once for all
+passes after the first detected change, reflecting that post-change
+rates are no longer pinned by a controlled release.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
 from .bocd import (
     DEFAULT_LAMBDA,
     DEFAULT_PREDICTIVE_METHOD,
-    HazardConfig,
     PredictiveMethod,
     RunLengthState,
     bocd_step,
@@ -34,13 +33,10 @@ from .inference import (
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    bayes_update_from_likelihood,
-    likelihood_vector,
     posterior_mean_std,
     posterior_mode,
-    uniform_prior,
 )
-from .transport import ForwardModel, PassMeasurement
+from .transport import ForwardModel
 
 
 @dataclass(frozen=True)
@@ -61,6 +57,8 @@ class DetectorConfig:
             raise ValueError("lambda must exceed 1")
         if self.sigma_e_post_factor < 1:
             raise ValueError("sigma_e_post_factor must be at least 1")
+        if self.predictive_method not in get_args(PredictiveMethod):
+            raise ValueError(f"unknown predictive method {self.predictive_method!r}")
 
 
 @dataclass(frozen=True)
@@ -112,38 +110,31 @@ def detect_series(
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
 
-    grid = cfg.grid
-    hz = HazardConfig(cfg.lam)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-    state: RunLengthState = initial_state(grid)
-    running = uniform_prior(grid)
+    state: RunLengthState = initial_state(cfg.grid)
+    posterior = state.run_posterior(0)
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
     for idx, cy, fm in zip(pass_indices, cys, fms):
+        previous = posterior
         try:
-            lik = likelihood_vector(float(cy), grid, fm, lik_cfg)
             state = bocd_step(
-                state,
-                float(cy),
-                fm,
-                lik_cfg,
-                hz,
-                method=cfg.predictive_method,
-                likelihood=lik,
+                state, float(cy), fm, lik_cfg, cfg.lam, method=cfg.predictive_method
             )
-            updated = bayes_update_from_likelihood(running, lik)
+            # Building the full-run posterior validates its normalization.
+            posterior = state.run_posterior(state.k)
         except (PlumeCpdError, ValueError) as exc:
             raise DetectionError(f"pass {idx}: {exc}") from exc
         cp = changepoint_probability(state)
         if collect_reports:
-            mean, std = posterior_mean_std(updated)
+            mean, std = posterior_mean_std(posterior)
             reports.append(
                 PassReport(
                     pass_index=int(idx),
                     cy_g_per_m2=float(cy),
                     changepoint_probability=cp,
-                    mode_g_per_s=posterior_mode(updated),
+                    mode_g_per_s=posterior_mode(posterior),
                     mean_g_per_s=mean,
                     std_g_per_s=std,
                 )
@@ -153,78 +144,14 @@ def detect_series(
                 DetectionEvent(
                     pass_index=int(idx),
                     changepoint_probability=cp,
-                    pre_change_posterior=running,
+                    pre_change_posterior=previous,
                     regime_index=len(events) + 1,
                 )
             )
-            # Restart both recursions; the triggering measurement is
-            # treated as the first of the new regime and is not folded
-            # into the reset posterior.
-            running = uniform_prior(grid)
-            state = initial_state(grid)
+            # The triggering measurement is treated as the first of the
+            # new regime and is not folded into the reset state.
+            state = initial_state(cfg.grid)
+            posterior = state.run_posterior(0)
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
-        else:
-            running = updated
     return reports, events
 
-
-def run_detector(
-    stream: Sequence[PassMeasurement],
-    fms: ForwardModel | Sequence[ForwardModel],
-    cfg: DetectorConfig,
-) -> tuple[list[PassReport], list[DetectionEvent]]:
-    """Detector over reduced pass measurements, in stream order."""
-    if len(stream) == 0:
-        raise ValueError("empty measurement stream")
-    return detect_series(
-        [m.cy_g_per_m2 for m in stream],
-        fms,
-        cfg,
-        pass_indices=[m.pass_index for m in stream],
-    )
-
-
-def estimate_series(
-    stream: Sequence[PassMeasurement] | Sequence[float],
-    fms: ForwardModel | Sequence[ForwardModel],
-    grid: QGrid,
-    sigma_e: float,
-    lam: float = DEFAULT_LAMBDA,
-    method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD,
-) -> list[PassReport]:
-    """Recursive estimation with no thresholding and no resets.
-
-    Runs the same two coupled recursions as the detector, so with no
-    threshold crossings the reports match the detector's exactly; the
-    changepoint probability is reported but never acted on.
-    """
-    cys = [m.cy_g_per_m2 if isinstance(m, PassMeasurement) else float(m) for m in stream]
-    indices = [
-        m.pass_index if isinstance(m, PassMeasurement) else i + 1
-        for i, m in enumerate(stream)
-    ]
-    fms = _forward_models_per_pass(fms, len(cys))
-    lik_cfg = LikelihoodConfig(sigma_e)
-    hz = HazardConfig(lam)
-    state = initial_state(grid)
-    posterior = uniform_prior(grid)
-    reports = []
-    for idx, cy, fm in zip(indices, cys, fms):
-        try:
-            lik = likelihood_vector(cy, grid, fm, lik_cfg)
-            state = bocd_step(state, cy, fm, lik_cfg, hz, method=method, likelihood=lik)
-            posterior = bayes_update_from_likelihood(posterior, lik)
-        except (PlumeCpdError, ValueError) as exc:
-            raise DetectionError(f"pass {idx}: {exc}") from exc
-        mean, std = posterior_mean_std(posterior)
-        reports.append(
-            PassReport(
-                pass_index=int(idx),
-                cy_g_per_m2=float(cy),
-                changepoint_probability=changepoint_probability(state),
-                mode_g_per_s=posterior_mode(posterior),
-                mean_g_per_s=mean,
-                std_g_per_s=std,
-            )
-        )
-    return reports

@@ -21,9 +21,6 @@ DEFAULT_Q_MIN_G_PER_S = 0.0
 DEFAULT_Q_MAX_G_PER_S = 5.0
 DEFAULT_DQ_G_PER_S = 0.005
 
-_LOG_ROOT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
 @dataclass(frozen=True)
 class QGrid:
     """Uniformly spaced candidate emission rates, inclusive of both ends."""
@@ -114,14 +111,6 @@ def likelihood_vector(
     return np.exp(-0.5 * z * z) / (cfg.sigma_e * math.sqrt(2.0 * math.pi))
 
 
-def _log_likelihood_vector(
-    cy: float, grid: QGrid, fm: ForwardModel, cfg: LikelihoodConfig
-) -> np.ndarray:
-    predicted = forward_concentration(grid.values, fm)
-    z = (cy - predicted) / cfg.sigma_e
-    return -0.5 * z * z - math.log(cfg.sigma_e) - _LOG_ROOT_2PI
-
-
 def bayes_update_from_likelihood(
     prior: EmissionPosterior, likelihood: np.ndarray
 ) -> EmissionPosterior:
@@ -135,15 +124,29 @@ def bayes_update_from_likelihood(
     evidence = grid_integrate(prior.grid, weighted)
     if evidence > 0 and math.isfinite(evidence):
         return EmissionPosterior(prior.grid, weighted / evidence)
-    with np.errstate(divide="ignore"):
-        log_weighted = np.log(prior.density) + np.log(likelihood)
-    shift = np.max(log_weighted[:-1])
-    if not math.isfinite(shift):
+    density = log_space_update(prior.grid, prior.density, likelihood)
+    if density is None:
         raise MeasurementIncompatibleError(
             "measurement incompatible with the rate grid support"
         )
+    return EmissionPosterior(prior.grid, density)
+
+
+def log_space_update(
+    grid: QGrid, density: np.ndarray, likelihood: np.ndarray
+) -> np.ndarray | None:
+    """Normalized density * likelihood, formed in log space with a max shift.
+
+    Recovers the product when it underflows to zero on the whole grid.
+    Returns None when no grid point has mass even in log space.
+    """
+    with np.errstate(divide="ignore"):
+        log_weighted = np.log(density) + np.log(likelihood)
+    shift = np.max(log_weighted[:-1])
+    if not math.isfinite(shift):
+        return None
     shifted = np.exp(log_weighted - shift)
-    return EmissionPosterior(prior.grid, shifted / grid_integrate(prior.grid, shifted))
+    return shifted / grid_integrate(grid, shifted)
 
 
 def bayes_update(

@@ -238,13 +238,6 @@ class ConstantDispersion(DispersionModel):
         return self.value_per_m
 
 
-def dispersion_factor(
-    met: MetSummary, geom: Geometry, spread_factor: float = 1.0
-) -> float:
-    """Reflected-Gaussian vertical dispersion factor (1/m)."""
-    return ReflectedGaussianDispersion(spread_factor).vertical_factor(met, geom)
-
-
 def build_forward_model(
     met: MetSummary,
     geom: Geometry,

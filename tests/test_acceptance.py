@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_alpha
-from plumecpd.bocd import HazardConfig, bocd_step, initial_state
+from plumecpd.bocd import bocd_step, initial_state
 from plumecpd.cli import main
 from plumecpd.dataio import write_passes_csv
 from plumecpd.detector import DetectorConfig
@@ -82,7 +82,6 @@ def lrr_delay_cells():
 def test_01_recursion_matches_enumeration(capsys):
     grid = QGrid(0.0, 5.0, 0.25)
     cfg = LikelihoodConfig(0.3)
-    hz = HazardConfig(15.0)
     rng = np.random.default_rng(20241)
     started = time.perf_counter()
     worst = 0.0
@@ -94,7 +93,7 @@ def test_01_recursion_matches_enumeration(capsys):
             cys = np.clip(cys, 0.0, 4.9)
         state = initial_state(grid)
         for cy in cys:
-            state = bocd_step(state, float(cy), UNIT_FM, cfg, hz, prune_threshold=0.0)
+            state = bocd_step(state, float(cy), UNIT_FM, cfg, 15.0, prune_threshold=0.0)
         expected = brute_force_alpha(
             [float(c) for c in cys], grid.values, grid.dq, 1.0, 0.3, 15.0
         )

@@ -6,11 +6,9 @@ import pytest
 
 from oracles import brute_force_alpha
 from plumecpd.bocd import (
-    HazardConfig,
     RunLengthState,
     bocd_step,
     changepoint_probability,
-    hazard,
     initial_state,
     predictive_probability,
 )
@@ -27,36 +25,47 @@ from plumecpd.transport import ForwardModel
 from oracles import gaussian_pdf
 
 
-def run_stream(cys, fm, cfg, hz, grid, method="marginal", prune_threshold=1e-12):
+def run_stream(cys, fm, cfg, lam, grid, method="marginal", prune_threshold=1e-12):
     state = initial_state(grid)
     for cy in cys:
         state = bocd_step(
-            state, cy, fm, cfg, hz, method=method, prune_threshold=prune_threshold
+            state, cy, fm, cfg, lam, method=method, prune_threshold=prune_threshold
         )
     return state
 
 
 class TestHazard:
-    def test_paper_default(self):
-        hz = HazardConfig(15.0)
-        assert hazard(hz, 0) == pytest.approx(1.0 / 15.0)
-        assert hazard(hz, 3) == pytest.approx(0.0667, abs=5e-5)
+    @staticmethod
+    def first_step_cp(state, fm, lam):
+        return changepoint_probability(bocd_step(state, 1.0, fm, LikelihoodConfig(0.5), lam))
 
-    def test_lambda_two(self):
-        assert hazard(HazardConfig(2.0), 5) == 0.5
+    def test_paper_default(self, unit_fm, coarse_grid):
+        cp = self.first_step_cp(initial_state(coarse_grid), unit_fm, 15.0)
+        assert cp == pytest.approx(1.0 / 15.0)
+        assert cp == pytest.approx(0.0667, abs=5e-5)
 
-    def test_memoryless(self):
-        hz = HazardConfig(7.0)
-        assert hazard(hz, 0) == hazard(hz, 10**6)
+    def test_lambda_two(self, unit_fm, coarse_grid):
+        assert self.first_step_cp(initial_state(coarse_grid), unit_fm, 2.0) == pytest.approx(
+            0.5, rel=1e-12
+        )
+
+    def test_memoryless(self, unit_fm, coarse_grid):
+        # All mass on a long run with the same flat rate posterior: the
+        # change probability equals that of a fresh state.
+        k = 10**3
+        weights = np.zeros(k + 1)
+        weights[-1] = 1.0
+        flat = uniform_prior(coarse_grid).density
+        long_run = RunLengthState(coarse_grid, k, weights, 0.0, np.tile(flat, (k + 1, 1)))
+        fresh = initial_state(coarse_grid)
+        assert self.first_step_cp(long_run, unit_fm, 7.0) == pytest.approx(
+            self.first_step_cp(fresh, unit_fm, 7.0), rel=1e-12
+        )
 
     @pytest.mark.parametrize("lam", [1.0, 0.5, 0.0, -3.0])
-    def test_lambda_must_exceed_one(self, lam):
+    def test_lambda_must_exceed_one(self, lam, unit_fm, coarse_grid):
         with pytest.raises(ValueError):
-            HazardConfig(lam)
-
-    def test_negative_run_length_rejected(self):
-        with pytest.raises(ValueError):
-            hazard(HazardConfig(15.0), -1)
+            self.first_step_cp(initial_state(coarse_grid), unit_fm, lam)
 
 
 class TestPredictiveProbability:
@@ -142,7 +151,7 @@ class TestBocdStep:
             1.0,
             unit_fm,
             LikelihoodConfig(0.5),
-            HazardConfig(15.0),
+            15.0,
             method=method,
         )
         assert state.weights == pytest.approx([1.0 / 15.0, 14.0 / 15.0])
@@ -150,45 +159,45 @@ class TestBocdStep:
 
     def test_entry_count_tracks_pass_count(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.5)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         state = initial_state(coarse_grid)
         for k in range(1, 9):
-            state = bocd_step(state, 2.0, unit_fm, cfg, hz)
+            state = bocd_step(state, 2.0, unit_fm, cfg, lam)
             assert state.weights.shape == (k + 1,)
             assert state.posteriors.shape == (k + 1, coarse_grid.n_points)
 
     def test_weights_normalized_every_step(self, unit_fm, coarse_grid):
         rng = np.random.default_rng(11)
         cfg = LikelihoodConfig(0.4)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         state = initial_state(coarse_grid)
         for cy in np.clip(rng.normal(2.0, 0.6, size=20), 0.0, 4.9):
-            state = bocd_step(state, float(cy), unit_fm, cfg, hz)
+            state = bocd_step(state, float(cy), unit_fm, cfg, lam)
             assert abs(float(np.sum(state.weights)) - 1.0) <= 1e-10
 
     def test_rows_stay_normalized(self, unit_fm, coarse_grid):
         rng = np.random.default_rng(5)
         cfg = LikelihoodConfig(0.4)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         state = initial_state(coarse_grid)
         for cy in np.clip(rng.normal(2.0, 0.5, size=10), 0.0, 4.9):
-            state = bocd_step(state, float(cy), unit_fm, cfg, hz)
+            state = bocd_step(state, float(cy), unit_fm, cfg, lam)
             for row in state.posteriors:
                 assert grid_integrate(coarse_grid, row) == pytest.approx(1.0, abs=1e-8)
 
     def test_constant_stream_keeps_changepoint_low(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
         cfg = LikelihoodConfig(0.3)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         state = initial_state(grid)
         for k in range(1, 13):
-            state = bocd_step(state, 2.0, unit_fm, cfg, hz)
+            state = bocd_step(state, 2.0, unit_fm, cfg, lam)
             if k >= 5:
                 assert changepoint_probability(state) < 0.5 / 15.0
 
     def test_matches_brute_force_enumeration(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.3)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         rng = np.random.default_rng(77)
         for _ in range(10):
             k = int(rng.integers(2, 7))
@@ -197,7 +206,7 @@ class TestBocdStep:
             cys[jump_at:] *= 1.8
             cys = np.clip(cys, 0.0, 4.9)
             state = run_stream(
-                [float(c) for c in cys], unit_fm, cfg, hz, coarse_grid, prune_threshold=0.0
+                [float(c) for c in cys], unit_fm, cfg, lam, coarse_grid, prune_threshold=0.0
             )
             expected = brute_force_alpha(
                 [float(c) for c in cys], coarse_grid.values, coarse_grid.dq, 1.0, 0.3, 15.0
@@ -206,9 +215,9 @@ class TestBocdStep:
 
     def test_changepoint_probability_matches_enumeration(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.3)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         cys = [1.8, 2.1, 3.9, 4.2, 4.0]
-        state = run_stream(cys, unit_fm, cfg, hz, coarse_grid, prune_threshold=0.0)
+        state = run_stream(cys, unit_fm, cfg, lam, coarse_grid, prune_threshold=0.0)
         expected = brute_force_alpha(cys, coarse_grid.values, coarse_grid.dq, 1.0, 0.3, 15.0)
         assert changepoint_probability(state) == pytest.approx(
             expected[0] / expected.sum(), rel=1e-9
@@ -218,7 +227,7 @@ class TestBocdStep:
         import plumecpd.bocd as bocd_module
 
         cfg = LikelihoodConfig(0.4)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         real = bocd_module.likelihood_vector
         calls = {"n": 0}
 
@@ -229,22 +238,8 @@ class TestBocdStep:
         state = initial_state(coarse_grid)
         with mock.patch.object(bocd_module, "likelihood_vector", side_effect=counting):
             for step in range(1, 7):
-                state = bocd_step(state, 2.0, unit_fm, cfg, hz)
+                state = bocd_step(state, 2.0, unit_fm, cfg, lam)
                 assert calls["n"] == step
-
-    def test_precomputed_likelihood_skips_evaluation(self, unit_fm, coarse_grid):
-        import plumecpd.bocd as bocd_module
-        from plumecpd.inference import likelihood_vector
-
-        cfg = LikelihoodConfig(0.4)
-        hz = HazardConfig(15.0)
-        lik = likelihood_vector(2.0, coarse_grid, unit_fm, cfg)
-        state = initial_state(coarse_grid)
-        with mock.patch.object(
-            bocd_module, "likelihood_vector", side_effect=AssertionError("should not evaluate")
-        ):
-            state = bocd_step(state, 2.0, unit_fm, cfg, hz, likelihood=lik)
-        assert state.k == 1
 
     def test_hazard_monotonicity_on_calm_streams(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.6)
@@ -254,8 +249,8 @@ class TestBocdStep:
             state_lo = initial_state(coarse_grid)
             state_hi = initial_state(coarse_grid)
             for cy in cys:
-                state_lo = bocd_step(state_lo, float(cy), unit_fm, cfg, HazardConfig(8.0))
-                state_hi = bocd_step(state_hi, float(cy), unit_fm, cfg, HazardConfig(30.0))
+                state_lo = bocd_step(state_lo, float(cy), unit_fm, cfg, 8.0)
+                state_hi = bocd_step(state_hi, float(cy), unit_fm, cfg, 30.0)
                 assert (
                     changepoint_probability(state_lo)
                     >= changepoint_probability(state_hi) - 1e-9
@@ -264,16 +259,16 @@ class TestBocdStep:
     def test_scale_equivariance_of_scaling_method(self):
         s = 3.7
         cys = [1.8, 2.1, 3.9, 4.2, 4.0, 3.8]
-        hz = HazardConfig(15.0)
+        lam = 15.0
         fm = ForwardModel(1.0, 1.0)
         base = run_stream(
-            cys, fm, LikelihoodConfig(0.3), hz, QGrid(0.0, 5.0, 0.005), method="scaling"
+            cys, fm, LikelihoodConfig(0.3), lam, QGrid(0.0, 5.0, 0.005), method="scaling"
         )
         scaled = run_stream(
             [c * s for c in cys],
             fm,
             LikelihoodConfig(0.3 * s),
-            hz,
+            lam,
             QGrid(0.0, 5.0 * s, 0.005 * s),
             method="scaling",
         )
@@ -286,7 +281,7 @@ class TestBocdStep:
                 9.0,
                 unit_fm,
                 LikelihoodConfig(0.3),
-                HazardConfig(15.0),
+                15.0,
                 method="scaling",
             )
 
@@ -297,24 +292,40 @@ class TestBocdStep:
                 500.0,
                 unit_fm,
                 LikelihoodConfig(1e-3),
-                HazardConfig(15.0),
+                15.0,
             )
+
+    def test_underflowed_row_is_renormalized_in_log_space(self, unit_fm):
+        grid = QGrid(0.0, 5.0, 0.005)
+        state = run_stream([1.0, 3.0], unit_fm, LikelihoodConfig(0.03), 15.0, grid)
+        # The full-run row times the likelihood underflows on the whole
+        # grid; in log space it peaks midway between the measurements.
+        assert state.weights[-1] == 0.0
+        assert grid.values[int(np.argmax(state.posteriors[-1]))] == 2.0
+        assert grid_integrate(grid, state.posteriors[-1]) == pytest.approx(1.0, abs=1e-8)
+
+    def test_dead_row_empty_in_log_space_is_flat(self, unit_fm):
+        grid = QGrid(0.0, 5.0, 0.005)
+        state = run_stream([1.0, 1.0, 3.0], unit_fm, LikelihoodConfig(0.03), 15.0, grid)
+        assert state.weights[-1] == 0.0
+        assert np.array_equal(state.posteriors[-1], uniform_prior(grid).density)
+        assert changepoint_probability(state) == 1.0
 
     def test_pruning_zeroes_negligible_hypotheses(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
         cfg = LikelihoodConfig(0.2)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         cys = [2.0] * 6 + [4.5] * 6
-        state = run_stream(cys, unit_fm, cfg, hz, grid)
+        state = run_stream(cys, unit_fm, cfg, lam, grid)
         live = state.weights[state.weights > 0]
         assert np.all(live >= 1e-12)
         assert abs(float(np.sum(state.weights)) - 1.0) <= 1e-10
 
     def test_aggressive_pruning_keeps_normalization(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.4)
-        hz = HazardConfig(15.0)
+        lam = 15.0
         state = run_stream(
-            [2.0, 2.1, 1.9, 2.2], unit_fm, cfg, hz, coarse_grid, prune_threshold=0.05
+            [2.0, 2.1, 1.9, 2.2], unit_fm, cfg, lam, coarse_grid, prune_threshold=0.05
         )
         assert abs(float(np.sum(state.weights)) - 1.0) <= 1e-10
         assert np.all((state.weights == 0.0) | (state.weights >= 0.05))

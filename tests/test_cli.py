@@ -188,6 +188,32 @@ class TestDetect:
         )
         assert read_events_json(out / "events.json") == []
 
+    def test_jump_beyond_posterior_support_alarms(self, tmp_path, met_csv, exp4):
+        # The third pass lies so far outside the posterior of the first two
+        # that their product underflows even in log space.
+        _, fm = exp4
+        ratio = forward_concentration(1.0, fm)
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [ratio, ratio, 3.0 * ratio])
+        config = self._config(tmp_path, 0.03 * ratio)
+        out = tmp_path / "out"
+        assert (
+            main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+            == 0
+        )
+        events = read_events_json(out / "events.json")
+        assert [e["pass_index"] for e in events] == [3]
+        reports = read_pass_reports_csv(out / "passes_report.csv")
+        assert all(math.isfinite(r.mean_g_per_s) for _, r in reports)
+
+    def test_unknown_predictive_method_exits_two(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = self._config(tmp_path, 0.001, predictive="bogus")
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "bogus" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 4)

@@ -14,6 +14,7 @@ from plumecpd.dataio import (
     read_passes,
     read_raw_samples,
     read_report_csv,
+    sweep_row,
     write_events_json,
     write_instances_csv,
     write_pass_reports_csv,
@@ -23,6 +24,7 @@ from plumecpd.dataio import (
 from plumecpd.detector import DetectionEvent, PassReport
 from plumecpd.errors import InputDataError
 from plumecpd.inference import QGrid, uniform_prior
+from plumecpd.metrics import PerformanceReport
 from plumecpd.synthesis import instance_rng, synthesize_instance, ExperimentRecord
 
 
@@ -257,6 +259,23 @@ class TestReportRoundTrip:
         write_report_csv(path, rows)
         back = read_report_csv(path)
         assert back == rows
+
+    def test_sweep_row_fills_every_column(self):
+        exp = ExperimentRecord("e1", 30.0, np.array([1.0, 2.0]))
+        report = PerformanceReport(
+            tp=0,
+            dtp=0,
+            fn=0,
+            fp=0,
+            recall=0.7,
+            detection_recall=0.9,
+            false_positive_rate=0.01,
+            detection_delay=1.25,
+            recall_ci=(0.65, 0.75),
+            detection_recall_ci=(0.85, 0.95),
+            false_positive_rate_ci=(0.0, 0.02),
+        )
+        assert sweep_row(exp, 2.5, 0.8, report) == self._row(1.25)
 
     def test_repeated_write_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.csv"

@@ -1,18 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
     PassReport,
     detect_series,
-    estimate_series,
-    run_detector,
 )
-from plumecpd.errors import DetectionError
+from plumecpd.errors import DetectionError, MeasurementIncompatibleError
 from plumecpd.inference import (
     LikelihoodConfig,
     QGrid,
+    bayes_update,
     bayes_update_from_likelihood,
     likelihood_vector,
     posterior_mean_std,
@@ -22,7 +25,7 @@ from plumecpd.inference import (
 from plumecpd.surrogate import make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
-from plumecpd.transport import PassMeasurement
+from plumecpd.transport import ForwardModel
 
 
 def make_config(**overrides):
@@ -53,6 +56,11 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             make_config(sigma_e_post_factor=0.5)
         make_config(sigma_e_post_factor=1.0)
+
+    def test_unknown_predictive_method_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            make_config(predictive_method="bogus")
+        make_config(predictive_method="scaling")
 
 
 @pytest.fixture(scope="module")
@@ -146,17 +154,6 @@ class TestDetectorMechanics:
         assert after.mean_g_per_s == mean
         assert after.std_g_per_s == std
 
-    def test_matches_estimation_when_nothing_triggers(self, unit_fm):
-        grid = QGrid(0.0, 5.0, 0.01)
-        cfg = make_config(
-            threshold=0.999, sigma_e_initial=0.4, sigma_e_post_factor=1.0, grid=grid
-        )
-        stream = [2.0, 2.3, 1.8, 2.2, 2.1, 1.9]
-        reports, events = detect_series(stream, unit_fm, cfg)
-        assert events == []
-        plain = estimate_series(stream, unit_fm, grid, sigma_e=0.4)
-        assert reports == plain
-
     def test_error_carries_pass_index(self, unit_fm):
         cfg = make_config(sigma_e_initial=1e-3)
         with pytest.raises(DetectionError, match=r"pass 3"):
@@ -165,33 +162,32 @@ class TestDetectorMechanics:
     def test_empty_stream_rejected(self, unit_fm):
         with pytest.raises(ValueError):
             detect_series([], unit_fm, make_config())
-        with pytest.raises(ValueError):
-            run_detector([], unit_fm, make_config())
 
     def test_forward_model_count_mismatch(self, unit_fm):
         with pytest.raises(ValueError):
             detect_series([2.0, 2.0], [unit_fm] * 3, make_config())
 
     def test_run_detector_keeps_measurement_indices(self, unit_fm):
-        stream = [
-            PassMeasurement(pass_index=i, cy_g_per_m2=cy)
-            for i, cy in zip([3, 4, 7], [2.0, 2.1, 1.9])
-        ]
-        reports, _ = run_detector(stream, unit_fm, make_config())
+        reports, _ = detect_series(
+            [2.0, 2.1, 1.9], unit_fm, make_config(), pass_indices=[3, 4, 7]
+        )
         assert [r.pass_index for r in reports] == [3, 4, 7]
 
 
 class TestEstimateSeries:
+    """Rate estimates in the reports of a stream that raises no alarm."""
+
     def test_single_pass_mode_tracks_measurement(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
-        reports = estimate_series([1.73], unit_fm, grid, sigma_e=0.3)
+        reports, _ = detect_series([1.73], unit_fm, make_config(grid=grid))
         assert len(reports) == 1
         assert abs(reports[0].mode_g_per_s - 1.73) <= grid.dq
         assert reports[0].changepoint_probability == pytest.approx(1.0 / 15.0)
 
     def test_repeated_passes_shrink_uncertainty(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
-        reports = estimate_series([2.0] * 8, unit_fm, grid, sigma_e=0.3)
+        reports, events = detect_series([2.0] * 8, unit_fm, make_config(grid=grid))
+        assert events == []
         stds = [r.std_g_per_s for r in reports]
         assert all(b < a for a, b in zip(stds, stds[1:]))
         assert all(r.std_g_per_s >= 0 for r in reports)
@@ -199,4 +195,76 @@ class TestEstimateSeries:
     def test_error_carries_pass_index(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
         with pytest.raises(DetectionError, match=r"pass 2"):
-            estimate_series([2.0, 400.0], unit_fm, grid, sigma_e=1e-3)
+            detect_series([2.0, 400.0], unit_fm, make_config(sigma_e_initial=1e-3, grid=grid))
+
+
+class TestUnderflowedPosterior:
+    """A jump so far that the rate posterior times the likelihood underflows."""
+
+    def test_log_space_row_keeps_report(self, unit_fm):
+        reports, events = detect_series([1.0, 3.0], unit_fm, make_config(sigma_e_initial=0.03))
+        assert [e.pass_index for e in events] == [2]
+        last = reports[1]
+        assert (last.mode_g_per_s, last.mean_g_per_s, last.std_g_per_s) == (
+            2.0,
+            1.9999999999999996,
+            0.021213203435540163,
+        )
+
+    @pytest.mark.parametrize(
+        "stream, sigma_e", [([1.0, 1.0, 3.0], 0.03), ([1.0, 1.0, 1.0, 3.0], 0.01)]
+    )
+    def test_jump_beyond_log_space_raises_alarm(self, unit_fm, stream, sigma_e):
+        cfg = make_config(sigma_e_initial=sigma_e)
+        reports, events = detect_series(stream, unit_fm, cfg)
+        assert [e.pass_index for e in events] == [len(stream)]
+        assert events[0].changepoint_probability == 1.0
+        last = reports[-1]
+        assert last.pass_index == len(stream)
+        assert all(
+            math.isfinite(v) for v in (last.mode_g_per_s, last.mean_g_per_s, last.std_g_per_s)
+        )
+        chain = uniform_prior(cfg.grid)
+        for cy in stream[:-1]:
+            chain = bayes_update(chain, cy, unit_fm, LikelihoodConfig(sigma_e))
+        assert np.array_equal(events[0].pre_change_posterior.density, chain.density)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    cys=st.lists(st.floats(0.0, 4.9), min_size=1, max_size=10),
+    sigma_e=st.sampled_from([0.02, 0.1, 0.4]),
+    method=st.sampled_from(["marginal", "scaling"]),
+)
+def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
+    """Reports summarize the plain bayes_update chain since the last reset,
+    and each event keeps that chain as of the previous pass."""
+    fm = ForwardModel(1.0, 1.0)
+    cfg = make_config(
+        sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05), predictive_method=method
+    )
+    try:
+        reports, events = detect_series(cys, fm, cfg)
+    except DetectionError:
+        return
+    alarms = {e.pass_index: e for e in events}
+    chain = uniform_prior(cfg.grid)
+    lik_cfg = LikelihoodConfig(sigma_e)
+    for report, cy in zip(reports, cys):
+        event = alarms.get(report.pass_index)
+        try:
+            updated = bayes_update(chain, cy, fm, lik_cfg)
+        except MeasurementIncompatibleError:
+            if event is None:
+                return
+        else:
+            mean, std = posterior_mean_std(updated)
+            assert report.mode_g_per_s == posterior_mode(updated)
+            assert report.mean_g_per_s == mean
+            assert report.std_g_per_s == std
+        if event is None:
+            chain = updated
+        else:
+            assert np.array_equal(event.pre_change_posterior.density, chain.density)
+            chain = uniform_prior(cfg.grid)
+            lik_cfg = LikelihoodConfig(sigma_e * cfg.sigma_e_post_factor)

@@ -15,7 +15,6 @@ from plumecpd.transport import (
     ambient_baseline,
     build_forward_model,
     cross_plume_integrate,
-    dispersion_factor,
     forward_concentration,
     ppm_to_mass_concentration,
 )
@@ -135,7 +134,7 @@ class TestDispersion:
     def test_ground_reflection_doubles_peak(self):
         met = make_met(u=1.0, sigma_w=1.0)
         geom = Geometry(fetch_m=1.0, sensor_height_m=0.0, source_height_m=0.0)
-        assert dispersion_factor(met, geom) == pytest.approx(2.0 / math.sqrt(2 * math.pi))
+        assert ReflectedGaussianDispersion().vertical_factor(met, geom) == pytest.approx(2.0 / math.sqrt(2 * math.pi))
 
     def test_vertical_profile_integrates_to_one(self):
         met = make_met(u=2.0, sigma_w=0.4)
@@ -153,8 +152,9 @@ class TestDispersion:
 
     def test_doubling_fetch_halves_centered_peak(self):
         met = make_met(u=1.0, sigma_w=1.0)
-        near = dispersion_factor(met, Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0))
-        far = dispersion_factor(met, Geometry(2.0, sensor_height_m=0.0, source_height_m=0.0))
+        model = ReflectedGaussianDispersion()
+        near = model.vertical_factor(met, Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0))
+        far = model.vertical_factor(met, Geometry(2.0, sensor_height_m=0.0, source_height_m=0.0))
         assert far == pytest.approx(near / 2.0)
 
     def test_constant_model_ignores_met(self):
@@ -166,7 +166,7 @@ class TestDispersion:
     def test_spread_factor_scales_sigma(self):
         met = make_met(u=1.0, sigma_w=1.0)
         geom = Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0)
-        wide = dispersion_factor(met, geom, spread_factor=2.0)
+        wide = ReflectedGaussianDispersion(spread_factor=2.0).vertical_factor(met, geom)
         assert wide == pytest.approx(1.0 / math.sqrt(2 * math.pi))
 
 
