@@ -21,18 +21,27 @@ joint weights stay recoverable without underflow.
 The Gaussian likelihood vector over the rate grid is evaluated exactly
 once per step and shared by every hypothesis update, which keeps the
 per-step cost one vectorized sweep regardless of the hypothesis count.
+
+The rate rows are stored newest last, in a buffer that doubles its
+capacity when full: buffer row j holds run length k - j. A step maps
+run length i to i + 1 and keeps each row's index, so it multiplies the
+rows by the likelihood into a second buffer of the same capacity,
+renormalizes them there in place and appends the fresh run-length-0
+row; nothing is shifted or reallocated. The result owns both buffers,
+so ``bocd_step`` consumes its input state, and the consumed state
+refuses to be read or stepped again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import MeasurementIncompatibleError
 from .inference import (
+    NORM_FLOOR,
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
@@ -99,7 +108,6 @@ def predictive_probability(
     raise ValueError(f"unknown predictive method {method!r}")
 
 
-@dataclass(frozen=True)
 class RunLengthState:
     """Run-length posterior and per-hypothesis rate posteriors after k passes.
 
@@ -108,28 +116,68 @@ class RunLengthState:
     weights * exp(log_evidence). Row i of ``posteriors`` is the rate
     density given the newest min(i + 1, k) measurements; before any
     measurement the single row is the flat prior.
+
+    The rows live in a buffer whose capacity doubles as it fills, newest
+    last: buffer row j holds run length k - j, so ``posteriors`` is a
+    reversed read-only view of the first k + 1 buffer rows. A second
+    buffer of the same capacity is where the next step writes its rows.
+    ``bocd_step`` hands both buffers to its result, so stepping consumes
+    the state: afterwards its ``posteriors``, ``run_posterior`` and a
+    second ``bocd_step`` raise ``ValueError`` instead of reading rows that
+    the later step overwrites. The constructor copies ``posteriors``.
     """
 
-    grid: QGrid
-    k: int
-    weights: np.ndarray = field(compare=False)
-    log_evidence: float = field(compare=False)
-    posteriors: np.ndarray = field(repr=False, compare=False)
+    __slots__ = ("grid", "k", "weights", "log_evidence", "_rows", "_spare")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(
+        self,
+        grid: QGrid,
+        k: int,
+        weights: np.ndarray,
+        log_evidence: float,
+        posteriors: np.ndarray,
+    ) -> None:
+        if k < 0:
             raise ValueError("pass count must be non-negative")
-        if self.weights.shape != (self.k + 1,):
-            raise ValueError("need exactly k + 1 run-length weights")
-        if self.posteriors.shape != (self.k + 1, self.grid.n_points):
+        if np.shape(posteriors) != (k + 1, grid.n_points):
             raise ValueError("need one posterior row per hypothesis")
-        if np.any(self.weights < 0):
+        rows = np.empty((_capacity(k + 1), grid.n_points))
+        rows[: k + 1] = posteriors[::-1]
+        self._adopt(grid, k, weights, log_evidence, rows, rows[:0])
+
+    @classmethod
+    def _from_buffers(cls, grid, k, weights, log_evidence, rows, spare):
+        state = cls.__new__(cls)
+        state._adopt(grid, k, weights, log_evidence, rows, spare)
+        return state
+
+    def _adopt(self, grid, k, weights, log_evidence, rows, spare) -> None:
+        if weights.shape != (k + 1,):
+            raise ValueError("need exactly k + 1 run-length weights")
+        if np.any(weights < 0):
             raise ValueError("weights must be non-negative")
-        if abs(float(np.sum(self.weights)) - 1.0) > 1e-9:
+        if abs(float(np.sum(weights)) - 1.0) > 1e-9:
             raise ValueError("weights must be normalized")
-        for arr in (self.weights, self.posteriors):
-            if arr.flags.writeable:
-                arr.setflags(write=False)
+        if weights.flags.writeable:
+            weights.setflags(write=False)
+        self.grid = grid
+        self.k = k
+        self.weights = weights
+        self.log_evidence = log_evidence
+        self._rows = rows
+        self._spare = spare
+
+    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._rows is None:
+            raise ValueError("run-length state was consumed by bocd_step")
+        return self._rows, self._spare
+
+    @property
+    def posteriors(self) -> np.ndarray:
+        rows, _ = self._buffers()
+        view = rows[self.k :: -1]
+        view.setflags(write=False)
+        return view
 
     @property
     def evidence(self) -> float:
@@ -144,6 +192,11 @@ class RunLengthState:
         return EmissionPosterior(self.grid, self.posteriors[i].copy())
 
 
+def _capacity(n_rows: int) -> int:
+    """Buffer rows for n_rows hypotheses: a power of two, at least 16."""
+    return max(16, 1 << (n_rows - 1).bit_length())
+
+
 def initial_state(grid: QGrid) -> RunLengthState:
     """Fresh state before any measurement: run length 0 with certainty."""
     flat = uniform_prior(grid).density
@@ -152,7 +205,7 @@ def initial_state(grid: QGrid) -> RunLengthState:
         k=0,
         weights=np.array([1.0]),
         log_evidence=0.0,
-        posteriors=flat[np.newaxis, :].copy(),
+        posteriors=flat[np.newaxis, :],
     )
 
 
@@ -172,27 +225,38 @@ def bocd_step(
     ``run_posterior(k)``, is the rate posterior given every measurement
     since the state was initialized.
 
-    A row whose product with the likelihood underflows on the whole grid
-    is renormalized in log space. If even that is empty, the row is set
-    flat when its hypothesis carries no weight; a live hypothesis raises
-    ``MeasurementIncompatibleError``.
+    The result takes over the buffers of ``state``, which is consumed;
+    a step that raises leaves ``state`` usable.
+
+    A row whose product with the likelihood underflows on the whole grid,
+    or whose grid norm is subnormal, is renormalized in log space. If even
+    that is empty, the row is set flat when its hypothesis carries no
+    weight; a live hypothesis raises ``MeasurementIncompatibleError``.
     """
     if not lam > 1:
         raise ValueError("expected run length lambda must exceed 1")
+    rows, spare = state._buffers()
     grid = state.grid
+    k = state.k
     likelihood = likelihood_vector(cy, grid, fm, cfg)
     h = 1.0 / lam
     flat = 1.0 / (grid.q_max - grid.q_min)
 
-    weighted = state.posteriors * likelihood
+    if spare.shape[0] < k + 2:
+        spare = np.empty((_capacity(k + 2), grid.n_points))
+    # Buffer row j holds run length k - j before the step and k + 1 - j
+    # after it, so each grown row keeps its index and the old rows stay
+    # intact for the log-space and scaling paths below.
+    old = rows[: k + 1]
+    weighted = np.multiply(old, likelihood, out=spare[: k + 1])
     norms = np.sum(weighted[:, :-1], axis=1) * grid.dq
     lik_mass = float(np.sum(likelihood[:-1]) * grid.dq)
 
     if method == "marginal":
-        pis = norms
+        pis = norms[::-1]
         pi_fresh = flat * lik_mass
     elif method == "scaling":
-        pis = _scaled_density_at(state.posteriors, grid, cy, fm)
+        pis = _scaled_density_at(old[::-1], grid, cy, fm)
         ratio = _scaling_ratio(fm)
         q_star = cy * ratio
         pi_fresh = flat * ratio if grid.q_min <= q_star <= grid.q_max else 0.0
@@ -200,7 +264,7 @@ def bocd_step(
         raise ValueError(f"unknown predictive method {method!r}")
 
     total_weight = float(np.sum(state.weights))
-    unnormalized = np.empty(state.k + 2)
+    unnormalized = np.empty(k + 2)
     unnormalized[0] = h * pi_fresh * total_weight
     unnormalized[1:] = state.weights * (1.0 - h) * pis
     step_evidence = float(np.sum(unnormalized))
@@ -213,29 +277,29 @@ def bocd_step(
     weights[weights < prune_threshold] = 0.0
     weights /= np.sum(weights)
 
-    posteriors = np.empty((state.k + 2, grid.n_points))
+    good = norms >= NORM_FLOOR
+    if good.all():
+        weighted /= norms[:, np.newaxis]
+    else:
+        weighted[good] /= norms[good, np.newaxis]
+        for j in np.flatnonzero(~good):
+            revived = log_space_update(grid, old[j], likelihood)
+            if revived is not None:
+                weighted[j] = revived
+            elif weights[k + 1 - j] > 0:
+                raise MeasurementIncompatibleError(
+                    "measurement incompatible with the rate grid support"
+                )
+            else:
+                weighted[j] = flat
     # The new segment starts at this measurement, so row 0 conditions on it.
-    posteriors[0] = likelihood / lik_mass if lik_mass > 0 else flat
-    good = norms > 0
-    posteriors[1:][good] = weighted[good] / norms[good, np.newaxis]
-    for idx in np.nonzero(~good)[0]:
-        revived = log_space_update(grid, state.posteriors[idx], likelihood)
-        if revived is not None:
-            posteriors[idx + 1] = revived
-        elif weights[idx + 1] > 0:
-            raise MeasurementIncompatibleError(
-                "measurement incompatible with the rate grid support"
-            )
-        else:
-            posteriors[idx + 1] = flat
+    spare[k + 1] = likelihood / lik_mass if lik_mass > 0 else flat
 
-    return RunLengthState(
-        grid=grid,
-        k=state.k + 1,
-        weights=weights,
-        log_evidence=state.log_evidence + math.log(step_evidence),
-        posteriors=posteriors,
+    result = RunLengthState._from_buffers(
+        grid, k + 1, weights, state.log_evidence + math.log(step_evidence), spare, rows
     )
+    state._rows = state._spare = None
+    return result
 
 
 def changepoint_probability(state: RunLengthState) -> float:

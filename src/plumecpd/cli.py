@@ -14,6 +14,8 @@ or malformed inputs and configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import __version__, dataio
 from .detector import DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
 from .inference import QGrid, estimate_sigma_e, posterior_mean_std, posterior_mode
@@ -225,6 +227,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _canonical(value):
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.init
+        }
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
+
+
+def _cell_key(payload: tuple) -> str:
+    """Digest of everything a sweep cell's row depends on, for the resume cache."""
+    blob = json.dumps([__version__, [_canonical(v) for v in payload]], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def _sweep_cell_worker(payload: tuple) -> dict:
     exp, fm, cfg, lrr, axis_value, n_instances, n_repetitions, seed, n_boot = payload
     report = evaluate_cell(
@@ -270,21 +290,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     grid=grid,
                     predictive_method=args.predictive,
                 )
-                key = "|".join(
-                    [
-                        exp.experiment_id,
-                        f"axis={axis_value!r}",
-                        f"lrr={lrr!r}",
-                        f"thr={threshold!r}",
-                        f"lam={args.lam!r}",
-                        f"seed={args.seed}",
-                        f"n={args.instances}x{args.repetitions}",
-                        f"pred={args.predictive}",
-                        f"grid=({args.q_min!r},{args.q_max!r},{args.dq!r})",
-                        f"sigma={sigma_e!r}x{args.sigma_post_factor!r}",
-                        f"boot={args.boot}",
-                    ]
-                )
                 payload = (
                     exp,
                     fm,
@@ -296,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     args.seed,
                     args.boot,
                 )
-                cells.append((key, payload))
+                cells.append((_cell_key(payload), payload))
 
     rows: list[dict | None] = [None] * len(cells)
     pending = []

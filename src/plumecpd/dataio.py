@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,6 +227,8 @@ def read_passes(path: Path) -> dict[str, list[tuple[int, float]]]:
     for line, row in _open_rows(path, PASS_COLUMNS):
         exp = row["experiment_id"]
         cy = _parse_float(path, line, row, "cy_g_per_m2")
+        if not math.isfinite(cy):
+            raise InputDataError(f"{path}:{line}: non-finite cy_g_per_m2")
         if cy < 0:
             raise InputDataError(f"{path}:{line}: negative cy_g_per_m2")
         grouped.setdefault(exp, []).append((_parse_int(path, line, row, "pass_index"), cy))

@@ -21,6 +21,12 @@ DEFAULT_Q_MIN_G_PER_S = 0.0
 DEFAULT_Q_MAX_G_PER_S = 5.0
 DEFAULT_DQ_G_PER_S = 0.005
 
+# A grid norm below the smallest normal float has lost precision, and the
+# quotient by it need not integrate to 1: renormalize such a product in
+# log space, as if it had underflowed.
+NORM_FLOOR = np.finfo(float).tiny
+
+
 @dataclass(frozen=True)
 class QGrid:
     """Uniformly spaced candidate emission rates, inclusive of both ends."""
@@ -117,12 +123,13 @@ def bayes_update_from_likelihood(
     """Multiply a prior by a likelihood vector and renormalize.
 
     Falls back to a max-shifted log-space renormalization when the
-    unnormalized product underflows entirely, which can happen for very
-    long streams even though each factor is representable.
+    unnormalized product underflows entirely or integrates to a subnormal
+    number, which can happen for very long streams even though each factor
+    is representable.
     """
     weighted = prior.density * likelihood
     evidence = grid_integrate(prior.grid, weighted)
-    if evidence > 0 and math.isfinite(evidence):
+    if evidence >= NORM_FLOOR and math.isfinite(evidence):
         return EmissionPosterior(prior.grid, weighted / evidence)
     density = log_space_update(prior.grid, prior.density, likelihood)
     if density is None:

@@ -43,10 +43,10 @@ class RawSample:
     def __post_init__(self) -> None:
         if not math.isfinite(self.time_s):
             raise ValueError("sample time must be finite")
-        if self.mixing_ratio_ppm < 0:
-            raise ValueError("mixing ratio must be non-negative")
-        if self.vehicle_speed_mps <= 0:
-            raise ValueError("vehicle speed must be positive")
+        if not math.isfinite(self.mixing_ratio_ppm) or self.mixing_ratio_ppm < 0:
+            raise ValueError("mixing ratio must be finite and non-negative")
+        if not math.isfinite(self.vehicle_speed_mps) or self.vehicle_speed_mps <= 0:
+            raise ValueError("vehicle speed must be finite and positive")
         if not 0 < self.road_angle_deg <= 90:
             raise ValueError("road angle must lie in (0, 90] degrees")
 

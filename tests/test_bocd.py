@@ -18,6 +18,7 @@ from plumecpd.inference import (
     LikelihoodConfig,
     QGrid,
     grid_integrate,
+    likelihood_vector,
     uniform_prior,
 )
 from plumecpd.transport import ForwardModel
@@ -329,6 +330,63 @@ class TestBocdStep:
         )
         assert abs(float(np.sum(state.weights)) - 1.0) <= 1e-10
         assert np.all((state.weights == 0.0) | (state.weights >= 0.05))
+
+
+class TestRowBuffer:
+    """Rows kept in a reused buffer that grows by doubling."""
+
+    @pytest.mark.parametrize("method", ["marginal", "scaling"])
+    def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid, method):
+        # 101 steps cross the capacity boundaries at 16, 32, 64 and 128 rows.
+        cfg = LikelihoodConfig(0.5)
+        rng = np.random.default_rng(3)
+        state = initial_state(coarse_grid)
+        for cy in np.clip(rng.normal(2.0, 0.4, size=101), 0.0, 4.9):
+            rebuilt = RunLengthState(
+                coarse_grid,
+                state.k,
+                state.weights.copy(),
+                state.log_evidence,
+                state.posteriors.copy(),
+            )
+            stepped = bocd_step(state, float(cy), unit_fm, cfg, 15.0, method=method)
+            expected = bocd_step(rebuilt, float(cy), unit_fm, cfg, 15.0, method=method)
+            assert np.array_equal(stepped.weights, expected.weights)
+            assert np.array_equal(stepped.posteriors, expected.posteriors)
+            assert stepped.log_evidence == expected.log_evidence
+            state = stepped
+        assert state.k == 101
+
+    def test_stepping_consumes_the_state(self, unit_fm, coarse_grid):
+        cfg = LikelihoodConfig(0.5)
+        old = initial_state(coarse_grid)
+        new = bocd_step(old, 2.0, unit_fm, cfg, 15.0)
+        with pytest.raises(ValueError):
+            old.posteriors
+        with pytest.raises(ValueError):
+            old.run_posterior(0)
+        with pytest.raises(ValueError):
+            bocd_step(old, 2.0, unit_fm, cfg, 15.0)
+        assert new.run_posterior(new.k).grid == coarse_grid
+
+    def test_failed_step_leaves_the_state_usable(self, unit_fm, coarse_grid):
+        cfg = LikelihoodConfig(0.3)
+        state = bocd_step(initial_state(coarse_grid), 2.0, unit_fm, cfg, 15.0)
+        before = state.posteriors.copy()
+        with pytest.raises(MeasurementIncompatibleError):
+            bocd_step(state, 9.0, unit_fm, cfg, 15.0, method="scaling")
+        assert np.array_equal(state.posteriors, before)
+        assert bocd_step(state, 2.0, unit_fm, cfg, 15.0).k == 2
+
+    def test_posteriors_read_only_and_fresh_row_is_the_likelihood(self, unit_fm, coarse_grid):
+        cfg = LikelihoodConfig(0.5)
+        state = run_stream([2.0, 2.2, 1.9], unit_fm, cfg, 15.0, coarse_grid)
+        with pytest.raises(ValueError):
+            state.posteriors[0, 0] = 1.0
+        likelihood = likelihood_vector(1.9, coarse_grid, unit_fm, cfg)
+        lik_mass = float(np.sum(likelihood[:-1]) * coarse_grid.dq)
+        assert np.array_equal(state.posteriors[0], likelihood / lik_mass)
+        assert not np.shares_memory(state.run_posterior(0).density, state.posteriors)
 
 
 class TestChangepointProbability:

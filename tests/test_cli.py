@@ -100,6 +100,15 @@ class TestIngest:
         )
         assert "non-increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ppm, speed", [("nan", "3.0"), ("2.0", "inf"), ("inf", "3.0")])
+    def test_non_finite_sample_exits_two(self, tmp_path, met_csv, capsys, ppm, speed):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + f"\n4,1,0.0,2.0,3.0,90\n4,1,0.5,{ppm},{speed},90\n")
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 2
+        assert "raw.csv:3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_perfect_model_gives_zero(self, tmp_path, met_csv, exp4):
@@ -255,6 +264,14 @@ class TestDetect:
         rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_non_finite_cy_exits_two(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        passes.write_text("experiment_id,pass_index,cy_g_per_m2\n4,1,0.007\n4,2,nan\n")
+        config = self._config(tmp_path, 0.001)
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "passes.csv:3" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_writes_round_trippable_instances(self, tmp_path, exp4):
@@ -352,6 +369,29 @@ class TestSweep:
         assert main(argv) == 0
         assert (out / "report.csv").read_bytes() == first
         assert json.loads(cell.read_text())["key"] != "stale"
+
+    def test_changed_pass_value_is_recomputed(self, tmp_path, exp4):
+        # Reflecting a residual about the prediction changes the data but
+        # not sigma_e, so only a key over the pass values sees the change.
+        passes, met, exp, fm = self._inputs(tmp_path, exp4)
+        out = tmp_path / "out"
+        argv = self._argv(passes, met, out, lrr="3.0")
+        assert main(argv) == 0
+        first = (out / "report.csv").read_bytes()
+        series = [cy for _, cy in read_passes(passes)["4"]]
+        predicted = forward_concentration(0.083, fm)
+        i = max(range(len(series)), key=lambda j: series[j] - predicted)
+        reflected = list(series)
+        reflected[i] = 2.0 * predicted - series[i]
+        assert reflected[i] >= 0.0
+        assert estimate_sigma_e(reflected, 0.083, fm) == estimate_sigma_e(series, 0.083, fm)
+        write_series(passes, reflected)
+        assert main(argv) == 0
+        resumed = (out / "report.csv").read_bytes()
+        fresh_out = tmp_path / "fresh"
+        assert main(self._argv(passes, met, fresh_out, lrr="3.0")) == 0
+        assert resumed == (fresh_out / "report.csv").read_bytes()
+        assert resumed != first
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, exp4):
         passes, met, exp, fm = self._inputs(tmp_path, exp4)

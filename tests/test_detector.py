@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plumecpd.bocd import bocd_step, initial_state
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -17,6 +18,7 @@ from plumecpd.inference import (
     QGrid,
     bayes_update,
     bayes_update_from_likelihood,
+    grid_integrate,
     likelihood_vector,
     posterior_mean_std,
     posterior_mode,
@@ -228,6 +230,25 @@ class TestUnderflowedPosterior:
         for cy in stream[:-1]:
             chain = bayes_update(chain, cy, unit_fm, LikelihoodConfig(sigma_e))
         assert np.array_equal(events[0].pre_change_posterior.density, chain.density)
+
+    def test_subnormal_norm_takes_log_space_path(self, unit_fm):
+        # The full-run row times the third likelihood integrates to a
+        # subnormal number; dividing by it would leave a row that
+        # integrates to 0.97.
+        stream = [0.0, 0.0, 0.9453125]
+        cfg = make_config(sigma_e_initial=0.02, grid=QGrid(0.0, 5.0, 0.05))
+        reports, _ = detect_series(stream, unit_fm, cfg)
+        assert len(reports) == len(stream)
+        assert all(
+            math.isfinite(v)
+            for r in reports
+            for v in (r.mode_g_per_s, r.mean_g_per_s, r.std_g_per_s)
+        )
+        state = initial_state(cfg.grid)
+        for cy in stream:
+            state = bocd_step(state, cy, unit_fm, LikelihoodConfig(0.02), cfg.lam)
+            row = state.posteriors[-1]
+            assert abs(grid_integrate(cfg.grid, row) - 1.0) <= 1e-8
 
 
 @settings(max_examples=80, deadline=None)
