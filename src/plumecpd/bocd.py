@@ -22,14 +22,23 @@ The Gaussian likelihood vector over the rate grid is evaluated exactly
 once per step and shared by every hypothesis update, which keeps the
 per-step cost one vectorized sweep regardless of the hypothesis count.
 
-The rate rows are stored newest last, in a buffer that doubles its
-capacity when full: buffer row j holds run length k - j. A step maps
-run length i to i + 1 and keeps each row's index, so it multiplies the
-rows by the likelihood into a second buffer of the same capacity,
-renormalizes them there in place and appends the fresh run-length-0
-row; nothing is shifted or reallocated. The result owns both buffers,
-so ``bocd_step`` consumes its input state, and the consumed state
-refuses to be read or stepped again.
+The rate rows are stored newest last: buffer row j holds run length
+k - j. A step maps run length i to i + 1 and keeps each row's index, so
+it multiplies the rows by the likelihood into a second buffer of the
+same capacity, renormalizes them there in place and appends the fresh
+run-length-0 row; nothing is shifted or reallocated.
+
+One private core, ``_advance_rows``, does this arithmetic for B streams
+at once: rows of shape (B, k + 1, n_points), weights of shape (B, k + 1)
+and B measurements, all with the same k, grid and forward model. It has
+two callers. ``bocd_step`` advances one ``RunLengthState`` with B = 1;
+the state keeps its rows in a buffer that doubles its capacity when
+full, and the result owns both buffers, so ``bocd_step`` consumes its
+input state, and the consumed state refuses to be read or stepped
+again. ``detector.first_alarms`` advances lockstep batches of
+equal-length streams until each one's first alarm. Both callers get the
+same bits for a stream, since every operation acts on each stream's
+slice alone and in the same order.
 """
 
 from __future__ import annotations
@@ -65,24 +74,25 @@ def _scaling_ratio(fm: ForwardModel) -> float:
     return fm.advection_velocity_mps / fm.dispersion_factor_per_m
 
 
-def _scaled_density_at(densities: np.ndarray, grid: QGrid, cy: float, fm: ForwardModel):
-    """Change-of-variables predictive density for one or many posteriors.
+def _scaled_density_at(densities: np.ndarray, grid: QGrid, cys: np.ndarray, fm: ForwardModel):
+    """Change-of-variables predictive density of B streams' posterior rows.
 
-    Maps the measurement back to a rate q* = cy * u / D and linearly
-    interpolates the rate density there; measurements mapping outside the
-    grid have probability zero.
+    ``densities`` has shape (B, R, n_points) and ``cys`` shape (B,). Stream
+    b's measurement maps back to a rate q* = cy * u / D, where each of its
+    R rows is linearly interpolated along the last axis; the result has
+    shape (B, R). Measurements mapping outside the grid have probability
+    zero.
     """
     ratio = _scaling_ratio(fm)
-    q_star = cy * ratio
-    rows = np.atleast_2d(densities)
-    if not grid.q_min <= q_star <= grid.q_max:
-        out = np.zeros(rows.shape[0])
-    else:
-        pos = (q_star - grid.q_min) / grid.dq
-        j0 = min(int(pos), grid.n_points - 2)
-        frac = pos - j0
-        out = (rows[:, j0] * (1.0 - frac) + rows[:, j0 + 1] * frac) * ratio
-    return out if densities.ndim == 2 else float(out[0])
+    q_star = cys * ratio
+    inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
+    pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
+    j0 = np.minimum(pos.astype(int), grid.n_points - 2)
+    frac = (pos - j0)[:, np.newaxis]
+    at = j0[:, np.newaxis, np.newaxis]
+    lo = np.take_along_axis(densities, at, axis=2)[..., 0]
+    hi = np.take_along_axis(densities, at + 1, axis=2)[..., 0]
+    return np.where(inside[:, np.newaxis], (lo * (1.0 - frac) + hi * frac) * ratio, 0.0)
 
 
 def predictive_probability(
@@ -104,7 +114,8 @@ def predictive_probability(
         lik = likelihood_vector(cy, run_posterior.grid, fm, cfg)
         return grid_integrate(run_posterior.grid, run_posterior.density * lik)
     if method == "scaling":
-        return _scaled_density_at(run_posterior.density, run_posterior.grid, cy, fm)
+        rows = run_posterior.density[np.newaxis, np.newaxis]
+        return float(_scaled_density_at(rows, run_posterior.grid, np.array([cy]), fm)[0, 0])
     raise ValueError(f"unknown predictive method {method!r}")
 
 
@@ -189,12 +200,20 @@ class RunLengthState:
         return self.weights * math.exp(self.log_evidence)
 
     def run_posterior(self, i: int) -> EmissionPosterior:
-        return EmissionPosterior(self.grid, self.posteriors[i].copy())
+        row = self.posteriors[i].copy()
+        row.setflags(write=False)
+        return EmissionPosterior(self.grid, row)
 
 
 def _capacity(n_rows: int) -> int:
     """Buffer rows for n_rows hypotheses: a power of two, at least 16."""
     return max(16, 1 << (n_rows - 1).bit_length())
+
+
+def row_buffer_bytes(n_passes: int, n_points: float) -> float:
+    """Bytes of the two row buffers of a stream at its longest run,
+    ``n_passes`` passes on a grid of ``n_points`` rates."""
+    return 2.0 * _capacity(n_passes + 1) * n_points * 8
 
 
 def initial_state(grid: QGrid) -> RunLengthState:
@@ -207,6 +226,104 @@ def initial_state(grid: QGrid) -> RunLengthState:
         log_evidence=0.0,
         posteriors=flat[np.newaxis, :],
     )
+
+
+def _advance_rows(
+    rows: np.ndarray,
+    spare: np.ndarray,
+    weights: np.ndarray,
+    cys: np.ndarray,
+    grid: QGrid,
+    fm: ForwardModel,
+    cfg: LikelihoodConfig,
+    lam: float,
+    method: PredictiveMethod,
+    prune_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Advance B run-length posteriors after k passes by one measurement each.
+
+    ``weights`` has shape (B, k + 1), ``cys`` shape (B,), and ``rows[b, j]``
+    is stream b's rate row for run length k - j. The new rows go to
+    ``spare[:, : k + 2]``, with the same layout one run length later; the
+    old rows stay intact, for the log-space and scaling paths here and for
+    a caller whose step fails.
+
+    Returns the new weights, shape (B, k + 2), the step evidences
+    p(c | earlier measurements), shape (B,), and the reason for each
+    stream whose measurement is impossible; the new rows and weights of
+    such a stream are meaningless. A row whose product with the
+    likelihood underflows on the whole grid, or whose grid norm is
+    subnormal, is renormalized in log space. If even that is empty, the
+    row is set flat when its hypothesis carries no weight, and a live
+    hypothesis fails its stream.
+    """
+    if not lam > 1:
+        raise ValueError("expected run length lambda must exceed 1")
+    k = weights.shape[1] - 1
+    likelihood = likelihood_vector(cys, grid, fm, cfg)
+    h = 1.0 / lam
+    flat = 1.0 / (grid.q_max - grid.q_min)
+
+    old = rows[:, : k + 1]
+    weighted = np.multiply(old, likelihood[:, np.newaxis], out=spare[:, : k + 1])
+    norms = weighted[:, :, :-1].sum(axis=2) * grid.dq
+    lik_mass = likelihood[:, :-1].sum(axis=1) * grid.dq
+
+    if method == "marginal":
+        pis = norms[:, ::-1]
+        pi_fresh = flat * lik_mass
+    elif method == "scaling":
+        pis = _scaled_density_at(old, grid, cys, fm)[:, ::-1]
+        ratio = _scaling_ratio(fm)
+        q_star = cys * ratio
+        pi_fresh = np.where((grid.q_min <= q_star) & (q_star <= grid.q_max), flat * ratio, 0.0)
+    else:
+        raise ValueError(f"unknown predictive method {method!r}")
+
+    total_weight = weights.sum(axis=1)
+    unnormalized = np.empty((weights.shape[0], k + 2))
+    unnormalized[:, 0] = h * pi_fresh * total_weight
+    unnormalized[:, 1:] = weights * (1.0 - h) * pis
+    step_evidence = unnormalized.sum(axis=1)
+    errors: dict[int, str] = {}
+    # Scalar tests first: one stream's arrays are too small for a mask
+    # to pay off, and a NaN fails them too.
+    if not (step_evidence.min() > 0 and step_evidence.max() < math.inf):
+        possible = (step_evidence > 0) & np.isfinite(step_evidence)
+        for b in np.flatnonzero(~possible):
+            errors[int(b)] = "observation impossible under all run-length hypotheses"
+        # Placeholders keep the failed streams' arithmetic below finite.
+        unnormalized[~possible] = 1.0
+        step_evidence[~possible] = 1.0
+    new_weights = unnormalized / step_evidence[:, np.newaxis]
+
+    new_weights[new_weights < prune_threshold] = 0.0
+    new_weights /= new_weights.sum(axis=1, keepdims=True)
+
+    if norms.min() >= NORM_FLOOR:
+        weighted /= norms[:, :, np.newaxis]
+    else:
+        good = norms >= NORM_FLOOR
+        weighted[good] /= norms[good][:, np.newaxis]
+        for b, j in zip(*np.nonzero(~good)):
+            b = int(b)
+            if b in errors:
+                continue
+            revived = log_space_update(grid, old[b, j], likelihood[b])
+            if revived is not None:
+                weighted[b, j] = revived
+            elif new_weights[b, k + 1 - j] > 0:
+                errors[b] = "measurement incompatible with the rate grid support"
+            else:
+                weighted[b, j] = flat
+    # The new segment starts at this measurement, so row 0 conditions on it.
+    if lik_mass.min() > 0:
+        spare[:, k + 1] = likelihood / lik_mass[:, np.newaxis]
+    else:
+        fresh = lik_mass > 0
+        spare[:, k + 1] = flat
+        spare[fresh, k + 1] = likelihood[fresh] / lik_mass[fresh, np.newaxis]
+    return new_weights, step_evidence, errors
 
 
 def bocd_step(
@@ -226,77 +343,35 @@ def bocd_step(
     since the state was initialized.
 
     The result takes over the buffers of ``state``, which is consumed;
-    a step that raises leaves ``state`` usable.
-
-    A row whose product with the likelihood underflows on the whole grid,
-    or whose grid norm is subnormal, is renormalized in log space. If even
-    that is empty, the row is set flat when its hypothesis carries no
-    weight; a live hypothesis raises ``MeasurementIncompatibleError``.
+    a step that raises leaves ``state`` usable. A measurement that is
+    impossible under the state, including one that empties a live row
+    even in log space, raises ``MeasurementIncompatibleError``.
     """
-    if not lam > 1:
-        raise ValueError("expected run length lambda must exceed 1")
     rows, spare = state._buffers()
-    grid = state.grid
     k = state.k
-    likelihood = likelihood_vector(cy, grid, fm, cfg)
-    h = 1.0 / lam
-    flat = 1.0 / (grid.q_max - grid.q_min)
-
     if spare.shape[0] < k + 2:
-        spare = np.empty((_capacity(k + 2), grid.n_points))
-    # Buffer row j holds run length k - j before the step and k + 1 - j
-    # after it, so each grown row keeps its index and the old rows stay
-    # intact for the log-space and scaling paths below.
-    old = rows[: k + 1]
-    weighted = np.multiply(old, likelihood, out=spare[: k + 1])
-    norms = np.sum(weighted[:, :-1], axis=1) * grid.dq
-    lik_mass = float(np.sum(likelihood[:-1]) * grid.dq)
-
-    if method == "marginal":
-        pis = norms[::-1]
-        pi_fresh = flat * lik_mass
-    elif method == "scaling":
-        pis = _scaled_density_at(old[::-1], grid, cy, fm)
-        ratio = _scaling_ratio(fm)
-        q_star = cy * ratio
-        pi_fresh = flat * ratio if grid.q_min <= q_star <= grid.q_max else 0.0
-    else:
-        raise ValueError(f"unknown predictive method {method!r}")
-
-    total_weight = float(np.sum(state.weights))
-    unnormalized = np.empty(k + 2)
-    unnormalized[0] = h * pi_fresh * total_weight
-    unnormalized[1:] = state.weights * (1.0 - h) * pis
-    step_evidence = float(np.sum(unnormalized))
-    if step_evidence <= 0 or not math.isfinite(step_evidence):
-        raise MeasurementIncompatibleError(
-            "observation impossible under all run-length hypotheses"
-        )
-    weights = unnormalized / step_evidence
-
-    weights[weights < prune_threshold] = 0.0
-    weights /= np.sum(weights)
-
-    good = norms >= NORM_FLOOR
-    if good.all():
-        weighted /= norms[:, np.newaxis]
-    else:
-        weighted[good] /= norms[good, np.newaxis]
-        for j in np.flatnonzero(~good):
-            revived = log_space_update(grid, old[j], likelihood)
-            if revived is not None:
-                weighted[j] = revived
-            elif weights[k + 1 - j] > 0:
-                raise MeasurementIncompatibleError(
-                    "measurement incompatible with the rate grid support"
-                )
-            else:
-                weighted[j] = flat
-    # The new segment starts at this measurement, so row 0 conditions on it.
-    spare[k + 1] = likelihood / lik_mass if lik_mass > 0 else flat
-
+        spare = np.empty((_capacity(k + 2), state.grid.n_points))
+    weights, step_evidence, errors = _advance_rows(
+        rows[np.newaxis],
+        spare[np.newaxis],
+        state.weights[np.newaxis],
+        np.array([cy], dtype=float),
+        state.grid,
+        fm,
+        cfg,
+        lam,
+        method,
+        prune_threshold,
+    )
+    if errors:
+        raise MeasurementIncompatibleError(errors[0])
     result = RunLengthState._from_buffers(
-        grid, k + 1, weights, state.log_evidence + math.log(step_evidence), spare, rows
+        state.grid,
+        k + 1,
+        weights[0],
+        state.log_evidence + math.log(step_evidence[0]),
+        spare,
+        rows,
     )
     state._rows = state._spare = None
     return result

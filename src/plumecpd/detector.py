@@ -9,6 +9,12 @@ that row as it stood after the previous pass, then restarts the state
 from the flat prior. The measurement noise scale is widened once for all
 passes after the first detected change, reflecting that post-change
 rates are no longer pinned by a controlled release.
+
+``detect_series`` runs one stream to its end through ``bocd_step``.
+``first_alarms`` serves Monte Carlo scoring, which needs only each
+stream's first alarm: it advances a block of equal-length streams in
+lockstep batches through the same run-length core, drops a stream from
+its batch at its first alarm and never processes the passes after it.
 """
 
 from __future__ import annotations
@@ -21,8 +27,10 @@ import numpy as np
 from .bocd import (
     DEFAULT_LAMBDA,
     DEFAULT_PREDICTIVE_METHOD,
+    DEFAULT_PRUNE_THRESHOLD,
     PredictiveMethod,
     RunLengthState,
+    _advance_rows,
     bocd_step,
     changepoint_probability,
     initial_state,
@@ -33,10 +41,17 @@ from .inference import (
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
+    density_problems,
     posterior_mean_std,
     posterior_mode,
 )
 from .transport import ForwardModel
+
+# Budget for the two row buffers of one lockstep batch in ``first_alarms``.
+# Batching amortizes the per-step numpy call overhead over the batch;
+# beyond a few streams the arithmetic dominates, so a larger budget buys
+# little speed for memory that grows with it.
+BATCH_ROW_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -96,12 +111,11 @@ def detect_series(
     fms: ForwardModel | Sequence[ForwardModel],
     cfg: DetectorConfig,
     pass_indices: Sequence[int] | None = None,
-    collect_reports: bool = True,
 ) -> tuple[list[PassReport], list[DetectionEvent]]:
     """Run the detector over raw integrated concentrations.
 
-    ``collect_reports=False`` skips the per-pass moment computations, a
-    cheap win inside large synthetic sweeps where only events matter.
+    Returns one report per pass and the events in pass order. Any failure
+    raises ``DetectionError`` naming the pass.
     """
     cys = np.asarray(cys, dtype=float)
     if cys.size == 0:
@@ -127,18 +141,17 @@ def detect_series(
         except (PlumeCpdError, ValueError) as exc:
             raise DetectionError(f"pass {idx}: {exc}") from exc
         cp = changepoint_probability(state)
-        if collect_reports:
-            mean, std = posterior_mean_std(posterior)
-            reports.append(
-                PassReport(
-                    pass_index=int(idx),
-                    cy_g_per_m2=float(cy),
-                    changepoint_probability=cp,
-                    mode_g_per_s=posterior_mode(posterior),
-                    mean_g_per_s=mean,
-                    std_g_per_s=std,
-                )
+        mean, std = posterior_mean_std(posterior)
+        reports.append(
+            PassReport(
+                pass_index=int(idx),
+                cy_g_per_m2=float(cy),
+                changepoint_probability=cp,
+                mode_g_per_s=posterior_mode(posterior),
+                mean_g_per_s=mean,
+                std_g_per_s=std,
             )
+        )
         if cp >= cfg.threshold:
             events.append(
                 DetectionEvent(
@@ -155,3 +168,108 @@ def detect_series(
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
     return reports, events
 
+
+def batch_size(n_passes: int, n_points: int) -> int:
+    """Streams per lockstep batch: as many as keep the batch's two row
+    buffers, 2 x (n_passes + 1) x n_points doubles each, within
+    ``BATCH_ROW_BYTES``, and at least one."""
+    return max(1, BATCH_ROW_BYTES // (2 * (n_passes + 1) * n_points * 8))
+
+
+def first_alarms(
+    cys: np.ndarray, fm: ForwardModel, cfg: DetectorConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """First alarm of each stream in a block of equal-length streams.
+
+    Row i of ``cys`` is one stream. Returns the pass, counted from 1, at
+    which ``detect_series(cys[i], fm, cfg)`` raises its first event, or 0
+    where it raises none, and the changepoint probability at that pass,
+    0.0 where there is none. Streams advance in lockstep batches of
+    ``batch_size`` rows through the run-length core of ``bocd_step``,
+    with the same arithmetic and the same checks; each stream leaves its
+    batch at its first alarm, so a pass after it is never processed and
+    cannot fail.
+
+    Raises ``DetectionError`` for the lowest-index stream that fails at or
+    before its first alarm, with ``instance`` set to its row.
+    """
+    cys = np.asarray(cys, dtype=float)
+    if cys.ndim != 2 or cys.shape[1] == 0:
+        raise ValueError("need a 2-D block of non-empty streams")
+    if np.any(cys < 0):
+        raise ValueError("integrated concentration must be non-negative")
+    n_streams, n_passes = cys.shape
+    passes = np.zeros(n_streams, dtype=int)
+    cps = np.zeros(n_streams)
+    size = batch_size(n_passes, cfg.grid.n_points)
+    for start in range(0, n_streams, size):
+        stop = min(start + size, n_streams)
+        failures = _run_batch(cys[start:stop], fm, cfg, passes[start:stop], cps[start:stop])
+        if failures:
+            row = min(failures)
+            raise DetectionError(failures[row], instance=start + row)
+    return passes, cps
+
+
+def _run_batch(
+    block: np.ndarray,
+    fm: ForwardModel,
+    cfg: DetectorConfig,
+    passes: np.ndarray,
+    cps: np.ndarray,
+) -> dict[int, str]:
+    """Advance one batch until each stream has alarmed or failed.
+
+    Writes the alarms into ``passes`` and ``cps``; returns the failed
+    streams' rows, each mapped to "pass p: reason".
+    """
+    grid = cfg.grid
+    lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
+    n_rows, n_passes = block.shape
+    rows = np.empty((n_rows, n_passes + 1, grid.n_points))
+    spare = np.empty_like(rows)
+    rows[:, 0] = 1.0 / (grid.q_max - grid.q_min)
+    weights = np.ones((n_rows, 1))
+    live = np.arange(n_rows)
+    failures: dict[int, str] = {}
+    for k in range(n_passes):
+        try:
+            weights, _, errors = _advance_rows(
+                rows,
+                spare,
+                weights,
+                block[live, k],
+                grid,
+                fm,
+                lik_cfg,
+                cfg.lam,
+                cfg.predictive_method,
+                DEFAULT_PRUNE_THRESHOLD,
+            )
+        except ValueError as exc:
+            # A configuration the core rejects fails every stream alike.
+            failures.update((int(row), f"pass {k + 1}: {exc}") for row in live)
+            break
+        # Buffer row 0 is the full-run row, which a report would summarize.
+        full_run = spare[:, 0]
+        for b, reason in density_problems(grid, full_run).items():
+            errors.setdefault(b, reason)
+        cp = weights[:, 0]
+        alarm = cp >= cfg.threshold
+        failed = np.zeros(live.size, dtype=bool)
+        for b, reason in errors.items():
+            failures[int(live[b])] = f"pass {k + 1}: {reason}"
+            failed[b] = True
+        alarm &= ~failed
+        passes[live[alarm]] = k + 1
+        cps[live[alarm]] = cp[alarm]
+        rows, spare = spare, rows
+        keep = ~(alarm | failed)
+        if not keep.all():
+            live = live[keep]
+            if live.size == 0:
+                break
+            rows[: live.size, : k + 2] = rows[keep, : k + 2]
+            rows, spare = rows[: live.size], spare[: live.size]
+            weights = weights[keep]
+    return failures

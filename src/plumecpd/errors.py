@@ -27,4 +27,12 @@ class MeasurementIncompatibleError(PlumeCpdError):
 
 
 class DetectionError(PlumeCpdError):
-    """Failure inside the detector loop, annotated with the pass index."""
+    """Failure inside the detector loop, annotated with the pass index.
+
+    ``instance`` is the row of the failing stream when the detector ran a
+    block of streams, and None otherwise.
+    """
+
+    def __init__(self, message: str, instance: int | None = None) -> None:
+        super().__init__(message)
+        self.instance = instance

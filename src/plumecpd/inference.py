@@ -67,6 +67,28 @@ def grid_integrate(grid: QGrid, values: np.ndarray) -> float:
     return float(np.sum(values[:-1]) * grid.dq)
 
 
+def density_problems(grid: QGrid, densities: np.ndarray) -> dict[int, str]:
+    """Rows of a (B, n_points) array that are not normalized grid densities.
+
+    Maps each such row to the reason: a negative value, or a left-Riemann
+    integral more than 1e-8 away from 1.
+    """
+    totals = densities[:, :-1].sum(axis=1) * grid.dq
+    gaps = np.abs(totals - 1.0)
+    if densities.min() >= 0 and gaps.max() <= 1e-8:
+        return {}
+    negative = densities.min(axis=1) < 0
+    bad = negative | (gaps > 1e-8)
+    return {
+        int(b): (
+            "density must be non-negative"
+            if negative[b]
+            else f"density integrates to {float(totals[b])!r}, not 1"
+        )
+        for b in np.flatnonzero(bad)
+    }
+
+
 @dataclass(frozen=True)
 class EmissionPosterior:
     """A normalized probability density over the rate grid."""
@@ -78,11 +100,9 @@ class EmissionPosterior:
         density = np.asarray(self.density, dtype=float)
         if density.shape != self.grid.values.shape:
             raise ValueError("density shape must match the grid")
-        if np.any(density < 0):
-            raise ValueError("density must be non-negative")
-        total = grid_integrate(self.grid, density)
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"density integrates to {total!r}, not 1")
+        problems = density_problems(self.grid, density[np.newaxis])
+        if problems:
+            raise ValueError(problems[0])
         if density is not self.density or density.flags.writeable:
             density = density.copy()
             density.setflags(write=False)
@@ -107,13 +127,19 @@ def uniform_prior(grid: QGrid) -> EmissionPosterior:
 
 
 def likelihood_vector(
-    cy: float, grid: QGrid, fm: ForwardModel, cfg: LikelihoodConfig
+    cy: float | np.ndarray, grid: QGrid, fm: ForwardModel, cfg: LikelihoodConfig
 ) -> np.ndarray:
-    """Gaussian likelihood of one measurement at every grid rate."""
-    if cy < 0:
+    """Gaussian likelihood of a measurement at every grid rate.
+
+    One measurement gives shape (n_points,); a 1-D array of B measurements
+    gives one row per measurement, shape (B, n_points), each row equal to
+    the call with that measurement alone.
+    """
+    cy = np.asarray(cy, dtype=float)
+    if (cy < 0).any():
         raise ValueError("integrated concentration must be non-negative")
     predicted = forward_concentration(grid.values, fm)
-    z = (cy - predicted) / cfg.sigma_e
+    z = (cy[..., np.newaxis] - predicted) / cfg.sigma_e
     return np.exp(-0.5 * z * z) / (cfg.sigma_e * math.sqrt(2.0 * math.pi))
 
 

@@ -6,6 +6,14 @@ false positive and takes precedence over everything else, since an
 operator would have been alerted spuriously. Otherwise the first event
 lands either immediately after the change (true positive), later
 (delayed true positive), or never (false negative).
+
+So a label needs only an instance's first alarm. A cell's instances all
+share the length 2N, the grid, the forward model and the detector
+configuration, and ``detector.first_alarms`` scores each repetition's
+instances as one block, in lockstep batches that stop processing an
+instance at its first alarm. A failure at a pass after an instance's
+first alarm therefore never occurs; one at or before it aborts the cell
+with the instance's coordinates.
 """
 
 from __future__ import annotations
@@ -16,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectionEvent, DetectorConfig, detect_series
-from .errors import DetectionError, PlumeCpdError
+from .detector import DetectionEvent, DetectorConfig, first_alarms
+from .errors import DetectionError
 from .synthesis import ExperimentRecord, synthesize_batch, instance_rng
 from .transport import ForwardModel, Geometry, build_forward_model
 
@@ -142,20 +150,21 @@ def _score_instances(
     start_index: int,
     repetition: int = 0,
 ) -> tuple[list[OutcomeLabel], list[int]]:
+    instances = synthesize_batch(exp, lrr, n_instances, master_seed, start_index)
+    try:
+        alarms, _ = first_alarms(np.stack([inst.series for inst in instances]), fm, cfg)
+    except DetectionError as exc:
+        raise DetectionError(
+            f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
+            f"{repetition} instance {start_index + exc.instance}: {exc}"
+        ) from exc
     labels: list[OutcomeLabel] = []
     delays: list[int] = []
-    for i, inst in enumerate(synthesize_batch(exp, lrr, n_instances, master_seed, start_index)):
-        try:
-            _, events = detect_series(inst.series, fm, cfg, collect_reports=False)
-        except PlumeCpdError as exc:
-            raise DetectionError(
-                f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
-                f"{repetition} instance {start_index + i}: {exc}"
-            ) from exc
-        label = classify_outcome(events, inst.true_cp_index, inst.series.size)
+    for inst, first in zip(instances, alarms.tolist()):
+        label = classify_outcome([first] if first else [], inst.true_cp_index, inst.series.size)
         labels.append(label)
         if label in (OutcomeLabel.TP, OutcomeLabel.DTP):
-            delays.append(min(e.pass_index for e in events) - inst.true_cp_index)
+            delays.append(first - inst.true_cp_index)
     return labels, delays
 
 

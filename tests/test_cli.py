@@ -1,9 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from plumecpd import cli
 from plumecpd.cli import build_parser, main
 from plumecpd.dataio import (
     read_events_json,
@@ -14,6 +16,7 @@ from plumecpd.dataio import (
     write_passes_csv,
 )
 from plumecpd.detector import DetectorConfig
+from plumecpd.errors import ConfigError
 from plumecpd.inference import QGrid, estimate_sigma_e
 from plumecpd.metrics import evaluate_cell
 from plumecpd.surrogate import make_surrogate_experiment
@@ -223,6 +226,15 @@ class TestDetect:
         assert rc == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = self._config(tmp_path, 0.001, dq=1e-12)
+        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
+            rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "byte limit" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 4)
@@ -414,10 +426,33 @@ class TestSweep:
         assert rc == 2
         assert "at most one" in capsys.readouterr().err
 
+    def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
+            rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", dq="1e-12"))
+        assert rc == 2
+        assert "byte limit" in capsys.readouterr().err
+
     def test_missing_passes_file_exits_two(self, tmp_path, exp4):
         _, met, exp, fm = self._inputs(tmp_path, exp4)
         rc = main(self._argv(tmp_path / "missing.csv", met, tmp_path / "out", lrr="2.0"))
         assert rc == 2
+
+
+class TestRowBufferCap:
+    def test_limit_is_inclusive(self):
+        # A 29-row stream has a capacity of 32 rows: two buffers of 32 rows
+        # of 2**21 points take exactly 2**30 bytes.
+        cli._check_row_buffers(0.0, 1048575.5, 0.5, 28, "cfg")
+        with pytest.raises(ConfigError, match="^cfg: "):
+            cli._check_row_buffers(0.0, 1048576.0, 0.5, 28, "cfg")
+
+    def test_tiny_dq_and_long_streams_rejected(self):
+        with pytest.raises(ConfigError):
+            cli._check_row_buffers(0.0, 5.0, 1e-300, 28, "cfg")
+        with pytest.raises(ConfigError):
+            cli._check_row_buffers(0.0, 5.0, 0.005, 10**6, "cfg")
+        cli._check_row_buffers(0.0, 5.0, 0.005, 10_000, "cfg")
 
 
 class TestParser:

@@ -10,7 +10,9 @@ from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
     PassReport,
+    batch_size,
     detect_series,
+    first_alarms,
 )
 from plumecpd.errors import DetectionError, MeasurementIncompatibleError
 from plumecpd.inference import (
@@ -85,7 +87,7 @@ class TestStepChangeDetection:
         exp, fm, cfg = exp4
         prompt = 0
         for inst in synthesize_batch(exp, 4.0, 100, master_seed=7):
-            _, events = detect_series(inst.series, fm, cfg, collect_reports=False)
+            _, events = detect_series(inst.series, fm, cfg)
             passes = [e.pass_index for e in events]
             assert not passes or min(passes) > 12
             if passes and min(passes) <= 15:
@@ -289,3 +291,94 @@ def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
             assert np.array_equal(event.pre_change_posterior.density, chain.density)
             chain = uniform_prior(cfg.grid)
             lik_cfg = LikelihoodConfig(sigma_e * cfg.sigma_e_post_factor)
+
+
+def first_alarm_of(cys, fm, cfg):
+    """detect_series's first event as (pass, cp), (0, 0.0) without one, or
+    the message of the error it raises at or before that event."""
+    for stop in range(1, len(cys) + 1):
+        try:
+            _, events = detect_series(cys[:stop], fm, cfg)
+        except DetectionError as exc:
+            return str(exc)
+        if events:
+            return events[0].pass_index, events[0].changepoint_probability
+    return 0, 0.0
+
+
+def assert_first_alarms_match(block, fm, cfg):
+    expected = [first_alarm_of(row, fm, cfg) for row in block]
+    failed = [i for i, e in enumerate(expected) if isinstance(e, str)]
+    if failed:
+        with pytest.raises(DetectionError) as info:
+            first_alarms(np.array(block), fm, cfg)
+        assert info.value.instance == failed[0]
+        assert str(info.value) == expected[failed[0]]
+    else:
+        passes, cps = first_alarms(np.array(block), fm, cfg)
+        assert list(zip(passes.tolist(), cps.tolist())) == expected
+
+
+class TestFirstAlarms:
+    def test_mixed_block_split_across_batches(self, exp4):
+        exp, fm, cfg = exp4
+        block = np.stack([i.series for i in synthesize_batch(exp, 2.2, 12, master_seed=7)])
+        assert len(block) % batch_size(block.shape[1], cfg.grid.n_points) != 0
+        passes, _ = first_alarms(block, fm, cfg)
+        assert {13, 24, 0} <= set(passes.tolist())
+        assert_first_alarms_match(block, fm, cfg)
+
+    def test_batch_size_follows_stream_length_and_grid(self):
+        assert batch_size(28, 1001) == 4
+        assert batch_size(28, 101) == 44
+        assert batch_size(10_000, 1001) == 1
+
+    def test_lowest_failing_instance_is_reported(self, unit_fm):
+        cfg = make_config(sigma_e_initial=1e-3)
+        block = [
+            [2.0] * 6,
+            [2.0, 2.0, 2.0, 2.0, 500.0, 2.0],
+            [2.0, 500.0, 2.0, 2.0, 2.0, 2.0],
+        ]
+        with pytest.raises(DetectionError, match=r"^pass 5: ") as info:
+            first_alarms(np.array(block), unit_fm, cfg)
+        assert info.value.instance == 1
+        assert_first_alarms_match(block, unit_fm, cfg)
+
+    def test_failure_after_first_alarm_is_never_processed(self, unit_fm):
+        # Pass 3 raises an alarm; pass 4 is impossible under the widened
+        # post-alarm noise, so detect_series fails there.
+        stream = [1.0, 1.0, 3.0, 500.0]
+        cfg = make_config(sigma_e_initial=0.03)
+        with pytest.raises(DetectionError, match=r"pass 4"):
+            detect_series(stream, unit_fm, cfg)
+        passes, cps = first_alarms(np.array([stream, [1.0] * 4]), unit_fm, cfg)
+        assert passes.tolist() == [3, 0]
+        assert cps.tolist() == [1.0, 0.0]
+
+    def test_rejected_configuration_fails_the_first_stream(self):
+        cfg = make_config(predictive_method="scaling")
+        assert_first_alarms_match([[1.0, 2.0], [1.0, 2.0]], ForwardModel(1.0, 0.0), cfg)
+
+    def test_bad_blocks_rejected(self, unit_fm):
+        with pytest.raises(ValueError):
+            first_alarms(np.array([1.0, 2.0]), unit_fm, make_config())
+        with pytest.raises(ValueError):
+            first_alarms(np.array([[1.0, -2.0]]), unit_fm, make_config())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=st.integers(1, 10).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(0.0, 4.9), min_size=n, max_size=n), min_size=1, max_size=3
+        )
+    ),
+    sigma_e=st.sampled_from([0.02, 0.1, 0.4]),
+    method=st.sampled_from(["marginal", "scaling"]),
+)
+def test_first_alarms_match_detect_series(block, sigma_e, method):
+    cfg = make_config(
+        sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05), predictive_method=method
+    )
+    assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)

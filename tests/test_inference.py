@@ -97,6 +97,17 @@ class TestLikelihoodVector:
     def test_negative_cy_rejected(self, unit_fm, medium_grid):
         with pytest.raises(ValueError):
             likelihood_vector(-0.1, medium_grid, unit_fm, LikelihoodConfig(1.0))
+        with pytest.raises(ValueError):
+            likelihood_vector(np.array([1.0, -0.1]), medium_grid, unit_fm, LikelihoodConfig(1.0))
+
+    def test_array_of_measurements_equals_scalar_calls(self, medium_grid):
+        fm = ForwardModel(2.3, 0.7)
+        cfg = LikelihoodConfig(0.37)
+        cys = np.array([0.0, 0.013, 0.4, 1.7, 2.2, 9.0])
+        rows = likelihood_vector(cys, medium_grid, fm, cfg)
+        assert rows.shape == (cys.size, medium_grid.n_points)
+        for cy, row in zip(cys, rows):
+            assert np.array_equal(row, likelihood_vector(float(cy), medium_grid, fm, cfg))
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ConfigError):
