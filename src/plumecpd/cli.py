@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -97,38 +98,42 @@ def _forward_model(met_row: dataio.MetRow, args: argparse.Namespace):
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if not 0 < args.pressure < math.inf:
+        raise ConfigError(f"--pressure must be positive and finite, got {args.pressure!r}")
     raw = dataio.read_raw_samples(Path(args.raw))
     met_rows = dataio.read_met(Path(args.met))
     out_rows = []
     for exp_id in sorted(raw):
         if exp_id not in met_rows:
             raise InputDataError(f"no met row for experiment {exp_id!r}")
-        temperature = met_rows[exp_id].met.temperature_k
-        all_ppm = [
-            s.mixing_ratio_ppm for samples in raw[exp_id].values() for s in samples
-        ]
-        baseline = ambient_baseline(all_ppm)
-        for pass_index in sorted(raw[exp_id]):
-            samples = raw[exp_id][pass_index]
+        passes = raw[exp_id]
+        pass_order = sorted(passes)
+        ppm = np.concatenate([passes[p]["mixing_ratio_ppm"] for p in pass_order])
+        above = ppm - ambient_baseline(ppm)
+        above[above < 0] = 0.0
+        conc = ppm_to_mass_concentration(
+            above, met_rows[exp_id].met.temperature_k, args.pressure
+        )
+        start = 0
+        for pass_index in pass_order:
+            samples = passes[pass_index]
             if len(samples) < 2:
                 raise InputDataError(
                     f"experiment {exp_id!r} pass {pass_index}: need at least 2 samples"
                 )
-            times = [s.time_s for s in samples]
-            dts = [t1 - t0 for t0, t1 in zip(times, times[1:])]
-            if any(dt <= 0 for dt in dts):
+            dts = np.diff(samples["time_s"])
+            if not (dts > 0).all():
                 raise InputDataError(
                     f"experiment {exp_id!r} pass {pass_index}: non-increasing sample times"
                 )
-            dts = [dts[0]] + dts
-            tuples = []
-            for sample, dt in zip(samples, dts):
-                above = max(sample.mixing_ratio_ppm - baseline, 0.0)
-                conc = ppm_to_mass_concentration(above, temperature, args.pressure)
-                tuples.append(
-                    (conc, dt, sample.vehicle_speed_mps, sample.road_angle_deg)
-                )
-            out_rows.append((exp_id, pass_index, cross_plume_integrate(tuples)))
+            # The first sample takes the first gap as its spacing.
+            dts = np.concatenate((dts[:1], dts))
+            stop = start + len(samples)
+            cy = cross_plume_integrate(
+                conc[start:stop], dts, samples["vehicle_speed_mps"], samples["road_angle_deg"]
+            )
+            out_rows.append((exp_id, pass_index, cy))
+            start = stop
     dataio.write_passes_csv(Path(args.out), out_rows)
     return 0
 
@@ -291,6 +296,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("pass at most one of --lrr or --jnr")
     if args.lrr is None and args.jnr is None:
         args.lrr = [1.5 + i for i in range(7)]
+    for flag in ("instances", "repetitions", "boot", "workers"):
+        if getattr(args, flag) < 1:
+            raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
     passes = dataio.read_passes(Path(args.passes))
     met_rows = dataio.read_met(Path(args.met))
     experiments = dataio.experiments_from_passes(passes, met_rows)
@@ -300,7 +308,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     longest = 2 * max((exp.n_passes for exp in experiments), default=0)
     _check_row_buffers(args.q_min, args.q_max, args.dq, longest, "sweep")
-    grid = QGrid(args.q_min, args.q_max, args.dq)
+    try:
+        grid = QGrid(args.q_min, args.q_max, args.dq)
+        # One config per threshold, checked before any cell runs; each
+        # experiment replaces the placeholder sigma_e with its own estimate.
+        templates = [
+            DetectorConfig(
+                threshold=threshold,
+                sigma_e_initial=1.0,
+                lam=args.lam,
+                sigma_e_post_factor=args.sigma_post_factor,
+                grid=grid,
+                predictive_method=args.predictive,
+            )
+            for threshold in args.threshold
+        ]
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
     cells = []
     for exp in experiments:
         fm = _forward_model(met_rows[exp.experiment_id], args)
@@ -309,15 +333,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         cv = signal_stats(exp.cy_series, 1.0).cv
         for axis_value in axis:
             lrr = 1.0 + axis_value * cv if args.jnr is not None else axis_value
-            for threshold in args.threshold:
-                cfg = DetectorConfig(
-                    threshold=threshold,
-                    sigma_e_initial=sigma_e,
-                    lam=args.lam,
-                    sigma_e_post_factor=args.sigma_post_factor,
-                    grid=grid,
-                    predictive_method=args.predictive,
-                )
+            for template in templates:
+                cfg = dataclasses.replace(template, sigma_e_initial=sigma_e)
                 payload = (
                     exp,
                     fm,

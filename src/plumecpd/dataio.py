@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -21,7 +22,7 @@ from .detector import DetectionEvent, PassReport
 from .errors import InputDataError
 from .metrics import PerformanceReport
 from .synthesis import ExperimentRecord, SynthesizedInstance
-from .transport import MetSummary, RawSample
+from .transport import MetSummary
 
 RAW_COLUMNS = [
     "experiment_id",
@@ -149,28 +150,119 @@ def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-def read_raw_samples(path: Path) -> dict[str, dict[int, list[RawSample]]]:
-    """Raw analyzer samples grouped by experiment and pass, time-ordered."""
-    grouped: dict[str, dict[int, list[RawSample]]] = {}
-    for line, row in _open_rows(path, RAW_COLUMNS):
-        exp = row["experiment_id"]
-        if not exp:
-            raise InputDataError(f"{path}:{line}: empty experiment_id")
-        try:
-            sample = RawSample(
-                time_s=_parse_float(path, line, row, "time_s"),
-                mixing_ratio_ppm=_parse_float(path, line, row, "mixing_ratio_ppm"),
-                vehicle_speed_mps=_parse_float(path, line, row, "vehicle_speed_mps"),
-                road_angle_deg=_parse_float(path, line, row, "road_angle_deg"),
-            )
-        except ValueError as exc:
-            raise InputDataError(f"{path}:{line}: {exc}") from exc
-        grouped.setdefault(exp, {}).setdefault(
-            _parse_int(path, line, row, "pass_index"), []
-        ).append(sample)
-    for passes in grouped.values():
-        for samples in passes.values():
-            samples.sort(key=lambda s: s.time_s)
+# Rows parsed per block of raw.csv. Parsing a block at a time bounds the
+# memory held as Python strings to one block, whatever the file size.
+RAW_BLOCK_ROWS = 4096
+
+# One raw sample; read_raw_samples returns arrays of this dtype.
+RAW_SAMPLE_DTYPE = np.dtype([(name, float) for name in RAW_COLUMNS[2:]])
+
+
+def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray | None]:
+    """Strings parsed with ``kind`` (int or float) into an array of that
+    type, and a mask of the ones that do not parse (None when all do)."""
+    try:
+        return np.fromiter(map(kind, values), kind, len(values)), None
+    except (TypeError, ValueError, OverflowError):
+        parsed = np.zeros(len(values), kind)
+        bad = np.zeros(len(values), bool)
+        for i, text in enumerate(values):
+            try:
+                parsed[i] = kind(text)
+            except (TypeError, ValueError, OverflowError):
+                bad[i] = True
+        return parsed, bad
+
+
+def _raw_block(path: Path, first_line: int, rows: list[list[str]], where: list[int],
+               exp_codes: dict) -> list[np.ndarray]:
+    """Parse and check one block of raw rows into columns: experiment code,
+    pass index, then the RAW_SAMPLE_DTYPE fields.
+
+    Raises for the earliest bad row; within that row the checks run in the
+    order listed below, which is the order in which a row is read.
+    """
+    width = max(where) + 1
+    if min(map(len, rows)) < width:
+        rows = [row + [None] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    ids, pass_text, *float_text = (columns[i] for i in where)
+    for exp in dict.fromkeys(ids):
+        exp_codes.setdefault(exp, len(exp_codes))
+    codes = np.fromiter(map(exp_codes.__getitem__, ids), np.intp, len(ids))
+    empty_id = np.isin(codes, [exp_codes[e] for e in ("", None) if e in exp_codes])
+    floats, parse_checks = [], []
+    for name, text in zip(RAW_COLUMNS[2:], float_text):
+        values, bad = _parse_column(text, float)
+        floats.append(values)
+        parse_checks.append((bad, lambda i, name=name, text=text: f"bad {name} value {text[i]!r}"))
+    time_s, ppm, speed, angle = floats
+    pass_index, bad_pass = _parse_column(pass_text, int)
+    checks = [
+        (empty_id, lambda i: "empty experiment_id"),
+        *parse_checks,
+        (~np.isfinite(time_s), lambda i: "sample time must be finite"),
+        (~(np.isfinite(ppm) & (ppm >= 0)),
+         lambda i: "mixing ratio must be finite and non-negative"),
+        (~(np.isfinite(speed) & (speed > 0)),
+         lambda i: "vehicle speed must be finite and positive"),
+        (~((0 < angle) & (angle <= 90)), lambda i: "road angle must lie in (0, 90] degrees"),
+        (bad_pass, lambda i: f"bad pass_index value {pass_text[i]!r}"),
+        (pass_index < 1, lambda i: f"pass_index must be at least 1, got {pass_index[i]}"),
+    ]
+    firsts = [(int(np.argmax(mask)), order) for order, (mask, _) in enumerate(checks)
+              if mask is not None and mask.any()]
+    if firsts:
+        i, order = min(firsts)
+        raise InputDataError(f"{path}:{first_line + i}: {checks[order][1](i)}")
+    return [codes, pass_index, *floats]
+
+
+def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
+    """Raw analyzer samples grouped by experiment and pass, time-ordered.
+
+    Each pass is a RAW_SAMPLE_DTYPE array view, its samples in time order
+    (ties keep file order). A bad row raises ``InputDataError`` naming its
+    line, where blank lines are not counted, as ``csv.DictReader`` counts.
+    """
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
+    exp_codes: dict = {}
+    blocks = []
+    with handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in RAW_COLUMNS if c not in header]
+        if missing:
+            raise InputDataError(f"{path}: missing columns {missing}")
+        # A repeated column name reads as its last occurrence, as in DictReader.
+        column = {name: i for i, name in enumerate(header)}
+        where = [column[name] for name in RAW_COLUMNS]
+        rows = filter(None, reader)
+        line = 2
+        while block := list(islice(rows, RAW_BLOCK_ROWS)):
+            blocks.append(_raw_block(path, line, block, where, exp_codes))
+            line += len(block)
+    if not blocks:
+        return {}
+    codes, pass_index, *floats = (np.concatenate(parts) for parts in zip(*blocks))
+    order = np.lexsort((floats[0], pass_index, codes))
+    samples = np.empty(order.size, RAW_SAMPLE_DTYPE)
+    for name, values in zip(RAW_SAMPLE_DTYPE.names, floats):
+        samples[name] = values[order]
+    codes, pass_index = codes[order], pass_index[order]
+    starts = np.flatnonzero(
+        np.r_[True, (codes[1:] != codes[:-1]) | (pass_index[1:] != pass_index[:-1])]
+    )
+    stops = np.r_[starts[1:], order.size]
+    names = list(exp_codes)
+    grouped: dict[str, dict[int, np.ndarray]] = {}
+    for start, stop, code, index in zip(
+        starts.tolist(), stops.tolist(), codes[starts].tolist(), pass_index[starts].tolist()
+    ):
+        grouped.setdefault(names[code], {})[index] = samples[start:stop]
     return grouped
 
 
@@ -222,8 +314,12 @@ def read_met(path: Path) -> dict[str, MetRow]:
 
 
 def read_passes(path: Path) -> dict[str, list[tuple[int, float]]]:
-    """Reduced passes per experiment, sorted by pass index."""
+    """Reduced passes per experiment, sorted by pass index.
+
+    Pass indices are 1-based and unique within an experiment.
+    """
     grouped: dict[str, list[tuple[int, float]]] = {}
+    seen: set[tuple[str, int]] = set()
     for line, row in _open_rows(path, PASS_COLUMNS):
         exp = row["experiment_id"]
         cy = _parse_float(path, line, row, "cy_g_per_m2")
@@ -231,7 +327,15 @@ def read_passes(path: Path) -> dict[str, list[tuple[int, float]]]:
             raise InputDataError(f"{path}:{line}: non-finite cy_g_per_m2")
         if cy < 0:
             raise InputDataError(f"{path}:{line}: negative cy_g_per_m2")
-        grouped.setdefault(exp, []).append((_parse_int(path, line, row, "pass_index"), cy))
+        pass_index = _parse_int(path, line, row, "pass_index")
+        if pass_index < 1:
+            raise InputDataError(f"{path}:{line}: pass_index must be at least 1, got {pass_index}")
+        if (exp, pass_index) in seen:
+            raise InputDataError(
+                f"{path}:{line}: duplicate pass_index {pass_index} for experiment {exp!r}"
+            )
+        seen.add((exp, pass_index))
+        grouped.setdefault(exp, []).append((pass_index, cy))
     for passes in grouped.values():
         passes.sort()
     return grouped

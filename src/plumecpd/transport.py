@@ -15,7 +15,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,26 +29,6 @@ STANDARD_PRESSURE_PA = 101325.0
 # released near ground level.
 DEFAULT_SENSOR_HEIGHT_M = 1.3
 DEFAULT_SOURCE_HEIGHT_M = 0.05
-
-
-@dataclass(frozen=True)
-class RawSample:
-    """One 10 Hz-class analyzer sample taken while crossing the plume."""
-
-    time_s: float
-    mixing_ratio_ppm: float
-    vehicle_speed_mps: float
-    road_angle_deg: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.time_s):
-            raise ValueError("sample time must be finite")
-        if not math.isfinite(self.mixing_ratio_ppm) or self.mixing_ratio_ppm < 0:
-            raise ValueError("mixing ratio must be finite and non-negative")
-        if not math.isfinite(self.vehicle_speed_mps) or self.vehicle_speed_mps <= 0:
-            raise ValueError("vehicle speed must be finite and positive")
-        if not 0 < self.road_angle_deg <= 90:
-            raise ValueError("road angle must lie in (0, 90] degrees")
 
 
 @dataclass(frozen=True)
@@ -157,40 +137,54 @@ def ambient_baseline(series: Sequence[float]) -> float:
 
 
 def ppm_to_mass_concentration(
-    ppm: float,
+    ppm,
     temperature_k: float,
     pressure_pa: float = STANDARD_PRESSURE_PA,
     molar_mass_g_per_mol: float = METHANE_MOLAR_MASS_G_PER_MOL,
-) -> float:
-    """Convert a mixing ratio in ppm to a mass concentration in g/m^3."""
-    if temperature_k <= 0 or pressure_pa <= 0:
-        raise ValueError("temperature and pressure must be positive")
-    if ppm < 0:
+):
+    """Convert a mixing ratio in ppm to a mass concentration in g/m^3.
+
+    ``ppm`` is a float or an array; an array converts elementwise with
+    the same floating-point operations as a float, so each element equals
+    the scalar call.
+    """
+    if not (0 < temperature_k < math.inf and 0 < pressure_pa < math.inf):
+        raise ValueError("temperature and pressure must be positive and finite")
+    if np.any(np.less(ppm, 0)):
         raise ValueError("mixing ratio must be non-negative")
     molar_volume = GAS_CONSTANT_J_PER_MOL_K * temperature_k / pressure_pa
     return ppm * 1e-6 * molar_mass_g_per_mol / molar_volume
 
 
-def cross_plume_integrate(
-    samples: Iterable[tuple[float, float, float, float]],
-) -> float:
+def cross_plume_integrate(conc, dt, speed, angle_deg) -> float:
     """Integrate above-ambient mass concentration across one pass.
 
-    Each sample is (concentration g/m^3, dt s, vehicle speed m/s,
-    road angle deg). The along-road step dt * V is projected onto the
-    cross-plume direction with sin(road angle). An empty iterable
-    integrates to zero.
+    The arguments are equal-length per-sample columns: concentration
+    (g/m^3), dt (s), vehicle speed (m/s) and road angle (deg). The
+    along-road step dt * V is projected onto the cross-plume direction
+    with sin(road angle). The samples are summed in order, one after the
+    other, so the result does not depend on numpy's summation order. An
+    empty pass integrates to zero.
     """
-    total = 0.0
-    for conc, dt, speed, angle_deg in samples:
-        if dt <= 0:
-            raise ValueError("sample spacing must be positive")
-        if speed <= 0:
-            raise ValueError("vehicle speed must be positive")
-        if not 0 < angle_deg <= 90:
-            raise ValueError("road angle must lie in (0, 90] degrees")
-        total += conc * dt * speed * math.sin(math.radians(angle_deg))
-    return total
+    conc, dt, speed, angle_deg = columns = [
+        np.asarray(column, dtype=float) for column in (conc, dt, speed, angle_deg)
+    ]
+    if len({column.shape for column in columns}) != 1 or conc.ndim != 1:
+        raise ValueError("sample columns must be 1-D and of equal length")
+    if not (dt > 0).all():
+        raise ValueError("sample spacing must be positive")
+    if not (speed > 0).all():
+        raise ValueError("vehicle speed must be positive")
+    if not ((0 < angle_deg) & (angle_deg <= 90)).all():
+        raise ValueError("road angle must lie in (0, 90] degrees")
+    if conc.size == 0:
+        return 0.0
+    angles = angle_deg.tolist()
+    sine_of = {a: math.sin(math.radians(a)) for a in set(angles)}
+    sines = np.fromiter(map(sine_of.__getitem__, angles), float, len(angles))
+    # Adding 0.0 turns an all-negative-zero sum into 0.0, as a running
+    # total that starts from 0.0 would give.
+    return float(np.cumsum(conc * dt * speed * sines)[-1]) + 0.0
 
 
 class DispersionModel(abc.ABC):

@@ -6,10 +6,13 @@ numpy so the package under test shares no code path with the oracle.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
+
+from plumecpd.errors import InputDataError
 
 
 def gaussian_pdf(x: np.ndarray | float, mu: np.ndarray | float, sigma: float):
@@ -91,3 +94,97 @@ def grid_moments(density: np.ndarray, q_values: np.ndarray, dq: float):
     mean = float(np.sum(q_values[:-1] * density[:-1]) * dq)
     var = float(np.sum((q_values[:-1] - mean) ** 2 * density[:-1]) * dq)
     return mean, math.sqrt(max(var, 0.0))
+
+
+def _raw_field(path, line: int, row: dict, key: str, kind):
+    try:
+        return kind(row[key])
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
+
+
+def read_raw_rows(path) -> dict:
+    """Row-at-a-time raw.csv reader: {exp: {pass: [(time, ppm, speed, angle)]}}.
+
+    Each row is read through ``csv.DictReader``, parsed field by field and
+    checked in that order; a pass's samples are then sorted by time.
+    """
+    grouped: dict = {}
+    with open(path, newline="") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [
+            c
+            for c in ["experiment_id", "pass_index", "time_s", "mixing_ratio_ppm",
+                      "vehicle_speed_mps", "road_angle_deg"]
+            if c not in header
+        ]
+        if missing:
+            raise InputDataError(f"{path}: missing columns {missing}")
+        for line, row in enumerate(reader, start=2):
+            exp = row["experiment_id"]
+            if not exp:
+                raise InputDataError(f"{path}:{line}: empty experiment_id")
+            time_s, ppm, speed, angle = (
+                _raw_field(path, line, row, key, float)
+                for key in ["time_s", "mixing_ratio_ppm", "vehicle_speed_mps", "road_angle_deg"]
+            )
+            problem = None
+            if not math.isfinite(time_s):
+                problem = "sample time must be finite"
+            elif not math.isfinite(ppm) or ppm < 0:
+                problem = "mixing ratio must be finite and non-negative"
+            elif not math.isfinite(speed) or speed <= 0:
+                problem = "vehicle speed must be finite and positive"
+            elif not 0 < angle <= 90:
+                problem = "road angle must lie in (0, 90] degrees"
+            if problem:
+                raise InputDataError(f"{path}:{line}: {problem}")
+            pass_index = _raw_field(path, line, row, "pass_index", int)
+            if pass_index < 1:
+                raise InputDataError(f"{path}:{line}: pass_index must be at least 1, got {pass_index}")
+            grouped.setdefault(exp, {}).setdefault(pass_index, []).append(
+                (time_s, ppm, speed, angle)
+            )
+    for passes in grouped.values():
+        for samples in passes.values():
+            samples.sort(key=lambda s: s[0])
+    return grouped
+
+
+def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
+    """``passes.csv`` text that ``ingest`` writes for a raw.csv, one sample at a time.
+
+    Nearest-rank 5th-percentile baseline per experiment, ppm to g/m^3 at
+    the experiment's temperature, then a running sum of
+    conc * dt * speed * sin(angle) per pass, where the first sample takes
+    the first gap as its dt.
+    """
+    grouped = read_raw_rows(path)
+    lines = ["experiment_id,pass_index,cy_g_per_m2"]
+    for exp in sorted(grouped):
+        if exp not in temperature_k:
+            raise InputDataError(f"no met row for experiment {exp!r}")
+        all_ppm = sorted(s[1] for samples in grouped[exp].values() for s in samples)
+        baseline = all_ppm[(5 * len(all_ppm) + 99) // 100 - 1]
+        # R = 8.314462618 J/(mol K), methane molar mass 16.04 g/mol
+        molar_volume = 8.314462618 * temperature_k[exp] / pressure_pa
+        for pass_index in sorted(grouped[exp]):
+            samples = grouped[exp][pass_index]
+            if len(samples) < 2:
+                raise InputDataError(
+                    f"experiment {exp!r} pass {pass_index}: need at least 2 samples"
+                )
+            times = [s[0] for s in samples]
+            dts = [t1 - t0 for t0, t1 in zip(times, times[1:])]
+            if any(dt <= 0 for dt in dts):
+                raise InputDataError(
+                    f"experiment {exp!r} pass {pass_index}: non-increasing sample times"
+                )
+            total = 0.0
+            for (_, ppm, speed, angle), dt in zip(samples, [dts[0]] + dts):
+                above = max(ppm - baseline, 0.0)
+                conc = above * 1e-6 * 16.04 / molar_volume
+                total += conc * dt * speed * math.sin(math.radians(angle))
+            lines.append(f"{exp},{pass_index},{total!r}")
+    return "\n".join(lines) + "\n"

@@ -1,11 +1,19 @@
+import contextlib
+import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plumecpd import cli
+from plumecpd import cli, dataio
 from plumecpd.cli import build_parser, main
 from plumecpd.dataio import (
     read_events_json,
@@ -16,7 +24,7 @@ from plumecpd.dataio import (
     write_passes_csv,
 )
 from plumecpd.detector import DetectorConfig
-from plumecpd.errors import ConfigError
+from plumecpd.errors import ConfigError, InputDataError
 from plumecpd.inference import QGrid, estimate_sigma_e
 from plumecpd.metrics import evaluate_cell
 from plumecpd.surrogate import make_surrogate_experiment
@@ -111,6 +119,145 @@ class TestIngest:
         assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 2
         assert "raw.csv:3" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("pressure", ["0", "-1", "nan", "inf"])
+    def test_bad_pressure_exits_two_before_reading(self, tmp_path, met_csv, capsys, pressure):
+        out = tmp_path / "passes.csv"
+        argv = ["ingest", "--raw", str(tmp_path / "missing.csv"), "--met", str(met_csv), "--out", str(out)]
+        with mock.patch.object(cli.dataio, "read_raw_samples", side_effect=AssertionError("read")):
+            assert main(argv + ["--pressure", pressure]) == 2
+        assert "--pressure must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pass_index", ["0", "-3"])
+    def test_pass_index_below_one_exits_two(self, tmp_path, met_csv, capsys, pass_index):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + f"\n4,{pass_index},0.0,2.0,3.0,90\n4,{pass_index},0.5,2.1,3.0,90\n")
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 2
+        assert "raw.csv:2: pass_index must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Field values that break one check of the raw reader, by column.
+CORRUPT_VALUES = {
+    "experiment_id": [""],
+    "pass_index": ["0", "-3", "1.5", "x", ""],
+    "time_s": ["nan", "inf", "-inf", "x", ""],
+    "mixing_ratio_ppm": ["-0.5", "nan", "inf", "x"],
+    "vehicle_speed_mps": ["0", "-2.5", "nan", "inf", "x"],
+    "road_angle_deg": ["0", "-5", "90.5", "nan", "x"],
+}
+
+
+@st.composite
+def raw_campaigns(draw):
+    """A raw.csv text, the temperature per experiment and the parse block size.
+
+    Several experiments and passes, rows in shuffled order, oblique road
+    angles, blank lines, an extra column, and sometimes one corrupted,
+    truncated or duplicated row.
+    """
+    temperature = {}
+    rows = []
+    for exp in draw(st.lists(st.sampled_from(["4", "A", "x 9", "exp,2"]), min_size=1, max_size=3, unique=True)):
+        temperature[exp] = draw(st.floats(250.0, 320.0))
+        for pass_index in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)):
+            t = draw(st.floats(0.0, 100.0))
+            for _ in range(draw(st.integers(2, 20))):
+                t += draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+                ppm = draw(st.one_of(st.floats(0.0, 40.0), st.just(-0.0), st.sampled_from([1.9, 2.0])))
+                speed = draw(st.floats(0.5, 20.0))
+                angle = draw(st.one_of(st.just("90"), st.floats(1.0, 90.0).map(repr)))
+                rows.append({
+                    "experiment_id": exp, "pass_index": str(pass_index), "time_s": repr(t),
+                    "mixing_ratio_ppm": repr(ppm), "vehicle_speed_mps": repr(speed),
+                    "road_angle_deg": angle, "note": "n",
+                })
+    rows = draw(st.permutations(rows))
+    fault = draw(st.sampled_from([None, None, "field", "short", "duplicate"]))
+    if fault is not None:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = dict(rows[i])
+        if fault == "field":
+            column = draw(st.sampled_from(sorted(CORRUPT_VALUES)))
+            row[column] = draw(st.sampled_from(CORRUPT_VALUES[column]))
+        rows.insert(i, row)
+        if fault != "duplicate":
+            del rows[i + 1]
+    columns = draw(st.permutations(RAW_HEADER.split(",") + ["note"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        cells = [row[c] for c in columns]
+        if fault == "short" and row is rows[i]:
+            cells = cells[: draw(st.integers(1, len(cells) - 1))]
+        writer.writerow(cells)
+        if draw(st.integers(0, 9)) == 0:
+            buffer.write("\n")
+    return buffer.getvalue(), temperature, draw(st.sampled_from([1, 2, 5, dataio.RAW_BLOCK_ROWS]))
+
+
+def run_ingest(raw_text: str, temperature: dict, pressure: str = "101325.0"):
+    """Exit code, stderr and passes.csv text (None if not written) of ``ingest``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "raw.csv").write_text(raw_text)
+        met = io.StringIO()
+        writer = csv.writer(met, lineterminator="\n")
+        writer.writerow(MET_HEADER.split(","))
+        for exp, t in temperature.items():
+            writer.writerow([exp, 30, 2.72, 1.15, 0.30, 0.24, repr(t)])
+        (tmp / "met.csv").write_text(met.getvalue())
+        out = tmp / "passes.csv"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main([
+                "ingest", "--raw", str(tmp / "raw.csv"), "--met", str(tmp / "met.csv"),
+                "--out", str(out), "--pressure", pressure,
+            ])
+        expected = expected_error = None
+        try:
+            expected = oracles.ingest_passes_csv(tmp / "raw.csv", temperature, float(pressure))
+        except InputDataError as exc:
+            expected_error = f"error: {exc}\n"
+        written = out.read_text() if out.exists() else None
+    return rc, err.getvalue(), written, expected, expected_error
+
+
+class TestIngestMatchesRowReader:
+    @settings(max_examples=150, deadline=None)
+    @given(raw_campaigns(), st.sampled_from(["101325.0", "87000.5"]))
+    def test_same_bytes_or_same_error(self, campaign, pressure):
+        raw_text, temperature, block_rows = campaign
+        with mock.patch.object(dataio, "RAW_BLOCK_ROWS", block_rows):
+            rc, err, written, expected, expected_error = run_ingest(raw_text, temperature, pressure)
+        if expected_error is None:
+            assert (rc, err, written) == (0, "", expected)
+        else:
+            assert (rc, err, written) == (2, expected_error, None)
+
+    @pytest.mark.parametrize("bad_line", [None, 2, 4097, 4900])
+    def test_file_longer_than_one_block(self, bad_line):
+        rng = np.random.default_rng(3)
+        rows = [
+            f"E{e},{k},{60.0 * k + 0.1 * i!r},{1.9 + rng.exponential(1.0)!r},{rng.uniform(2, 4)!r},{rng.uniform(20, 90)!r}"
+            for e in range(3) for k in range(1, 41) for i in range(41)
+        ]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        assert len(rows) > dataio.RAW_BLOCK_ROWS
+        if bad_line is not None:
+            rows[bad_line - 2] = rows[bad_line - 2].rsplit(",", 1)[0] + ",91"
+        rc, err, written, expected, expected_error = run_ingest(
+            RAW_HEADER + "\n" + "\n".join(rows) + "\n", {f"E{e}": 290.0 for e in range(3)}
+        )
+        if bad_line is None:
+            assert (rc, err, expected_error) == (0, "", None)
+            assert written == expected
+        else:
+            assert f"raw.csv:{bad_line}: road angle" in err
+            assert (rc, err, written) == (2, expected_error, None)
 
 
 class TestCalibrate:
@@ -284,6 +431,23 @@ class TestDetect:
         assert rc == 2
         assert "passes.csv:3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("4,0,0.007\n4,1,0.007\n", "passes.csv:2: pass_index must be at least 1"),
+            ("4,1,0.007\n4,2,0.007\n4,1,0.008\n", "passes.csv:4: duplicate pass_index 1"),
+        ],
+    )
+    def test_bad_pass_index_exits_two(self, tmp_path, met_csv, capsys, rows, message):
+        passes = tmp_path / "passes.csv"
+        passes.write_text("experiment_id,pass_index,cy_g_per_m2\n" + rows)
+        config = self._config(tmp_path, 0.001)
+        out = tmp_path / "o"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynth:
     def test_writes_round_trippable_instances(self, tmp_path, exp4):
@@ -432,6 +596,25 @@ class TestSweep:
             rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", dq="1e-12"))
         assert rc == 2
         assert "byte limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("dq", "-1", "dq must be positive"),
+            ("threshold", "1.5", "threshold must lie strictly between 0 and 1"),
+            ("lambda", "1", "lambda must exceed 1"),
+            ("instances", "0", "--instances must be at least 1"),
+            ("repetitions", "0", "--repetitions must be at least 1"),
+            ("boot", "0", "--boot must be at least 1"),
+            ("workers", "0", "--workers must be at least 1"),
+        ],
+    )
+    def test_bad_configuration_exits_two_before_any_cell(self, tmp_path, exp4, capsys, flag, value, message):
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        with mock.patch.object(cli, "evaluate_cell", side_effect=AssertionError("cell ran")):
+            rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", **{flag: value}))
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_passes_file_exits_two(self, tmp_path, exp4):
         _, met, exp, fm = self._inputs(tmp_path, exp4)

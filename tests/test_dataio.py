@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from plumecpd import dataio
 from plumecpd.dataio import (
+    RAW_SAMPLE_DTYPE,
     atomic_write_text,
     experiments_from_passes,
     read_events_json,
@@ -46,8 +48,67 @@ class TestReadRawSamples:
         grouped = read_raw_samples(path)
         assert sorted(grouped) == ["e1", "e2"]
         assert sorted(grouped["e1"]) == [1, 2]
-        times = [s.time_s for s in grouped["e1"][1]]
+        times = grouped["e1"][1]["time_s"].tolist()
         assert times == sorted(times)
+
+    def test_passes_are_sample_arrays_with_equal_times_in_file_order(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            RAW_HEADER + "\n"
+            "e1,1,0.5,3.0,3.0,90\n"
+            "e1,1,0.0,2.0,3.0,90\n"
+            "e1,1,0.5,1.0,3.0,45\n"
+        )
+        samples = read_raw_samples(path)["e1"][1]
+        assert samples.dtype == RAW_SAMPLE_DTYPE
+        assert len(samples) == 3
+        assert samples.tolist() == [(0.0, 2.0, 3.0, 90.0), (0.5, 3.0, 3.0, 90.0), (0.5, 1.0, 3.0, 45.0)]
+
+    def test_empty_file_body_gives_no_experiments(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n\n")
+        assert read_raw_samples(path) == {}
+
+    def test_line_numbers_skip_blank_lines(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n\ne1,1,0.0,2.0,3.0,90\n\n\ne1,1,0.1,2.0,3.0,0\n")
+        with pytest.raises(InputDataError, match=r"raw\.csv:3: road angle"):
+            read_raw_samples(path)
+
+    def test_short_row_reports_first_missing_field(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n" + "e1,1,0.0,2.0,3.0,90\n" + "e1,1,0.1,2.0\n")
+        with pytest.raises(InputDataError, match=r"raw\.csv:3: bad vehicle_speed_mps value None"):
+            read_raw_samples(path)
+
+    def test_earliest_bad_row_wins_across_columns(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(
+            RAW_HEADER + "\n" + "e1,1,0.0,2.0,3.0,95\n" + "e1,1,xyz,2.0,3.0,90\n"
+        )
+        with pytest.raises(InputDataError, match=r"raw\.csv:2: road angle"):
+            read_raw_samples(path)
+
+    @pytest.mark.parametrize("pass_index", ["0", "-3"])
+    def test_pass_index_below_one_reports_line(self, tmp_path, pass_index):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n" + "e1,1,0.0,2.0,3.0,90\n" + f"e1,{pass_index},0.1,2.0,3.0,90\n")
+        with pytest.raises(InputDataError, match=rf"raw\.csv:3: pass_index must be at least 1, got {pass_index}"):
+            read_raw_samples(path)
+
+    def test_rows_past_the_first_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "RAW_BLOCK_ROWS", 2)
+        path = tmp_path / "raw.csv"
+        rows = [f"e{i % 2},{1 + i % 3},{0.1 * (20 - i)!r},2.0,3.0,90" for i in range(20)]
+        path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n")
+        grouped = read_raw_samples(path)
+        assert sum(len(s) for passes in grouped.values() for s in passes.values()) == 20
+        for passes in grouped.values():
+            for samples in passes.values():
+                assert samples["time_s"].tolist() == sorted(samples["time_s"].tolist())
+        path.write_text(RAW_HEADER + "\n" + "\n".join(rows[:7] + ["e1,1,nan,2.0,3.0,90"]) + "\n")
+        with pytest.raises(InputDataError, match=r"raw\.csv:9: sample time must be finite"):
+            read_raw_samples(path)
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -123,6 +184,21 @@ class TestPassesRoundTrip:
         path = tmp_path / "passes.csv"
         path.write_text("experiment_id,pass_index,cy_g_per_m2\ne1,1,-0.5\n")
         with pytest.raises(InputDataError, match="negative"):
+            read_passes(path)
+
+    @pytest.mark.parametrize("pass_index", ["0", "-3"])
+    def test_pass_index_below_one_rejected(self, tmp_path, pass_index):
+        path = tmp_path / "passes.csv"
+        path.write_text(f"experiment_id,pass_index,cy_g_per_m2\ne1,1,0.5\ne1,{pass_index},0.5\n")
+        with pytest.raises(InputDataError, match=r"passes\.csv:3: pass_index must be at least 1"):
+            read_passes(path)
+
+    def test_duplicate_pass_rejected(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        path.write_text(
+            "experiment_id,pass_index,cy_g_per_m2\n4,1,0.5\n5,1,0.5\n4,2,0.5\n4,1,0.7\n"
+        )
+        with pytest.raises(InputDataError, match=r"passes\.csv:5: duplicate pass_index 1 for experiment '4'"):
             read_passes(path)
 
     def test_write_read_round_trip_is_exact(self, tmp_path):

@@ -88,27 +88,65 @@ class TestPpmConversion:
         with pytest.raises(ValueError):
             ppm_to_mass_concentration(1.0, temperature, pressure)
 
+    @pytest.mark.parametrize(
+        "temperature,pressure",
+        [(math.nan, 101325.0), (math.inf, 101325.0), (290.0, math.nan), (290.0, math.inf)],
+    )
+    def test_non_finite_state_rejected(self, temperature, pressure):
+        with pytest.raises(ValueError, match="finite"):
+            ppm_to_mass_concentration(1.0, temperature, pressure)
+
+    @given(st.lists(st.floats(0, 1e4), max_size=30), st.floats(200.0, 330.0), st.floats(5e4, 2e5))
+    def test_array_equals_scalar_calls(self, ppm, temperature, pressure):
+        converted = ppm_to_mass_concentration(np.array(ppm), temperature, pressure)
+        assert converted.tolist() == [
+            ppm_to_mass_concentration(p, temperature, pressure) for p in ppm
+        ]
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ppm_to_mass_concentration(np.array([1.0, -0.5]), 290.0)
+
+
+def integrate(samples):
+    """cross_plume_integrate over (conc, dt, speed, angle) sample tuples."""
+    columns = list(zip(*samples)) or [[], [], [], []]
+    return cross_plume_integrate(*columns)
+
 
 class TestCrossPlumeIntegrate:
     def test_constant_integrand(self):
         samples = [(1.0, 0.1, 2.0, 90.0)] * 10
-        assert cross_plume_integrate(samples) == pytest.approx(2.0)
+        assert integrate(samples) == pytest.approx(2.0)
 
     def test_oblique_crossing_halves(self):
         samples = [(1.0, 0.1, 2.0, 30.0)] * 10
-        assert cross_plume_integrate(samples) == pytest.approx(1.0)
+        assert integrate(samples) == pytest.approx(1.0)
 
     def test_empty_pass(self):
-        assert cross_plume_integrate([]) == 0.0
+        assert integrate([]) == 0.0
 
-    @pytest.mark.parametrize("angle", [0.0, -5.0, 90.5, 180.0])
+    @pytest.mark.parametrize("angle", [0.0, -5.0, 90.5, 180.0, math.nan])
     def test_bad_road_angle_rejected(self, angle):
         with pytest.raises(ValueError):
-            cross_plume_integrate([(1.0, 0.1, 2.0, angle)])
+            integrate([(1.0, 0.1, 2.0, angle)])
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
-            cross_plume_integrate([(1.0, 0.0, 2.0, 90.0)])
+            integrate([(1.0, 0.0, 2.0, 90.0)])
+
+    def test_nan_dt_rejected(self):
+        with pytest.raises(ValueError, match="spacing"):
+            integrate([(1.0, 0.1, 2.0, 90.0), (1.0, math.nan, 2.0, 90.0)])
+
+    @pytest.mark.parametrize("speed", [0.0, -2.0, math.nan])
+    def test_nonpositive_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="vehicle speed"):
+            integrate([(1.0, 0.1, speed, 90.0)])
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            cross_plume_integrate([1.0, 1.0], [0.1], [2.0, 2.0], [90.0, 90.0])
 
     @given(
         st.lists(
@@ -125,9 +163,27 @@ class TestCrossPlumeIntegrate:
     )
     def test_additive_over_partitions(self, samples, cut):
         cut = min(cut, len(samples) - 1)
-        whole = cross_plume_integrate(samples)
-        parts = cross_plume_integrate(samples[:cut]) + cross_plume_integrate(samples[cut:])
+        whole = integrate(samples)
+        parts = integrate(samples[:cut]) + integrate(samples[cut:])
         assert whole == pytest.approx(parts, rel=1e-12, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(0, 10), st.just(-0.0)),
+                st.floats(0.01, 2),
+                st.floats(0.1, 30),
+                st.floats(1, 90),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_a_running_sum(self, samples):
+        total = 0.0
+        for conc, dt, speed, angle in samples:
+            total += conc * dt * speed * math.sin(math.radians(angle))
+        assert repr(integrate(samples)) == repr(total)
 
 
 class TestDispersion:
