@@ -15,8 +15,9 @@ probability it assigns the new measurement and by the hazard transition:
 where pi_j is the predictive probability of the measurement under run
 hypothesis j and pi_fresh is its predictive under the flat prior, the
 rate posterior a new segment starts from. Weights are renormalized every
-step; the running product of the normalizers is kept in log space so the
-joint weights stay recoverable without underflow.
+step, and each step returns its normalizer, the evidence
+p(c_k | c_1..c_{k-1}); the sum of their logs recovers the joint weights
+without underflow.
 
 The Gaussian likelihood vector over the rate grid is evaluated exactly
 once per step and shared by every hypothesis update, which keeps the
@@ -25,20 +26,19 @@ per-step cost one vectorized sweep regardless of the hypothesis count.
 The rate rows are stored newest last: buffer row j holds run length
 k - j. A step maps run length i to i + 1 and keeps each row's index, so
 it multiplies the rows by the likelihood into a second buffer of the
-same capacity, renormalizes them there in place and appends the fresh
+same size, renormalizes them there in place and appends the fresh
 run-length-0 row; nothing is shifted or reallocated.
 
-One private core, ``_advance_rows``, does this arithmetic for B streams
-at once: rows of shape (B, k + 1, n_points), weights of shape (B, k + 1)
-and B measurements, all with the same k, grid and forward model. It has
-two callers. ``bocd_step`` advances one ``RunLengthState`` with B = 1;
-the state keeps its rows in a buffer that doubles its capacity when
-full, and the result owns both buffers, so ``bocd_step`` consumes its
-input state, and the consumed state refuses to be read or stepped
-again. ``detector.first_alarms`` advances lockstep batches of
-equal-length streams until each one's first alarm. Both callers get the
-same bits for a stream, since every operation acts on each stream's
-slice alone and in the same order.
+One representation serves every caller: rows of shape
+(B, n_passes + 1, n_points), a spare buffer of the same shape and
+weights of shape (B, k + 1), for B streams with the same k, grid and
+forward model. ``advance_rows`` advances them by one measurement each,
+and the caller swaps the two buffers. It has two callers in
+``detector``: ``detect_series`` runs one stream (B = 1) to its end with
+resets and reports, and ``first_alarms`` runs lockstep batches of
+equal-length streams until each one's first alarm. Both get the same
+bits for a stream, since every operation acts on each stream's slice
+alone and in the same order.
 """
 
 from __future__ import annotations
@@ -48,16 +48,12 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import MeasurementIncompatibleError
 from .inference import (
     NORM_FLOOR,
-    EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    grid_integrate,
     likelihood_vector,
     log_space_update,
-    uniform_prior,
 )
 from .transport import ForwardModel
 
@@ -84,9 +80,11 @@ def _scaled_density_at(densities: np.ndarray, grid: QGrid, cys: np.ndarray, fm: 
     zero.
     """
     ratio = _scaling_ratio(fm)
-    q_star = cys * ratio
-    inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
-    pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
+    # A measurement whose rate overflows to inf lies outside the grid.
+    with np.errstate(over="ignore"):
+        q_star = cys * ratio
+        inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
+        pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
     j0 = np.minimum(pos.astype(int), grid.n_points - 2)
     frac = (pos - j0)[:, np.newaxis]
     at = j0[:, np.newaxis, np.newaxis]
@@ -95,140 +93,13 @@ def _scaled_density_at(densities: np.ndarray, grid: QGrid, cys: np.ndarray, fm: 
     return np.where(inside[:, np.newaxis], (lo * (1.0 - frac) + hi * frac) * ratio, 0.0)
 
 
-def predictive_probability(
-    run_posterior: EmissionPosterior,
-    cy: float,
-    fm: ForwardModel,
-    cfg: LikelihoodConfig,
-    method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD,
-) -> float:
-    """Probability density of the next measurement under one hypothesis.
-
-    "marginal" integrates the Gaussian likelihood against the rate
-    posterior. "scaling" treats the forward map as a deterministic change
-    of variables on the posterior itself.
-    """
-    if cy < 0:
-        raise ValueError("integrated concentration must be non-negative")
-    if method == "marginal":
-        lik = likelihood_vector(cy, run_posterior.grid, fm, cfg)
-        return grid_integrate(run_posterior.grid, run_posterior.density * lik)
-    if method == "scaling":
-        rows = run_posterior.density[np.newaxis, np.newaxis]
-        return float(_scaled_density_at(rows, run_posterior.grid, np.array([cy]), fm)[0, 0])
-    raise ValueError(f"unknown predictive method {method!r}")
-
-
-class RunLengthState:
-    """Run-length posterior and per-hypothesis rate posteriors after k passes.
-
-    ``weights`` is the normalized run-length distribution. ``log_evidence``
-    accumulates log p(c_1..c_k), so the unnormalized joint weights are
-    weights * exp(log_evidence). Row i of ``posteriors`` is the rate
-    density given the newest min(i + 1, k) measurements; before any
-    measurement the single row is the flat prior.
-
-    The rows live in a buffer whose capacity doubles as it fills, newest
-    last: buffer row j holds run length k - j, so ``posteriors`` is a
-    reversed read-only view of the first k + 1 buffer rows. A second
-    buffer of the same capacity is where the next step writes its rows.
-    ``bocd_step`` hands both buffers to its result, so stepping consumes
-    the state: afterwards its ``posteriors``, ``run_posterior`` and a
-    second ``bocd_step`` raise ``ValueError`` instead of reading rows that
-    the later step overwrites. The constructor copies ``posteriors``.
-    """
-
-    __slots__ = ("grid", "k", "weights", "log_evidence", "_rows", "_spare")
-
-    def __init__(
-        self,
-        grid: QGrid,
-        k: int,
-        weights: np.ndarray,
-        log_evidence: float,
-        posteriors: np.ndarray,
-    ) -> None:
-        if k < 0:
-            raise ValueError("pass count must be non-negative")
-        if np.shape(posteriors) != (k + 1, grid.n_points):
-            raise ValueError("need one posterior row per hypothesis")
-        rows = np.empty((_capacity(k + 1), grid.n_points))
-        rows[: k + 1] = posteriors[::-1]
-        self._adopt(grid, k, weights, log_evidence, rows, rows[:0])
-
-    @classmethod
-    def _from_buffers(cls, grid, k, weights, log_evidence, rows, spare):
-        state = cls.__new__(cls)
-        state._adopt(grid, k, weights, log_evidence, rows, spare)
-        return state
-
-    def _adopt(self, grid, k, weights, log_evidence, rows, spare) -> None:
-        if weights.shape != (k + 1,):
-            raise ValueError("need exactly k + 1 run-length weights")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-9:
-            raise ValueError("weights must be normalized")
-        if weights.flags.writeable:
-            weights.setflags(write=False)
-        self.grid = grid
-        self.k = k
-        self.weights = weights
-        self.log_evidence = log_evidence
-        self._rows = rows
-        self._spare = spare
-
-    def _buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._rows is None:
-            raise ValueError("run-length state was consumed by bocd_step")
-        return self._rows, self._spare
-
-    @property
-    def posteriors(self) -> np.ndarray:
-        rows, _ = self._buffers()
-        view = rows[self.k :: -1]
-        view.setflags(write=False)
-        return view
-
-    @property
-    def evidence(self) -> float:
-        return math.exp(self.log_evidence)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Unnormalized joint weights p(r_k = i, measurements so far)."""
-        return self.weights * math.exp(self.log_evidence)
-
-    def run_posterior(self, i: int) -> EmissionPosterior:
-        row = self.posteriors[i].copy()
-        row.setflags(write=False)
-        return EmissionPosterior(self.grid, row)
-
-
-def _capacity(n_rows: int) -> int:
-    """Buffer rows for n_rows hypotheses: a power of two, at least 16."""
-    return max(16, 1 << (n_rows - 1).bit_length())
-
-
 def row_buffer_bytes(n_passes: int, n_points: float) -> float:
-    """Bytes of the two row buffers of a stream at its longest run,
-    ``n_passes`` passes on a grid of ``n_points`` rates."""
-    return 2.0 * _capacity(n_passes + 1) * n_points * 8
+    """Bytes of the two row buffers of one stream of ``n_passes`` passes
+    on a grid of ``n_points`` rates: 2 x (n_passes + 1) x n_points doubles."""
+    return 2.0 * (n_passes + 1) * n_points * 8
 
 
-def initial_state(grid: QGrid) -> RunLengthState:
-    """Fresh state before any measurement: run length 0 with certainty."""
-    flat = uniform_prior(grid).density
-    return RunLengthState(
-        grid=grid,
-        k=0,
-        weights=np.array([1.0]),
-        log_evidence=0.0,
-        posteriors=flat[np.newaxis, :],
-    )
-
-
-def _advance_rows(
+def advance_rows(
     rows: np.ndarray,
     spare: np.ndarray,
     weights: np.ndarray,
@@ -275,7 +146,8 @@ def _advance_rows(
     elif method == "scaling":
         pis = _scaled_density_at(old, grid, cys, fm)[:, ::-1]
         ratio = _scaling_ratio(fm)
-        q_star = cys * ratio
+        with np.errstate(over="ignore"):
+            q_star = cys * ratio
         pi_fresh = np.where((grid.q_min <= q_star) & (q_star <= grid.q_max), flat * ratio, 0.0)
     else:
         raise ValueError(f"unknown predictive method {method!r}")
@@ -324,61 +196,3 @@ def _advance_rows(
         spare[:, k + 1] = flat
         spare[fresh, k + 1] = likelihood[fresh] / lik_mass[fresh, np.newaxis]
     return new_weights, step_evidence, errors
-
-
-def bocd_step(
-    state: RunLengthState,
-    cy: float,
-    fm: ForwardModel,
-    cfg: LikelihoodConfig,
-    lam: float,
-    method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD,
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
-) -> RunLengthState:
-    """Advance the run-length posterior with one pass measurement.
-
-    ``lam`` is the expected run length of the geometric run-length prior,
-    so the hazard is the constant 1/lam. The full-run row of the result,
-    ``run_posterior(k)``, is the rate posterior given every measurement
-    since the state was initialized.
-
-    The result takes over the buffers of ``state``, which is consumed;
-    a step that raises leaves ``state`` usable. A measurement that is
-    impossible under the state, including one that empties a live row
-    even in log space, raises ``MeasurementIncompatibleError``.
-    """
-    rows, spare = state._buffers()
-    k = state.k
-    if spare.shape[0] < k + 2:
-        spare = np.empty((_capacity(k + 2), state.grid.n_points))
-    weights, step_evidence, errors = _advance_rows(
-        rows[np.newaxis],
-        spare[np.newaxis],
-        state.weights[np.newaxis],
-        np.array([cy], dtype=float),
-        state.grid,
-        fm,
-        cfg,
-        lam,
-        method,
-        prune_threshold,
-    )
-    if errors:
-        raise MeasurementIncompatibleError(errors[0])
-    result = RunLengthState._from_buffers(
-        state.grid,
-        k + 1,
-        weights[0],
-        state.log_evidence + math.log(step_evidence[0]),
-        spare,
-        rows,
-    )
-    state._rows = state._spare = None
-    return result
-
-
-def changepoint_probability(state: RunLengthState) -> float:
-    """Posterior probability that a change occurred at the latest pass."""
-    if state.k < 1:
-        raise ValueError("no measurement has been processed yet")
-    return float(state.weights[0])

@@ -181,7 +181,7 @@ def _load_detect_config(path: Path) -> dict:
     return raw
 
 
-def _detector_config(raw: dict, sigma_e: float, source: str, n_passes: int) -> DetectorConfig:
+def _detector_config(raw: dict, sigma_e: object, source: str, n_passes: int) -> DetectorConfig:
     try:
         bounds = (
             float(raw.get("q_min", 0.0)),
@@ -192,7 +192,7 @@ def _detector_config(raw: dict, sigma_e: float, source: str, n_passes: int) -> D
         grid = QGrid(*bounds)
         return DetectorConfig(
             threshold=float(raw.get("threshold", 0.8)),
-            sigma_e_initial=sigma_e,
+            sigma_e_initial=float(sigma_e),
             lam=float(raw.get("lambda", 15.0)),
             sigma_e_post_factor=float(raw.get("sigma_e_post_factor", 10.0)),
             grid=grid,
@@ -216,9 +216,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
         if isinstance(sigma_raw, dict):
             if exp_id not in sigma_raw:
                 raise ConfigError(f"config key 'sigma_e' has no entry for {exp_id!r}")
-            sigma_e = float(sigma_raw[exp_id])
+            sigma_e = sigma_raw[exp_id]
         else:
-            sigma_e = float(sigma_raw)
+            sigma_e = sigma_raw
         cfg = _detector_config(raw_cfg, sigma_e, args.config, exp.n_passes)
         fm = _forward_model(met_rows[exp_id], args)
         indices = [idx for idx, _ in passes[exp_id]]
@@ -236,6 +236,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be at least 1, got {args.instances}")
+    for lrr in args.lrr:
+        if not (lrr > 0 and math.isfinite(lrr)):
+            raise ConfigError(f"--lrr must be positive and finite, got {lrr!r}")
     passes = dataio.read_passes(Path(args.passes))
     met_rows = dataio.read_met(Path(args.met)) if args.met else None
     if met_rows is not None:

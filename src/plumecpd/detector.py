@@ -10,15 +10,19 @@ from the flat prior. The measurement noise scale is widened once for all
 passes after the first detected change, reflecting that post-change
 rates are no longer pinned by a controlled release.
 
-``detect_series`` runs one stream to its end through ``bocd_step``.
+Both entry points keep the one array representation of ``bocd`` (a row
+buffer, a spare buffer of the same shape and the run-length weights)
+and advance it only through ``bocd.advance_rows``. ``detect_series``
+runs one stream to its end, resetting in place at each alarm.
 ``first_alarms`` serves Monte Carlo scoring, which needs only each
 stream's first alarm: it advances a block of equal-length streams in
-lockstep batches through the same run-length core, drops a stream from
-its batch at its first alarm and never processes the passes after it.
+lockstep batches, drops a stream from its batch at its first alarm and
+never processes the passes after it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, get_args
 
@@ -29,13 +33,10 @@ from .bocd import (
     DEFAULT_PREDICTIVE_METHOD,
     DEFAULT_PRUNE_THRESHOLD,
     PredictiveMethod,
-    RunLengthState,
-    _advance_rows,
-    bocd_step,
-    changepoint_probability,
-    initial_state,
+    advance_rows,
+    row_buffer_bytes,
 )
-from .errors import DetectionError, PlumeCpdError
+from .errors import DetectionError, MeasurementIncompatibleError
 from .inference import (
     DEFAULT_GRID,
     EmissionPosterior,
@@ -44,6 +45,7 @@ from .inference import (
     density_problems,
     posterior_mean_std,
     posterior_mode,
+    uniform_prior,
 )
 from .transport import ForwardModel
 
@@ -66,12 +68,15 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if not 0 < self.threshold < 1:
             raise ValueError("threshold must lie strictly between 0 and 1")
-        if self.sigma_e_initial <= 0:
-            raise ValueError("sigma_e_initial must be positive")
-        if not self.lam > 1:
-            raise ValueError("lambda must exceed 1")
-        if self.sigma_e_post_factor < 1:
-            raise ValueError("sigma_e_post_factor must be at least 1")
+        if not (self.sigma_e_initial > 0 and math.isfinite(self.sigma_e_initial)):
+            raise ValueError("sigma_e_initial must be positive and finite")
+        if not (self.lam > 1 and math.isfinite(self.lam)):
+            raise ValueError("lambda must exceed 1 and be finite")
+        if not (
+            self.sigma_e_post_factor >= 1
+            and math.isfinite(self.sigma_e_initial * self.sigma_e_post_factor)
+        ):
+            raise ValueError("sigma_e_post_factor must be at least 1 and keep sigma_e finite")
         if self.predictive_method not in get_args(PredictiveMethod):
             raise ValueError(f"unknown predictive method {self.predictive_method!r}")
 
@@ -124,28 +129,46 @@ def detect_series(
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
 
+    grid = cfg.grid
+    flat = uniform_prior(grid)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-    state: RunLengthState = initial_state(cfg.grid)
-    posterior = state.run_posterior(0)
+    rows = np.empty((1, cys.size + 1, grid.n_points))
+    spare = np.empty_like(rows)
+    rows[0, 0] = flat.density
+    weights = np.ones((1, 1))
+    posterior = flat
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
-    for idx, cy, fm in zip(pass_indices, cys, fms):
+    for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
         previous = posterior
         try:
-            state = bocd_step(
-                state, float(cy), fm, lik_cfg, cfg.lam, method=cfg.predictive_method
+            weights, _, errors = advance_rows(
+                rows,
+                spare,
+                weights,
+                cy,
+                grid,
+                fm,
+                lik_cfg,
+                cfg.lam,
+                cfg.predictive_method,
+                DEFAULT_PRUNE_THRESHOLD,
             )
-            # Building the full-run posterior validates its normalization.
-            posterior = state.run_posterior(state.k)
-        except (PlumeCpdError, ValueError) as exc:
+            if errors:
+                raise MeasurementIncompatibleError(errors[0])
+            # Buffer row 0 is the full-run row; building its posterior
+            # validates its normalization.
+            posterior = EmissionPosterior(grid, spare[0, 0])
+        except (MeasurementIncompatibleError, ValueError) as exc:
             raise DetectionError(f"pass {idx}: {exc}") from exc
-        cp = changepoint_probability(state)
+        rows, spare = spare, rows
+        cp = float(weights[0, 0])
         mean, std = posterior_mean_std(posterior)
         reports.append(
             PassReport(
                 pass_index=int(idx),
-                cy_g_per_m2=float(cy),
+                cy_g_per_m2=float(cy[0]),
                 changepoint_probability=cp,
                 mode_g_per_s=posterior_mode(posterior),
                 mean_g_per_s=mean,
@@ -163,17 +186,18 @@ def detect_series(
             )
             # The triggering measurement is treated as the first of the
             # new regime and is not folded into the reset state.
-            state = initial_state(cfg.grid)
-            posterior = state.run_posterior(0)
+            rows[0, 0] = flat.density
+            weights = np.ones((1, 1))
+            posterior = flat
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
     return reports, events
 
 
 def batch_size(n_passes: int, n_points: int) -> int:
-    """Streams per lockstep batch: as many as keep the batch's two row
-    buffers, 2 x (n_passes + 1) x n_points doubles each, within
-    ``BATCH_ROW_BYTES``, and at least one."""
-    return max(1, BATCH_ROW_BYTES // (2 * (n_passes + 1) * n_points * 8))
+    """Streams per lockstep batch: as many as keep the batch's row buffers,
+    ``row_buffer_bytes`` per stream, within ``BATCH_ROW_BYTES``, and at
+    least one."""
+    return max(1, int(BATCH_ROW_BYTES // row_buffer_bytes(n_passes, n_points)))
 
 
 def first_alarms(
@@ -185,10 +209,10 @@ def first_alarms(
     which ``detect_series(cys[i], fm, cfg)`` raises its first event, or 0
     where it raises none, and the changepoint probability at that pass,
     0.0 where there is none. Streams advance in lockstep batches of
-    ``batch_size`` rows through the run-length core of ``bocd_step``,
-    with the same arithmetic and the same checks; each stream leaves its
-    batch at its first alarm, so a pass after it is never processed and
-    cannot fail.
+    ``batch_size`` rows through the core ``detect_series`` uses, with the
+    same arithmetic and the same checks; each stream leaves its batch at
+    its first alarm, so a pass after it is never processed and cannot
+    fail.
 
     Raises ``DetectionError`` for the lowest-index stream that fails at or
     before its first alarm, with ``instance`` set to its row.
@@ -234,7 +258,7 @@ def _run_batch(
     failures: dict[int, str] = {}
     for k in range(n_passes):
         try:
-            weights, _, errors = _advance_rows(
+            weights, _, errors = advance_rows(
                 rows,
                 spare,
                 weights,

@@ -116,8 +116,8 @@ class LikelihoodConfig:
     sigma_e: float
 
     def __post_init__(self) -> None:
-        if self.sigma_e <= 0:
-            raise ConfigError("sigma_e must be positive")
+        if not (self.sigma_e > 0 and math.isfinite(self.sigma_e)):
+            raise ConfigError("sigma_e must be positive and finite")
 
 
 def uniform_prior(grid: QGrid) -> EmissionPosterior:
@@ -139,8 +139,19 @@ def likelihood_vector(
     if (cy < 0).any():
         raise ValueError("integrated concentration must be non-negative")
     predicted = forward_concentration(grid.values, fm)
-    z = (cy[..., np.newaxis] - predicted) / cfg.sigma_e
-    return np.exp(-0.5 * z * z) / (cfg.sigma_e * math.sqrt(2.0 * math.pi))
+    # Past about 1e150 noise scales z * z overflows to inf, which gives the
+    # right likelihood, 0, with a warning; the linear forward map puts the
+    # largest residual at an end of the grid.
+    reach = float(cy.max()) + max(abs(predicted[0]), abs(predicted[-1]))
+    if reach < 1e150 * cfg.sigma_e:
+        return _gaussian(cy, predicted, cfg.sigma_e)
+    with np.errstate(over="ignore"):
+        return _gaussian(cy, predicted, cfg.sigma_e)
+
+
+def _gaussian(cy: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarray:
+    z = (cy[..., np.newaxis] - predicted) / sigma
+    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
 
 
 def bayes_update_from_likelihood(

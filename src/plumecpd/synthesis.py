@@ -13,6 +13,7 @@ JNR = (LRR - 1) / CV.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -104,8 +105,8 @@ def synthesize_instance(
     multiset of lrr-scaled values, so the half-mean ratio is lrr up to
     float summation order.
     """
-    if lrr <= 0:
-        raise ValueError("leak rate ratio must be positive")
+    if not (lrr > 0 and math.isfinite(lrr)):
+        raise ValueError("leak rate ratio must be positive and finite")
     first = rng.permutation(exp.cy_series)
     second = rng.permutation(exp.cy_series * lrr)
     return SynthesizedInstance(

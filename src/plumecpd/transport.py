@@ -31,6 +31,10 @@ DEFAULT_SENSOR_HEIGHT_M = 1.3
 DEFAULT_SOURCE_HEIGHT_M = 0.05
 
 
+def _positive_finite(x: float) -> bool:
+    return x > 0 and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class MetSummary:
     """Experiment-scale meteorological summary from a sonic anemometer.
@@ -52,17 +56,17 @@ class MetSummary:
     surface_roughness_m: float | None = None
 
     def __post_init__(self) -> None:
-        if self.mean_velocity_mps <= 0:
-            raise ValueError("mean velocity must be positive")
-        if self.sigma_u_mps <= 0 or self.sigma_w_mps <= 0:
-            raise ValueError("velocity standard deviations must be positive")
-        if self.friction_velocity_mps <= 0:
-            raise ValueError("friction velocity must be positive")
-        if self.temperature_k <= 0:
-            raise ValueError("temperature must be positive")
+        if not _positive_finite(self.mean_velocity_mps):
+            raise ValueError("mean velocity must be positive and finite")
+        if not (_positive_finite(self.sigma_u_mps) and _positive_finite(self.sigma_w_mps)):
+            raise ValueError("velocity standard deviations must be positive and finite")
+        if not _positive_finite(self.friction_velocity_mps):
+            raise ValueError("friction velocity must be positive and finite")
+        if not _positive_finite(self.temperature_k):
+            raise ValueError("temperature must be positive and finite")
         if self.turbulent_intensity is not None:
             derived = self.sigma_u_mps / self.mean_velocity_mps
-            if abs(self.turbulent_intensity - derived) > 1e-6 * derived:
+            if not abs(self.turbulent_intensity - derived) <= 1e-6 * derived:
                 raise ValueError(
                     "turbulent intensity inconsistent with sigma_u / mean velocity"
                 )

@@ -7,6 +7,7 @@ process pool; every cell is seeded, so worker count cannot change any
 number asserted here.
 """
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_alpha
-from plumecpd.bocd import bocd_step, initial_state
 from plumecpd.cli import main
 from plumecpd.dataio import write_passes_csv
 from plumecpd.detector import DetectorConfig
@@ -32,6 +32,7 @@ from plumecpd.metrics import OutcomeLabel, bootstrap_ci, compute_metrics, evalua
 from plumecpd.surrogate import make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.transport import ForwardModel
+from stepping import run_core
 
 UNIT_FM = ForwardModel(1.0, 1.0)
 
@@ -91,14 +92,13 @@ def test_01_recursion_matches_enumeration(capsys):
         if trial % 2 == 0:
             cys[int(rng.integers(1, k + 1)) :] *= 1.8
             cys = np.clip(cys, 0.0, 4.9)
-        state = initial_state(grid)
-        for cy in cys:
-            state = bocd_step(state, float(cy), UNIT_FM, cfg, 15.0, prune_threshold=0.0)
+        run = run_core([float(c) for c in cys], UNIT_FM, cfg, 15.0, grid, prune_threshold=0.0)
+        alpha = run.weights * math.exp(run.log_evidence)
         expected = brute_force_alpha(
             [float(c) for c in cys], grid.values, grid.dq, 1.0, 0.3, 15.0
         )
-        np.testing.assert_allclose(state.alpha, expected, rtol=1e-9)
-        worst = max(worst, float(np.max(np.abs(state.alpha - expected) / expected)))
+        np.testing.assert_allclose(alpha, expected, rtol=1e-9)
+        worst = max(worst, float(np.max(np.abs(alpha - expected) / expected)))
     elapsed = time.perf_counter() - started
     _verdict(
         capsys,

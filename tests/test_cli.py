@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -23,8 +24,8 @@ from plumecpd.dataio import (
     read_report_csv,
     write_passes_csv,
 )
-from plumecpd.detector import DetectorConfig
-from plumecpd.errors import ConfigError, InputDataError
+from plumecpd.detector import DetectorConfig, detect_series
+from plumecpd.errors import ConfigError, DetectionError, InputDataError
 from plumecpd.inference import QGrid, estimate_sigma_e
 from plumecpd.metrics import evaluate_cell
 from plumecpd.surrogate import make_surrogate_experiment
@@ -423,6 +424,37 @@ class TestDetect:
         rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("sigma_e", math.nan, "sigma_e_initial must be positive and finite"),
+            ("sigma_e_post_factor", math.nan, "sigma_e_post_factor must be at least 1"),
+            ("lambda", math.inf, "lambda must exceed 1 and be finite"),
+        ],
+    )
+    def test_non_finite_config_value_exits_two(self, tmp_path, met_csv, capsys, key, value, message):
+        # A constant stream raises no alarm, so before these checks a NaN
+        # post-alarm factor went unnoticed and an infinite lambda wrote
+        # cp 0 on every pass.
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma_e": 0.001, key: value}))
+        out = tmp_path / "o"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "passes_report.csv").exists()
+
+    @pytest.mark.parametrize("sigma_e", ["abc", None, {"4": "x"}, {"4": None}])
+    def test_non_numeric_sigma_exits_two(self, tmp_path, met_csv, capsys, sigma_e):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = self._config(tmp_path, sigma_e)
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "config.json: " in capsys.readouterr().err
+
     def test_non_finite_cy_exits_two(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
         passes.write_text("experiment_id,pass_index,cy_g_per_m2\n4,1,0.007\n4,2,nan\n")
@@ -449,7 +481,115 @@ class TestDetect:
         assert not out.exists()
 
 
+class TestNonFiniteMet:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["ingest", "calibrate", "detect"])
+    def test_exits_two_naming_the_line(self, tmp_path, capsys, command, value):
+        met = tmp_path / "met.csv"
+        met.write_text(MET_HEADER + f"\n4,30,{value},1.15,0.30,0.24,{value}\n")
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + "\n4,1,0.0,2.0,3.0,90\n4,1,0.5,2.1,3.0,90\n")
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma_e": 0.001}))
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ["ingest", "--raw", str(raw)],
+            "calibrate": ["calibrate", "--passes", str(passes), "--q-true", "0.083"],
+            "detect": ["detect", "--passes", str(passes), "--config", str(config)],
+        }[command]
+        assert main(argv + ["--met", str(met), "--out", str(out)]) == 2
+        assert "met.csv:2: mean velocity must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# No integral weights the grid's last cell, so passes at or above q_max
+# grow its density geometrically, by up to exp(38 dq / sigma) a pass in
+# rate units, until it overflows (see the FOUND line in CHANGES.md). The
+# property is drawn where that cannot happen: noise scales of at least
+# one grid step and streams of at most 8 passes.
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    grid=st.sampled_from([QGrid(0.0, 5.0, 0.05), QGrid(1.0, 2.0, 0.01)]),
+    sigma_steps=st.floats(1.0, 1e3),
+    threshold=st.floats(1e-6, 1.0 - 1e-6),
+    lam=st.floats(1.001, 1e6),
+    post_factor=st.floats(1.0, 1e3),
+    method=st.sampled_from(["marginal", "scaling"]),
+)
+def test_detect_gives_finite_output_or_a_typed_error(
+    data, grid, sigma_steps, threshold, lam, post_factor, method
+):
+    """Any finite, non-negative stream under a valid configuration: the
+    detector reports finite numbers or raises DetectionError, ``detect``
+    exits 0, 1 or 2, and no file it writes holds nan or inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        met = tmp / "met.csv"
+        met.write_text(MET_HEADER + "\n" + MET_ROW_4 + "\n")
+        args = build_parser().parse_args(
+            ["detect", "--passes", "p", "--met", "m", "--config", "c", "--out", "o"]
+        )
+        fm = cli._forward_model(dataio.read_met(met)["4"], args)
+        ratio = forward_concentration(1.0, fm)
+        cy = st.one_of(st.floats(0.0, 1.2 * grid.q_max * ratio), st.floats(0.0, 1.7e308))
+        cys = data.draw(st.lists(cy, min_size=1, max_size=8), label="cys")
+        raw_cfg = {
+            "sigma_e": sigma_steps * grid.dq * ratio,
+            "threshold": threshold,
+            "lambda": lam,
+            "sigma_e_post_factor": post_factor,
+            "predictive": method,
+            "q_min": grid.q_min,
+            "q_max": grid.q_max,
+            "dq": grid.dq,
+        }
+        cfg = cli._detector_config(raw_cfg, raw_cfg["sigma_e"], "cfg", len(cys))
+        try:
+            reports, _ = detect_series(cys, fm, cfg)
+        except DetectionError:
+            pass
+        else:
+            for r in reports:
+                values = (r.changepoint_probability, r.mode_g_per_s, r.mean_g_per_s, r.std_g_per_s)
+                assert all(math.isfinite(v) for v in values)
+
+        passes, config, out = tmp / "passes.csv", tmp / "config.json", tmp / "out"
+        write_series(passes, cys)
+        config.write_text(json.dumps(raw_cfg))
+        with contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["detect", "--passes", str(passes), "--met", str(met), "--config", str(config), "--out", str(out)])
+        assert rc in (0, 1, 2)
+        for path in out.iterdir():
+            assert not re.search(r"\b(nan|inf)", path.read_text(), re.IGNORECASE), path.name
+
+
 class TestSynth:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("lrr", "nan", "--lrr must be positive and finite, got nan"),
+            ("lrr", "2,inf", "--lrr must be positive and finite, got inf"),
+            ("lrr", "0", "--lrr must be positive and finite, got 0.0"),
+            ("instances", "0", "--instances must be at least 1, got 0"),
+            ("instances", "-2", "--instances must be at least 1, got -2"),
+        ],
+    )
+    def test_bad_configuration_exits_two_before_writing(self, tmp_path, exp4, capsys, flag, value, message):
+        exp, _ = exp4
+        passes = tmp_path / "passes.csv"
+        write_series(passes, exp.cy_series)
+        out = tmp_path / "instances.csv"
+        flags = {"lrr": "2.0", "instances": "3", flag: value}
+        argv = ["synth", "--passes", str(passes), "--out", str(out)]
+        for key, text in flags.items():
+            argv += [f"--{key}", text]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_writes_round_trippable_instances(self, tmp_path, exp4):
         exp, _ = exp4
         passes = tmp_path / "passes.csv"
@@ -603,6 +743,8 @@ class TestSweep:
             ("dq", "-1", "dq must be positive"),
             ("threshold", "1.5", "threshold must lie strictly between 0 and 1"),
             ("lambda", "1", "lambda must exceed 1"),
+            ("lambda", "inf", "lambda must exceed 1 and be finite"),
+            ("sigma-post-factor", "nan", "sigma_e_post_factor must be at least 1"),
             ("instances", "0", "--instances must be at least 1"),
             ("repetitions", "0", "--repetitions must be at least 1"),
             ("boot", "0", "--boot must be at least 1"),
@@ -624,11 +766,11 @@ class TestSweep:
 
 class TestRowBufferCap:
     def test_limit_is_inclusive(self):
-        # A 29-row stream has a capacity of 32 rows: two buffers of 32 rows
-        # of 2**21 points take exactly 2**30 bytes.
-        cli._check_row_buffers(0.0, 1048575.5, 0.5, 28, "cfg")
+        # A 31-pass stream has 32 rows: two buffers of 32 rows of 2**21
+        # points take exactly 2**30 bytes.
+        cli._check_row_buffers(0.0, 1048575.5, 0.5, 31, "cfg")
         with pytest.raises(ConfigError, match="^cfg: "):
-            cli._check_row_buffers(0.0, 1048576.0, 0.5, 28, "cfg")
+            cli._check_row_buffers(0.0, 1048576.0, 0.5, 31, "cfg")
 
     def test_tiny_dq_and_long_streams_rejected(self):
         with pytest.raises(ConfigError):

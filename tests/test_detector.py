@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plumecpd.bocd import bocd_step, initial_state
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -30,6 +29,7 @@ from plumecpd.surrogate import make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
 from plumecpd.transport import ForwardModel
+from stepping import run_core
 
 
 def make_config(**overrides):
@@ -60,6 +60,25 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             make_config(sigma_e_post_factor=0.5)
         make_config(sigma_e_post_factor=1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_e_initial", math.nan),
+            ("sigma_e_initial", math.inf),
+            ("lam", math.nan),
+            ("lam", math.inf),
+            ("sigma_e_post_factor", math.nan),
+            ("sigma_e_post_factor", math.inf),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            make_config(**{field: value})
+
+    def test_widened_sigma_must_stay_finite(self):
+        with pytest.raises(ValueError):
+            make_config(sigma_e_initial=1e10, sigma_e_post_factor=1e300)
 
     def test_unknown_predictive_method_rejected(self):
         with pytest.raises(ValueError, match="bogus"):
@@ -246,10 +265,9 @@ class TestUnderflowedPosterior:
             for r in reports
             for v in (r.mode_g_per_s, r.mean_g_per_s, r.std_g_per_s)
         )
-        state = initial_state(cfg.grid)
-        for cy in stream:
-            state = bocd_step(state, cy, unit_fm, LikelihoodConfig(0.02), cfg.lam)
-            row = state.posteriors[-1]
+        for stop in range(1, len(stream) + 1):
+            run = run_core(stream[:stop], unit_fm, LikelihoodConfig(0.02), cfg.lam, cfg.grid)
+            row = run.rows[-1]
             assert abs(grid_integrate(cfg.grid, row) - 1.0) <= 1e-8
 
 

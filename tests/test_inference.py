@@ -94,6 +94,13 @@ class TestLikelihoodVector:
         lik = likelihood_vector(2.0, medium_grid, unit_fm, LikelihoodConfig(5000.0))
         assert np.max(lik) / np.min(lik) == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("cy", [1e160, 1.7e308])
+    def test_residual_too_large_to_square_has_zero_likelihood(self, unit_fm, medium_grid, cy):
+        # z * z overflows; that gives 0 without a RuntimeWarning.
+        lik = likelihood_vector(np.array([2.0, cy]), medium_grid, unit_fm, LikelihoodConfig(1e-3))
+        assert not lik[1].any()
+        assert np.array_equal(lik[0], likelihood_vector(2.0, medium_grid, unit_fm, LikelihoodConfig(1e-3)))
+
     def test_negative_cy_rejected(self, unit_fm, medium_grid):
         with pytest.raises(ValueError):
             likelihood_vector(-0.1, medium_grid, unit_fm, LikelihoodConfig(1.0))
@@ -112,6 +119,11 @@ class TestLikelihoodVector:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ConfigError):
             LikelihoodConfig(0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ConfigError):
+            LikelihoodConfig(sigma)
 
 
 class TestBayesUpdate:

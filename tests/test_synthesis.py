@@ -70,6 +70,12 @@ class TestSynthesizeInstance:
         with pytest.raises(ValueError):
             synthesize_instance(exp, 0.0, instance_rng(0, "e1", 0.0, 0))
 
+    @pytest.mark.parametrize("lrr", [math.nan, math.inf])
+    def test_non_finite_lrr_rejected(self, lrr):
+        exp = make_exp([1.0, 2.0])
+        with pytest.raises(ValueError):
+            synthesize_instance(exp, lrr, instance_rng(0, "e1", lrr, 0))
+
     def test_series_length_invariant_enforced(self):
         with pytest.raises(ValueError):
             SynthesizedInstance(series=np.ones(5), true_cp_index=3, lrr=2.0)

@@ -267,6 +267,30 @@ class TestForwardModel:
 
 
 class TestMetSummary:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "mean_velocity_mps",
+            "sigma_u_mps",
+            "sigma_w_mps",
+            "friction_velocity_mps",
+            "temperature_k",
+            "turbulent_intensity",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, field, value):
+        fields = dict(
+            mean_velocity_mps=2.0,
+            sigma_u_mps=0.5,
+            sigma_w_mps=0.2,
+            friction_velocity_mps=0.2,
+            temperature_k=290.0,
+        )
+        fields[field] = value
+        with pytest.raises(ValueError):
+            MetSummary(**fields)
+
     def test_inconsistent_turbulent_intensity_rejected(self):
         with pytest.raises(ValueError):
             MetSummary(
