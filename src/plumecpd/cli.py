@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dataio
-from .bocd import row_buffer_bytes
 from .detector import DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
 from .inference import QGrid, estimate_sigma_e, posterior_mean_std, posterior_mode
@@ -44,26 +43,22 @@ from .transport import (
 )
 
 
-# Largest run-length row buffers one stream may need; a finer grid or a
-# longer stream is rejected as a configuration error up front instead of
-# failing with a MemoryError partway through a run.
-MAX_ROW_BUFFER_BYTES = 2**30
+# Largest grid, in bytes of one array of its rates; a finer grid is
+# rejected as a configuration error up front instead of failing with a
+# MemoryError partway through a run.
+MAX_GRID_BYTES = 2**30
 
 
-def _check_row_buffers(q_min: float, q_max: float, dq: float, n_passes: int, source: str) -> None:
-    """Reject a grid whose rows for an n_passes stream exceed the limit.
-
-    Works from the grid bounds alone, before any grid array exists; bounds
-    that QGrid rejects anyway are left to it.
-    """
+def _check_grid_size(q_min: float, q_max: float, dq: float, source: str) -> None:
+    """Reject, from its bounds alone, a grid whose rates would take more
+    than ``MAX_GRID_BYTES``; bounds that QGrid rejects are left to it."""
     if not dq > 0:
         return
-    need = row_buffer_bytes(n_passes, (q_max - q_min) / dq + 1)
-    if need > MAX_ROW_BUFFER_BYTES:
+    need = ((q_max - q_min) / dq + 1) * 8
+    if need > MAX_GRID_BYTES:
         raise ConfigError(
             f"{source}: a grid with dq {dq!r} over [{q_min!r}, {q_max!r}] needs "
-            f"{need:.3g} bytes of run-length rows for {n_passes} passes, "
-            f"over the {MAX_ROW_BUFFER_BYTES} byte limit"
+            f"{need:.3g} bytes per rate array, over the {MAX_GRID_BYTES} byte limit"
         )
 
 
@@ -181,14 +176,14 @@ def _load_detect_config(path: Path) -> dict:
     return raw
 
 
-def _detector_config(raw: dict, sigma_e: object, source: str, n_passes: int) -> DetectorConfig:
+def _detector_config(raw: dict, sigma_e: object, source: str) -> DetectorConfig:
     try:
         bounds = (
             float(raw.get("q_min", 0.0)),
             float(raw.get("q_max", 5.0)),
             float(raw.get("dq", 0.005)),
         )
-        _check_row_buffers(*bounds, n_passes, source)
+        _check_grid_size(*bounds, source)
         grid = QGrid(*bounds)
         return DetectorConfig(
             threshold=float(raw.get("threshold", 0.8)),
@@ -219,7 +214,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             sigma_e = sigma_raw[exp_id]
         else:
             sigma_e = sigma_raw
-        cfg = _detector_config(raw_cfg, sigma_e, args.config, exp.n_passes)
+        cfg = _detector_config(raw_cfg, sigma_e, args.config)
         fm = _forward_model(met_rows[exp_id], args)
         indices = [idx for idx, _ in passes[exp_id]]
         reports, events = detect_series(
@@ -311,8 +306,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cell_dir = out_dir / "cells"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    longest = 2 * max((exp.n_passes for exp in experiments), default=0)
-    _check_row_buffers(args.q_min, args.q_max, args.dq, longest, "sweep")
+    _check_grid_size(args.q_min, args.q_max, args.dq, "sweep")
     try:
         grid = QGrid(args.q_min, args.q_max, args.dq)
         # One config per threshold, checked before any cell runs; each

@@ -4,6 +4,11 @@ The unknown source rate Q lives on a uniform grid. Starting from a flat
 prior, each pass multiplies in a Gaussian likelihood centered on the
 forward-model prediction and renormalizes. Integrals over the grid use a
 left-Riemann sum: the points q_min .. q_max - dq each carry weight dq.
+
+The forward map is linear (c = r q) and the noise Gaussian, so the
+posterior of any set of passes is exp(B q - A q^2 / 2) / Z on the grid,
+A = sum r^2 / sigma^2 and B = sum r c / sigma^2 (``conjugate_terms``),
+with Z the row's grid integral (``log_grid_mass``).
 """
 
 from __future__ import annotations
@@ -21,10 +26,23 @@ DEFAULT_Q_MIN_G_PER_S = 0.0
 DEFAULT_Q_MAX_G_PER_S = 5.0
 DEFAULT_DQ_G_PER_S = 0.005
 
-# A grid norm below the smallest normal float has lost precision, and the
-# quotient by it need not integrate to 1: renormalize such a product in
-# log space, as if it had underflowed.
-NORM_FLOOR = np.finfo(float).tiny
+# Noise scales below this overflow 1 / sigma_e^2, the precision one pass
+# adds to a rate row.
+MIN_SIGMA_E = 1.0 / math.sqrt(np.finfo(float).max)
+
+# Path thresholds of ``log_grid_mass``, in row widths sigma_q and grid
+# steps, and the points per block of its exact sum, which bound its memory.
+INTERIOR_MIN_WIDTH = 1.5
+INTERIOR_MARGIN = 8.0
+EDGE_MIN_WIDTH = 10.0
+EDGE_MAX_SPANS = 100.0
+EDGE_REACH = 2.0
+WINDOW_HALF_WIDTH = 10.0
+WINDOW_BLOCK_POINTS = 2**16
+
+LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+POSTERIOR_OVERFLOW = "rate posterior density overflows at the top of the grid"
 
 
 @dataclass(frozen=True)
@@ -67,28 +85,6 @@ def grid_integrate(grid: QGrid, values: np.ndarray) -> float:
     return float(np.sum(values[:-1]) * grid.dq)
 
 
-def density_problems(grid: QGrid, densities: np.ndarray) -> dict[int, str]:
-    """Rows of a (B, n_points) array that are not normalized grid densities.
-
-    Maps each such row to the reason: a negative value, or a left-Riemann
-    integral more than 1e-8 away from 1.
-    """
-    totals = densities[:, :-1].sum(axis=1) * grid.dq
-    gaps = np.abs(totals - 1.0)
-    if densities.min() >= 0 and gaps.max() <= 1e-8:
-        return {}
-    negative = densities.min(axis=1) < 0
-    bad = negative | (gaps > 1e-8)
-    return {
-        int(b): (
-            "density must be non-negative"
-            if negative[b]
-            else f"density integrates to {float(totals[b])!r}, not 1"
-        )
-        for b in np.flatnonzero(bad)
-    }
-
-
 @dataclass(frozen=True)
 class EmissionPosterior:
     """A normalized probability density over the rate grid."""
@@ -100,9 +96,11 @@ class EmissionPosterior:
         density = np.asarray(self.density, dtype=float)
         if density.shape != self.grid.values.shape:
             raise ValueError("density shape must match the grid")
-        problems = density_problems(self.grid, density[np.newaxis])
-        if problems:
-            raise ValueError(problems[0])
+        if density.min() < 0:
+            raise ValueError("density must be non-negative")
+        total = grid_integrate(self.grid, density)
+        if not abs(total - 1.0) <= 1e-8:
+            raise ValueError(f"density integrates to {total!r}, not 1")
         if density is not self.density or density.flags.writeable:
             density = density.copy()
             density.setflags(write=False)
@@ -118,6 +116,10 @@ class LikelihoodConfig:
     def __post_init__(self) -> None:
         if not (self.sigma_e > 0 and math.isfinite(self.sigma_e)):
             raise ConfigError("sigma_e must be positive and finite")
+        if self.sigma_e < MIN_SIGMA_E:
+            raise ConfigError(
+                f"sigma_e must be at least {MIN_SIGMA_E:.3g}, or 1/sigma_e**2 overflows"
+            )
 
 
 def uniform_prior(grid: QGrid) -> EmissionPosterior:
@@ -126,78 +128,144 @@ def uniform_prior(grid: QGrid) -> EmissionPosterior:
     return EmissionPosterior(grid, density)
 
 
-def likelihood_vector(
-    cy: float | np.ndarray, grid: QGrid, fm: ForwardModel, cfg: LikelihoodConfig
-) -> np.ndarray:
-    """Gaussian likelihood of a measurement at every grid rate.
-
-    One measurement gives shape (n_points,); a 1-D array of B measurements
-    gives one row per measurement, shape (B, n_points), each row equal to
-    the call with that measurement alone.
-    """
+def conjugate_terms(
+    cy: float | np.ndarray, fm: ForwardModel, cfg: LikelihoodConfig
+) -> tuple[float, np.ndarray]:
+    """(a, b) with a = r^2 / sigma^2 and b = r cy / sigma^2 (an array shaped
+    like ``cy``): with the forward map c = r q, a pass's likelihood is
+    exp(b q - a q^2 / 2) times a factor free of q."""
     cy = np.asarray(cy, dtype=float)
     if (cy < 0).any():
         raise ValueError("integrated concentration must be non-negative")
-    predicted = forward_concentration(grid.values, fm)
-    # Past about 1e150 noise scales z * z overflows to inf, which gives the
-    # right likelihood, 0, with a warning; the linear forward map puts the
-    # largest residual at an end of the grid.
-    reach = float(cy.max()) + max(abs(predicted[0]), abs(predicted[-1]))
-    if reach < 1e150 * cfg.sigma_e:
-        return _gaussian(cy, predicted, cfg.sigma_e)
-    with np.errstate(over="ignore"):
-        return _gaussian(cy, predicted, cfg.sigma_e)
+    # r as forward_concentration(1.0, fm) computes it.
+    scale = fm.dispersion_factor_per_m / fm.advection_velocity_mps / cfg.sigma_e
+    return scale * scale, scale * (cy / cfg.sigma_e)
 
 
-def _gaussian(cy: np.ndarray, predicted: np.ndarray, sigma: float) -> np.ndarray:
-    z = (cy[..., np.newaxis] - predicted) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi))
+def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
+    """log Z for rows exp(-A (q - mode)^2 / 2), elementwise and broadcast.
 
-
-def bayes_update_from_likelihood(
-    prior: EmissionPosterior, likelihood: np.ndarray
-) -> EmissionPosterior:
-    """Multiply a prior by a likelihood vector and renormalize.
-
-    Falls back to a max-shifted log-space renormalization when the
-    unnormalized product underflows entirely or integrates to a subnormal
-    number, which can happen for very long streams even though each factor
-    is representable.
+    Z is dq times the row's sum over q_min .. q_max - dq. With the width
+    sigma_q = A^-1/2, the path is:
+    - interior (sigma_q >= 1.5 dq, mode 8 sigma_q inside the summed
+      points): the Gaussian integral, log(2 pi / A) / 2, whose aliasing
+      and tail errors are below 1e-15 relative;
+    - wide near an edge (10 dq <= sigma_q <= 100 (q_max - q_min), mode
+      within 2 sigma_q of [q_min, q_max]): the erf integral over
+      [q_min, q_max] plus Euler-Maclaurin endpoint terms through dq^6;
+    - else (narrow rows, modes far outside, A = 0): the exact log-sum-exp
+      over the summed points within 10 sigma_q of the clipped mode.
     """
-    weighted = prior.density * likelihood
-    evidence = grid_integrate(prior.grid, weighted)
-    if evidence >= NORM_FLOOR and math.isfinite(evidence):
-        return EmissionPosterior(prior.grid, weighted / evidence)
-    density = log_space_update(prior.grid, prior.density, likelihood)
-    if density is None:
-        raise MeasurementIncompatibleError(
-            "measurement incompatible with the rate grid support"
-        )
-    return EmissionPosterior(prior.grid, density)
-
-
-def log_space_update(
-    grid: QGrid, density: np.ndarray, likelihood: np.ndarray
-) -> np.ndarray | None:
-    """Normalized density * likelihood, formed in log space with a max shift.
-
-    Recovers the product when it underflows to zero on the whole grid.
-    Returns None when no grid point has mass even in log space.
-    """
+    precision = np.asarray(precision, dtype=float)
+    mode = np.asarray(mode, dtype=float)
     with np.errstate(divide="ignore"):
-        log_weighted = np.log(density) + np.log(likelihood)
-    shift = np.max(log_weighted[:-1])
-    if not math.isfinite(shift):
-        return None
-    shifted = np.exp(log_weighted - shift)
-    return shifted / grid_integrate(grid, shifted)
+        width = precision**-0.5
+    out = np.empty(np.broadcast_shapes(width.shape, mode.shape))
+    np.add(np.log(width), HALF_LOG_2PI, out=out)
+    top = grid.q_max - grid.dq
+    slack = np.where(
+        width >= INTERIOR_MIN_WIDTH * grid.dq,
+        0.5 * (top - grid.q_min) - INTERIOR_MARGIN * width,
+        -np.inf,
+    )
+    outside = np.abs(mode - 0.5 * (grid.q_min + top)) > slack
+    if not outside.any():
+        return out
+    precision = np.broadcast_to(precision, out.shape)[outside]
+    width = np.broadcast_to(width, out.shape)[outside]
+    mode = np.broadcast_to(mode, out.shape)[outside]
+    span = grid.q_max - grid.q_min
+    edge = (
+        (width >= EDGE_MIN_WIDTH * grid.dq)
+        & (width <= EDGE_MAX_SPANS * span)
+        & (np.abs(mode - 0.5 * (grid.q_min + grid.q_max)) <= 0.5 * span + EDGE_REACH * width)
+    )
+    values = np.empty(mode.shape)
+    if edge.any():
+        values[edge] = _edge_log_mass(grid, mode[edge], width[edge])
+    rest = ~edge
+    if rest.any():
+        values[rest] = _window_log_mass(grid, precision[rest], mode[rest], width[rest])
+    out[outside] = values
+    return out
 
 
-def bayes_update(
-    prior: EmissionPosterior, cy: float, fm: ForwardModel, cfg: LikelihoodConfig
+def _erf_gap(lo: float, hi: float) -> float:
+    """erf(hi) - erf(lo) for lo <= hi with lo + hi >= 0: a difference of
+    upper tails when lo >= 0, else a sum of two positive erf values, so
+    neither form takes the difference of two numbers near 1."""
+    if lo >= 0:
+        return math.erfc(lo) - math.erfc(hi)
+    return math.erf(hi) + math.erf(-lo)
+
+
+# numpy has no erf; the edge path is its only caller, on few rows a step.
+_erf_gaps = np.frompyfunc(_erf_gap, 2, 1)
+
+
+def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """log Z of wide rows: the erf integral plus Euler-Maclaurin terms.
+
+    For f(q) = exp(-t^2 / 2), t = (q - mode) / sigma_q, the left sum with
+    step h over [a, b] = [q_min, q_max] is the integral plus
+    h/2 (f(a) - f(b)) + h^2/12 (f'(b) - f'(a)) - h^4/720 (f^(3)(b) - f^(3)(a))
+    + h^6/30240 (f^(5)(b) - f^(5)(a)), with f^(m) = (-1/sigma_q)^m He_m(t) f;
+    below, h f(t) (1/2 + c1 t + c3 t^3 + c5 t^5) with r = h / sigma_q.
+    """
+    ends = (np.array([[grid.q_min], [grid.q_max]]) - mode) / width
+    # erf(u_b) - erf(u_a), u = t / sqrt(2), reflected about the mode so
+    # that the interval's middle is at or above it.
+    u = ends * np.where(ends[0] + ends[1] < 0, -math.sqrt(0.5), math.sqrt(0.5))
+    gap = _erf_gaps(u.min(axis=0), u.max(axis=0)).astype(float)
+    r = grid.dq / width
+    r3 = r**3
+    r5 = r3 * r * r
+    c1 = r / 12.0 + r3 / 240.0 + r5 / 2016.0
+    c3 = -(r3 / 720.0 + r5 / 3024.0)
+    c5 = r5 / 30240.0
+    t2 = ends * ends
+    terms = np.exp(-0.5 * t2) * (0.5 + ends * (c1 + t2 * (c3 + t2 * c5)))
+    integral = width * math.sqrt(0.5 * math.pi) * gap
+    return np.log(integral + grid.dq * (terms[0] - terms[1]))
+
+
+def _window_log_mass(grid: QGrid, precision, mode, width) -> np.ndarray:
+    """log Z by log-sum-exp over the summed points within 10 sigma_q of the
+    mode clipped into the grid, widest rows first, in blocks of windows of
+    one length that stay inside the summed points."""
+    n_sum = grid.n_points - 1
+    centre = np.rint((np.clip(mode, grid.q_min, grid.q_max - grid.dq) - grid.q_min) / grid.dq)
+    half = np.minimum(np.ceil(WINDOW_HALF_WIDTH * width / grid.dq), n_sum).astype(int)
+    out = np.empty(mode.shape)
+    order = np.argsort(-half, kind="stable")
+    while order.size:
+        reach = half[order[0]]
+        length = min(2 * reach + 1, n_sum)
+        rows, order = np.split(order, [max(1, WINDOW_BLOCK_POINTS // length)])
+        start = np.clip(centre[rows].astype(int) - reach, 0, n_sum - length)
+        offset = grid.values[start[:, np.newaxis] + np.arange(length)] - mode[rows, np.newaxis]
+        exponent = -0.5 * precision[rows, np.newaxis] * offset**2
+        peak = exponent.max(axis=1)
+        out[rows] = peak + np.log(np.exp(exponent - peak[:, np.newaxis]).sum(axis=1) * grid.dq)
+    return out
+
+
+def conjugate_posterior(
+    grid: QGrid, precision: float, mode: float, log_mass: float | None = None
 ) -> EmissionPosterior:
-    """One recursive posterior update with a single pass measurement."""
-    return bayes_update_from_likelihood(prior, likelihood_vector(cy, prior.grid, fm, cfg))
+    """The rate posterior exp(-A (q - mode)^2 / 2) / Z of passes whose
+    ``conjugate_terms`` sum to (A, B) = (``precision``, A mode).
+
+    Raises ``MeasurementIncompatibleError`` when the density overflows at
+    q_max, which no integral weights, for a narrow row piled against it.
+    """
+    if log_mass is None:
+        log_mass = float(log_grid_mass(grid, precision, mode))
+    offset = grid.values - mode
+    log_density = offset * offset * (-0.5 * precision) - log_mass
+    if not log_density.max() <= LOG_MAX_FLOAT:
+        raise MeasurementIncompatibleError(POSTERIOR_OVERFLOW)
+    return EmissionPosterior(grid, np.exp(log_density))
 
 
 def posterior_mode(posterior: EmissionPosterior) -> float:
@@ -207,9 +275,12 @@ def posterior_mode(posterior: EmissionPosterior) -> float:
 
 def posterior_mean_std(posterior: EmissionPosterior) -> tuple[float, float]:
     """Mean and standard deviation of the discretized posterior."""
+    # Only the summed points enter: the density at q_max may be near the
+    # float range, where a product with it would overflow.
     grid = posterior.grid
-    mean = grid_integrate(grid, grid.values * posterior.density)
-    second = grid_integrate(grid, (grid.values - mean) ** 2 * posterior.density)
+    values, density = grid.values[:-1], posterior.density[:-1]
+    mean = float(np.sum(values * density) * grid.dq)
+    second = float(np.sum((values - mean) ** 2 * density) * grid.dq)
     return mean, math.sqrt(max(second, 0.0))
 
 

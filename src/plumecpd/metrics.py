@@ -10,8 +10,8 @@ lands either immediately after the change (true positive), later
 So a label needs only an instance's first alarm. A cell's instances all
 share the length 2N, the grid, the forward model and the detector
 configuration, and ``detector.first_alarms`` scores each repetition's
-instances as one block, in lockstep batches that stop processing an
-instance at its first alarm. A failure at a pass after an instance's
+instances as one lockstep block that stops processing an instance at its
+first alarm. A failure at a pass after an instance's
 first alarm therefore never occurs; one at or before it aborts the cell
 with the instance's coordinates.
 """

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from plumecpd.errors import InputDataError
+from plumecpd.errors import InputDataError, MeasurementIncompatibleError
+from plumecpd.inference import EmissionPosterior, grid_integrate
+from plumecpd.transport import forward_concentration
 
 
 def gaussian_pdf(x: np.ndarray | float, mu: np.ndarray | float, sigma: float):
@@ -82,11 +84,12 @@ def brute_force_alpha(
 def direct_posterior(
     cys: list[float], q_values: np.ndarray, dq: float, ratio: float, sigma_e: float
 ) -> np.ndarray:
-    """Flat-prior posterior over the rate grid from a likelihood product."""
-    prior = 1.0 / (q_values[-1] - q_values[0])
-    prod = np.full(q_values.shape, prior)
+    """Flat-prior posterior over the rate grid from a likelihood product,
+    summed in log space so no grid point underflows."""
+    log_prod = np.zeros(q_values.shape)
     for cy in cys:
-        prod = prod * gaussian_pdf(cy, q_values * ratio, sigma_e)
+        log_prod -= 0.5 * ((cy - q_values * ratio) / sigma_e) ** 2
+    prod = np.exp(log_prod - log_prod[:-1].max())
     return prod / left_riemann(prod, dq)
 
 
@@ -94,6 +97,66 @@ def grid_moments(density: np.ndarray, q_values: np.ndarray, dq: float):
     mean = float(np.sum(q_values[:-1] * density[:-1]) * dq)
     var = float(np.sum((q_values[:-1] - mean) ** 2 * density[:-1]) * dq)
     return mean, math.sqrt(max(var, 0.0))
+
+
+# A grid norm below the smallest normal float has lost precision, and the
+# quotient by it need not integrate to 1: renormalize such a product in
+# log space, as if it had underflowed.
+NORM_FLOOR = np.finfo(float).tiny
+
+
+def likelihood_vector(cy, grid, fm, cfg) -> np.ndarray:
+    """Gaussian likelihood of a measurement at every grid rate.
+
+    One measurement gives shape (n_points,); a 1-D array of B measurements
+    gives one row per measurement, shape (B, n_points), each row equal to
+    the call with that measurement alone.
+    """
+    cy = np.asarray(cy, dtype=float)
+    if (cy < 0).any():
+        raise ValueError("integrated concentration must be non-negative")
+    predicted = forward_concentration(grid.values, fm)
+    # Past about 1e150 noise scales z * z overflows to inf, which gives the
+    # right likelihood, 0, with a warning; the linear forward map puts the
+    # largest residual at an end of the grid.
+    reach = float(cy.max()) + max(abs(predicted[0]), abs(predicted[-1]))
+    with np.errstate(over="ignore" if reach >= 1e150 * cfg.sigma_e else "warn"):
+        z = (cy[..., np.newaxis] - predicted) / cfg.sigma_e
+        return np.exp(-0.5 * z * z) / (cfg.sigma_e * math.sqrt(2.0 * math.pi))
+
+
+def log_space_update(grid, density: np.ndarray, likelihood: np.ndarray) -> np.ndarray | None:
+    """Normalized density * likelihood, formed in log space with a max shift.
+
+    Recovers the product when it underflows to zero on the whole grid.
+    Returns None when no grid point has mass even in log space.
+    """
+    with np.errstate(divide="ignore"):
+        log_weighted = np.log(density) + np.log(likelihood)
+    shift = np.max(log_weighted[:-1])
+    if not math.isfinite(shift):
+        return None
+    shifted = np.exp(log_weighted - shift)
+    return shifted / grid_integrate(grid, shifted)
+
+
+def bayes_update_from_likelihood(prior: EmissionPosterior, likelihood: np.ndarray) -> EmissionPosterior:
+    """Multiply a prior by a likelihood vector and renormalize, in log
+    space when the product underflows or integrates to a subnormal number."""
+    weighted = prior.density * likelihood
+    evidence = grid_integrate(prior.grid, weighted)
+    if evidence >= NORM_FLOOR and math.isfinite(evidence):
+        return EmissionPosterior(prior.grid, weighted / evidence)
+    density = log_space_update(prior.grid, prior.density, likelihood)
+    if density is None:
+        raise MeasurementIncompatibleError("measurement incompatible with the rate grid support")
+    return EmissionPosterior(prior.grid, density)
+
+
+def bayes_update(prior: EmissionPosterior, cy: float, fm, cfg) -> EmissionPosterior:
+    """One recursive posterior update with a single pass measurement,
+    formed on the grid."""
+    return bayes_update_from_likelihood(prior, likelihood_vector(cy, prior.grid, fm, cfg))
 
 
 def _raw_field(path, line: int, row: dict, key: str, kind):

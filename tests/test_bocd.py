@@ -4,27 +4,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from oracles import brute_force_alpha, gaussian_pdf
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, advance_rows
+from oracles import brute_force_alpha, direct_posterior, gaussian_pdf, likelihood_vector
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
 from plumecpd.errors import MeasurementIncompatibleError
-from plumecpd.inference import (
-    EmissionPosterior,
-    LikelihoodConfig,
-    QGrid,
-    grid_integrate,
-    likelihood_vector,
-    uniform_prior,
-)
+from plumecpd.inference import LikelihoodConfig, QGrid, grid_integrate
 from plumecpd.transport import ForwardModel
 from stepping import run_core
 
 
 def each_pass(cys, fm, cfg, lam, grid, **kwargs):
-    """The stream's state after every pass, one core step at a time from
-    fresh buffers; each state's log evidence covers its own pass alone."""
+    """The stream's state after every pass, one core step at a time from a
+    state rebuilt from the last one's arrays; each state's log evidence
+    covers its own pass alone."""
     run = None
     for cy in cys:
-        start = None if run is None else (run.weights, run.rows)
+        start = None if run is None else (run.weights, run.precision, run.mode, run.log_mass)
         run = run_core([cy], fm, cfg, lam, grid, start=start, **kwargs)
         yield run
 
@@ -34,20 +28,20 @@ def alpha(run):
     return run.weights * math.exp(run.log_evidence)
 
 
-def predictive_probability(posterior, cy, fm, cfg, method):
+def predictive_probability(grid, precision, mode, cy, fm, cfg, method):
     """Predictive density of ``cy`` under one hypothesis whose rate row is
-    ``posterior``, read from one core step: the growth weight times the
-    step evidence, over the growth hazard."""
+    exp(-precision (q - mode)^2 / 2) / Z, read from one core step: the
+    growth weight times the step evidence, over the growth hazard."""
     lam = 2.0
     run = run_core(
         [cy],
         fm,
         cfg,
         lam,
-        posterior.grid,
+        grid,
         method=method,
         prune_threshold=0.0,
-        start=(np.ones(1), posterior.density[np.newaxis]),
+        start=(np.ones(1), np.array([precision]), np.array([mode])),
     )
     return alpha(run)[1] / (1.0 - 1.0 / lam)
 
@@ -71,8 +65,7 @@ class TestHazard:
         k = 10**3
         weights = np.zeros(k + 1)
         weights[-1] = 1.0
-        flat = uniform_prior(coarse_grid).density
-        long_run = (weights, np.tile(flat, (k + 1, 1)))
+        long_run = (weights, np.zeros(k + 1), np.zeros(k + 1))
         assert self.first_step_cp(coarse_grid, unit_fm, 7.0, long_run) == pytest.approx(
             self.first_step_cp(coarse_grid, unit_fm, 7.0), rel=1e-12
         )
@@ -89,7 +82,7 @@ class TestPredictiveProbability:
     def test_scaling_flat_identity_map(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
         value = predictive_probability(
-            uniform_prior(grid), 2.5, unit_fm, LikelihoodConfig(1.0), method="scaling"
+            grid, 0.0, 0.0, 2.5, unit_fm, LikelihoodConfig(1.0), method="scaling"
         )
         assert value == pytest.approx(0.2)
 
@@ -98,24 +91,24 @@ class TestPredictiveProbability:
         grid = QGrid(0.0, 5.0, 0.005)
         with pytest.raises(MeasurementIncompatibleError, match="impossible under all"):
             predictive_probability(
-                uniform_prior(grid), 6.0, unit_fm, LikelihoodConfig(1.0), method="scaling"
+                grid, 0.0, 0.0, 6.0, unit_fm, LikelihoodConfig(1.0), method="scaling"
             )
 
     def test_scaling_interpolates_linearly(self, unit_fm):
         grid = QGrid(0.0, 2.0, 0.5)
-        density = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-        density = density / grid_integrate(grid, density)
-        post = EmissionPosterior(grid, density)
-        at_low = predictive_probability(post, 0.5, unit_fm, LikelihoodConfig(1.0), method="scaling")
-        at_high = predictive_probability(post, 1.0, unit_fm, LikelihoodConfig(1.0), method="scaling")
-        at_mid = predictive_probability(post, 0.75, unit_fm, LikelihoodConfig(1.0), method="scaling")
-        assert at_mid == pytest.approx(0.5 * (at_low + at_high))
+        row = (grid, 1.0, 1.3)
+
+        def at(cy):
+            return predictive_probability(*row, cy, unit_fm, LikelihoodConfig(1.0), method="scaling")
+
+        assert at(0.75) == pytest.approx(0.5 * (at(0.5) + at(1.0)))
+        assert at(0.5) != pytest.approx(at(1.0))
 
     def test_scaling_change_of_variables_factor(self):
         fm = ForwardModel(advection_velocity_mps=2.0, dispersion_factor_per_m=1.0)
         grid = QGrid(0.0, 5.0, 0.005)
         value = predictive_probability(
-            uniform_prior(grid), 1.0, fm, LikelihoodConfig(1.0), method="scaling"
+            grid, 0.0, 0.0, 1.0, fm, LikelihoodConfig(1.0), method="scaling"
         )
         assert value == pytest.approx(0.2 * 2.0)
 
@@ -124,26 +117,26 @@ class TestPredictiveProbability:
         grid = QGrid(0.0, 5.0, 0.005)
         with pytest.raises(ValueError):
             predictive_probability(
-                uniform_prior(grid), 1.0, fm, LikelihoodConfig(1.0), method="scaling"
+                grid, 0.0, 0.0, 1.0, fm, LikelihoodConfig(1.0), method="scaling"
             )
 
     def test_marginal_delta_posterior_collapses(self, unit_fm):
+        # A row far narrower than the grid step is a point mass.
         grid = QGrid(0.0, 5.0, 0.005)
-        density = np.zeros(grid.n_points)
-        q_star_idx = 400
-        density[q_star_idx] = 1.0 / grid.dq
-        post = EmissionPosterior(grid, density)
+        q_star = grid.values[400]
         sigma = 0.4
         cy = 2.3
-        value = predictive_probability(post, cy, unit_fm, LikelihoodConfig(sigma), method="marginal")
-        expected = gaussian_pdf(cy, grid.values[q_star_idx], sigma)
+        value = predictive_probability(
+            grid, 1e14, q_star, cy, unit_fm, LikelihoodConfig(sigma), method="marginal"
+        )
+        expected = gaussian_pdf(cy, q_star, sigma)
         assert value == pytest.approx(expected, rel=1e-12)
 
     def test_unknown_method_rejected(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.5)
         with pytest.raises(ValueError):
             predictive_probability(
-                uniform_prior(grid), 1.0, unit_fm, LikelihoodConfig(1.0), method="exact"
+                grid, 0.0, 0.0, 1.0, unit_fm, LikelihoodConfig(1.0), method="exact"
             )
 
 
@@ -217,20 +210,21 @@ class TestBocdStep:
         )
 
     def test_single_likelihood_evaluation_per_step(self, unit_fm, coarse_grid):
+        # One log Z per hypothesis and step gives every hypothesis's
+        # marginal likelihood of the new pass.
         import plumecpd.bocd as bocd_module
 
         cfg = LikelihoodConfig(0.4)
-        lam = 15.0
-        real = bocd_module.likelihood_vector
-        calls = {"n": 0}
+        real = bocd_module.log_grid_mass
+        sizes = []
 
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
+        def counting(grid, precision, mode):
+            sizes.append(np.broadcast_shapes(np.shape(precision), np.shape(mode)))
+            return real(grid, precision, mode)
 
-        with mock.patch.object(bocd_module, "likelihood_vector", side_effect=counting):
-            for step, _ in enumerate(each_pass([2.0] * 6, unit_fm, cfg, lam, coarse_grid), 1):
-                assert calls["n"] == step
+        with mock.patch.object(bocd_module, "log_grid_mass", side_effect=counting):
+            run_core([2.0] * 6, unit_fm, cfg, 15.0, coarse_grid)
+        assert sizes == [(1, k + 2) for k in range(6)]
 
     def test_hazard_monotonicity_on_calm_streams(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.6)
@@ -279,17 +273,24 @@ class TestBocdStep:
         grid = QGrid(0.0, 5.0, 0.005)
         run = run_core([1.0, 3.0], unit_fm, LikelihoodConfig(0.03), 15.0, grid)
         # The full-run row times the likelihood underflows on the whole
-        # grid; in log space it peaks midway between the measurements.
+        # grid; its log Z does not, and the row peaks midway between the
+        # measurements.
         assert run.weights[-1] == 0.0
         assert grid.values[int(np.argmax(run.rows[-1]))] == 2.0
         assert grid_integrate(grid, run.rows[-1]) == pytest.approx(1.0, abs=1e-8)
 
-    def test_dead_row_empty_in_log_space_is_flat(self, unit_fm):
+    def test_dead_full_run_keeps_its_posterior(self, unit_fm):
+        # The third pass kills the full-run hypothesis, whose row times the
+        # likelihood is empty on the grid even in log space; the row is
+        # still the posterior of all three passes.
         grid = QGrid(0.0, 5.0, 0.005)
-        run = run_core([1.0, 1.0, 3.0], unit_fm, LikelihoodConfig(0.03), 15.0, grid)
+        stream = [1.0, 1.0, 3.0]
+        run = run_core(stream, unit_fm, LikelihoodConfig(0.03), 15.0, grid)
         assert run.weights[-1] == 0.0
-        assert np.array_equal(run.rows[-1], uniform_prior(grid).density)
         assert run.weights[0] == 1.0
+        expected = direct_posterior(stream, grid.values, grid.dq, 1.0, 0.03)
+        np.testing.assert_allclose(run.rows[-1], expected, rtol=1e-9, atol=1e-12 * expected.max())
+        assert grid.values[int(np.argmax(run.rows[-1]))] == 1.665
 
     def test_pruning_zeroes_negligible_hypotheses(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
@@ -312,13 +313,13 @@ class TestBocdStep:
 
 
 class TestRowBuffer:
-    """The row buffer and the spare buffer the core writes into."""
+    """The per-hypothesis state (weight, A, mode and log Z) that took the
+    place of the run-length row buffers."""
 
     @pytest.mark.parametrize("method", ["marginal", "scaling"])
     def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid, method):
-        # The core reads only the first k + 1 rows and writes only the
-        # spare buffer, so one run through reused full-size buffers has the
-        # bits of a run rebuilt into fresh buffers before every step.
+        # The four arrays are the whole state: a run rebuilt from them before
+        # every step has the bits of one run through a single state.
         cfg = LikelihoodConfig(0.5)
         rng = np.random.default_rng(3)
         cys = np.clip(rng.normal(2.0, 0.4, size=101), 0.0, 4.9)
@@ -326,43 +327,35 @@ class TestRowBuffer:
         log_evidence = 0.0
         for stepped in each_pass(cys, unit_fm, cfg, 15.0, coarse_grid, method=method):
             log_evidence += stepped.log_evidence
-        assert np.array_equal(stepped.weights, whole.weights)
-        assert np.array_equal(stepped.rows, whole.rows)
-        assert log_evidence == whole.log_evidence
+        for field in ("weights", "precision", "mode", "log_mass"):
+            assert np.array_equal(getattr(stepped, field), getattr(whole, field)), field
+        assert log_evidence == pytest.approx(whole.log_evidence, rel=1e-12)
         assert whole.weights.size == 102
 
     def test_failed_step_leaves_the_state_usable(self, unit_fm, coarse_grid):
+        # A stream whose measurement is impossible fails alone: the other
+        # stream's state has the bits of a run on its own, and once the
+        # failed stream is dropped the state steps on.
         cfg = LikelihoodConfig(0.3)
-        run = run_core([2.0], unit_fm, cfg, 15.0, coarse_grid)
-        rows = np.empty((1, 3, coarse_grid.n_points))
-        spare = np.empty_like(rows)
-        rows[0, :2] = run.rows[::-1]
-        before = rows[:, :2].copy()
+        state = RunLengthState(2, 3, coarse_grid)
 
-        def step(cy, method):
-            return advance_rows(
-                rows,
-                spare,
-                run.weights[np.newaxis],
-                np.array([cy]),
-                coarse_grid,
-                unit_fm,
-                cfg,
-                15.0,
-                method,
-                DEFAULT_PRUNE_THRESHOLD,
+        def step(cys, method):
+            return state.advance(
+                np.array(cys), unit_fm, cfg, 15.0, method, DEFAULT_PRUNE_THRESHOLD
             )
 
-        _, _, errors = step(9.0, "scaling")
-        assert errors == {0: "observation impossible under all run-length hypotheses"}
-        assert np.array_equal(rows[:, :2], before)
-        weights, _, errors = step(2.0, "marginal")
-        assert errors == {}
-        assert weights.shape == (1, 3)
+        assert step([2.0, 2.0], "marginal") == {}
+        errors = step([2.1, 9.0], "scaling")
+        assert errors == {1: "observation impossible under all run-length hypotheses"}
+        alone = run_core([2.0, 2.1], unit_fm, cfg, 15.0, coarse_grid, method="scaling")
+        assert np.array_equal(state.weights[0], alone.weights)
+        state.select(np.array([True, False]))
+        assert step([1.9], "marginal") == {}
+        assert state.weights.shape == (1, 4)
 
     def test_fresh_row_is_the_likelihood(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.5)
         run = run_core([2.0, 2.2, 1.9], unit_fm, cfg, 15.0, coarse_grid)
         likelihood = likelihood_vector(1.9, coarse_grid, unit_fm, cfg)
         lik_mass = float(np.sum(likelihood[:-1]) * coarse_grid.dq)
-        assert np.array_equal(run.rows[0], likelihood / lik_mass)
+        np.testing.assert_allclose(run.rows[0], likelihood / lik_mass, rtol=1e-12)

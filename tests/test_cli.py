@@ -446,6 +446,19 @@ class TestDetect:
         assert message in capsys.readouterr().err
         assert not (out / "passes_report.csv").exists()
 
+    def test_sigma_whose_precision_overflows_exits_two(self, tmp_path, met_csv, capsys):
+        # 1 / sigma_e**2 and the likelihood peak overflow; before this check
+        # every pass failed as impossible, with numpy warnings, and exit 1.
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sigma_e": 5e-324}))
+        out = tmp_path / "o"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert "1/sigma_e**2 overflows" in capsys.readouterr().err
+        assert not (out / "passes_report.csv").exists()
+
     @pytest.mark.parametrize("sigma_e", ["abc", None, {"4": "x"}, {"4": None}])
     def test_non_numeric_sigma_exits_two(self, tmp_path, met_csv, capsys, sigma_e):
         passes = tmp_path / "passes.csv"
@@ -504,16 +517,16 @@ class TestNonFiniteMet:
         assert not out.exists()
 
 
-# No integral weights the grid's last cell, so passes at or above q_max
-# grow its density geometrically, by up to exp(38 dq / sigma) a pass in
-# rate units, until it overflows (see the FOUND line in CHANGES.md). The
-# property is drawn where that cannot happen: noise scales of at least
-# one grid step and streams of at most 8 passes.
+# No integral weights the grid's last cell, so a narrow rate posterior piled
+# against q_max has a density there that can pass the float range; the
+# detector then fails the pass with a DetectionError. The property draws
+# noise scales from a thousandth of a grid step up, and streams of up to
+# 40 passes.
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
     grid=st.sampled_from([QGrid(0.0, 5.0, 0.05), QGrid(1.0, 2.0, 0.01)]),
-    sigma_steps=st.floats(1.0, 1e3),
+    sigma_steps=st.floats(1e-3, 1e3),
     threshold=st.floats(1e-6, 1.0 - 1e-6),
     lam=st.floats(1.001, 1e6),
     post_factor=st.floats(1.0, 1e3),
@@ -535,7 +548,7 @@ def test_detect_gives_finite_output_or_a_typed_error(
         fm = cli._forward_model(dataio.read_met(met)["4"], args)
         ratio = forward_concentration(1.0, fm)
         cy = st.one_of(st.floats(0.0, 1.2 * grid.q_max * ratio), st.floats(0.0, 1.7e308))
-        cys = data.draw(st.lists(cy, min_size=1, max_size=8), label="cys")
+        cys = data.draw(st.lists(cy, min_size=1, max_size=40), label="cys")
         raw_cfg = {
             "sigma_e": sigma_steps * grid.dq * ratio,
             "threshold": threshold,
@@ -546,7 +559,7 @@ def test_detect_gives_finite_output_or_a_typed_error(
             "q_max": grid.q_max,
             "dq": grid.dq,
         }
-        cfg = cli._detector_config(raw_cfg, raw_cfg["sigma_e"], "cfg", len(cys))
+        cfg = cli._detector_config(raw_cfg, raw_cfg["sigma_e"], "cfg")
         try:
             reports, _ = detect_series(cys, fm, cfg)
         except DetectionError:
@@ -737,6 +750,13 @@ class TestSweep:
         assert rc == 2
         assert "byte limit" in capsys.readouterr().err
 
+    def test_infinite_q_max_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
+            rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", **{"q-max": "inf"}))
+        assert rc == 2
+        assert "byte limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -765,19 +785,33 @@ class TestSweep:
 
 
 class TestRowBufferCap:
-    def test_limit_is_inclusive(self):
-        # A 31-pass stream has 32 rows: two buffers of 32 rows of 2**21
-        # points take exactly 2**30 bytes.
-        cli._check_row_buffers(0.0, 1048575.5, 0.5, 31, "cfg")
-        with pytest.raises(ConfigError, match="^cfg: "):
-            cli._check_row_buffers(0.0, 1048576.0, 0.5, 31, "cfg")
+    """The grid-size cap, which took the place of the row-buffer cap: one
+    array of the grid's rates may take at most 1 GiB."""
 
-    def test_tiny_dq_and_long_streams_rejected(self):
+    def test_limit_is_inclusive(self):
+        # 2**27 points of 8 bytes take exactly 2**30 bytes.
+        cli._check_grid_size(0.0, 2.0**27 - 1.0, 1.0, "cfg")
+        with pytest.raises(ConfigError, match="^cfg: .*byte limit"):
+            cli._check_grid_size(0.0, 2.0**27, 1.0, "cfg")
+
+    def test_tiny_dq_and_infinite_span_rejected_long_streams_accepted(self):
         with pytest.raises(ConfigError):
-            cli._check_row_buffers(0.0, 5.0, 1e-300, 28, "cfg")
+            cli._check_grid_size(0.0, 5.0, 1e-300, "cfg")
         with pytest.raises(ConfigError):
-            cli._check_row_buffers(0.0, 5.0, 0.005, 10**6, "cfg")
-        cli._check_row_buffers(0.0, 5.0, 0.005, 10_000, "cfg")
+            cli._check_grid_size(0.0, math.inf, 0.005, "cfg")
+        # The detector's state grows with a stream only as O(k).
+        cfg = cli._detector_config({"sigma_e": 0.1}, 0.1, "cfg")
+        assert cfg.grid.n_points == 1001
+
+    def test_infinite_q_max_exits_two(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = tmp_path / "config.json"
+        config.write_text('{"sigma_e": 0.001, "q_max": Infinity}')
+        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
+            rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "byte limit" in capsys.readouterr().err
 
 
 class TestParser:

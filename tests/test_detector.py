@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bayes_update, direct_posterior, grid_moments
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
     PassReport,
-    batch_size,
     detect_series,
     first_alarms,
 )
-from plumecpd.errors import DetectionError, MeasurementIncompatibleError
+from plumecpd.errors import ConfigError, DetectionError
 from plumecpd.inference import (
+    MIN_SIGMA_E,
     LikelihoodConfig,
     QGrid,
-    bayes_update,
-    bayes_update_from_likelihood,
     grid_integrate,
-    likelihood_vector,
-    posterior_mean_std,
-    posterior_mode,
     uniform_prior,
 )
 from plumecpd.surrogate import make_unit_forward_experiment
@@ -30,6 +26,21 @@ from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
 from plumecpd.transport import ForwardModel
 from stepping import run_core
+
+
+def assert_same_posterior(density, expected):
+    """Densities on one grid agree to 1e-9 relative, up to 1e-12 of the peak."""
+    np.testing.assert_allclose(density, expected, rtol=1e-9, atol=1e-12 * np.max(expected))
+
+
+def assert_report_summarizes(report, expected, grid):
+    """A report's mode, mean and std are those of the density ``expected``:
+    the mode up to a near tie, mean and std to 1e-9 relative."""
+    at = int(round((report.mode_g_per_s - grid.q_min) / grid.dq))
+    assert expected[at] >= np.max(expected) * (1.0 - 1e-9)
+    mean, std = grid_moments(expected, grid.values, grid.dq)
+    assert report.mean_g_per_s == pytest.approx(mean, rel=1e-9, abs=1e-12)
+    assert report.std_g_per_s == pytest.approx(std, rel=1e-9, abs=1e-9 * grid.dq)
 
 
 def make_config(**overrides):
@@ -51,6 +62,11 @@ class TestDetectorConfig:
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
             make_config(sigma_e_initial=0.0)
+
+    def test_sigma_whose_precision_overflows_rejected(self):
+        with pytest.raises(ConfigError, match="1/sigma_e"):
+            make_config(sigma_e_initial=5e-324)
+        make_config(sigma_e_initial=MIN_SIGMA_E)
 
     def test_lambda_must_exceed_one(self):
         with pytest.raises(ValueError):
@@ -150,13 +166,8 @@ class TestDetectorMechanics:
         _, events = detect_series(stream, unit_fm, cfg)
         assert len(events) == 1
         k = events[0].pass_index
-        lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-        manual = uniform_prior(grid)
-        for cy in stream[: k - 1]:
-            manual = bayes_update_from_likelihood(
-                manual, likelihood_vector(cy, grid, unit_fm, lik_cfg)
-            )
-        assert np.array_equal(events[0].pre_change_posterior.density, manual.density)
+        manual = direct_posterior(stream[: k - 1], grid.values, grid.dq, 1.0, cfg.sigma_e_initial)
+        assert_same_posterior(events[0].pre_change_posterior.density, manual)
 
     def test_report_after_event_uses_fresh_widened_prior(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
@@ -167,20 +178,21 @@ class TestDetectorMechanics:
         assert len(events) == 1
         k = events[0].pass_index
         after = next(r for r in reports if r.pass_index == k + 1)
-        post_cfg = LikelihoodConfig(cfg.sigma_e_initial * factor)
-        fresh = bayes_update_from_likelihood(
-            uniform_prior(grid),
-            likelihood_vector(stream[k], grid, unit_fm, post_cfg),
-        )
-        mean, std = posterior_mean_std(fresh)
-        assert after.mode_g_per_s == posterior_mode(fresh)
-        assert after.mean_g_per_s == mean
-        assert after.std_g_per_s == std
+        fresh = direct_posterior([stream[k]], grid.values, grid.dq, 1.0, cfg.sigma_e_initial * factor)
+        assert_report_summarizes(after, fresh, grid)
 
     def test_error_carries_pass_index(self, unit_fm):
         cfg = make_config(sigma_e_initial=1e-3)
         with pytest.raises(DetectionError, match=r"pass 3"):
             detect_series([2.0, 2.0, 500.0], unit_fm, cfg)
+
+    def test_precision_overflow_is_a_detection_error(self):
+        # r / sigma_e = 1e300: r^2 / sigma_e^2 overflows, without a
+        # RuntimeWarning.
+        fm = ForwardModel(advection_velocity_mps=1e-200, dispersion_factor_per_m=1e100)
+        cfg = make_config(sigma_e_initial=1e-100, grid=QGrid(0.0, 5.0, 0.05))
+        with pytest.raises(DetectionError, match="^pass 1: .*overflows the rate precision"):
+            detect_series([1.0, 2.0], fm, cfg)
 
     def test_empty_stream_rejected(self, unit_fm):
         with pytest.raises(ValueError):
@@ -228,11 +240,9 @@ class TestUnderflowedPosterior:
         reports, events = detect_series([1.0, 3.0], unit_fm, make_config(sigma_e_initial=0.03))
         assert [e.pass_index for e in events] == [2]
         last = reports[1]
-        assert (last.mode_g_per_s, last.mean_g_per_s, last.std_g_per_s) == (
-            2.0,
-            1.9999999999999996,
-            0.021213203435540163,
-        )
+        assert last.mode_g_per_s == 2.0
+        assert last.mean_g_per_s == pytest.approx(2.0, rel=1e-12)
+        assert last.std_g_per_s == pytest.approx(0.03 / math.sqrt(2.0), rel=1e-9)
 
     @pytest.mark.parametrize(
         "stream, sigma_e", [([1.0, 1.0, 3.0], 0.03), ([1.0, 1.0, 1.0, 3.0], 0.01)]
@@ -250,12 +260,26 @@ class TestUnderflowedPosterior:
         chain = uniform_prior(cfg.grid)
         for cy in stream[:-1]:
             chain = bayes_update(chain, cy, unit_fm, LikelihoodConfig(sigma_e))
-        assert np.array_equal(events[0].pre_change_posterior.density, chain.density)
+        assert_same_posterior(events[0].pre_change_posterior.density, chain.density)
+
+    def test_alarm_pass_report_is_the_full_run_posterior(self, unit_fm):
+        # The report at an alarm summarizes every pass since the last
+        # reset, the alarm pass included, not the flat prior (mode 0.0,
+        # mean 2.4975).
+        grid = QGrid(0.0, 5.0, 0.005)
+        stream = [1.0, 1.0, 3.0]
+        reports, events = detect_series(stream, unit_fm, make_config(sigma_e_initial=0.03))
+        assert [e.pass_index for e in events] == [3]
+        expected = direct_posterior(stream, grid.values, grid.dq, 1.0, 0.03)
+        assert_report_summarizes(reports[2], expected, grid)
+        assert reports[2].mode_g_per_s == 1.665
+        assert reports[2].mean_g_per_s == pytest.approx(5.0 / 3.0, rel=1e-9)
+        assert reports[2].std_g_per_s == pytest.approx(0.03 / math.sqrt(3.0), rel=1e-9)
 
     def test_subnormal_norm_takes_log_space_path(self, unit_fm):
         # The full-run row times the third likelihood integrates to a
-        # subnormal number; dividing by it would leave a row that
-        # integrates to 0.97.
+        # subnormal number; a grid product renormalized by it would
+        # integrate to 0.97, while log Z keeps every row normalized.
         stream = [0.0, 0.0, 0.9453125]
         cfg = make_config(sigma_e_initial=0.02, grid=QGrid(0.0, 5.0, 0.05))
         reports, _ = detect_series(stream, unit_fm, cfg)
@@ -271,6 +295,40 @@ class TestUnderflowedPosterior:
             assert abs(grid_integrate(cfg.grid, row) - 1.0) <= 1e-8
 
 
+class TestGridTopCell:
+    """Passes at or above q_max pile the rate posterior against the top of
+    the grid, at a cell no integral weights."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "stream, sigma_e, grid",
+        [
+            ([2.27] * 6 + [5.3] * 21, 0.02, QGrid(0.0, 5.0, 0.05)),
+            ([5.0, 5.0], 0.0013, QGrid(0.0, 5.0, 0.005)),
+        ],
+    )
+    def test_finite_reports_or_a_typed_error(self, unit_fm, stream, sigma_e, grid):
+        cfg = make_config(sigma_e_initial=sigma_e, grid=grid)
+        try:
+            reports, _ = detect_series(stream, unit_fm, cfg)
+        except DetectionError:
+            return
+        assert len(reports) == len(stream)
+        for r in reports:
+            values = (r.changepoint_probability, r.mode_g_per_s, r.mean_g_per_s, r.std_g_per_s)
+            assert all(math.isfinite(v) for v in values)
+
+    def test_density_past_the_float_range_fails_the_pass(self, unit_fm):
+        # A pass at q_max with noise a fortieth of the grid step: its row's
+        # left-Riemann mass is about exp(-712) of its peak, so its evidence
+        # is still positive while the density at q_max would be exp(715).
+        cfg = make_config(sigma_e_initial=570_000**-0.5, grid=QGrid(0.0, 5.0, 0.05))
+        with pytest.raises(DetectionError, match="^pass 1: rate posterior density overflows"):
+            detect_series([5.0], unit_fm, cfg)
+        with pytest.raises(DetectionError, match="^pass 1: rate posterior density overflows"):
+            first_alarms(np.array([[5.0]]), unit_fm, cfg)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     cys=st.lists(st.floats(0.0, 4.9), min_size=1, max_size=10),
@@ -278,37 +336,34 @@ class TestUnderflowedPosterior:
     method=st.sampled_from(["marginal", "scaling"]),
 )
 def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
-    """Reports summarize the plain bayes_update chain since the last reset,
-    and each event keeps that chain as of the previous pass."""
+    """Reports summarize the oracle's posterior of the passes since the
+    last reset, and each event keeps that posterior as of the previous
+    pass, all to 1e-9 relative."""
     fm = ForwardModel(1.0, 1.0)
-    cfg = make_config(
-        sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05), predictive_method=method
-    )
+    grid = QGrid(0.0, 5.0, 0.05)
+    cfg = make_config(sigma_e_initial=sigma_e, grid=grid, predictive_method=method)
     try:
         reports, events = detect_series(cys, fm, cfg)
     except DetectionError:
         return
     alarms = {e.pass_index: e for e in events}
-    chain = uniform_prior(cfg.grid)
-    lik_cfg = LikelihoodConfig(sigma_e)
+    segment: list[float] = []
+    sigma = sigma_e
     for report, cy in zip(reports, cys):
+        before = (
+            direct_posterior(segment, grid.values, grid.dq, 1.0, sigma)
+            if segment
+            else uniform_prior(grid).density
+        )
+        segment.append(cy)
+        assert_report_summarizes(
+            report, direct_posterior(segment, grid.values, grid.dq, 1.0, sigma), grid
+        )
         event = alarms.get(report.pass_index)
-        try:
-            updated = bayes_update(chain, cy, fm, lik_cfg)
-        except MeasurementIncompatibleError:
-            if event is None:
-                return
-        else:
-            mean, std = posterior_mean_std(updated)
-            assert report.mode_g_per_s == posterior_mode(updated)
-            assert report.mean_g_per_s == mean
-            assert report.std_g_per_s == std
-        if event is None:
-            chain = updated
-        else:
-            assert np.array_equal(event.pre_change_posterior.density, chain.density)
-            chain = uniform_prior(cfg.grid)
-            lik_cfg = LikelihoodConfig(sigma_e * cfg.sigma_e_post_factor)
+        if event is not None:
+            assert_same_posterior(event.pre_change_posterior.density, before)
+            segment = []
+            sigma = sigma_e * cfg.sigma_e_post_factor
 
 
 def first_alarm_of(cys, fm, cfg):
@@ -339,17 +394,13 @@ def assert_first_alarms_match(block, fm, cfg):
 
 class TestFirstAlarms:
     def test_mixed_block_split_across_batches(self, exp4):
+        # The block's streams leave the lockstep batch at different passes,
+        # and some never do.
         exp, fm, cfg = exp4
         block = np.stack([i.series for i in synthesize_batch(exp, 2.2, 12, master_seed=7)])
-        assert len(block) % batch_size(block.shape[1], cfg.grid.n_points) != 0
         passes, _ = first_alarms(block, fm, cfg)
         assert {13, 24, 0} <= set(passes.tolist())
         assert_first_alarms_match(block, fm, cfg)
-
-    def test_batch_size_follows_stream_length_and_grid(self):
-        assert batch_size(28, 1001) == 4
-        assert batch_size(28, 101) == 44
-        assert batch_size(10_000, 1001) == 1
 
     def test_lowest_failing_instance_is_reported(self, unit_fm):
         cfg = make_config(sigma_e_initial=1e-3)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bayes_update, likelihood_vector
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
 from plumecpd.errors import (
     ConfigError,
     InsufficientDataError,
@@ -12,18 +14,28 @@ from plumecpd.errors import (
 )
 from plumecpd.inference import (
     DEFAULT_GRID,
+    MIN_SIGMA_E,
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    bayes_update,
+    conjugate_posterior,
+    conjugate_terms,
     estimate_sigma_e,
     grid_integrate,
-    likelihood_vector,
+    log_grid_mass,
     posterior_mean_std,
     posterior_mode,
     uniform_prior,
 )
 from plumecpd.transport import ForwardModel
+from stepping import posterior_of, run_core
+
+
+def exact_log_mass(grid, precision, mode):
+    """log of the left-Riemann sum of exp(-A (q - mode)^2 / 2), in full."""
+    exponent = -0.5 * precision * (grid.values[:-1] - mode) ** 2
+    peak = exponent.max()
+    return peak + math.log(np.exp(exponent - peak).sum() * grid.dq)
 
 
 class TestQGrid:
@@ -77,44 +89,56 @@ class TestEmissionPosterior:
 
 
 class TestLikelihoodVector:
+    """One pass's likelihood, as the package's one-pass rate row and its
+    conjugate terms."""
+
     def test_three_point_grid_values(self, unit_fm):
         grid = QGrid(0.0, 2.0, 1.0)
-        lik = likelihood_vector(1.0, grid, unit_fm, LikelihoodConfig(1.0))
-        assert lik == pytest.approx([0.2420, 0.3989, 0.2420], abs=5e-5)
+        post = posterior_of([1.0], grid, unit_fm, LikelihoodConfig(1.0))
+        # The likelihood over its left-Riemann mass, phi(1) + phi(0).
+        mass = (math.exp(-0.5) + 1.0) / math.sqrt(2.0 * math.pi)
+        assert post.density * mass == pytest.approx([0.2420, 0.3989, 0.2420], abs=5e-5)
 
     def test_peak_at_matching_rate(self, unit_fm, medium_grid):
         sigma = 0.3
-        lik = likelihood_vector(2.0, medium_grid, unit_fm, LikelihoodConfig(sigma))
+        post = posterior_of([2.0], medium_grid, unit_fm, LikelihoodConfig(sigma))
         peak = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-        idx = int(np.argmax(lik))
+        idx = int(np.argmax(post.density))
         assert medium_grid.values[idx] == pytest.approx(2.0)
-        assert lik[idx] == pytest.approx(peak)
+        assert post.density[idx] == pytest.approx(peak)
 
     def test_huge_sigma_flattens(self, unit_fm, medium_grid):
-        lik = likelihood_vector(2.0, medium_grid, unit_fm, LikelihoodConfig(5000.0))
-        assert np.max(lik) / np.min(lik) == pytest.approx(1.0, rel=1e-6)
+        post = posterior_of([2.0], medium_grid, unit_fm, LikelihoodConfig(5000.0))
+        assert np.max(post.density) / np.min(post.density) == pytest.approx(1.0, rel=1e-6)
 
     @pytest.mark.parametrize("cy", [1e160, 1.7e308])
     def test_residual_too_large_to_square_has_zero_likelihood(self, unit_fm, medium_grid, cy):
-        # z * z overflows; that gives 0 without a RuntimeWarning.
-        lik = likelihood_vector(np.array([2.0, cy]), medium_grid, unit_fm, LikelihoodConfig(1e-3))
-        assert not lik[1].any()
-        assert np.array_equal(lik[0], likelihood_vector(2.0, medium_grid, unit_fm, LikelihoodConfig(1e-3)))
+        # Its square would overflow; the measurement is impossible under
+        # every hypothesis, without a RuntimeWarning, and the stream beside
+        # it runs as it would alone.
+        cfg = LikelihoodConfig(1e-3)
+        state = RunLengthState(2, 1, medium_grid)
+        errors = state.advance(
+            np.array([2.0, cy]), unit_fm, cfg, 15.0, "marginal", DEFAULT_PRUNE_THRESHOLD
+        )
+        assert errors == {1: "observation impossible under all run-length hypotheses"}
+        alone = run_core([2.0], unit_fm, cfg, 15.0, medium_grid)
+        assert np.array_equal(state.weights[0], alone.weights)
 
-    def test_negative_cy_rejected(self, unit_fm, medium_grid):
+    def test_negative_cy_rejected(self, unit_fm):
         with pytest.raises(ValueError):
-            likelihood_vector(-0.1, medium_grid, unit_fm, LikelihoodConfig(1.0))
+            conjugate_terms(-0.1, unit_fm, LikelihoodConfig(1.0))
         with pytest.raises(ValueError):
-            likelihood_vector(np.array([1.0, -0.1]), medium_grid, unit_fm, LikelihoodConfig(1.0))
+            conjugate_terms(np.array([1.0, -0.1]), unit_fm, LikelihoodConfig(1.0))
 
-    def test_array_of_measurements_equals_scalar_calls(self, medium_grid):
+    def test_array_of_measurements_equals_scalar_calls(self):
         fm = ForwardModel(2.3, 0.7)
         cfg = LikelihoodConfig(0.37)
         cys = np.array([0.0, 0.013, 0.4, 1.7, 2.2, 9.0])
-        rows = likelihood_vector(cys, medium_grid, fm, cfg)
-        assert rows.shape == (cys.size, medium_grid.n_points)
-        for cy, row in zip(cys, rows):
-            assert np.array_equal(row, likelihood_vector(float(cy), medium_grid, fm, cfg))
+        a, b = conjugate_terms(cys, fm, cfg)
+        assert b.shape == cys.shape
+        for cy, b_one in zip(cys, b):
+            assert conjugate_terms(float(cy), fm, cfg) == (a, b_one)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ConfigError):
@@ -125,40 +149,82 @@ class TestLikelihoodVector:
         with pytest.raises(ConfigError):
             LikelihoodConfig(sigma)
 
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-160, MIN_SIGMA_E * 0.999])
+    def test_sigma_whose_precision_overflows_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="1/sigma_e"):
+            LikelihoodConfig(sigma)
+        a, _ = conjugate_terms(1.0, ForwardModel(1.0, 1.0), LikelihoodConfig(MIN_SIGMA_E))
+        assert math.isfinite(a)
+
+
+class TestLogGridMass:
+    """log Z against the exact log-sum-exp over the grid."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.sampled_from([DEFAULT_GRID, QGrid(1.0, 2.0, 0.01)]),
+        steps=st.floats(-3.0, 4.0),
+        where=st.floats(-50.0, 50.0),
+        across=st.floats(0.0, 1.0),
+    )
+    def test_matches_exact_sum(self, grid, steps, where, across):
+        # sigma_q from 1e-3 to 1e4 grid steps, the mode anywhere from 50
+        # sigma_q below the grid to 50 sigma_q above it.
+        width = grid.dq * 10.0**steps
+        low, high = grid.q_min - 50.0 * width, grid.q_max + 50.0 * width
+        mode = min(max(low + across * (high - low) + where * width, low), high)
+        precision = width**-2.0
+        got = float(log_grid_mass(grid, precision, mode))
+        assert abs(got - exact_log_mass(grid, precision, mode)) <= 1e-11
+
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, QGrid(1.0, 2.0, 0.01)])
+    def test_flat_row(self, grid):
+        assert float(log_grid_mass(grid, 0.0, 0.0)) == pytest.approx(
+            math.log(grid.q_max - grid.q_min), abs=1e-12
+        )
+
+    def test_each_path_on_one_call(self):
+        grid = DEFAULT_GRID
+        precision = np.array([0.0, 1e8, 16.0, 16.0, 1e4, 1.0])
+        mode = np.array([0.0, 2.5, 2.5, 0.3, 5.2, -3.0])
+        got = log_grid_mass(grid, precision, mode)
+        expected = [exact_log_mass(grid, p, m) for p, m in zip(precision, mode)]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
+
 
 class TestBayesUpdate:
+    """The package's rate posterior, built from summed conjugate terms,
+    against the oracle's grid-product chain."""
+
     def test_flat_prior_gives_normalized_likelihood(self, unit_fm, medium_grid):
         cfg = LikelihoodConfig(0.4)
-        prior = uniform_prior(medium_grid)
-        post = bayes_update(prior, 1.7, unit_fm, cfg)
+        post = posterior_of([1.7], medium_grid, unit_fm, cfg)
         lik = likelihood_vector(1.7, medium_grid, unit_fm, cfg)
         expected = lik / grid_integrate(medium_grid, lik)
-        assert np.allclose(post.density, expected, rtol=1e-12)
+        np.testing.assert_allclose(post.density, expected, rtol=1e-12)
 
     def test_repeat_update_shrinks_std_by_root_two(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
         cfg = LikelihoodConfig(0.3)
-        one = bayes_update(uniform_prior(grid), 2.0, unit_fm, cfg)
-        two = bayes_update(one, 2.0, unit_fm, cfg)
-        _, std_one = posterior_mean_std(one)
-        _, std_two = posterior_mean_std(two)
+        _, std_one = posterior_mean_std(posterior_of([2.0], grid, unit_fm, cfg))
+        _, std_two = posterior_mean_std(posterior_of([2.0, 2.0], grid, unit_fm, cfg))
         assert std_two / std_one == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-3)
 
     def test_flat_likelihood_is_identity(self, unit_fm, medium_grid):
-        prior = bayes_update(
-            uniform_prior(medium_grid), 1.2, unit_fm, LikelihoodConfig(0.5)
-        )
-        post = bayes_update(prior, 2.0, unit_fm, LikelihoodConfig(1e6))
+        a1, b1 = conjugate_terms(1.2, unit_fm, LikelihoodConfig(0.5))
+        a2, b2 = conjugate_terms(2.0, unit_fm, LikelihoodConfig(1e6))
+        prior = conjugate_posterior(medium_grid, a1, float(b1) / a1)
+        post = conjugate_posterior(medium_grid, a1 + a2, float(b1 + b2) / (a1 + a2))
         assert np.max(np.abs(post.density - prior.density)) < 1e-10
 
     def test_incompatible_measurement_raises(self, unit_fm, medium_grid):
-        with pytest.raises(MeasurementIncompatibleError):
-            bayes_update(
-                uniform_prior(medium_grid), 5.2, unit_fm, LikelihoodConfig(1e-3)
-            )
+        # Far above the grid and narrow: the density at q_max, which no
+        # integral weights, exceeds the float range.
+        with pytest.raises(MeasurementIncompatibleError, match="overflows"):
+            posterior_of([5.2], medium_grid, unit_fm, LikelihoodConfig(1e-3))
 
-    # sigma floor keeps successive likelihoods overlapping in float range;
-    # narrower scales can legitimately raise the incompatibility error.
+    # sigma floor keeps the oracle's successive likelihoods overlapping in
+    # float range, so its grid product needs no log-space fallback.
     @given(
         cys=st.lists(st.floats(0.0, 4.5), min_size=1, max_size=6),
         sigma=st.floats(0.2, 2.0),
@@ -167,11 +233,13 @@ class TestBayesUpdate:
     def test_posterior_always_normalized(self, cys, sigma):
         fm = ForwardModel(1.0, 1.0)
         grid = QGrid(0.0, 5.0, 0.05)
-        post = uniform_prior(grid)
         cfg = LikelihoodConfig(sigma)
-        for cy in cys:
-            post = bayes_update(post, cy, fm, cfg)
+        chain = uniform_prior(grid)
+        for n in range(1, len(cys) + 1):
+            post = posterior_of(cys[:n], grid, fm, cfg)
+            chain = bayes_update(chain, cys[n - 1], fm, cfg)
             assert grid_integrate(grid, post.density) == pytest.approx(1.0, abs=1e-8)
+            np.testing.assert_allclose(post.density, chain.density, rtol=1e-9, atol=1e-12)
 
     @given(
         cys=st.lists(st.floats(0.5, 3.5), min_size=2, max_size=8, unique=True).flatmap(
@@ -184,12 +252,8 @@ class TestBayesUpdate:
         fm = ForwardModel(1.0, 1.0)
         grid = QGrid(0.0, 5.0, 0.05)
         cfg = LikelihoodConfig(0.5)
-        a = uniform_prior(grid)
-        b = uniform_prior(grid)
-        for cy in original:
-            a = bayes_update(a, cy, fm, cfg)
-        for cy in shuffled:
-            b = bayes_update(b, cy, fm, cfg)
+        a = posterior_of(original, grid, fm, cfg)
+        b = posterior_of(shuffled, grid, fm, cfg)
         scale = np.max(a.density)
         assert np.max(np.abs(a.density - b.density)) <= 1e-10 * scale
 
@@ -197,14 +261,14 @@ class TestBayesUpdate:
 class TestGridRefinement:
     def test_mode_stable_under_halving(self, unit_fm):
         cfg = LikelihoodConfig(0.3)
-        coarse = bayes_update(uniform_prior(QGrid(0.0, 5.0, 0.02)), 1.234, unit_fm, cfg)
-        fine = bayes_update(uniform_prior(QGrid(0.0, 5.0, 0.01)), 1.234, unit_fm, cfg)
+        coarse = posterior_of([1.234], QGrid(0.0, 5.0, 0.02), unit_fm, cfg)
+        fine = posterior_of([1.234], QGrid(0.0, 5.0, 0.01), unit_fm, cfg)
         assert abs(posterior_mode(coarse) - posterior_mode(fine)) <= 0.02
 
     def test_moments_near_fine_reference(self, unit_fm):
         cfg = LikelihoodConfig(0.3)
-        coarse = bayes_update(uniform_prior(QGrid(0.0, 5.0, 0.02)), 1.234, unit_fm, cfg)
-        ref = bayes_update(uniform_prior(QGrid(0.0, 5.0, 0.002)), 1.234, unit_fm, cfg)
+        coarse = posterior_of([1.234], QGrid(0.0, 5.0, 0.02), unit_fm, cfg)
+        ref = posterior_of([1.234], QGrid(0.0, 5.0, 0.002), unit_fm, cfg)
         mean_c, std_c = posterior_mean_std(coarse)
         mean_r, std_r = posterior_mean_std(ref)
         assert abs(mean_c - mean_r) <= 0.02**2
@@ -252,13 +316,13 @@ class TestPosteriorSummaries:
 
     def test_mode_tracks_measurement(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
-        post = bayes_update(uniform_prior(grid), 1.2345, unit_fm, LikelihoodConfig(0.4))
+        post = posterior_of([1.2345], grid, unit_fm, LikelihoodConfig(0.4))
         assert abs(posterior_mode(post) - 1.2345) <= grid.dq
 
     def test_mode_tracks_scaled_measurement(self):
         fm = ForwardModel(2.0, 1.0)
         grid = QGrid(0.0, 5.0, 0.005)
-        post = bayes_update(uniform_prior(grid), 1.1, fm, LikelihoodConfig(0.4))
+        post = posterior_of([1.1], grid, fm, LikelihoodConfig(0.4))
         assert abs(posterior_mode(post) - 2.2) <= grid.dq
 
     def test_flat_moments(self):
@@ -299,10 +363,8 @@ class TestConsistency:
         hits = 0
         trials = 500
         for _ in range(trials):
-            post = uniform_prior(grid)
             cys = np.clip(q_true + sigma * rng.standard_normal(n_updates), 0.0, None)
-            for cy in cys:
-                post = bayes_update(post, float(cy), unit_fm, cfg)
+            post = posterior_of(cys, grid, unit_fm, cfg)
             if abs(posterior_mode(post) - q_true) <= bound:
                 hits += 1
         assert hits / trials >= 0.99
