@@ -32,25 +32,32 @@ with z_j = (c - r mode_j) / sigma and Z_j' the Z of the updated row, which
 hypothesis j + 1 stores next, so a step computes one log Z per
 hypothesis. The scaling predictive reads each row at the two grid points
 around q* = c / r. A row is built, in O(n), only for a report or event.
+
+A hypothesis's (A, mode, log Z) and both predictives depend on the
+measurements and the noise scale alone, never on the weights, so
+``RunLengthState.advance`` computes them for a block of up to
+``PASS_BLOCK`` passes at once and keeps only the O(k) weight recursion
+pass by pass. Every value gets the arithmetic of a one-pass step, in the
+same order, so a block leaves the bits of its passes taken one at a time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Literal, get_args
+from typing import Literal, NamedTuple, Sequence, get_args
 
 import numpy as np
 
 from .inference import (
     HALF_LOG_2PI,
     LOG_MAX_FLOAT,
+    NEGATIVE_CONCENTRATION,
     POSTERIOR_OVERFLOW,
-    EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    conjugate_posterior,
+    closed_form_log_mass,
     conjugate_terms,
-    log_grid_mass,
+    window_log_mass,
 )
 from .transport import ForwardModel
 
@@ -64,6 +71,34 @@ DEFAULT_PREDICTIVE_METHOD: PredictiveMethod = "marginal"
 # has likelihood below exp(-1250) / (sigma sqrt(2 pi)), 0 for any sigma, so
 # it is impossible under every hypothesis and kept out of the arithmetic.
 FAR_SIGMAS = 50.0
+
+# Passes one ``RunLengthState.advance`` call folds in. A stream's
+# hypotheses are computed for the rest of its block after its alarm, work
+# that is thrown away: on the benchmark's sweep_grid cells (28-pass
+# instances), 8-pass blocks compute 7.6 % more hypothesis rows than the
+# passes taken need, 28-pass blocks 43 %.
+PASS_BLOCK = 8
+
+IMPOSSIBLE = "observation impossible under all run-length hypotheses"
+
+
+class Steps(NamedTuple):
+    """What one ``RunLengthState.advance`` call did to each stream b.
+
+    Stream b took the block's first ``done[b]`` passes and stopped at the
+    last of them if it alarmed there (``alarm[b]``) or failed there
+    (``errors[b]``, the reason). For j < ``done[b]``, ``cp[b, j]`` is its
+    changepoint probability after pass j, and ``precision[j]``,
+    ``mode[b, j]`` and ``log_mass[b, j]`` are its full-run row.
+    """
+
+    done: np.ndarray
+    alarm: np.ndarray
+    errors: dict[int, str]
+    cp: np.ndarray
+    precision: np.ndarray
+    mode: np.ndarray
+    log_mass: np.ndarray
 
 
 class RunLengthState:
@@ -95,114 +130,253 @@ class RunLengthState:
         self.mode, self.log_mass = self.mode[keep], self.log_mass[keep]
         self.weights, self.log_evidence = self.weights[keep], self.log_evidence[keep]
 
-    def full_run_posterior(self) -> EmissionPosterior:
-        """The full-run rate posterior of the first stream, built in O(n)."""
-        return conjugate_posterior(
-            self.grid, self.precision[0], self.mode[0, 0], self.log_mass[0, 0]
-        )
-
     def advance(
         self,
         cys: np.ndarray,
-        fm: ForwardModel,
+        fms: Sequence[ForwardModel],
         cfg: LikelihoodConfig,
         lam: float,
         method: PredictiveMethod,
         prune_threshold: float,
-    ) -> dict[int, str]:
-        """Fold one measurement per stream, ``cys`` of shape (B,), into the state.
+        threshold: float,
+    ) -> Steps:
+        """Fold a block of passes, ``cys`` of shape (B, passes) with
+        ``fms[j]`` the forward model of pass j, into the state.
 
-        Returns the reason for each stream whose measurement is impossible
-        under every hypothesis, or whose full-run density overflows at the
-        top of the grid; the new state of such a stream is meaningless.
-        Raises ``ValueError`` for a configuration no stream can run.
+        Each stream stops at its first alarm, a changepoint probability of
+        at least ``threshold``, or at its first failure: a measurement
+        impossible under every hypothesis, or a full-run density that
+        overflows at the top of the grid. The state then holds the values
+        after the last pass taken; a stream that stopped before it, or
+        failed, is meaningless there and is dropped with ``select``.
+
+        A pass whose configuration no stream can run ends the block before
+        it; its ``ValueError`` is raised when it is the block's first pass.
         """
         if not lam > 1:
             raise ValueError("expected run length lambda must exceed 1")
         if method not in get_args(PredictiveMethod):
             raise ValueError(f"unknown predictive method {method!r}")
-        grid, k = self.grid, self.k
-        # r as forward_concentration(1.0, fm) computes it.
-        ratio = fm.dispersion_factor_per_m / fm.advection_velocity_mps
-        sigma = cfg.sigma_e
-        far = ~(cys <= ratio * grid.q_max + FAR_SIGMAS * sigma)
-        if far.any():
-            cys = np.where(far, ratio * grid.q_max, cys)
-        a, b = conjugate_terms(cys, fm, cfg)
-        if not a < math.inf:
-            raise ValueError("forward ratio over sigma_e overflows the rate precision")
+        grid, k0, sigma = self.grid, self.k, cfg.sigma_e
+        n_streams, n_block = cys.shape
+        # A pass the configuration rejects ends the block before it and is
+        # raised as the block's first pass, its checks in this order.
+        negative = (cys < 0).any(axis=0).tolist()
+        ratios = []
+        for p, fm in enumerate(fms):
+            # r as forward_concentration(1.0, fm) computes it, and r / sigma
+            # as conjugate_terms does.
+            ratio = fm.dispersion_factor_per_m / fm.advection_velocity_mps
+            scale = ratio / sigma
+            if negative[p]:
+                problem = NEGATIVE_CONCENTRATION
+            elif not scale * scale < math.inf:
+                problem = "forward ratio over sigma_e overflows the rate precision"
+            elif method == "scaling" and fm.dispersion_factor_per_m <= 0:
+                problem = "scaling predictive needs a positive dispersion factor"
+            else:
+                ratios.append(ratio)
+                continue
+            if p == 0:
+                raise ValueError(problem)
+            cys, fms, n_block = cys[:, :p], fms[:p], p
+            break
 
-        live = slice(0, k + 2)
-        precision, mode, log_mass = self.precision[live], self.mode[:, live], self.log_mass[:, live]
-        new_precision = precision + a
-        if a > 0:
-            new_mode = (precision * mode + b[:, np.newaxis]) / new_precision
-            new_log_mass = log_grid_mass(grid, new_precision, new_mode)
-            half_shrink = 0.5 * precision / new_precision
-        else:
-            # A forward ratio of 0: no pass says anything about the rate.
-            new_mode, new_log_mass, half_shrink = mode, log_mass, 0.5
-        if method == "marginal":
-            z = (cys[:, np.newaxis] - ratio * mode) / sigma
-            log_pis = new_log_mass - log_mass - half_shrink * z * z
-            pis = np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
-        else:
-            pis = self._scaled_density(cys, fm, precision, mode, log_mass)
-        pis[far] = 0.0
+        ratios = np.array(ratios)
+        far = ~(cys <= ratios * grid.q_max + FAR_SIGMAS * sigma)
+        used = np.where(far, ratios * grid.q_max, cys)
+        a, b = conjugate_terms(used, fms, cfg)
+        # Row p of these holds the state before pass p of the block, row
+        # p + 1 after it; slots past k0 + p + 1 keep the flat prior.
+        width = k0 + n_block + 1
+        hypotheses = np.arange(width) <= k0 + 1 + np.arange(n_block)[:, np.newaxis]
+        precision = np.add.accumulate(
+            np.vstack([self.precision[:width], np.where(hypotheses, a[:, np.newaxis], 0.0)])
+        )
+        mode = np.empty((n_streams, n_block + 1, width))
+        mode[:] = self.mode[:, np.newaxis, :width]
+        copies = np.flatnonzero(a == 0).tolist()
+        for p in range(n_block):
+            if p in copies:
+                # A forward ratio of 0: the pass says nothing about the rate.
+                mode[:, p + 1] = mode[:, p]
+                continue
+            live = slice(0, k0 + p + 2)
+            # (A mode + b) / A', in place
+            after = np.multiply(precision[p, live], mode[:, p, live], out=mode[:, p + 1, live])
+            after += b[:, p, np.newaxis]
+            after /= precision[p + 1, live]
+        fresh = hypotheses & (a > 0)[:, np.newaxis]
+        if method == "scaling":
+            inverses = np.array([fm.advection_velocity_mps / fm.dispersion_factor_per_m for fm in fms])
+
+        # log Z of every hypothesis of every pass in one call, less the rows
+        # of the exact windowed sum, whose bits depend on the rows summed
+        # with them: a pass computes those for its running streams alone.
+        log_mass = np.empty((n_streams, n_block + 1, width))
+        log_mass[:, 0] = self.log_mass[:, :width]
+        values, window = closed_form_log_mass(grid, precision[1:], mode[:, 1:])
+        log_mass[:, 1:] = np.where(fresh, values, self.log_mass[:, np.newaxis, :width])
+        window &= fresh
+        for p in copies:
+            log_mass[:, p + 1] = log_mass[:, p]
+            if p:
+                window[:, p] = window[:, p - 1]
+        deferred = window.any(axis=(0, 2)).tolist()
+        suspect = (log_mass[:, 1:, 0] < -LOG_MAX_FLOAT).any(axis=0).tolist()
+
+        # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
+        half_shrink = np.divide(
+            0.5 * precision[:-1], precision[1:], out=np.full((n_block, width), 0.5),
+            where=precision[1:] > 0,
+        )
+        half_shrink[copies] = 0.5
+
+        def predictive(rows, p, after):
+            """Predictive densities of the streams ``rows`` at the passes
+            ``p``, an index or a slice, whose states after them are ``after``."""
+            old = np.s_[rows, p]
+            if method == "marginal":
+                pis = _marginal_density(
+                    used[rows, p], ratios[p], sigma, mode[old], log_mass[old],
+                    log_mass[rows, after], half_shrink[p],
+                )
+            else:
+                pis = _scaled_density(
+                    grid, used[rows, p], inverses[p], precision[p], mode[old], log_mass[old]
+                )
+            pis[far[rows, p]] = 0.0
+            return pis
+
+        pis = predictive(slice(None), slice(0, n_block), slice(1, n_block + 1))
 
         h = 1.0 / lam
-        unnormalized = np.empty((cys.size, k + 2))
-        unnormalized[:, 0] = h * pis[:, k + 1] * self.weights.sum(axis=1)
-        unnormalized[:, 1:] = self.weights * (1.0 - h) * pis[:, k::-1]
-        evidence = unnormalized.sum(axis=1)
+        weights = self.weights
+        running = np.arange(n_streams)
+        done = np.full(n_streams, n_block)
+        alarm = np.zeros(n_streams, dtype=bool)
         errors: dict[int, str] = {}
-        # Scalar tests first: one stream's arrays are too small for a mask
-        # to pay off, and a NaN fails them too.
-        if not (evidence.min() > 0 and evidence.max() < math.inf):
-            possible = (evidence > 0) & np.isfinite(evidence)
-            impossible = "observation impossible under all run-length hypotheses"
-            errors = dict.fromkeys(np.flatnonzero(~possible).tolist(), impossible)
-            # Placeholders keep the failed streams' arithmetic below finite.
-            unnormalized[~possible] = 1.0
-            evidence[~possible] = 1.0
-        weights = unnormalized / evidence[:, np.newaxis]
-        weights[weights < prune_threshold] = 0.0
-        weights /= weights.sum(axis=1, keepdims=True)
-        # A row's log density is at most -log Z, so only then can the
-        # full-run row's peak, at the grid point nearest its mode, overflow.
-        if new_log_mass[:, 0].min() < -LOG_MAX_FLOAT:
-            at = np.rint((np.clip(new_mode[:, 0], grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
-            offset = grid.values[at.astype(int)] - new_mode[:, 0]
-            peak = -0.5 * new_precision[0] * offset**2 - new_log_mass[:, 0]
-            for s in np.flatnonzero(~(peak <= LOG_MAX_FLOAT)).tolist():
-                errors.setdefault(s, POSTERIOR_OVERFLOW)
+        cp = np.empty((n_streams, n_block))
+        evidences = np.ones((n_streams, n_block))
+        # ufunc reductions, not array methods: a pass's arrays are small
+        # enough that the methods' Python wrappers cost more than the sums.
+        add, least, most = np.add.reduce, np.minimum.reduce, np.fmax.reduce
+        for p in range(n_block):
+            k = k0 + p
+            rows = running if running.size < n_streams else slice(None)
+            if deferred[p]:
+                if p in copies:
+                    log_mass[rows, p + 1] = log_mass[rows, p]
+                else:
+                    todo = window[rows, p]
+                    filled = log_mass[rows, p + 1]
+                    filled[todo] = window_log_mass(
+                        grid, np.broadcast_to(precision[p + 1], todo.shape)[todo],
+                        mode[rows, p + 1][todo],
+                    )
+                    log_mass[rows, p + 1] = filled
+            if deferred[p] or (p and deferred[p - 1]):
+                pis[rows, p] = predictive(rows, p, p + 1)
+            pis_p = pis[rows, p]
 
-        self.precision[live] = new_precision
-        self.mode[:, live] = new_mode
-        self.log_mass[:, live] = new_log_mass
+            unnormalized = np.empty((weights.shape[0], k + 2))
+            np.multiply(h * pis_p[:, k + 1], add(weights, axis=1), out=unnormalized[:, 0])
+            np.multiply(weights * (1.0 - h), pis_p[:, k::-1], out=unnormalized[:, 1:])
+            evidence = add(unnormalized, axis=1)
+            failed: dict[int, str] = {}
+            # Scalar tests first: one stream's arrays are too small for a mask
+            # to pay off, and a NaN fails them too.
+            if not (least(evidence) > 0 and most(evidence) < math.inf):
+                possible = (evidence > 0) & np.isfinite(evidence)
+                failed = dict.fromkeys(np.flatnonzero(~possible).tolist(), IMPOSSIBLE)
+                # Placeholders keep the failed streams' arithmetic below finite.
+                unnormalized[~possible] = 1.0
+                evidence[~possible] = 1.0
+            weights = unnormalized / evidence[:, np.newaxis]
+            weights[weights < prune_threshold] = 0.0
+            weights /= add(weights, axis=1, keepdims=True)
+            if suspect[p] or deferred[p]:
+                for s in _top_overflows(
+                    grid, precision[p + 1, 0], mode[rows, p + 1, 0], log_mass[rows, p + 1, 0]
+                ):
+                    failed.setdefault(s, POSTERIOR_OVERFLOW)
+            evidences[rows, p] = evidence
+            cp[rows, p] = changepoint = weights[:, 0]
+            if failed or most(changepoint) >= threshold:
+                stop = changepoint >= threshold
+                stop[list(failed)] = True
+                stopped = running[stop]
+                done[stopped] = p + 1
+                alarm[stopped] = True
+                for s, reason in failed.items():
+                    alarm[running[s]] = False
+                    errors[int(running[s])] = reason
+                running, weights = running[~stop], weights[~stop]
+                if running.size == 0:
+                    break
+        taken = int(done.max())
+        # One pass at a time, as the log evidence sums.
+        self.log_evidence = np.add.accumulate(
+            np.column_stack([self.log_evidence, np.log(evidences[:, :taken])]), axis=1
+        )[:, -1]
+
+        self.precision[:width] = precision[taken]
+        self.mode[:, :width] = mode[:, taken]
+        self.log_mass[:, :width] = log_mass[:, taken]
+        if running.size < n_streams:
+            kept = np.zeros((n_streams, k0 + taken + 1))
+            kept[running] = weights
+            weights = kept
         self.weights = weights
-        self.log_evidence += np.log(evidence)
-        return errors
+        return Steps(
+            done,
+            alarm,
+            errors,
+            cp[:, :taken],
+            precision[1 : taken + 1, 0],
+            mode[:, 1 : taken + 1, 0],
+            log_mass[:, 1 : taken + 1, 0],
+        )
 
-    def _scaled_density(self, cys, fm, precision, mode, log_mass) -> np.ndarray:
-        """Change-of-variables predictive density of every hypothesis, (B, k + 2).
 
-        Each row is linearly interpolated at q* = cy u / D, the rate its
-        stream's measurement maps back to. A q* outside the grid, or a row
-        read that overflows, gives every hypothesis of the stream density 0.
-        """
-        if fm.dispersion_factor_per_m <= 0:
-            raise ValueError("scaling predictive needs a positive dispersion factor")
-        ratio = fm.advection_velocity_mps / fm.dispersion_factor_per_m
-        grid = self.grid
-        q_star = cys * ratio
-        inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
-        pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
-        j0 = np.minimum(pos.astype(int), grid.n_points - 2)
-        frac = (pos - j0)[:, np.newaxis]
-        offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
-            pis = (lo * (1.0 - frac) + hi * frac) * ratio
-        pis[~(inside & np.isfinite(pis).all(axis=1))] = 0.0
-        return pis
+def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shrink):
+    """Marginal predictive density of each hypothesis; the last axis of the
+    arrays runs over hypotheses, ``cys`` and ``ratio`` lack it."""
+    z = (cys[..., np.newaxis] - np.asarray(ratio)[..., np.newaxis] * mode) / sigma
+    log_pis = new_log_mass - log_mass - half_shrink * z * z
+    return np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
+
+
+def _scaled_density(grid, cys, ratio, precision, mode, log_mass) -> np.ndarray:
+    """Change-of-variables predictive density of each hypothesis, shaped as
+    in ``_marginal_density``.
+
+    Each row is linearly interpolated at q* = cy ``ratio``, ratio = u / D,
+    the rate its measurement maps back to. A q* outside the grid, or a row
+    read that overflows, gives every hypothesis of the measurement density 0.
+    """
+    ratio = np.asarray(ratio)
+    q_star = cys * ratio
+    inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
+    pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
+    j0 = np.minimum(pos.astype(int), grid.n_points - 2)
+    frac = (pos - j0)[..., np.newaxis]
+    offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
+        pis = (lo * (1.0 - frac) + hi * frac) * ratio[..., np.newaxis]
+    pis[~(inside & np.isfinite(pis).all(axis=-1))] = 0.0
+    return pis
+
+
+def _top_overflows(grid: QGrid, precision: float, mode: np.ndarray, log_mass: np.ndarray) -> list[int]:
+    """Streams whose full-run row, (A, mode, log Z) with the (streams,)
+    arrays, has a density past the float range."""
+    # A row's log density is at most -log Z, so only then can the
+    # full-run row's peak, at the grid point nearest its mode, overflow.
+    if not log_mass.min() < -LOG_MAX_FLOAT:
+        return []
+    at = np.rint((np.clip(mode, grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
+    offset = grid.values[at.astype(int)] - mode
+    peak = -0.5 * precision * offset**2 - log_mass
+    return np.flatnonzero(~(peak <= LOG_MAX_FLOAT)).tolist()

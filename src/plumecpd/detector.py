@@ -11,13 +11,14 @@ passes after the first detected change, reflecting that post-change
 rates are no longer pinned by a controlled release.
 
 Both entry points hold a ``bocd.RunLengthState`` and advance it through
-its one per-pass step, which also checks the full-run row.
-``detect_series`` runs one stream to its end, builds the full-run row for
-each pass report and starts a fresh state at each alarm.
-``first_alarms`` serves Monte Carlo scoring, which needs only each
-stream's first alarm: it advances a whole block of equal-length streams
-in lockstep, never builds a row, drops a stream at its first alarm and
-never processes the passes after it.
+its one step, which takes up to ``PASS_BLOCK`` passes, stops a stream at
+its first alarm or failure, and also checks the full-run row.
+``detect_series`` runs one stream to its end, builds the full-run rows of
+a block's pass reports together and, after an alarm, starts a fresh state
+at the next pass. ``first_alarms`` serves Monte Carlo scoring, which needs
+only each stream's first alarm: it advances a whole block of
+equal-length streams in lockstep, never builds a row, drops a stream at
+its first alarm and never takes the passes after it.
 """
 
 from __future__ import annotations
@@ -32,20 +33,27 @@ from .bocd import (
     DEFAULT_LAMBDA,
     DEFAULT_PREDICTIVE_METHOD,
     DEFAULT_PRUNE_THRESHOLD,
+    PASS_BLOCK,
     PredictiveMethod,
     RunLengthState,
 )
 from .errors import DetectionError, MeasurementIncompatibleError
 from .inference import (
     DEFAULT_GRID,
+    NEGATIVE_CONCENTRATION,
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    posterior_mean_std,
-    posterior_mode,
+    conjugate_densities,
+    conjugate_posterior,
+    row_moments,
     uniform_prior,
 )
 from .transport import ForwardModel
+
+# Grid values a batch of report rows may hold: at most about 8 MiB an
+# array, and one row at a time on a grid past 2^20 points.
+REPORT_BATCH_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -121,51 +129,68 @@ def detect_series(
     fms = _forward_models_per_pass(fms, cys.size)
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
+    elif len(pass_indices) != cys.size:
+        raise ValueError("need one pass index per pass")
 
-    flat = uniform_prior(cfg.grid)
+    grid = cfg.grid
+    rows_per_batch = max(1, REPORT_BATCH_POINTS // grid.n_points)
+    flat = uniform_prior(grid)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-    state = RunLengthState(1, cys.size, cfg.grid)
-    posterior = flat
+    state = RunLengthState(1, cys.size, grid)
+    # The full-run rows after the last pass taken and after the one before.
+    previous = last = flat.density
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
-    for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
-        previous = posterior
+    start = 0
+    while start < cys.size:
+        stop = min(start + PASS_BLOCK, cys.size)
         try:
-            errors = state.advance(
-                cy, fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
+            steps = state.advance(
+                cys[np.newaxis, start:stop], fms[start:stop], lik_cfg, cfg.lam,
+                cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD, cfg.threshold,
             )
-            if errors:
-                raise MeasurementIncompatibleError(errors[0])
-            posterior = state.full_run_posterior()
-        except (MeasurementIncompatibleError, ValueError) as exc:
-            raise DetectionError(f"pass {idx}: {exc}") from exc
-        cp = float(state.weights[0, 0])
-        mean, std = posterior_mean_std(posterior)
-        reports.append(
-            PassReport(
-                pass_index=int(idx),
-                cy_g_per_m2=float(cy[0]),
-                changepoint_probability=cp,
-                mode_g_per_s=posterior_mode(posterior),
-                mean_g_per_s=mean,
-                std_g_per_s=std,
-            )
-        )
-        if cp >= cfg.threshold:
+        except ValueError as exc:
+            raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
+        done = int(steps.done[0])
+        failure = steps.errors.get(0)
+        cps = steps.cp[0].tolist()
+        # A pass that failed has no row to report.
+        built = done - 1 if failure is not None else done
+        for lo in range(0, built, rows_per_batch):
+            batch = slice(lo, min(lo + rows_per_batch, built))
+            precision = steps.precision[batch]
+            mode, log_mass = steps.mode[0, batch], steps.log_mass[0, batch]
+            densities, good = conjugate_densities(grid, precision, mode, log_mass)
+            if good < len(densities):
+                try:  # raises the row's error
+                    conjugate_posterior(grid, precision[good], mode[good], log_mass[good])
+                except (MeasurementIncompatibleError, ValueError) as exc:
+                    raise DetectionError(f"pass {pass_indices[start + lo + good]}: {exc}") from exc
+            means, stds = row_moments(grid, densities)
+            modes = grid.values[np.argmax(densities, axis=1)]
+            for j, values in enumerate(zip(modes.tolist(), means.tolist(), stds.tolist()), lo):
+                reports.append(
+                    PassReport(int(pass_indices[start + j]), float(cys[start + j]), cps[j], *values)
+                )
+            previous, last = (densities[-2] if len(densities) > 1 else last), densities[-1]
+        if failure is not None:
+            raise DetectionError(f"pass {pass_indices[start + done - 1]}: {failure}")
+        if steps.alarm[0]:
             events.append(
                 DetectionEvent(
-                    pass_index=int(idx),
-                    changepoint_probability=cp,
-                    pre_change_posterior=previous,
+                    pass_index=int(pass_indices[start + done - 1]),
+                    changepoint_probability=cps[done - 1],
+                    pre_change_posterior=EmissionPosterior(grid, previous),
                     regime_index=len(events) + 1,
                 )
             )
             # The triggering measurement is treated as the first of the
             # new regime and is not folded into the reset state.
-            state = RunLengthState(1, cys.size, cfg.grid)
-            posterior = flat
+            state = RunLengthState(1, cys.size, grid)
+            last = flat.density
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
+        start += done
     return reports, events
 
 
@@ -180,7 +205,7 @@ def first_alarms(
     0.0 where there is none. The whole block advances in lockstep through
     the step ``detect_series`` uses, with the same arithmetic and the same
     checks; each stream leaves the block at its first alarm, so a pass
-    after it is never processed and cannot fail.
+    after it is never taken and cannot fail.
 
     Raises ``DetectionError`` for the lowest-index stream that fails at or
     before its first alarm, with ``instance`` set to its row.
@@ -189,7 +214,7 @@ def first_alarms(
     if cys.ndim != 2 or cys.shape[1] == 0:
         raise ValueError("need a 2-D block of non-empty streams")
     if np.any(cys < 0):
-        raise ValueError("integrated concentration must be non-negative")
+        raise ValueError(NEGATIVE_CONCENTRATION)
     n_streams, n_passes = cys.shape
     passes = np.zeros(n_streams, dtype=int)
     cps = np.zeros(n_streams)
@@ -197,29 +222,29 @@ def first_alarms(
     state = RunLengthState(n_streams, n_passes, cfg.grid)
     live = np.arange(n_streams)
     failures: dict[int, str] = {}
-    for k in range(n_passes):
+    start = 0
+    while start < n_passes and live.size:
+        stop = min(start + PASS_BLOCK, n_passes)
         try:
-            errors = state.advance(
-                cys[live, k], fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
+            steps = state.advance(
+                cys[live, start:stop], [fm] * (stop - start), lik_cfg, cfg.lam,
+                cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD, cfg.threshold,
             )
         except ValueError as exc:
             # A configuration the core rejects fails every stream alike.
-            failures.update(dict.fromkeys(live.tolist(), f"pass {k + 1}: {exc}"))
+            failures.update(dict.fromkeys(live.tolist(), f"pass {start + 1}: {exc}"))
             break
-        cp = state.weights[:, 0]
-        failed = np.zeros(live.size, dtype=bool)
-        for b, reason in errors.items():
-            failures[int(live[b])] = f"pass {k + 1}: {reason}"
-            failed[b] = True
-        alarm = (cp >= cfg.threshold) & ~failed
-        passes[live[alarm]] = k + 1
-        cps[live[alarm]] = cp[alarm]
-        keep = ~(alarm | failed)
+        keep = ~steps.alarm
+        for b, reason in steps.errors.items():
+            failures[int(live[b])] = f"pass {start + steps.done[b]}: {reason}"
+            keep[b] = False
+        alarmed = np.flatnonzero(steps.alarm)
+        passes[live[alarmed]] = start + steps.done[alarmed]
+        cps[live[alarmed]] = steps.cp[alarmed, steps.done[alarmed] - 1]
         if not keep.all():
             live = live[keep]
-            if live.size == 0:
-                break
             state.select(keep)
+        start += steps.cp.shape[1]
     if failures:
         row = min(failures)
         raise DetectionError(failures[row], instance=row)

@@ -43,6 +43,7 @@ WINDOW_BLOCK_POINTS = 2**16
 LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 POSTERIOR_OVERFLOW = "rate posterior density overflows at the top of the grid"
+NEGATIVE_CONCENTRATION = "integrated concentration must be non-negative"
 
 
 @dataclass(frozen=True)
@@ -129,17 +130,21 @@ def uniform_prior(grid: QGrid) -> EmissionPosterior:
 
 
 def conjugate_terms(
-    cy: float | np.ndarray, fm: ForwardModel, cfg: LikelihoodConfig
-) -> tuple[float, np.ndarray]:
+    cy: float | np.ndarray, fm: ForwardModel | Sequence[ForwardModel], cfg: LikelihoodConfig
+) -> tuple[float | np.ndarray, np.ndarray]:
     """(a, b) with a = r^2 / sigma^2 and b = r cy / sigma^2 (an array shaped
     like ``cy``): with the forward map c = r q, a pass's likelihood is
-    exp(b q - a q^2 / 2) times a factor free of q."""
+    exp(b q - a q^2 / 2) times a factor free of q. With one forward model
+    per entry of cy's last axis, a is an array of as many."""
     cy = np.asarray(cy, dtype=float)
     if (cy < 0).any():
-        raise ValueError("integrated concentration must be non-negative")
+        raise ValueError(NEGATIVE_CONCENTRATION)
     # r as forward_concentration(1.0, fm) computes it.
-    scale = fm.dispersion_factor_per_m / fm.advection_velocity_mps / cfg.sigma_e
-    return scale * scale, scale * (cy / cfg.sigma_e)
+    if isinstance(fm, ForwardModel):
+        scale = fm.dispersion_factor_per_m / fm.advection_velocity_mps / cfg.sigma_e
+        return scale * scale, scale * (cy / cfg.sigma_e)
+    scales = [f.dispersion_factor_per_m / f.advection_velocity_mps / cfg.sigma_e for f in fm]
+    return np.array([s * s for s in scales]), np.array(scales) * (cy / cfg.sigma_e)
 
 
 def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
@@ -154,7 +159,24 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
       within 2 sigma_q of [q_min, q_max]): the erf integral over
       [q_min, q_max] plus Euler-Maclaurin endpoint terms through dq^6;
     - else (narrow rows, modes far outside, A = 0): the exact log-sum-exp
-      over the summed points within 10 sigma_q of the clipped mode.
+      over the summed points within 10 sigma_q of the clipped mode, by
+      ``window_log_mass`` on those rows together, in C order.
+    """
+    out, window = closed_form_log_mass(grid, precision, mode)
+    if window.any():
+        out[window] = window_log_mass(
+            grid,
+            np.broadcast_to(precision, out.shape)[window],
+            np.broadcast_to(mode, out.shape)[window],
+        )
+    return out
+
+
+def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.ndarray]:
+    """``log_grid_mass`` by its interior and edge paths alone.
+
+    Returns log Z and a mask of the rows left to ``window_log_mass``,
+    whose entries are NaN. Each entry depends on its own row only.
     """
     precision = np.asarray(precision, dtype=float)
     mode = np.asarray(mode, dtype=float)
@@ -170,8 +192,7 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
     )
     outside = np.abs(mode - 0.5 * (grid.q_min + top)) > slack
     if not outside.any():
-        return out
-    precision = np.broadcast_to(precision, out.shape)[outside]
+        return out, outside
     width = np.broadcast_to(width, out.shape)[outside]
     mode = np.broadcast_to(mode, out.shape)[outside]
     span = grid.q_max - grid.q_min
@@ -180,14 +201,13 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
         & (width <= EDGE_MAX_SPANS * span)
         & (np.abs(mode - 0.5 * (grid.q_min + grid.q_max)) <= 0.5 * span + EDGE_REACH * width)
     )
-    values = np.empty(mode.shape)
+    values = np.full(mode.shape, np.nan)
     if edge.any():
         values[edge] = _edge_log_mass(grid, mode[edge], width[edge])
-    rest = ~edge
-    if rest.any():
-        values[rest] = _window_log_mass(grid, precision[rest], mode[rest], width[rest])
     out[outside] = values
-    return out
+    window = np.zeros(out.shape, dtype=bool)
+    window[outside] = ~edge
+    return out, window
 
 
 def _erf_gap(lo: float, hi: float) -> float:
@@ -229,10 +249,16 @@ def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarr
     return np.log(integral + grid.dq * (terms[0] - terms[1]))
 
 
-def _window_log_mass(grid: QGrid, precision, mode, width) -> np.ndarray:
-    """log Z by log-sum-exp over the summed points within 10 sigma_q of the
-    mode clipped into the grid, widest rows first, in blocks of windows of
-    one length that stay inside the summed points."""
+def window_log_mass(grid: QGrid, precision: np.ndarray, mode: np.ndarray) -> np.ndarray:
+    """log Z of 1-D arrays of rows by log-sum-exp over the summed points
+    within 10 sigma_q of the mode clipped into the grid, widest rows first,
+    in blocks of windows of one length that stay inside the summed points.
+
+    A row's window spans the widest row of its block, so its last bits
+    depend on the rows it is called with.
+    """
+    with np.errstate(divide="ignore"):
+        width = precision**-0.5
     n_sum = grid.n_points - 1
     centre = np.rint((np.clip(mode, grid.q_min, grid.q_max - grid.dq) - grid.q_min) / grid.dq)
     half = np.minimum(np.ceil(WINDOW_HALF_WIDTH * width / grid.dq), n_sum).astype(int)
@@ -244,8 +270,15 @@ def _window_log_mass(grid: QGrid, precision, mode, width) -> np.ndarray:
         rows, order = np.split(order, [max(1, WINDOW_BLOCK_POINTS // length)])
         start = np.clip(centre[rows].astype(int) - reach, 0, n_sum - length)
         offset = grid.values[start[:, np.newaxis] + np.arange(length)] - mode[rows, np.newaxis]
-        exponent = -0.5 * precision[rows, np.newaxis] * offset**2
+        with np.errstate(over="ignore"):
+            exponent = -0.5 * precision[rows, np.newaxis] * offset**2
         peak = exponent.max(axis=1)
+        # A mode so far off the grid that offset**2 overflows: scale first.
+        lost = ~np.isfinite(peak)
+        if lost.any():
+            scaled = offset[lost] * np.sqrt(precision[rows[lost], np.newaxis])
+            exponent[lost] = -0.5 * scaled * scaled
+            peak[lost] = exponent[lost].max(axis=1)
         out[rows] = peak + np.log(np.exp(exponent - peak[:, np.newaxis]).sum(axis=1) * grid.dq)
     return out
 
@@ -261,11 +294,39 @@ def conjugate_posterior(
     """
     if log_mass is None:
         log_mass = float(log_grid_mass(grid, precision, mode))
-    offset = grid.values - mode
-    log_density = offset * offset * (-0.5 * precision) - log_mass
+    log_density = _log_density(grid, precision, mode, log_mass)
     if not log_density.max() <= LOG_MAX_FLOAT:
         raise MeasurementIncompatibleError(POSTERIOR_OVERFLOW)
     return EmissionPosterior(grid, np.exp(log_density))
+
+
+def conjugate_densities(
+    grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The densities ``conjugate_posterior`` builds for rows given as 1-D
+    arrays of (A, mode, log Z), shape (rows, n_points), and how many
+    leading rows pass its checks; it raises its error for the next row."""
+    log_density = _log_density(
+        grid, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
+    )
+    with np.errstate(over="ignore"):
+        densities = np.exp(log_density)
+    totals = np.sum(densities[:, :-1], axis=1) * grid.dq
+    good = (
+        (log_density.max(axis=1) <= LOG_MAX_FLOAT)
+        & ~(densities.min(axis=1) < 0)
+        & (np.abs(totals - 1.0) <= 1e-8)
+    )
+    return densities, good.size if good.all() else int(np.argmin(good))
+
+
+def _log_density(grid: QGrid, precision, mode, log_mass) -> np.ndarray:
+    # offset * offset * (-0.5 * precision) - log_mass, in place
+    out = np.subtract(grid.values, mode)
+    out *= out
+    out *= -0.5 * precision
+    out -= log_mass
+    return out
 
 
 def posterior_mode(posterior: EmissionPosterior) -> float:
@@ -275,13 +336,22 @@ def posterior_mode(posterior: EmissionPosterior) -> float:
 
 def posterior_mean_std(posterior: EmissionPosterior) -> tuple[float, float]:
     """Mean and standard deviation of the discretized posterior."""
+    mean, std = row_moments(posterior.grid, posterior.density[np.newaxis])
+    return float(mean[0]), float(std[0])
+
+
+def row_moments(grid: QGrid, densities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation of each row of ``densities``, (rows, n_points)."""
     # Only the summed points enter: the density at q_max may be near the
     # float range, where a product with it would overflow.
-    grid = posterior.grid
-    values, density = grid.values[:-1], posterior.density[:-1]
-    mean = float(np.sum(values * density) * grid.dq)
-    second = float(np.sum((values - mean) ** 2 * density) * grid.dq)
-    return mean, math.sqrt(max(second, 0.0))
+    values, densities = grid.values[:-1], densities[:, :-1]
+    mean = np.sum(values * densities, axis=1) * grid.dq
+    # (values - mean) ** 2 * densities, in place
+    spread = np.subtract(values, mean[:, np.newaxis])
+    spread *= spread
+    spread *= densities
+    second = np.sum(spread, axis=1) * grid.dq
+    return mean, np.sqrt(np.maximum(second, 0.0))
 
 
 def estimate_sigma_e(

@@ -107,8 +107,12 @@ def synthesize_instance(
     """
     if not (lrr > 0 and math.isfinite(lrr)):
         raise ValueError("leak rate ratio must be positive and finite")
+    with np.errstate(over="ignore"):
+        scaled = exp.cy_series * lrr
+    if not np.isfinite(scaled).all():
+        raise ValueError("leak rate ratio times a pass overflows")
     first = rng.permutation(exp.cy_series)
-    second = rng.permutation(exp.cy_series * lrr)
+    second = rng.permutation(scaled)
     return SynthesizedInstance(
         series=np.concatenate([first, second]),
         true_cp_index=exp.n_passes,
@@ -142,10 +146,13 @@ def signal_stats(series: np.ndarray, lrr: float) -> SignalStats:
     values = np.asarray(series, dtype=float)
     if values.size < 2:
         raise InsufficientDataError("need at least 2 passes for signal statistics")
-    mean = float(np.mean(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(values))
+        std = float(np.std(values, ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise ValueError("signal too large: its mean or spread overflows")
     if mean <= 0:
         raise ValueError("signal mean must be positive for a defined CV")
-    std = float(np.std(values, ddof=1))
     if std == 0:
         raise ValueError("constant signal has zero CV, JNR undefined")
     cv = std / mean

@@ -1,7 +1,11 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here recomputes results from first principles with plain
-numpy so the package under test shares no code path with the oracle.
+Everything here but the step oracle recomputes results from first
+principles with plain numpy, so the package under test shares no code
+path with it. The step oracle, ``StepOracle`` and the detector loops over
+it, keeps the one-pass arithmetic of the run-length step and calls the
+package's log Z and row builders once per pass: it pins the block step's
+batching to that arithmetic, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,9 +16,24 @@ import math
 
 import numpy as np
 
-from plumecpd.errors import InputDataError, MeasurementIncompatibleError
-from plumecpd.inference import EmissionPosterior, grid_integrate
-from plumecpd.transport import forward_concentration
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, FAR_SIGMAS
+from plumecpd.detector import DetectionEvent, PassReport
+from plumecpd.errors import DetectionError, InputDataError, MeasurementIncompatibleError
+from plumecpd.inference import (
+    HALF_LOG_2PI,
+    LOG_MAX_FLOAT,
+    POSTERIOR_OVERFLOW,
+    EmissionPosterior,
+    LikelihoodConfig,
+    conjugate_posterior,
+    conjugate_terms,
+    grid_integrate,
+    log_grid_mass,
+    posterior_mean_std,
+    posterior_mode,
+    uniform_prior,
+)
+from plumecpd.transport import ForwardModel, forward_concentration
 
 
 def gaussian_pdf(x: np.ndarray | float, mu: np.ndarray | float, sigma: float):
@@ -251,3 +270,176 @@ def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
                 total += conc * dt * speed * math.sin(math.radians(angle))
             lines.append(f"{exp},{pass_index},{total!r}")
     return "\n".join(lines) + "\n"
+
+
+class StepOracle:
+    """The run-length state of B streams stepped one pass at a time: the
+    arithmetic of the package's block step, one pass per call.
+
+    Layout as ``bocd.RunLengthState``: slot j of ``precision`` (shared),
+    ``mode`` and ``log_mass`` is run length k - j, slots k + 1 on hold the
+    flat prior. Each call computes log Z of the pass's hypotheses in one
+    ``log_grid_mass`` call, and both predictives, for every stream.
+    """
+
+    def __init__(self, n_streams: int, n_passes: int, grid) -> None:
+        self.grid = grid
+        self.precision = np.zeros(n_passes + 2)
+        self.mode = np.zeros((n_streams, n_passes + 2))
+        self.log_mass = np.full((n_streams, n_passes + 2), math.log(grid.q_max - grid.q_min))
+        self.weights = np.ones((n_streams, 1))
+
+    def select(self, keep: np.ndarray) -> None:
+        self.mode, self.log_mass, self.weights = self.mode[keep], self.log_mass[keep], self.weights[keep]
+
+    def full_run_posterior(self) -> EmissionPosterior:
+        return conjugate_posterior(self.grid, self.precision[0], self.mode[0, 0], self.log_mass[0, 0])
+
+    def advance(self, cys, fm, cfg, lam, method, prune_threshold) -> dict[int, str]:
+        """Fold one measurement per stream; the reason of each stream that
+        fails, whose new state is then meaningless. Raises ``ValueError``
+        for a configuration no stream can run."""
+        if not lam > 1:
+            raise ValueError("expected run length lambda must exceed 1")
+        if method not in ("scaling", "marginal"):
+            raise ValueError(f"unknown predictive method {method!r}")
+        grid, k = self.grid, self.weights.shape[1] - 1
+        ratio = fm.dispersion_factor_per_m / fm.advection_velocity_mps
+        sigma = cfg.sigma_e
+        far = ~(cys <= ratio * grid.q_max + FAR_SIGMAS * sigma)
+        if far.any():
+            cys = np.where(far, ratio * grid.q_max, cys)
+        a, b = conjugate_terms(cys, fm, cfg)
+        if not a < math.inf:
+            raise ValueError("forward ratio over sigma_e overflows the rate precision")
+
+        live = slice(0, k + 2)
+        precision, mode, log_mass = self.precision[live], self.mode[:, live], self.log_mass[:, live]
+        new_precision = precision + a
+        if a > 0:
+            new_mode = (precision * mode + b[:, np.newaxis]) / new_precision
+            new_log_mass = log_grid_mass(grid, new_precision, new_mode)
+            half_shrink = 0.5 * precision / new_precision
+        else:
+            new_mode, new_log_mass, half_shrink = mode, log_mass, 0.5
+        if method == "marginal":
+            z = (cys[:, np.newaxis] - ratio * mode) / sigma
+            log_pis = new_log_mass - log_mass - half_shrink * z * z
+            pis = np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
+        else:
+            if fm.dispersion_factor_per_m <= 0:
+                raise ValueError("scaling predictive needs a positive dispersion factor")
+            inverse = fm.advection_velocity_mps / fm.dispersion_factor_per_m
+            q_star = cys * inverse
+            inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
+            pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
+            j0 = np.minimum(pos.astype(int), grid.n_points - 2)
+            frac = (pos - j0)[:, np.newaxis]
+            offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
+            with np.errstate(over="ignore", invalid="ignore"):
+                lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
+                pis = (lo * (1.0 - frac) + hi * frac) * inverse
+            pis[~(inside & np.isfinite(pis).all(axis=1))] = 0.0
+        pis[far] = 0.0
+
+        h = 1.0 / lam
+        unnormalized = np.empty((cys.size, k + 2))
+        unnormalized[:, 0] = h * pis[:, k + 1] * self.weights.sum(axis=1)
+        unnormalized[:, 1:] = self.weights * (1.0 - h) * pis[:, k::-1]
+        evidence = unnormalized.sum(axis=1)
+        errors: dict[int, str] = {}
+        possible = (evidence > 0) & np.isfinite(evidence)
+        if not possible.all():
+            impossible = "observation impossible under all run-length hypotheses"
+            errors = dict.fromkeys(np.flatnonzero(~possible).tolist(), impossible)
+            unnormalized[~possible] = 1.0
+            evidence[~possible] = 1.0
+        weights = unnormalized / evidence[:, np.newaxis]
+        weights[weights < prune_threshold] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        if new_log_mass[:, 0].min() < -LOG_MAX_FLOAT:
+            at = np.rint((np.clip(new_mode[:, 0], grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
+            offset = grid.values[at.astype(int)] - new_mode[:, 0]
+            peak = -0.5 * new_precision[0] * offset**2 - new_log_mass[:, 0]
+            for s in np.flatnonzero(~(peak <= LOG_MAX_FLOAT)).tolist():
+                errors.setdefault(s, POSTERIOR_OVERFLOW)
+
+        self.precision[live] = new_precision
+        self.mode[:, live] = new_mode
+        self.log_mass[:, live] = new_log_mass
+        self.weights = weights
+        return errors
+
+
+def step_oracle_detect(cys, fms, cfg, pass_indices=None):
+    """``detect_series`` stepping ``StepOracle`` one pass at a time and
+    building each report's row on its own."""
+    cys = np.asarray(cys, dtype=float)
+    fms = [fms] * cys.size if isinstance(fms, ForwardModel) else fms
+    if pass_indices is None:
+        pass_indices = range(1, cys.size + 1)
+    flat = uniform_prior(cfg.grid)
+    lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
+    state = StepOracle(1, cys.size, cfg.grid)
+    posterior = flat
+    reports, events = [], []
+    for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
+        previous = posterior
+        try:
+            errors = state.advance(
+                cy, fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
+            )
+            if errors:
+                raise MeasurementIncompatibleError(errors[0])
+            posterior = state.full_run_posterior()
+        except (MeasurementIncompatibleError, ValueError) as exc:
+            raise DetectionError(f"pass {idx}: {exc}") from exc
+        cp = float(state.weights[0, 0])
+        mean, std = posterior_mean_std(posterior)
+        reports.append(
+            PassReport(int(idx), float(cy[0]), cp, posterior_mode(posterior), mean, std)
+        )
+        if cp >= cfg.threshold:
+            events.append(DetectionEvent(int(idx), cp, previous, len(events) + 1))
+            state = StepOracle(1, cys.size, cfg.grid)
+            posterior = flat
+            lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
+    return reports, events
+
+
+def step_oracle_first_alarms(cys, fm, cfg):
+    """``first_alarms`` stepping ``StepOracle`` one pass at a time."""
+    cys = np.asarray(cys, dtype=float)
+    n_streams, n_passes = cys.shape
+    passes = np.zeros(n_streams, dtype=int)
+    cps = np.zeros(n_streams)
+    lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
+    state = StepOracle(n_streams, n_passes, cfg.grid)
+    live = np.arange(n_streams)
+    failures: dict[int, str] = {}
+    for k in range(n_passes):
+        try:
+            errors = state.advance(
+                cys[live, k], fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
+            )
+        except ValueError as exc:
+            failures.update(dict.fromkeys(live.tolist(), f"pass {k + 1}: {exc}"))
+            break
+        cp = state.weights[:, 0]
+        failed = np.zeros(live.size, dtype=bool)
+        for b, reason in errors.items():
+            failures[int(live[b])] = f"pass {k + 1}: {reason}"
+            failed[b] = True
+        alarm = (cp >= cfg.threshold) & ~failed
+        passes[live[alarm]] = k + 1
+        cps[live[alarm]] = cp[alarm]
+        keep = ~(alarm | failed)
+        if not keep.all():
+            live = live[keep]
+            if live.size == 0:
+                break
+            state.select(keep)
+    if failures:
+        row = min(failures)
+        raise DetectionError(failures[row], instance=row)
+    return passes, cps

@@ -2,18 +2,20 @@
 
 Tests that check the recursion itself, rather than the loops in
 ``plumecpd.detector``, step ``bocd.RunLengthState`` with B = 1 through
-``run_core`` and read back the normalized weights, the log evidence and
-each hypothesis's closed-form rate row. ``posterior_of`` builds the
+``run_core``, a block of ``PASS_BLOCK`` passes at a time with no alarm,
+and read back the normalized weights, the log evidence and each
+hypothesis's closed-form rate row. ``posterior_of`` builds the
 package's rate posterior of a set of passes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, PASS_BLOCK, RunLengthState
 from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import (
     EmissionPosterior,
@@ -92,12 +94,16 @@ def run_core(
         state.precision[: k + 1] = precision[::-1]
         state.mode[0, : k + 1] = mode[::-1]
         state.log_mass[0, : k + 1] = log_mass[::-1]
-    for cy in cys:
-        errors = state.advance(
-            np.array([cy], dtype=float), fm, cfg, lam, method, prune_threshold
+    cys = np.array(cys, dtype=float).reshape(1, -1)
+    start = 0
+    while start < cys.shape[1]:
+        block = cys[:, start : start + PASS_BLOCK]
+        steps = state.advance(
+            block, [fm] * block.shape[1], cfg, lam, method, prune_threshold, math.inf
         )
-        if errors:
-            raise MeasurementIncompatibleError(errors[0])
+        if steps.errors:
+            raise MeasurementIncompatibleError(steps.errors[0])
+        start += int(steps.done[0])
     k = state.k
     return CoreRun(
         grid,

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_alpha, direct_posterior, gaussian_pdf, likelihood_vector
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, PASS_BLOCK, RunLengthState
 from plumecpd.errors import MeasurementIncompatibleError
-from plumecpd.inference import LikelihoodConfig, QGrid, grid_integrate
+from plumecpd.inference import (
+    LikelihoodConfig,
+    QGrid,
+    closed_form_log_mass,
+    grid_integrate,
+    window_log_mass,
+)
 from plumecpd.transport import ForwardModel
 from stepping import run_core
 
@@ -211,20 +217,32 @@ class TestBocdStep:
 
     def test_single_likelihood_evaluation_per_step(self, unit_fm, coarse_grid):
         # One log Z per hypothesis and step gives every hypothesis's
-        # marginal likelihood of the new pass.
+        # marginal likelihood of the new pass. A block of passes computes
+        # them in one call over (passes, slots), the few slots past a pass's
+        # hypotheses included, less the exact windowed sums, which each
+        # pass computes for its own hypotheses.
         import plumecpd.bocd as bocd_module
 
         cfg = LikelihoodConfig(0.4)
-        real = bocd_module.log_grid_mass
-        sizes = []
+        sizes, window_rows = [], []
 
         def counting(grid, precision, mode):
             sizes.append(np.broadcast_shapes(np.shape(precision), np.shape(mode)))
-            return real(grid, precision, mode)
+            return closed_form_log_mass(grid, precision, mode)
 
-        with mock.patch.object(bocd_module, "log_grid_mass", side_effect=counting):
-            run_core([2.0] * 6, unit_fm, cfg, 15.0, coarse_grid)
-        assert sizes == [(1, k + 2) for k in range(6)]
+        def counting_window(grid, precision, mode):
+            window_rows.append(mode.size)
+            return window_log_mass(grid, precision, mode)
+
+        with (
+            mock.patch.object(bocd_module, "closed_form_log_mass", side_effect=counting),
+            mock.patch.object(bocd_module, "window_log_mass", side_effect=counting_window),
+        ):
+            run_core([2.0] * 10, unit_fm, cfg, 15.0, coarse_grid)
+        assert PASS_BLOCK == 8
+        assert sizes == [(1, 8, 9), (1, 2, 11)]
+        assert 0 < len(window_rows) <= 10
+        assert all(0 < n <= 11 for n in window_rows)
 
     def test_hazard_monotonicity_on_calm_streams(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.6)
@@ -341,8 +359,9 @@ class TestRowBuffer:
 
         def step(cys, method):
             return state.advance(
-                np.array(cys), unit_fm, cfg, 15.0, method, DEFAULT_PRUNE_THRESHOLD
-            )
+                np.array(cys)[:, np.newaxis], [unit_fm], cfg, 15.0, method,
+                DEFAULT_PRUNE_THRESHOLD, math.inf,
+            ).errors
 
         assert step([2.0, 2.0], "marginal") == {}
         errors = step([2.1, 9.0], "scaling")

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plumecpd import cli, dataio
@@ -577,6 +577,43 @@ def test_detect_gives_finite_output_or_a_typed_error(
         assert rc in (0, 1, 2)
         for path in out.iterdir():
             assert not re.search(r"\b(nan|inf)", path.read_text(), re.IGNORECASE), path.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cys=st.lists(
+        st.one_of(st.floats(0.0, 0.05), st.sampled_from([0.0, 1e-300]), st.floats(0.0, 1.7e308)),
+        min_size=1,
+        max_size=12,
+    ),
+    lrr=st.floats(0.05, 20.0),
+)
+@example(cys=[0.0, 1.1002571223538857e153], lrr=1.0)  # log Z of a mode 1e155 off the grid
+@example(cys=[8.988465674311579e307, 8.98846567431158e307], lrr=1.0)  # mean overflows
+@example(cys=[0.0, 8.98846567431158e307], lrr=2.0)  # spread and lrr times a pass overflow
+def test_synth_and_sweep_give_finite_output_or_a_typed_error(cys, lrr):
+    """Any finite, non-negative passes.csv: ``synth`` and a tiny ``sweep``
+    (2 instances, 1 repetition, 10 bootstrap draws) exit 0, 1 or 2, and no
+    file either writes holds nan or inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        passes, met = tmp / "passes.csv", tmp / "met.csv"
+        write_series(passes, cys)
+        met.write_text(MET_HEADER + "\n" + MET_ROW_4 + "\n")
+        (tmp / "out").mkdir()
+        common = ["--passes", str(passes), "--met", str(met), "--lrr", repr(lrr), "--instances", "2"]
+        for argv in (
+            ["synth", *common, "--out", str(tmp / "out" / "instances.csv")],
+            [
+                "sweep", *common, "--q-true", "0.083", "--repetitions", "1", "--boot", "10",
+                "--out", str(tmp / "out" / "sweep"),
+            ],
+        ):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv[0]
+        for path in (tmp / "out").rglob("*"):
+            if path.is_file():
+                assert not re.search(r"\b(nan|inf)", path.read_text(), re.IGNORECASE), path.name
 
 
 class TestSynth:

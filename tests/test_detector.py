@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bayes_update, direct_posterior, grid_moments
+from oracles import (
+    bayes_update,
+    direct_posterior,
+    grid_moments,
+    step_oracle_detect,
+    step_oracle_first_alarms,
+)
+from plumecpd.bocd import PASS_BLOCK
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -207,6 +214,12 @@ class TestDetectorMechanics:
             [2.0, 2.1, 1.9], unit_fm, make_config(), pass_indices=[3, 4, 7]
         )
         assert [r.pass_index for r in reports] == [3, 4, 7]
+
+    @pytest.mark.parametrize("indices", [[1, 2, 3], [1, 2, 3, 4, 5, 6]])
+    def test_pass_index_count_mismatch(self, unit_fm, indices):
+        # Five passes with three indices used to give three reports.
+        with pytest.raises(ValueError, match="one pass index per pass"):
+            detect_series([2.0] * 5, unit_fm, make_config(), pass_indices=indices)
 
 
 class TestEstimateSeries:
@@ -451,3 +464,128 @@ def test_first_alarms_match_detect_series(block, sigma_e, method):
         sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05), predictive_method=method
     )
     assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)
+
+
+def detect_outcome(detect, cys, fms, cfg):
+    """Reports and events, each event with its row's bytes, or the error text."""
+    try:
+        reports, events = detect(cys, fms, cfg)
+    except DetectionError as exc:
+        return str(exc)
+    rows = [e.pre_change_posterior.density.tobytes() for e in events]
+    return reports, events, rows
+
+
+def alarms_outcome(first, block, fm, cfg):
+    try:
+        passes, cps = first(np.array(block), fm, cfg)
+    except DetectionError as exc:
+        return str(exc), exc.instance
+    return passes.tolist(), cps.tolist()
+
+
+def assert_steps_as_one_pass_at_a_time(cys, fms, cfg, block=None):
+    """``detect_series`` and ``first_alarms`` give what one pass at a time
+    through the step oracle gives, compared with ``==``."""
+    got = detect_outcome(detect_series, cys, fms, cfg)
+    assert got == detect_outcome(step_oracle_detect, cys, fms, cfg)
+    if block is not None:
+        fm = fms if isinstance(fms, ForwardModel) else fms[0]
+        assert alarms_outcome(first_alarms, block, fm, cfg) == alarms_outcome(
+            step_oracle_first_alarms, block, fm, cfg
+        )
+    return got
+
+
+# Stream lengths up to three blocks and one pass, and each event at every
+# pass of them, so at every offset within a block.
+LONGEST = 3 * PASS_BLOCK + 1
+
+
+class TestBlockStep:
+    @pytest.mark.parametrize("at", range(2, LONGEST + 1))
+    def test_alarm_at_every_pass(self, unit_fm, at):
+        cys = [1.0] * (at - 1) + [3.0] * (LONGEST - at + 1)
+        cfg = make_config(sigma_e_initial=0.03)
+        block = [cys, [1.0] * LONGEST, cys[::-1]]
+        _, events, _ = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg, block)
+        assert events[0].pass_index == at
+
+    @pytest.mark.parametrize("at", range(1, LONGEST + 1))
+    def test_impossible_measurement_at_every_pass(self, unit_fm, at):
+        cys = [1.0] * LONGEST
+        cys[at - 1] = 1e3
+        cfg = make_config(sigma_e_initial=0.03)
+        block = [[1.0] * LONGEST, cys]
+        got = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg, block)
+        assert got == f"pass {at}: observation impossible under all run-length hypotheses"
+
+    @pytest.mark.parametrize("at", range(1, LONGEST + 1))
+    def test_top_of_grid_overflow_at_every_pass(self, unit_fm, at):
+        # The full-run row at q_max has precision at / sigma_e^2 = 570000
+        # at pass ``at``, past the float range, and less before it.
+        cfg = make_config(sigma_e_initial=(at / 570_000) ** 0.5, grid=QGrid(0.0, 5.0, 0.05))
+        cys = [5.0] * LONGEST
+        got = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg, [cys, cys])
+        assert got == f"pass {at}: rate posterior density overflows at the top of the grid"
+
+    @pytest.mark.parametrize("at", range(1, PASS_BLOCK + 2))
+    def test_rejected_pass_inside_a_block(self, at):
+        # A forward model whose ratio overflows the precision, or a negative
+        # measurement, fails its own pass, not the block's first.
+        fms = [ForwardModel(1.0, 1.0)] * (PASS_BLOCK + 2)
+        cfg = make_config(sigma_e_initial=0.03)
+        cys = [1.0] * len(fms)
+        cys[at - 1] = -1.0
+        got = assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
+        assert got == f"pass {at}: integrated concentration must be non-negative"
+        fms = list(fms)
+        fms[at - 1] = ForwardModel(1e-300, 1e10)
+        got = assert_steps_as_one_pass_at_a_time([1.0] * len(fms), fms, cfg)
+        assert got == f"pass {at}: forward ratio over sigma_e overflows the rate precision"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lookahead_after_an_alarm_never_fails(self, unit_fm):
+        # Stream 0 alarms at pass 2 and reads 1e300 at pass 3, inside the
+        # block that computes passes 1 to 8 together; stream 1 runs on.
+        cfg = make_config(sigma_e_initial=0.03, threshold=0.5)
+        alarmed = [1.0, 3.0, 1e300] + [1.0] * 5
+        passes, cps = first_alarms(np.array([alarmed, [1.0] * 8]), unit_fm, cfg)
+        assert passes.tolist() == [2, 0]
+        assert cps[0] >= 0.5
+        assert alarms_outcome(first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg) == (
+            alarms_outcome(step_oracle_first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, LONGEST),
+    sigma_e=st.sampled_from([0.0013, 0.004, 0.03, 0.1, 0.4]),
+    method=st.sampled_from(["marginal", "scaling"]),
+    threshold=st.sampled_from([0.3, 0.8, 0.99]),
+    grid=st.sampled_from([QGrid(0.0, 5.0, 0.05), QGrid(0.0, 5.0, 0.01)]),
+)
+def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshold, grid):
+    """Reports, events and error text (pass index included) of
+    ``detect_series``, and the passes, changepoint probabilities and failing
+    instance of ``first_alarms``, equal a pass-at-a-time loop over the step
+    oracle, with alarms, impossible passes and rows at q_max anywhere in a
+    block and forward models that change from pass to pass."""
+    cy = st.one_of(
+        st.floats(0.0, 4.9), st.sampled_from([0.0, 5.0, 5.3, 1e3, 1e300]), st.floats(0.0, 6.0)
+    )
+    cys = data.draw(st.lists(cy, min_size=n, max_size=n), label="cys")
+    ratios = data.draw(
+        st.lists(st.sampled_from([0.9, 1.0, 1.1]), min_size=n, max_size=n), label="ratios"
+    )
+    fms = [ForwardModel(1.0, r) for r in ratios]
+    cfg = make_config(
+        sigma_e_initial=sigma_e, threshold=threshold, grid=grid, predictive_method=method
+    )
+    block = data.draw(
+        st.lists(st.lists(cy, min_size=n, max_size=n), min_size=1, max_size=3), label="block"
+    )
+    assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
+    assert_steps_as_one_pass_at_a_time(cys, ForwardModel(1.0, 1.0), cfg, block)

@@ -119,8 +119,9 @@ class TestLikelihoodVector:
         cfg = LikelihoodConfig(1e-3)
         state = RunLengthState(2, 1, medium_grid)
         errors = state.advance(
-            np.array([2.0, cy]), unit_fm, cfg, 15.0, "marginal", DEFAULT_PRUNE_THRESHOLD
-        )
+            np.array([[2.0], [cy]]), [unit_fm], cfg, 15.0, "marginal",
+            DEFAULT_PRUNE_THRESHOLD, math.inf,
+        ).errors
         assert errors == {1: "observation impossible under all run-length hypotheses"}
         alone = run_core([2.0], unit_fm, cfg, 15.0, medium_grid)
         assert np.array_equal(state.weights[0], alone.weights)
@@ -182,6 +183,20 @@ class TestLogGridMass:
         assert float(log_grid_mass(grid, 0.0, 0.0)) == pytest.approx(
             math.log(grid.q_max - grid.q_min), abs=1e-12
         )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", [1e155, -3e160])
+    def test_mode_whose_offset_squared_overflows(self, mode):
+        # A row as wide as its mode is far off the grid, past 1e154 g/s:
+        # every (q - mode)^2 overflows while A (q - mode)^2 is about 1.
+        precision = mode**-2.0
+        got = float(log_grid_mass(DEFAULT_GRID, precision, mode))
+        scaled = (DEFAULT_GRID.values[:-1] - mode) * math.sqrt(precision)
+        exponent = -0.5 * scaled * scaled
+        expected = exponent.max() + math.log(
+            np.exp(exponent - exponent.max()).sum() * DEFAULT_GRID.dq
+        )
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_each_path_on_one_call(self):
         grid = DEFAULT_GRID

@@ -76,6 +76,12 @@ class TestSynthesizeInstance:
         with pytest.raises(ValueError):
             synthesize_instance(exp, lrr, instance_rng(0, "e1", lrr, 0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_pass_past_the_float_range_rejected(self):
+        exp = make_exp([1.0, 1e308])
+        with pytest.raises(ValueError, match="overflows"):
+            synthesize_instance(exp, 2.0, instance_rng(0, "e1", 2.0, 0))
+
     def test_series_length_invariant_enforced(self):
         with pytest.raises(ValueError):
             SynthesizedInstance(series=np.ones(5), true_cp_index=3, lrr=2.0)
@@ -173,6 +179,12 @@ class TestSignalStats:
     def test_zero_mean_rejected(self):
         with pytest.raises(ValueError):
             signal_stats(np.array([0.0, 0.0]), 4.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("series", [[1.7e308, 1.7e308], [0.0, 1e155], [1e308, 1e308, 0.0]])
+    def test_moments_past_the_float_range_rejected(self, series):
+        with pytest.raises(ValueError, match="overflows"):
+            signal_stats(np.array(series), 4.0)
 
     def test_too_short_series_rejected(self):
         with pytest.raises(InsufficientDataError):
