@@ -85,11 +85,44 @@ def _add_geometry_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spread-factor", type=float, default=1.0)
 
 
+def _check_q_true(q_true: float) -> None:
+    if not (q_true >= 0 and math.isfinite(q_true)):
+        raise ConfigError(f"--q-true must be non-negative and finite, got {q_true!r}")
+
+
 def _forward_model(met_row: dataio.MetRow, args: argparse.Namespace):
-    geom = Geometry(met_row.x_m, args.sensor_height, args.source_height)
-    return build_forward_model(
-        met_row.met, geom, model=ReflectedGaussianDispersion(args.spread_factor)
-    )
+    """The experiment's forward model under the geometry flags; a fetch or
+    flag the model cannot use is a configuration error."""
+    try:
+        geom = Geometry(met_row.x_m, args.sensor_height, args.source_height)
+        return build_forward_model(
+            met_row.met, geom, model=ReflectedGaussianDispersion(args.spread_factor)
+        )
+    except ValueError as exc:
+        raise ConfigError(f"experiment {met_row.experiment_id!r}: {exc}") from exc
+
+
+def _sample_spacings(exp_id: str, pass_order: list[int], times: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+    """Each sample's time step, for passes held one after another; the
+    first sample of a pass takes the pass's first gap as its spacing.
+    Raises for the first pass with fewer than 2 samples or with sample
+    times that do not increase."""
+    starts = np.cumsum(lengths) - lengths
+    with np.errstate(over="ignore"):
+        gaps = np.diff(times)
+    # A gap that ends at a pass's first sample spans two passes.
+    within = np.ones(gaps.size, bool)
+    within[starts[1:] - 1] = False
+    short = np.flatnonzero(lengths < 2)[:1].tolist()
+    unordered = np.searchsorted(starts, np.flatnonzero(within & ~(gaps > 0))[:1], "right") - 1
+    if short or unordered.size:
+        k = min(short + unordered.tolist())
+        problem = "need at least 2 samples" if lengths[k] < 2 else "non-increasing sample times"
+        raise InputDataError(f"experiment {exp_id!r} pass {pass_order[k]}: {problem}")
+    spacings = np.r_[gaps[:1], gaps]
+    spacings[starts] = gaps[starts]
+    return spacings
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -103,37 +136,33 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             raise InputDataError(f"no met row for experiment {exp_id!r}")
         passes = raw[exp_id]
         pass_order = sorted(passes)
-        ppm = np.concatenate([passes[p]["mixing_ratio_ppm"] for p in pass_order])
+        samples = np.concatenate([passes[p] for p in pass_order], dtype=dataio.RAW_SAMPLE_DTYPE)
+        lengths = np.array([len(passes[p]) for p in pass_order])
+        dts = _sample_spacings(exp_id, pass_order, samples["time_s"], lengths)
+        ppm = samples["mixing_ratio_ppm"]
         above = ppm - ambient_baseline(ppm)
         above[above < 0] = 0.0
-        conc = ppm_to_mass_concentration(
-            above, met_rows[exp_id].met.temperature_k, args.pressure
-        )
-        start = 0
-        for pass_index in pass_order:
-            samples = passes[pass_index]
-            if len(samples) < 2:
-                raise InputDataError(
-                    f"experiment {exp_id!r} pass {pass_index}: need at least 2 samples"
-                )
-            dts = np.diff(samples["time_s"])
-            if not (dts > 0).all():
-                raise InputDataError(
-                    f"experiment {exp_id!r} pass {pass_index}: non-increasing sample times"
-                )
-            # The first sample takes the first gap as its spacing.
-            dts = np.concatenate((dts[:1], dts))
-            stop = start + len(samples)
-            cy = cross_plume_integrate(
-                conc[start:stop], dts, samples["vehicle_speed_mps"], samples["road_angle_deg"]
+        # An overflow here shows as a non-finite integral, raised below.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            conc = ppm_to_mass_concentration(
+                above, met_rows[exp_id].met.temperature_k, args.pressure
             )
+        cys = cross_plume_integrate(
+            conc, dts, samples["vehicle_speed_mps"], samples["road_angle_deg"], lengths
+        )
+        for pass_index, cy in zip(pass_order, cys.tolist()):
+            if not math.isfinite(cy):
+                raise ValueError(
+                    f"experiment {exp_id!r} pass {pass_index}: cross-plume integral "
+                    "overflows the float range"
+                )
             out_rows.append((exp_id, pass_index, cy))
-            start = stop
     dataio.write_passes_csv(Path(args.out), out_rows)
     return 0
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    _check_q_true(args.q_true)
     passes = dataio.read_passes(Path(args.passes))
     met_rows = dataio.read_met(Path(args.met))
     sigma = {}
@@ -299,6 +328,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for flag in ("instances", "repetitions", "boot", "workers"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+    _check_q_true(args.q_true)
     passes = dataio.read_passes(Path(args.passes))
     met_rows = dataio.read_met(Path(args.met))
     experiments = dataio.experiments_from_passes(passes, met_rows)

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -115,10 +116,15 @@ def _fmt(value: float) -> str:
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see
-    a half-written file and interrupted runs can be resumed."""
+    a half-written file and interrupted runs can be resumed. A failure
+    is raised naming ``path`` and leaves no temp file behind."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _open_rows(path: Path, required: Sequence[str]):
@@ -150,12 +156,94 @@ def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-# Rows parsed per block of raw.csv. Parsing a block at a time bounds the
-# memory held as Python strings to one block, whatever the file size.
+# Rows parsed per chunk of raw.csv. Parsing a chunk at a time bounds the
+# memory the parsers hold, as Python strings and row buffers, to one
+# chunk, whatever the file size.
 RAW_BLOCK_ROWS = 4096
 
 # One raw sample; read_raw_samples returns arrays of this dtype.
 RAW_SAMPLE_DTYPE = np.dtype([(name, float) for name in RAW_COLUMNS[2:]])
+
+# One raw.csv row as numpy's reader parses it, fields in RAW_COLUMNS order.
+_RAW_ROW_DTYPE = np.dtype(
+    [("experiment_id", object), ("pass_index", int), *RAW_SAMPLE_DTYPE.descr]
+)
+
+
+def _open_raw(path: Path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
+
+
+def _raw_header(path: Path, handle) -> list[int]:
+    """Position of each of RAW_COLUMNS in the header row of an open
+    raw.csv, which is left at the first data row."""
+    header = next(csv.reader(handle), [])
+    missing = [c for c in RAW_COLUMNS if c not in header]
+    if missing:
+        raise InputDataError(f"{path}: missing columns {missing}")
+    # A repeated column name reads as its last occurrence, as in DictReader.
+    column = {name: i for i, name in enumerate(header)}
+    return [column[name] for name in RAW_COLUMNS]
+
+
+def _experiment_codes(ids: Sequence, exp_codes: dict) -> np.ndarray:
+    """Code of each experiment id; ids new to ``exp_codes`` are added to
+    it, numbered in order of first appearance."""
+    ids = np.asarray(ids, dtype=object)
+    # Rows of one experiment mostly come together: look up each run once.
+    new_run = np.ones(ids.size, bool)
+    new_run[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(new_run)
+    run_ids = ids[starts].tolist()
+    for exp in dict.fromkeys(run_ids):
+        exp_codes.setdefault(exp, len(exp_codes))
+    codes = np.fromiter(map(exp_codes.__getitem__, run_ids), np.intp, len(run_ids))
+    return np.repeat(codes, np.diff(np.r_[starts, ids.size]))
+
+
+def _sample_checks(time_s, ppm, speed, angle) -> list[tuple[np.ndarray, str]]:
+    """Mask of the samples failing each value check, with its message, in
+    check order."""
+    return [
+        (~np.isfinite(time_s), "sample time must be finite"),
+        (~(np.isfinite(ppm) & (ppm >= 0)), "mixing ratio must be finite and non-negative"),
+        (~(np.isfinite(speed) & (speed > 0)), "vehicle speed must be finite and positive"),
+        (~((0 < angle) & (angle <= 90)), "road angle must lie in (0, 90] degrees"),
+    ]
+
+
+def _parse_raw_rows(handle, where: list[int]) -> tuple[list, list[np.ndarray]] | None:
+    """The rows left in an open raw.csv, parsed by numpy's C reader
+    RAW_BLOCK_ROWS rows at a time, as ``_read_raw_checked`` returns them;
+    None if a row does not parse or fails a check."""
+    exp_codes: dict = {}
+    blocks = []
+    with warnings.catch_warnings():
+        # loadtxt warns of blank lines under max_rows and of a chunk
+        # with no rows; blank lines are skipped, as csv.DictReader does.
+        warnings.simplefilter("ignore", UserWarning)
+        while True:
+            try:
+                chunk = np.loadtxt(
+                    handle, dtype=_RAW_ROW_DTYPE, delimiter=",", quotechar='"',
+                    comments=None, usecols=where, max_rows=RAW_BLOCK_ROWS, ndmin=1,
+                )
+            except ValueError:
+                return None
+            codes = _experiment_codes(chunk["experiment_id"], exp_codes)
+            # Copies, so that the chunk and its id strings can be freed.
+            pass_index, *floats = (chunk[name].copy() for name in RAW_COLUMNS[1:])
+            if "" in exp_codes or (pass_index < 1).any():
+                return None
+            if any(mask.any() for mask, _ in _sample_checks(*floats)):
+                return None
+            blocks.append([codes, pass_index, *floats])
+            if len(chunk) < RAW_BLOCK_ROWS:
+                break
+    return list(exp_codes), [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,26 +275,18 @@ def _raw_block(path: Path, first_line: int, rows: list[list[str]], where: list[i
         rows = [row + [None] * (width - len(row)) for row in rows]
     columns = list(zip(*rows))
     ids, pass_text, *float_text = (columns[i] for i in where)
-    for exp in dict.fromkeys(ids):
-        exp_codes.setdefault(exp, len(exp_codes))
-    codes = np.fromiter(map(exp_codes.__getitem__, ids), np.intp, len(ids))
+    codes = _experiment_codes(ids, exp_codes)
     empty_id = np.isin(codes, [exp_codes[e] for e in ("", None) if e in exp_codes])
     floats, parse_checks = [], []
     for name, text in zip(RAW_COLUMNS[2:], float_text):
         values, bad = _parse_column(text, float)
         floats.append(values)
         parse_checks.append((bad, lambda i, name=name, text=text: f"bad {name} value {text[i]!r}"))
-    time_s, ppm, speed, angle = floats
     pass_index, bad_pass = _parse_column(pass_text, int)
     checks = [
         (empty_id, lambda i: "empty experiment_id"),
         *parse_checks,
-        (~np.isfinite(time_s), lambda i: "sample time must be finite"),
-        (~(np.isfinite(ppm) & (ppm >= 0)),
-         lambda i: "mixing ratio must be finite and non-negative"),
-        (~(np.isfinite(speed) & (speed > 0)),
-         lambda i: "vehicle speed must be finite and positive"),
-        (~((0 < angle) & (angle <= 90)), lambda i: "road angle must lie in (0, 90] degrees"),
+        *((mask, lambda i, message=message: message) for mask, message in _sample_checks(*floats)),
         (bad_pass, lambda i: f"bad pass_index value {pass_text[i]!r}"),
         (pass_index < 1, lambda i: f"pass_index must be at least 1, got {pass_index[i]}"),
     ]
@@ -218,36 +298,45 @@ def _raw_block(path: Path, first_line: int, rows: list[list[str]], where: list[i
     return [codes, pass_index, *floats]
 
 
-def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
-    """Raw analyzer samples grouped by experiment and pass, time-ordered.
+def _read_raw_checked(path: Path) -> tuple[list[str], list[np.ndarray]]:
+    """raw.csv read a block of rows at a time with Python's csv, float and
+    int parsers, each row checked as it is read: the experiment ids, and
+    the columns (experiment code, pass index, then the RAW_SAMPLE_DTYPE
+    fields), an experiment's code being its position among the ids.
 
-    Each pass is a RAW_SAMPLE_DTYPE array view, its samples in time order
-    (ties keep file order). A bad row raises ``InputDataError`` naming its
-    line, where blank lines are not counted, as ``csv.DictReader`` counts.
+    Raises ``InputDataError`` for the earliest bad row, naming its line,
+    where blank lines are not counted, as ``csv.DictReader`` counts.
     """
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
     exp_codes: dict = {}
     blocks = []
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in RAW_COLUMNS if c not in header]
-        if missing:
-            raise InputDataError(f"{path}: missing columns {missing}")
-        # A repeated column name reads as its last occurrence, as in DictReader.
-        column = {name: i for i, name in enumerate(header)}
-        where = [column[name] for name in RAW_COLUMNS]
-        rows = filter(None, reader)
+    with _open_raw(path) as handle:
+        where = _raw_header(path, handle)
+        rows = filter(None, csv.reader(handle))
         line = 2
         while block := list(islice(rows, RAW_BLOCK_ROWS)):
             blocks.append(_raw_block(path, line, block, where, exp_codes))
             line += len(block)
-    if not blocks:
+    columns = [np.concatenate(parts) for parts in zip(*blocks)] or [np.empty(0)] * 6
+    return list(exp_codes), columns
+
+
+def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
+    """Raw analyzer samples grouped by experiment and pass, time-ordered.
+
+    Each pass is a RAW_SAMPLE_DTYPE array view, its samples in time order
+    (ties keep file order). numpy's C reader parses the file a chunk of
+    RAW_BLOCK_ROWS rows at a time. A file it cannot parse, or with a value
+    that fails a check, is read again by a reader built on Python's csv,
+    float and int parsers, the one that defines what the file means: it
+    raises ``InputDataError`` for the earliest bad row, naming its line,
+    where blank lines are not counted, as ``csv.DictReader`` counts.
+    """
+    with _open_raw(path) as handle:
+        where = _raw_header(path, handle)
+        parsed = _parse_raw_rows(handle, where)
+    names, (codes, pass_index, *floats) = parsed or _read_raw_checked(path)
+    if not codes.size:
         return {}
-    codes, pass_index, *floats = (np.concatenate(parts) for parts in zip(*blocks))
     order = np.lexsort((floats[0], pass_index, codes))
     samples = np.empty(order.size, RAW_SAMPLE_DTYPE)
     for name, values in zip(RAW_SAMPLE_DTYPE.names, floats):
@@ -257,7 +346,6 @@ def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
         np.r_[True, (codes[1:] != codes[:-1]) | (pass_index[1:] != pass_index[:-1])]
     )
     stops = np.r_[starts[1:], order.size]
-    names = list(exp_codes)
     grouped: dict[str, dict[int, np.ndarray]] = {}
     for start, stop, code, index in zip(
         starts.tolist(), stops.tolist(), codes[starts].tolist(), pass_index[starts].tolist()

@@ -361,15 +361,22 @@ def estimate_sigma_e(
 ) -> float:
     """Residual noise scale around the forward prediction at a known rate.
 
-    Uses the N-1 normalization over residuals cy_k - predicted(q_true).
+    Uses the N-1 normalization over residuals cy_k - predicted(q_true),
+    and raises ``ValueError`` if the estimate overflows the float range.
     """
     cys = [p.cy_g_per_m2 if isinstance(p, PassMeasurement) else float(p) for p in passes]
     n = len(cys)
     if n < 2:
         raise InsufficientDataError("need at least 2 passes to estimate sigma_e")
     if isinstance(fms, ForwardModel):
-        fms = [fms] * n
-    if len(fms) != n:
+        fms = [fms]
+    elif len(fms) != n:
         raise ValueError("need one forward model per pass")
-    residuals = [cy - forward_concentration(q_true, fm) for cy, fm in zip(cys, fms)]
-    return math.sqrt(sum(r * r for r in residuals) / (n - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.subtract(cys, [forward_concentration(q_true, fm) for fm in fms])
+    # Summed one after the other, so the estimate does not depend on
+    # numpy's summation order.
+    sigma_e = math.sqrt(sum(r * r for r in residuals.tolist()) / (n - 1))
+    if not math.isfinite(sigma_e):
+        raise ValueError("passes too far from the prediction at q_true: sigma_e overflows")
+    return sigma_e

@@ -87,10 +87,11 @@ class Geometry:
     source_height_m: float = DEFAULT_SOURCE_HEIGHT_M
 
     def __post_init__(self) -> None:
-        if self.fetch_m <= 0:
-            raise ValueError("fetch must be positive")
-        if self.sensor_height_m < 0 or self.source_height_m < 0:
-            raise ValueError("heights must be non-negative")
+        if not _positive_finite(self.fetch_m):
+            raise ValueError("fetch must be positive and finite")
+        for height in (self.sensor_height_m, self.source_height_m):
+            if not (height >= 0 and math.isfinite(height)):
+                raise ValueError("heights must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -160,35 +161,56 @@ def ppm_to_mass_concentration(
     return ppm * 1e-6 * molar_mass_g_per_mol / molar_volume
 
 
-def cross_plume_integrate(conc, dt, speed, angle_deg) -> float:
-    """Integrate above-ambient mass concentration across one pass.
+def cross_plume_integrate(conc, dt, speed, angle_deg, pass_lengths) -> np.ndarray:
+    """Integrate above-ambient mass concentration across each of a run of passes.
 
-    The arguments are equal-length per-sample columns: concentration
-    (g/m^3), dt (s), vehicle speed (m/s) and road angle (deg). The
+    The first four arguments are equal-length per-sample columns:
+    concentration (g/m^3), dt (s), vehicle speed (m/s) and road angle
+    (deg). They hold the passes one after another, ``pass_lengths[i]``
+    samples for pass i, and one integral is returned per pass. The
     along-road step dt * V is projected onto the cross-plume direction
-    with sin(road angle). The samples are summed in order, one after the
-    other, so the result does not depend on numpy's summation order. An
-    empty pass integrates to zero.
+    with sin(road angle). A pass's samples are summed in order, one after
+    the other, so its integral depends neither on numpy's summation order
+    nor on the other passes. An empty pass integrates to zero. A pass
+    whose integral overflows comes out inf, or nan where an infinite step
+    meets a zero concentration.
     """
     conc, dt, speed, angle_deg = columns = [
         np.asarray(column, dtype=float) for column in (conc, dt, speed, angle_deg)
     ]
     if len({column.shape for column in columns}) != 1 or conc.ndim != 1:
         raise ValueError("sample columns must be 1-D and of equal length")
+    lengths = np.asarray(pass_lengths, dtype=np.intp)
+    if lengths.ndim != 1 or (lengths < 0).any() or lengths.sum() != conc.size:
+        raise ValueError("pass lengths must be non-negative and add up to the sample count")
     if not (dt > 0).all():
         raise ValueError("sample spacing must be positive")
     if not (speed > 0).all():
         raise ValueError("vehicle speed must be positive")
     if not ((0 < angle_deg) & (angle_deg <= 90)).all():
         raise ValueError("road angle must lie in (0, 90] degrees")
-    if conc.size == 0:
-        return 0.0
-    angles = angle_deg.tolist()
-    sine_of = {a: math.sin(math.radians(a)) for a in set(angles)}
-    sines = np.fromiter(map(sine_of.__getitem__, angles), float, len(angles))
+    angles, angle_of = np.unique(angle_deg, return_inverse=True)
+    sines = np.array([math.sin(math.radians(a)) for a in angles.tolist()])[angle_of]
+    starts = np.cumsum(lengths) - lengths
+    totals = np.zeros(lengths.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = conc * dt * speed * sines
+        # A running total per pass: row-wise cumsum over a zero-padded
+        # (passes, longest pass) table, read at each pass's last sample.
+        # Passes whose lengths share a power-of-two bracket share a table,
+        # so padding at most doubles its size, however uneven the passes.
+        bracket = np.frexp(lengths)[1]
+        for b in np.unique(bracket[lengths > 0]):
+            rows = np.flatnonzero(bracket == b)
+            width = lengths[rows].max()
+            offsets = np.arange(width)
+            inside = offsets < lengths[rows, np.newaxis]
+            table = np.zeros((rows.size, width))
+            table[inside] = terms[(starts[rows, np.newaxis] + offsets)[inside]]
+            totals[rows] = np.cumsum(table, axis=1)[np.arange(rows.size), lengths[rows] - 1]
     # Adding 0.0 turns an all-negative-zero sum into 0.0, as a running
     # total that starts from 0.0 would give.
-    return float(np.cumsum(conc * dt * speed * sines)[-1]) + 0.0
+    return totals + 0.0
 
 
 class DispersionModel(abc.ABC):
@@ -210,17 +232,23 @@ class ReflectedGaussianDispersion(DispersionModel):
 
     spread_factor: float = 1.0
 
+    def __post_init__(self) -> None:
+        if not _positive_finite(self.spread_factor):
+            raise ValueError("spread factor must be positive and finite")
+
     def vertical_factor(self, met: MetSummary, geom: Geometry) -> float:
-        if self.spread_factor <= 0:
-            raise ValueError("spread factor must be positive")
         sigma_z = (
             self.spread_factor * met.sigma_w_mps * geom.fetch_m / met.mean_velocity_mps
         )
-        if sigma_z <= 0:
+        if not _positive_finite(sigma_z):
             raise ValueError("degenerate vertical spread")
         z, h = geom.sensor_height_m, geom.source_height_m
-        direct = math.exp(-((z - h) ** 2) / (2.0 * sigma_z**2))
-        image = math.exp(-((z + h) ** 2) / (2.0 * sigma_z**2))
+        try:
+            direct = math.exp(-((z - h) ** 2) / (2.0 * sigma_z**2))
+            image = math.exp(-((z + h) ** 2) / (2.0 * sigma_z**2))
+        except ArithmeticError as exc:
+            # A square that overflows, or a spread whose square underflows to 0.
+            raise ValueError("vertical spread and heights leave the float range") from exc
         return (direct + image) / (math.sqrt(2.0 * math.pi) * sigma_z)
 
 

@@ -139,6 +139,32 @@ class TestIngest:
         assert "raw.csv:2: pass_index must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_integral_exits_one_before_writing(self, tmp_path, met_csv, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + "\n4,1,0.0,1e308,1e300,90\n4,1,1.0,0.0,1e300,90\n")
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 1
+        assert "experiment '4' pass 1: cross-plume integral overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "calibrate"])
+def test_missing_output_directory_is_reported_for_the_target(tmp_path, met_csv, capsys, command):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + "\n4,1,0.0,2.0,3.0,90\n4,1,0.5,2.1,3.0,90\n")
+    passes = tmp_path / "passes.csv"
+    write_series(passes, [0.007] * 4)
+    out = tmp_path / "missing" / "out.csv"
+    argv = {
+        "ingest": ["ingest", "--raw", str(raw)],
+        "calibrate": ["calibrate", "--passes", str(passes), "--q-true", "0.083"],
+    }[command]
+    assert main(argv + ["--met", str(met_csv), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{out}'" in err
+    assert ".tmp" not in err
+    assert not out.parent.exists()
+
 
 # Field values that break one check of the raw reader, by column.
 CORRUPT_VALUES = {
@@ -151,23 +177,49 @@ CORRUPT_VALUES = {
 }
 
 
+def _with_digits(digits: str):
+    return lambda text: text.translate(str.maketrans("0123456789", digits))
+
+
+# Spellings of a numeric field that Python's float() and int() and
+# numpy's parsers may read differently: NBSP padding, an underscore
+# between digits, Arabic-Indic and fullwidth digits.
+RESPELLINGS = [
+    lambda text: "\xa0" + text + "\xa0",
+    lambda text: re.sub(r"(\d)(\d)", r"\1_\2", text, count=1),
+    _with_digits("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669"),
+    _with_digits("\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19"),
+]
+# Mantissas of 17 digits and more.
+FLOAT_RESPELLINGS = [
+    lambda text: format(float(text), ".25g"),
+    lambda text: text + "00000000000000000001" if "." in text and "e" not in text else text,
+]
+PASS_INDEX_RESPELLINGS = [lambda text: text + ".0", lambda text: "+" + text, lambda text: f" {text} "]
+
+
 @st.composite
 def raw_campaigns(draw):
     """A raw.csv text, the temperature per experiment and the parse block size.
 
     Several experiments and passes, rows in shuffled order, oblique road
-    angles, blank lines, an extra column, and sometimes one corrupted,
+    angles, subnormal mixing ratios, blank lines, an extra column, a
+    quoted header, LF, CRLF or CR line ends, numbers spelled in ways numpy
+    and Python may parse differently, and sometimes one corrupted,
     truncated or duplicated row.
     """
     temperature = {}
     rows = []
-    for exp in draw(st.lists(st.sampled_from(["4", "A", "x 9", "exp,2"]), min_size=1, max_size=3, unique=True)):
+    for exp in draw(st.lists(st.sampled_from(["4", "A", "x 9", "exp,2", 'q"x']), min_size=1, max_size=3, unique=True)):
         temperature[exp] = draw(st.floats(250.0, 320.0))
         for pass_index in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)):
             t = draw(st.floats(0.0, 100.0))
             for _ in range(draw(st.integers(2, 20))):
                 t += draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
-                ppm = draw(st.one_of(st.floats(0.0, 40.0), st.just(-0.0), st.sampled_from([1.9, 2.0])))
+                ppm = draw(st.one_of(
+                    st.floats(0.0, 40.0), st.just(-0.0), st.sampled_from([1.9, 2.0, 5e-324]),
+                    st.floats(0.0, 2.2250738585072014e-308),
+                ))
                 speed = draw(st.floats(0.5, 20.0))
                 angle = draw(st.one_of(st.just("90"), st.floats(1.0, 90.0).map(repr)))
                 rows.append({
@@ -176,6 +228,14 @@ def raw_campaigns(draw):
                     "road_angle_deg": angle, "note": "n",
                 })
     rows = draw(st.permutations(rows))
+    respell = draw(st.booleans())
+    for row in rows:
+        if respell and draw(st.integers(0, 7)) == 0:
+            column = draw(st.sampled_from(RAW_HEADER.split(",")[1:]))
+            spellings = RESPELLINGS + (
+                PASS_INDEX_RESPELLINGS if column == "pass_index" else FLOAT_RESPELLINGS
+            )
+            row[column] = draw(st.sampled_from(spellings))(row[column])
     fault = draw(st.sampled_from([None, None, "field", "short", "duplicate"]))
     if fault is not None:
         i = draw(st.integers(0, len(rows) - 1))
@@ -187,16 +247,18 @@ def raw_campaigns(draw):
         if fault != "duplicate":
             del rows[i + 1]
     columns = draw(st.permutations(RAW_HEADER.split(",") + ["note"]))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
+    header_quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    csv.writer(buffer, lineterminator=line_end, quoting=header_quoting).writerow(columns)
+    writer = csv.writer(buffer, lineterminator=line_end)
     for row in rows:
         cells = [row[c] for c in columns]
         if fault == "short" and row is rows[i]:
             cells = cells[: draw(st.integers(1, len(cells) - 1))]
         writer.writerow(cells)
         if draw(st.integers(0, 9)) == 0:
-            buffer.write("\n")
+            buffer.write(line_end)
     return buffer.getvalue(), temperature, draw(st.sampled_from([1, 2, 5, dataio.RAW_BLOCK_ROWS]))
 
 
@@ -306,6 +368,53 @@ class TestCalibrate:
             == 2
         )
         assert "2 passes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q_true", ["nan", "inf", "-1"])
+    def test_bad_q_true_exits_two_before_reading(self, tmp_path, met_csv, capsys, q_true):
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--passes", str(tmp_path / "p.csv"), "--met", str(met_csv), "--out", str(out)]
+        with mock.patch.object(cli.dataio, "read_passes", side_effect=AssertionError("read")):
+            assert main(argv + ["--q-true", q_true]) == 2
+        assert "--q-true must be non-negative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigma_that_overflows_exits_one(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [1.5e308, 0.0])
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--passes", str(passes), "--met", str(met_csv), "--q-true", "0.083", "--out", str(out)]
+        assert main(argv) == 1
+        assert "sigma_e overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sensor-height", "nan", "heights must be non-negative and finite"),
+        ("--source-height", "inf", "heights must be non-negative and finite"),
+        ("--spread-factor", "0", "spread factor must be positive and finite"),
+        ("--sensor-height", "1e200", "vertical spread and heights leave the float range"),
+    ],
+)
+@pytest.mark.parametrize("command", ["calibrate", "detect", "sweep"])
+def test_geometry_the_model_cannot_use_exits_two(tmp_path, met_csv, capsys, command, flag, value, message):
+    passes = tmp_path / "passes.csv"
+    write_series(passes, [0.007, 0.008, 0.006, 0.007])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigma_e": 0.001}))
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", "--q-true", "0.083", "--out", str(out / "cal.json")],
+        "detect": ["detect", "--config", str(config), "--out", str(out)],
+        "sweep": [
+            "sweep", "--q-true", "0.083", "--lrr", "2.0", "--instances", "2", "--repetitions", "1",
+            "--boot", "10", "--out", str(out),
+        ],
+    }[command]
+    assert main(argv + ["--passes", str(passes), "--met", str(met_csv), flag, value]) == 2
+    assert f"experiment '4': {message}" in capsys.readouterr().err
+    assert not [path for path in out.rglob("*") if path.is_file()]
 
 
 class TestDetect:
@@ -616,6 +725,64 @@ def test_synth_and_sweep_give_finite_output_or_a_typed_error(cys, lrr):
                 assert not re.search(r"\b(nan|inf)", path.read_text(), re.IGNORECASE), path.name
 
 
+def plausible_or_any(low: float, high: float, least: float, most: float = 1.7e308):
+    """Floats mostly in [low, high], and a fifth of them anywhere in [least, most]."""
+    return st.one_of(*[st.floats(low, high)] * 4, st.floats(least, most))
+
+
+POSITIVE = plausible_or_any(1e-3, 1e3, 5e-324)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    passes=st.lists(
+        st.lists(
+            st.tuples(
+                plausible_or_any(0.0, 1e4, -1.7e308),
+                plausible_or_any(0.0, 40.0, 0.0),
+                POSITIVE,
+                plausible_or_any(1.0, 90.0, 5e-324, 90.0),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    met=st.tuples(*[POSITIVE] * 6),
+    pressure=POSITIVE,
+    cys=st.lists(plausible_or_any(0.0, 0.1, 0.0), min_size=2, max_size=6),
+    q_true=plausible_or_any(0.0, 1.0, -1.0),
+    heights=st.tuples(*[plausible_or_any(0.0, 10.0, -1.0)] * 2),
+    spread=plausible_or_any(0.1, 10.0, -1.0),
+)
+def test_ingest_and_calibrate_give_finite_output_or_a_typed_error(
+    passes, met, pressure, cys, q_true, heights, spread
+):
+    """Finite raw samples, met values, passes and flags: ``ingest`` and
+    ``calibrate`` exit 0, 1 or 2, and no file either writes holds nan or
+    inf."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        raw, met_csv, passes_csv, out = tmp / "raw.csv", tmp / "met.csv", tmp / "passes.csv", tmp / "out"
+        raw.write_text(RAW_HEADER + "\n" + "".join(
+            f"4,{k},{t!r},{ppm!r},{v!r},{a!r}\n"
+            for k, samples in enumerate(passes, start=1) for t, ppm, v, a in samples
+        ))
+        met_csv.write_text(MET_HEADER + "\n4," + ",".join(map(repr, met)) + "\n")
+        write_series(passes_csv, cys)
+        out.mkdir()
+        geometry = [f"--sensor-height={heights[0]!r}", f"--source-height={heights[1]!r}", f"--spread-factor={spread!r}"]
+        for argv in (
+            ["ingest", "--raw", str(raw), f"--pressure={pressure!r}", "--out", str(out / "passes.csv")],
+            ["calibrate", "--passes", str(passes_csv), f"--q-true={q_true!r}", *geometry, "--out", str(out / "cal.json")],
+        ):
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + ["--met", str(met_csv)]) in (0, 1, 2), argv[0]
+        for path in out.iterdir():
+            assert not re.search(r"\b(nan|inf)", path.read_text(), re.IGNORECASE), path.name
+
+
 class TestSynth:
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -806,6 +973,7 @@ class TestSweep:
             ("repetitions", "0", "--repetitions must be at least 1"),
             ("boot", "0", "--boot must be at least 1"),
             ("workers", "0", "--workers must be at least 1"),
+            ("q-true", "nan", "--q-true must be non-negative and finite"),
         ],
     )
     def test_bad_configuration_exits_two_before_any_cell(self, tmp_path, exp4, capsys, flag, value, message):

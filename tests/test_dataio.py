@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestReadRawSamples:
         path.write_text(RAW_HEADER + "\n" + "\n".join(rows[:7] + ["e1,1,nan,2.0,3.0,90"]) + "\n")
         with pytest.raises(InputDataError, match=r"raw\.csv:9: sample time must be finite"):
             read_raw_samples(path)
+
+    @pytest.mark.parametrize("block_rows", [3, 4])
+    def test_clean_file_of_several_chunks_skips_the_diagnostic_reader(self, tmp_path, monkeypatch, block_rows):
+        monkeypatch.setattr(dataio, "RAW_BLOCK_ROWS", block_rows)
+        path = tmp_path / "raw.csv"
+        rows = [f"e{i % 2},{1 + i % 3},{0.1 * (20 - i)!r},2.0,3.0,{45 + i}" for i in range(20)]
+        path.write_text(RAW_HEADER + "\r\n" + "\r\n".join(rows[:9] + ["", ""] + rows[9:]) + "\r\n")
+        with mock.patch.object(dataio, "_parse_raw_rows", return_value=None):
+            expected = read_raw_samples(path)
+        with mock.patch.object(dataio, "_read_raw_checked", side_effect=AssertionError("diagnostic reader ran")):
+            grouped = read_raw_samples(path)
+        assert list(grouped) == list(expected) == ["e0", "e1"]
+        for exp, passes in expected.items():
+            assert {k: v.tolist() for k, v in grouped[exp].items()} == {k: v.tolist() for k, v in passes.items()}
+
+    def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n" + "e1,\u0662,1_0.5,2.0,3.0,90\n" + "e1,2,\uff11\uff12,2.0,3.0,90\n")
+        assert read_raw_samples(path)["e1"][2].tolist() == [(10.5, 2.0, 3.0, 90.0), (12.0, 2.0, 3.0, 90.0)]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -367,6 +387,21 @@ class TestAtomicWrite:
         path = tmp_path / "out.txt"
         atomic_write_text(path, "hello\n")
         assert path.read_text() == "hello\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_missing_directory_is_reported_for_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(path, "x")
+        assert info.value.filename == str(path)
+        assert ".tmp" not in str(info.value)
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(path, "x")
+        assert info.value.filename == str(path)
         assert list(tmp_path.iterdir()) == [path]
 
     def test_overwrites_existing(self, tmp_path):

@@ -312,6 +312,10 @@ class TestEstimateSigmaE:
         value = estimate_sigma_e([2.0, 1.5], 2.0, fms)
         assert value == pytest.approx(math.sqrt(0.0**2 + 0.5**2))
 
+    def test_overflowing_estimate_raises(self, unit_fm):
+        with pytest.raises(ValueError, match="sigma_e overflows"):
+            estimate_sigma_e([1.5e308, 0.0], 0.0, unit_fm)
+
     def test_model_count_mismatch(self):
         with pytest.raises(ValueError):
             estimate_sigma_e([1.0, 2.0, 3.0], 1.0, [ForwardModel(1.0, 1.0)] * 2)

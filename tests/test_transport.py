@@ -109,9 +109,24 @@ class TestPpmConversion:
 
 
 def integrate(samples):
-    """cross_plume_integrate over (conc, dt, speed, angle) sample tuples."""
+    """cross_plume_integrate over (conc, dt, speed, angle) sample tuples of one pass."""
     columns = list(zip(*samples)) or [[], [], [], []]
-    return cross_plume_integrate(*columns)
+    return float(cross_plume_integrate(*columns, [len(samples)])[0])
+
+
+def running_sum(samples):
+    total = 0.0
+    for conc, dt, speed, angle in samples:
+        total += conc * dt * speed * math.sin(math.radians(angle))
+    return total
+
+
+SAMPLE = st.tuples(
+    st.one_of(st.floats(0, 10), st.just(-0.0)),
+    st.floats(0.01, 2),
+    st.floats(0.1, 30),
+    st.floats(1, 90),
+)
 
 
 class TestCrossPlumeIntegrate:
@@ -146,7 +161,18 @@ class TestCrossPlumeIntegrate:
 
     def test_unequal_columns_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            cross_plume_integrate([1.0, 1.0], [0.1], [2.0, 2.0], [90.0, 90.0])
+            cross_plume_integrate([1.0, 1.0], [0.1], [2.0, 2.0], [90.0, 90.0], [2])
+
+    @pytest.mark.parametrize("lengths", [[1], [3], [2, -1, 1], [[2]]])
+    def test_pass_lengths_must_cover_the_samples(self, lengths):
+        with pytest.raises(ValueError, match="pass lengths"):
+            cross_plume_integrate([1.0, 1.0], [0.1, 0.1], [2.0, 2.0], [90.0, 90.0], lengths)
+
+    def test_overflow_gives_inf_or_nan_without_a_warning(self):
+        cys = cross_plume_integrate(
+            [1e300, 0.0, 1.0], [1e300, math.inf, 0.1], [1.0, 1.0, 1.0], [90.0, 90.0, 90.0], [1, 1, 1]
+        )
+        assert math.isinf(cys[0]) and math.isnan(cys[1]) and cys[2] == 0.1
 
     @given(
         st.lists(
@@ -167,23 +193,17 @@ class TestCrossPlumeIntegrate:
         parts = integrate(samples[:cut]) + integrate(samples[cut:])
         assert whole == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.one_of(st.floats(0, 10), st.just(-0.0)),
-                st.floats(0.01, 2),
-                st.floats(0.1, 30),
-                st.floats(1, 90),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
+    @given(st.lists(SAMPLE, min_size=1, max_size=40))
     def test_equals_a_running_sum(self, samples):
-        total = 0.0
-        for conc, dt, speed, angle in samples:
-            total += conc * dt * speed * math.sin(math.radians(angle))
-        assert repr(integrate(samples)) == repr(total)
+        assert repr(integrate(samples)) == repr(running_sum(samples))
+
+    @given(st.lists(st.one_of(st.lists(SAMPLE, max_size=5), st.lists(SAMPLE, max_size=70)), max_size=8))
+    def test_each_pass_equals_its_own_running_sum(self, passes):
+        """Passes of uneven lengths integrated together: each gives the
+        bits it gives alone."""
+        columns = list(zip(*(s for samples in passes for s in samples))) or [[], [], [], []]
+        cys = cross_plume_integrate(*columns, [len(samples) for samples in passes])
+        assert [repr(cy) for cy in cys.tolist()] == [repr(running_sum(samples)) for samples in passes]
 
 
 class TestDispersion:
@@ -224,6 +244,36 @@ class TestDispersion:
         geom = Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0)
         wide = ReflectedGaussianDispersion(spread_factor=2.0).vertical_factor(met, geom)
         assert wide == pytest.approx(1.0 / math.sqrt(2 * math.pi))
+
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
+    def test_spread_factor_must_be_positive_and_finite(self, factor):
+        with pytest.raises(ValueError, match="spread factor must be positive and finite"):
+            ReflectedGaussianDispersion(spread_factor=factor)
+
+    def test_infinite_spread_is_degenerate(self):
+        with pytest.raises(ValueError, match="degenerate vertical spread"):
+            ReflectedGaussianDispersion(10.0).vertical_factor(make_met(), Geometry(1e308))
+
+    # A height whose square overflows; a spread whose square underflows to 0.
+    @pytest.mark.parametrize("fetch, height", [(30.0, 1e200), (1e-170, 1.3)])
+    def test_geometry_past_the_float_range_is_a_value_error(self, fetch, height):
+        geom = Geometry(fetch, sensor_height_m=height)
+        with pytest.raises(ValueError, match="leave the float range"):
+            ReflectedGaussianDispersion().vertical_factor(make_met(), geom)
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("fetch", [0.0, -1.0, math.nan, math.inf])
+    def test_fetch_must_be_positive_and_finite(self, fetch):
+        with pytest.raises(ValueError, match="fetch must be positive and finite"):
+            Geometry(fetch)
+
+    @pytest.mark.parametrize("height", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("which", ["sensor_height_m", "source_height_m"])
+    def test_heights_must_be_non_negative_and_finite(self, which, height):
+        with pytest.raises(ValueError, match="heights must be non-negative and finite"):
+            Geometry(30.0, **{which: height})
 
 
 class TestForwardModel:
