@@ -35,10 +35,13 @@ around q* = c / r. A row is built, in O(n), only for a report or event.
 
 A hypothesis's (A, mode, log Z) and both predictives depend on the
 measurements and the noise scale alone, never on the weights, so
-``RunLengthState.advance`` computes them for a block of up to
-``PASS_BLOCK`` passes at once and keeps only the O(k) weight recursion
-pass by pass. Every value gets the arithmetic of a one-pass step, in the
-same order, so a block leaves the bits of its passes taken one at a time.
+``RunLengthState.advance`` computes them for a block of passes at once
+and keeps only the O(k) weight recursion pass by pass. Every value gets
+the arithmetic of a one-pass step, in the same order, so a block leaves
+the bits of its passes taken one at a time. ``block_passes`` sizes a
+block: it grows with the run length k, so a call's fixed cost is spread
+over more passes the longer a run lasts, up to a bound on the block's
+hypothesis slots.
 """
 
 from __future__ import annotations
@@ -72,14 +75,31 @@ DEFAULT_PREDICTIVE_METHOD: PredictiveMethod = "marginal"
 # it is impossible under every hypothesis and kept out of the arithmetic.
 FAR_SIGMAS = 50.0
 
-# Passes one ``RunLengthState.advance`` call folds in. A stream's
-# hypotheses are computed for the rest of its block after its alarm, work
-# that is thrown away: on the benchmark's sweep_grid cells (28-pass
+# The fewest passes a ``RunLengthState.advance`` call folds in, unless
+# fewer remain, and the hypothesis slots, streams x passes x (k + passes
+# + 1), above which ``block_passes`` shrinks a longer block toward it. A
+# stream's hypotheses are computed for the rest of its block after its
+# alarm, work that is thrown away; since a block is at most as long as
+# the run before it, past the minimum, that waste is at most the work
+# since the last reset. On the benchmark's sweep_grid cells (28-pass
 # instances), 8-pass blocks compute 7.6 % more hypothesis rows than the
-# passes taken need, 28-pass blocks 43 %.
+# passes taken need, one 28-pass block 43 %.
 PASS_BLOCK = 8
+BLOCK_SLOTS = 2**14
 
 IMPOSSIBLE = "observation impossible under all run-length hypotheses"
+
+
+def block_passes(n_streams: int, k: int) -> int:
+    """Passes n for the next block of ``n_streams`` streams, k passes
+    after their last reset: k, but at least ``PASS_BLOCK``, and above that
+    the most whose n_streams n (k + n + 1) hypothesis slots fit in
+    ``BLOCK_SLOTS``. The caller cuts n to the passes left."""
+    # The largest n with n (n + c) <= m solves the quadratic exactly in
+    # integers: floor(sqrt(c^2 + 4 m)) - c, halved and floored.
+    c, m = k + 1, BLOCK_SLOTS // n_streams
+    fit = (math.isqrt(c * c + 4 * m) - c) // 2
+    return max(PASS_BLOCK, min(k, fit))
 
 
 class Steps(NamedTuple):

@@ -474,7 +474,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputDataError, ConfigError, FileNotFoundError) as exc:
+    except (InputDataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (PlumeCpdError, ValueError) as exc:

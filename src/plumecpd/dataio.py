@@ -7,6 +7,7 @@ exactly and rerunning a command reproduces byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -123,7 +124,9 @@ def atomic_write_text(path: Path, text: str) -> None:
         tmp.write_text(text)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        # Where the temp file could not be made, removing it fails too.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 

@@ -11,8 +11,10 @@ passes after the first detected change, reflecting that post-change
 rates are no longer pinned by a controlled release.
 
 Both entry points hold a ``bocd.RunLengthState`` and advance it through
-its one step, which takes up to ``PASS_BLOCK`` passes, stops a stream at
-its first alarm or failure, and also checks the full-run row.
+its one step, which takes a block of passes sized by
+``bocd.block_passes`` (at least ``PASS_BLOCK``, more as the run since the
+last reset grows), stops a stream at its first alarm or failure, and
+also checks the full-run row.
 ``detect_series`` runs one stream to its end, builds the full-run rows of
 a block's pass reports together and, after an alarm, starts a fresh state
 at the next pass. ``first_alarms`` serves Monte Carlo scoring, which needs
@@ -33,9 +35,9 @@ from .bocd import (
     DEFAULT_LAMBDA,
     DEFAULT_PREDICTIVE_METHOD,
     DEFAULT_PRUNE_THRESHOLD,
-    PASS_BLOCK,
     PredictiveMethod,
     RunLengthState,
+    block_passes,
 )
 from .errors import DetectionError, MeasurementIncompatibleError
 from .inference import (
@@ -144,7 +146,7 @@ def detect_series(
 
     start = 0
     while start < cys.size:
-        stop = min(start + PASS_BLOCK, cys.size)
+        stop = min(start + block_passes(1, state.k), cys.size)
         try:
             steps = state.advance(
                 cys[np.newaxis, start:stop], fms[start:stop], lik_cfg, cfg.lam,
@@ -224,7 +226,7 @@ def first_alarms(
     failures: dict[int, str] = {}
     start = 0
     while start < n_passes and live.size:
-        stop = min(start + PASS_BLOCK, n_passes)
+        stop = min(start + block_passes(live.size, state.k), n_passes)
         try:
             steps = state.advance(
                 cys[live, start:stop], [fm] * (stop - start), lik_cfg, cfg.lam,

@@ -210,17 +210,33 @@ def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.n
     return out, window
 
 
-def _erf_gap(lo: float, hi: float) -> float:
-    """erf(hi) - erf(lo) for lo <= hi with lo + hi >= 0: a difference of
-    upper tails when lo >= 0, else a sum of two positive erf values, so
-    neither form takes the difference of two numbers near 1."""
-    if lo >= 0:
-        return math.erfc(lo) - math.erfc(hi)
-    return math.erf(hi) + math.erf(-lo)
+# erfc(6) is about 2e-17, below half an ulp of 1, so erf(x) is 1.0 from here on.
+ERF_IS_ONE = 6.0
 
 
-# numpy has no erf; the edge path is its only caller, on few rows a step.
-_erf_gaps = np.frompyfunc(_erf_gap, 2, 1)
+def _erf_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """erf(hi) - erf(lo), elementwise for lo <= hi with lo + hi >= 0: a
+    difference of upper tails where lo >= 0, else a sum of two positive
+    erf values, so neither form takes the difference of two numbers near 1.
+
+    numpy has no erf, and a block step can send the edge path thousands of
+    rows: ``math.erf``/``math.erfc`` map over plain lists of only the
+    arguments each form needs, with erf(hi) taken as 1.0 at hi >= 6.
+    """
+    out = np.empty(lo.shape)
+    tails = lo >= 0
+    out[tails] = _map(math.erfc, lo[tails]) - _map(math.erfc, hi[tails])
+    sums = ~tails
+    lo, hi = lo[sums], hi[sums]
+    erf_hi = np.ones(hi.shape)
+    below = hi < ERF_IS_ONE
+    erf_hi[below] = _map(math.erf, hi[below])
+    out[sums] = erf_hi + _map(math.erf, -lo)
+    return out
+
+
+def _map(f, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
 def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -236,7 +252,7 @@ def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarr
     # erf(u_b) - erf(u_a), u = t / sqrt(2), reflected about the mode so
     # that the interval's middle is at or above it.
     u = ends * np.where(ends[0] + ends[1] < 0, -math.sqrt(0.5), math.sqrt(0.5))
-    gap = _erf_gaps(u.min(axis=0), u.max(axis=0)).astype(float)
+    gap = _erf_gaps(u.min(axis=0), u.max(axis=0))
     r = grid.dq / width
     r3 = r**3
     r5 = r3 * r * r

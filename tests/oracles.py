@@ -112,6 +112,16 @@ def direct_posterior(
     return prod / left_riemann(prod, dq)
 
 
+def erf_gap(lo: float, hi: float) -> float:
+    """erf(hi) - erf(lo) for lo <= hi with lo + hi >= 0, one pair at a
+    time: a difference of upper tails when lo >= 0, else a sum of two
+    positive erf values, so neither form takes the difference of two
+    numbers near 1."""
+    if lo >= 0:
+        return math.erfc(lo) - math.erfc(hi)
+    return math.erf(hi) + math.erf(-lo)
+
+
 def grid_moments(density: np.ndarray, q_values: np.ndarray, dq: float):
     mean = float(np.sum(q_values[:-1] * density[:-1]) * dq)
     var = float(np.sum((q_values[:-1] - mean) ** 2 * density[:-1]) * dq)

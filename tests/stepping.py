@@ -2,10 +2,10 @@
 
 Tests that check the recursion itself, rather than the loops in
 ``plumecpd.detector``, step ``bocd.RunLengthState`` with B = 1 through
-``run_core``, a block of ``PASS_BLOCK`` passes at a time with no alarm,
-and read back the normalized weights, the log evidence and each
-hypothesis's closed-form rate row. ``posterior_of`` builds the
-package's rate posterior of a set of passes.
+``run_core``, in the blocks ``block_passes`` sizes for the detector's
+drivers, with no alarm, and read back the normalized weights, the log
+evidence and each hypothesis's closed-form rate row. ``posterior_of``
+builds the package's rate posterior of a set of passes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, PASS_BLOCK, RunLengthState
+from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState, block_passes
 from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import (
     EmissionPosterior,
@@ -97,7 +97,7 @@ def run_core(
     cys = np.array(cys, dtype=float).reshape(1, -1)
     start = 0
     while start < cys.shape[1]:
-        block = cys[:, start : start + PASS_BLOCK]
+        block = cys[:, start : start + block_passes(1, state.k)]
         steps = state.advance(
             block, [fm] * block.shape[1], cfg, lam, method, prune_threshold, math.inf
         )

@@ -3,9 +3,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_force_alpha, direct_posterior, gaussian_pdf, likelihood_vector
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, PASS_BLOCK, RunLengthState
+from plumecpd.bocd import (
+    BLOCK_SLOTS,
+    DEFAULT_PRUNE_THRESHOLD,
+    PASS_BLOCK,
+    RunLengthState,
+    block_passes,
+)
 from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import (
     LikelihoodConfig,
@@ -328,6 +336,25 @@ class TestBocdStep:
         ).weights
         assert abs(float(np.sum(weights)) - 1.0) <= 1e-10
         assert np.all((weights == 0.0) | (weights >= 0.05))
+
+
+class TestBlockPasses:
+    @settings(max_examples=500, deadline=None)
+    @given(n_streams=st.integers(1, 5000), k=st.integers(0, 10_000))
+    def test_largest_block_within_the_slots(self, n_streams, k):
+        n = block_passes(n_streams, k)
+        assert PASS_BLOCK <= n <= max(PASS_BLOCK, k)
+        if n > PASS_BLOCK:
+            assert n_streams * n * (k + n + 1) <= BLOCK_SLOTS
+        if n < k:
+            assert n_streams * (n + 1) * (k + n + 2) > BLOCK_SLOTS
+
+    def test_grows_with_the_run(self):
+        # One stream: k passes while k (2 k + 1) fits in 2^14 slots, to k = 90.
+        assert [block_passes(1, k) for k in range(91)] == [max(PASS_BLOCK, k) for k in range(91)]
+        assert [block_passes(1, k) for k in (91, 128, 448)] == [90, 78, 33]
+        assert [block_passes(40, k) for k in (0, 8, 16)] == [8, 8, 13]
+        assert all(block_passes(1000, k) == PASS_BLOCK for k in range(0, 1000))
 
 
 class TestRowBuffer:

@@ -166,6 +166,54 @@ def test_missing_output_directory_is_reported_for_the_target(tmp_path, met_csv, 
     assert not out.parent.exists()
 
 
+# Each writing subcommand's arguments but --out, and the file it writes
+# under --out ("" for --out itself).
+WRITERS = {
+    "ingest": (["ingest", "--raw", "{raw}", "--met", "{met}"], ""),
+    "calibrate": (["calibrate", "--passes", "{passes}", "--met", "{met}", "--q-true", "0.083"], ""),
+    "detect": (
+        ["detect", "--passes", "{passes}", "--met", "{met}", "--config", "{config}"],
+        "events.json",
+    ),
+    "synth": (["synth", "--passes", "{passes}", "--met", "{met}", "--lrr", "2", "--instances", "2"], ""),
+    "sweep": (
+        [
+            "sweep", "--passes", "{passes}", "--met", "{met}", "--lrr", "2", "--instances", "2",
+            "--q-true", "0.083", "--repetitions", "1", "--boot", "10",
+        ],
+        "report.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+@pytest.mark.parametrize("command", list(WRITERS))
+def test_unwritable_output_exits_two(tmp_path, met_csv, capsys, command, where):
+    # A directory where the output file should go, or an --out below a
+    # plain file: one error line naming the path, and no temp file left.
+    raw = tmp_path / "raw.csv"
+    raw.write_text(RAW_HEADER + "\n4,1,0.0,2.0,3.0,90\n4,1,0.5,2.1,3.0,90\n")
+    passes = tmp_path / "passes.csv"
+    write_series(passes, [0.007, 0.008, 0.006, 0.0075])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigma_e": 0.001}))
+    inputs = {"raw": raw, "met": met_csv, "passes": passes, "config": config}
+    argv, written = WRITERS[command]
+    argv = [arg.format(**inputs) for arg in argv]
+    if where == "directory":
+        out = tmp_path / "out"
+        bad = out / written if written else out
+        bad.mkdir(parents=True)
+    else:
+        (tmp_path / "file").write_text("")
+        out = bad = tmp_path / "file" / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"'{bad}" in err and ".tmp" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 # Field values that break one check of the raw reader, by column.
 CORRUPT_VALUES = {
     "experiment_id": [""],

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from oracles import (
     step_oracle_detect,
     step_oracle_first_alarms,
 )
-from plumecpd.bocd import PASS_BLOCK
+from plumecpd import bocd
+from plumecpd.bocd import PASS_BLOCK, RunLengthState
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -497,9 +499,10 @@ def assert_steps_as_one_pass_at_a_time(cys, fms, cfg, block=None):
     return got
 
 
-# Stream lengths up to three blocks and one pass, and each event at every
-# pass of them, so at every offset within a block.
-LONGEST = 3 * PASS_BLOCK + 1
+# Stream lengths up to 50 passes, and each event at every pass of them, so
+# at every offset within a block: one stream takes blocks of 8, 8, 16 and
+# 18 passes.
+LONGEST = 6 * PASS_BLOCK + 2
 
 
 class TestBlockStep:
@@ -529,11 +532,11 @@ class TestBlockStep:
         got = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg, [cys, cys])
         assert got == f"pass {at}: rate posterior density overflows at the top of the grid"
 
-    @pytest.mark.parametrize("at", range(1, PASS_BLOCK + 2))
+    @pytest.mark.parametrize("at", range(1, LONGEST + 1))
     def test_rejected_pass_inside_a_block(self, at):
         # A forward model whose ratio overflows the precision, or a negative
         # measurement, fails its own pass, not the block's first.
-        fms = [ForwardModel(1.0, 1.0)] * (PASS_BLOCK + 2)
+        fms = [ForwardModel(1.0, 1.0)] * LONGEST
         cfg = make_config(sigma_e_initial=0.03)
         cys = [1.0] * len(fms)
         cys[at - 1] = -1.0
@@ -558,7 +561,21 @@ class TestBlockStep:
         )
 
 
-@settings(max_examples=150, deadline=None)
+# Few enough slots that blocks past the first shrink: one stream at k = 16
+# takes 9 passes, not 16, and three streams keep to 8.
+SMALL_SLOTS = 2**8
+
+
+class TestSmallBlockStep(TestBlockStep):
+    """The block step's cases again with ``BLOCK_SLOTS`` small."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self):
+        with mock.patch.object(bocd, "BLOCK_SLOTS", SMALL_SLOTS):
+            yield
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     data=st.data(),
     n=st.integers(1, LONGEST),
@@ -566,13 +583,15 @@ class TestBlockStep:
     method=st.sampled_from(["marginal", "scaling"]),
     threshold=st.sampled_from([0.3, 0.8, 0.99]),
     grid=st.sampled_from([QGrid(0.0, 5.0, 0.05), QGrid(0.0, 5.0, 0.01)]),
+    slots=st.sampled_from([bocd.BLOCK_SLOTS, SMALL_SLOTS]),
 )
-def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshold, grid):
+def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshold, grid, slots):
     """Reports, events and error text (pass index included) of
     ``detect_series``, and the passes, changepoint probabilities and failing
     instance of ``first_alarms``, equal a pass-at-a-time loop over the step
     oracle, with alarms, impossible passes and rows at q_max anywhere in a
-    block and forward models that change from pass to pass."""
+    block, forward models that change from pass to pass, and blocks that
+    grow with the run or shrink to fit ``slots``."""
     cy = st.one_of(
         st.floats(0.0, 4.9), st.sampled_from([0.0, 5.0, 5.3, 1e3, 1e300]), st.floats(0.0, 6.0)
     )
@@ -587,5 +606,47 @@ def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshol
     block = data.draw(
         st.lists(st.lists(cy, min_size=n, max_size=n), min_size=1, max_size=3), label="block"
     )
-    assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
-    assert_steps_as_one_pass_at_a_time(cys, ForwardModel(1.0, 1.0), cfg, block)
+    with mock.patch.object(bocd, "BLOCK_SLOTS", slots):
+        assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
+        assert_steps_as_one_pass_at_a_time(cys, ForwardModel(1.0, 1.0), cfg, block)
+
+
+def advance_calls(run):
+    """(k before, passes given, any alarm) of each ``RunLengthState.advance``
+    call that ``run()`` makes."""
+    calls = []
+    real = RunLengthState.advance
+
+    def advance(state, cys, *args):
+        k = state.k
+        steps = real(state, cys, *args)
+        calls.append((k, cys.shape[1], bool(steps.alarm.any())))
+        return steps
+
+    with mock.patch.object(RunLengthState, "advance", advance):
+        run()
+    return calls
+
+
+class TestBlockSizes:
+    def test_stationary_stream_takes_few_calls(self, unit_fm):
+        cys = np.random.default_rng(448).normal(2.0, 0.03, 448)
+        cfg = make_config(sigma_e_initial=0.03)
+        calls = advance_calls(lambda: detect_series(cys, unit_fm, cfg))
+        assert not any(alarm for _, _, alarm in calls)
+        assert [n for _, n, _ in calls] == [8, 8, 16, 32, 64, 78, 61, 51, 45, 40, 37, 8]
+
+    def test_block_after_an_alarm_is_the_minimum(self, unit_fm):
+        cys = [1.0] * 100 + [3.0] * 40
+        cfg = make_config(sigma_e_initial=0.03)
+        calls = advance_calls(lambda: detect_series(cys, unit_fm, cfg))
+        at = next(i for i, (_, _, alarm) in enumerate(calls) if alarm)
+        assert calls[at][1] > PASS_BLOCK
+        assert calls[at + 1][:2] == (0, PASS_BLOCK)
+
+    def test_lockstep_blocks_shrink_with_the_streams(self, unit_fm):
+        # 1000 streams stay at the minimum; a few grow their blocks.
+        cfg = make_config(sigma_e_initial=0.03)
+        for streams, sizes in [(1000, [8] * 5), (3, [8, 8, 16, 8])]:
+            calls = advance_calls(lambda: first_alarms(np.ones((streams, 40)), unit_fm, cfg))
+            assert [n for _, n, _ in calls] == sizes

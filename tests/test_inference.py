@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bayes_update, likelihood_vector
+from oracles import bayes_update, erf_gap, likelihood_vector
 from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
 from plumecpd.errors import (
     ConfigError,
@@ -14,6 +14,7 @@ from plumecpd.errors import (
 )
 from plumecpd.inference import (
     DEFAULT_GRID,
+    ERF_IS_ONE,
     MIN_SIGMA_E,
     EmissionPosterior,
     LikelihoodConfig,
@@ -25,6 +26,7 @@ from plumecpd.inference import (
     log_grid_mass,
     posterior_mean_std,
     posterior_mode,
+    _erf_gaps,
     uniform_prior,
 )
 from plumecpd.transport import ForwardModel
@@ -205,6 +207,38 @@ class TestLogGridMass:
         got = log_grid_mass(grid, precision, mode)
         expected = [exact_log_mass(grid, p, m) for p, m in zip(precision, mode)]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
+
+
+class TestErfGaps:
+    """The edge path's vector erf gap against the one-pair oracle, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-8.0, 8.0), st.sampled_from([0.0, -0.0, ERF_IS_ONE])),
+                st.one_of(st.floats(0.0, 12.0), st.sampled_from([ERF_IS_ONE, 5.999999999, 30.0])),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_the_oracle(self, pairs):
+        # Both forms (lo below and at or above 0) and hi on both sides of
+        # ERF_IS_ONE, mixed in one call.
+        pairs = [(min(lo, hi), max(lo, hi)) for lo, hi in pairs]
+        pairs = [(lo, hi) if lo + hi >= 0 else (-hi, -lo) for lo, hi in pairs]
+        lo, hi = np.array(pairs).T
+        got = _erf_gaps(lo, hi)
+        expected = np.array([erf_gap(a, b) for a, b in pairs])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_erf_is_one_from_the_cut_on(self):
+        # The cut is exact: erfc(6) is below half an ulp of 1.
+        x = np.concatenate(
+            [np.linspace(ERF_IS_ONE, 40.0, 2000), np.geomspace(40.0, 1e308, 2000)]
+        )
+        assert all(math.erf(v) == 1.0 for v in x.tolist())
 
 
 class TestBayesUpdate:
