@@ -35,13 +35,29 @@ around q* = c / r. A row is built, in O(n), only for a report or event.
 
 A hypothesis's (A, mode, log Z) and both predictives depend on the
 measurements and the noise scale alone, never on the weights, so
-``RunLengthState.advance`` computes them for a block of passes at once
-and keeps only the O(k) weight recursion pass by pass. Every value gets
-the arithmetic of a one-pass step, in the same order, so a block leaves
-the bits of its passes taken one at a time. ``block_passes`` sizes a
-block: it grows with the run length k, so a call's fixed cost is spread
-over more passes the longer a run lasts, up to a bound on the block's
-hypothesis slots.
+``RunLengthState.advance`` computes them for a block of passes at once,
+each with the arithmetic of a one-pass step, so that they keep the bits of
+passes taken one at a time. ``block_passes`` sizes a block: it grows with
+the run length k, so a call's fixed cost is spread over more passes the
+longer a run lasts, up to a bound on the block's hypothesis slots.
+
+The weights of a block fold in closed form, with no pruning. A hypothesis
+never leaves its slot, so after pass p its joint weight is the weight it
+opened with times P[p, s], the product down its slot s of its growth
+factors: (1 - h) pi a pass, h pi_fresh at the pass that opened it. Only
+the totals S_p before each pass are coupled, as the slot pass q opens
+starts from S_q; with w the weights before the block,
+
+    S_{p+1} = sum_{j <= k0} w_j P[p, j] + sum_{q <= p} S_q P[p, k0 + 1 + q].
+
+Scaling each pass by its largest predictive keeps every factor at most 1.
+Forward substitution then gives the totals, one small product a pass, and
+the changepoint probabilities h pi_fresh S_p / S_{p+1}, the evidences
+S_{p+1} / S_p, first alarms and failures and the final weights come from
+whole arrays. The solve must be causal: a dense solver's pivoting mixes
+later passes into earlier ones, so a pass whose predictives are all 0
+failed a pass before it. Forward substitution reads no later pass.
+Changepoint probabilities agree with the one-pass recursion within 1e-12.
 """
 
 from __future__ import annotations
@@ -65,7 +81,6 @@ from .inference import (
 from .transport import ForwardModel
 
 DEFAULT_LAMBDA = 15.0
-DEFAULT_PRUNE_THRESHOLD = 1e-12
 
 PredictiveMethod = Literal["scaling", "marginal"]
 DEFAULT_PREDICTIVE_METHOD: PredictiveMethod = "marginal"
@@ -157,7 +172,6 @@ class RunLengthState:
         cfg: LikelihoodConfig,
         lam: float,
         method: PredictiveMethod,
-        prune_threshold: float,
         threshold: float,
     ) -> Steps:
         """Fold a block of passes, ``cys`` of shape (B, passes) with
@@ -227,127 +241,102 @@ class RunLengthState:
             after += b[:, p, np.newaxis]
             after /= precision[p + 1, live]
         fresh = hypotheses & (a > 0)[:, np.newaxis]
-        if method == "scaling":
-            inverses = np.array([fm.advection_velocity_mps / fm.dispersion_factor_per_m for fm in fms])
 
         # log Z of every hypothesis of every pass in one call, less the rows
         # of the exact windowed sum, whose bits depend on the rows summed
-        # with them: a pass computes those for its running streams alone.
+        # with them: those come one pass at a time, for every stream, as a
+        # one-pass step computes them. A pass with a forward ratio of 0
+        # copies the rows before it, filled by then.
         log_mass = np.empty((n_streams, n_block + 1, width))
         log_mass[:, 0] = self.log_mass[:, :width]
         values, window = closed_form_log_mass(grid, precision[1:], mode[:, 1:])
         log_mass[:, 1:] = np.where(fresh, values, self.log_mass[:, np.newaxis, :width])
         window &= fresh
-        for p in copies:
-            log_mass[:, p + 1] = log_mass[:, p]
-            if p:
-                window[:, p] = window[:, p - 1]
-        deferred = window.any(axis=(0, 2)).tolist()
-        suspect = (log_mass[:, 1:, 0] < -LOG_MAX_FLOAT).any(axis=0).tolist()
-
-        # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
-        half_shrink = np.divide(
-            0.5 * precision[:-1], precision[1:], out=np.full((n_block, width), 0.5),
-            where=precision[1:] > 0,
-        )
-        half_shrink[copies] = 0.5
-
-        def predictive(rows, p, after):
-            """Predictive densities of the streams ``rows`` at the passes
-            ``p``, an index or a slice, whose states after them are ``after``."""
-            old = np.s_[rows, p]
-            if method == "marginal":
-                pis = _marginal_density(
-                    used[rows, p], ratios[p], sigma, mode[old], log_mass[old],
-                    log_mass[rows, after], half_shrink[p],
-                )
+        for p in np.flatnonzero((a == 0) | window.any(axis=(0, 2))).tolist():
+            if a[p] == 0:
+                log_mass[:, p + 1] = log_mass[:, p]
             else:
-                pis = _scaled_density(
-                    grid, used[rows, p], inverses[p], precision[p], mode[old], log_mass[old]
+                rows = window[:, p]
+                log_mass[:, p + 1][rows] = window_log_mass(
+                    grid, np.broadcast_to(precision[p + 1], rows.shape)[rows], mode[:, p + 1][rows]
                 )
-            pis[far[rows, p]] = 0.0
-            return pis
 
-        pis = predictive(slice(None), slice(0, n_block), slice(1, n_block + 1))
+        if method == "marginal":
+            # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
+            half_shrink = np.divide(
+                0.5 * precision[:-1], precision[1:], out=np.full((n_block, width), 0.5),
+                where=precision[1:] > 0,
+            )
+            half_shrink[copies] = 0.5
+            pis = _marginal_density(
+                used, ratios, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
+            )
+        else:
+            inverses = np.array([fm.advection_velocity_mps / fm.dispersion_factor_per_m for fm in fms])
+            pis = _scaled_density(grid, used, inverses, precision[:-1], mode[:, :-1], log_mass[:, :-1])
 
+        # The fold, with every pass scaled by its largest predictive. A
+        # growth factor is 1 in a slot the pass has not opened yet, and 0 on
+        # a pass whose predictives give no scale (all 0, or one not
+        # finite): that pass fails its stream and zeroes it from there on.
         h = 1.0 / lam
-        weights = self.weights
-        running = np.arange(n_streams)
-        done = np.full(n_streams, n_block)
-        alarm = np.zeros(n_streams, dtype=bool)
-        errors: dict[int, str] = {}
-        cp = np.empty((n_streams, n_block))
-        evidences = np.ones((n_streams, n_block))
-        # ufunc reductions, not array methods: a pass's arrays are small
-        # enough that the methods' Python wrappers cost more than the sums.
-        add, least, most = np.add.reduce, np.minimum.reduce, np.fmax.reduce
+        steps = np.arange(n_block)
+        opened = k0 + 1 + steps
+        pis = np.where(hypotheses & ~far[..., np.newaxis], pis, 0.0)
+        most = pis.max(axis=2)
+        scaled = (most > 0) & (most < math.inf)
+        unit = np.where(scaled, most, 1.0)
+        hazard = np.where(hypotheses, 1.0 - h, 0.0)
+        hazard[steps, opened] = h
+        growth = pis / unit[..., np.newaxis] * hazard + ~hypotheses
+        growth[~scaled] = 0.0
+        products = np.multiply.accumulate(growth, axis=1)
+        # origin[:, s] is the weight slot s opens with: the state's weight,
+        # or for the slot pass q opens, the total before that pass. Column
+        # k0 + 1 + q holds that total, S_q, so each total is the product of
+        # the columns before it with that pass's slot products.
+        origin = np.empty((n_streams, width + 1))
+        origin[:, : k0 + 1] = self.weights[:, ::-1]
+        origin[:, k0 + 1] = np.add.reduce(self.weights, axis=1)
         for p in range(n_block):
-            k = k0 + p
-            rows = running if running.size < n_streams else slice(None)
-            if deferred[p]:
-                if p in copies:
-                    log_mass[rows, p + 1] = log_mass[rows, p]
-                else:
-                    todo = window[rows, p]
-                    filled = log_mass[rows, p + 1]
-                    filled[todo] = window_log_mass(
-                        grid, np.broadcast_to(precision[p + 1], todo.shape)[todo],
-                        mode[rows, p + 1][todo],
-                    )
-                    log_mass[rows, p + 1] = filled
-            if deferred[p] or (p and deferred[p - 1]):
-                pis[rows, p] = predictive(rows, p, p + 1)
-            pis_p = pis[rows, p]
+            j = k0 + 2 + p
+            np.matmul(
+                products[:, p, np.newaxis, :j], origin[:, :j, np.newaxis],
+                out=origin[:, np.newaxis, j : j + 1],
+            )
+        before, after = origin[:, k0 + 1 : -1], origin[:, k0 + 2 :]
+        cp = np.divide(
+            growth[:, steps, opened] * before, after, out=np.zeros(after.shape), where=after > 0
+        )
+        evidences = np.divide(after, before, out=np.zeros(after.shape), where=before > 0) * unit
+        impossible = ~((evidences > 0) & (evidences < math.inf))
+        failure = impossible | _top_overflows(
+            grid, precision[1:, 0], mode[:, 1:, 0], log_mass[:, 1:, 0]
+        )
+        hit = failure | (cp >= threshold)
+        first = hit.argmax(axis=1)
+        at = np.arange(n_streams), first
+        stopped = hit[at]
+        done = np.where(stopped, first + 1, n_block)
+        failed = stopped & failure[at]
+        alarm = stopped & ~failed
+        errors = {
+            b: IMPOSSIBLE if impossible[b, first[b]] else POSTERIOR_OVERFLOW
+            for b in np.flatnonzero(failed).tolist()
+        }
 
-            unnormalized = np.empty((weights.shape[0], k + 2))
-            np.multiply(h * pis_p[:, k + 1], add(weights, axis=1), out=unnormalized[:, 0])
-            np.multiply(weights * (1.0 - h), pis_p[:, k::-1], out=unnormalized[:, 1:])
-            evidence = add(unnormalized, axis=1)
-            failed: dict[int, str] = {}
-            # Scalar tests first: one stream's arrays are too small for a mask
-            # to pay off, and a NaN fails them too.
-            if not (least(evidence) > 0 and most(evidence) < math.inf):
-                possible = (evidence > 0) & np.isfinite(evidence)
-                failed = dict.fromkeys(np.flatnonzero(~possible).tolist(), IMPOSSIBLE)
-                # Placeholders keep the failed streams' arithmetic below finite.
-                unnormalized[~possible] = 1.0
-                evidence[~possible] = 1.0
-            weights = unnormalized / evidence[:, np.newaxis]
-            weights[weights < prune_threshold] = 0.0
-            weights /= add(weights, axis=1, keepdims=True)
-            if suspect[p] or deferred[p]:
-                for s in _top_overflows(
-                    grid, precision[p + 1, 0], mode[rows, p + 1, 0], log_mass[rows, p + 1, 0]
-                ):
-                    failed.setdefault(s, POSTERIOR_OVERFLOW)
-            evidences[rows, p] = evidence
-            cp[rows, p] = changepoint = weights[:, 0]
-            if failed or most(changepoint) >= threshold:
-                stop = changepoint >= threshold
-                stop[list(failed)] = True
-                stopped = running[stop]
-                done[stopped] = p + 1
-                alarm[stopped] = True
-                for s, reason in failed.items():
-                    alarm[running[s]] = False
-                    errors[int(running[s])] = reason
-                running, weights = running[~stop], weights[~stop]
-                if running.size == 0:
-                    break
         taken = int(done.max())
-        # One pass at a time, as the log evidence sums.
-        self.log_evidence = np.add.accumulate(
-            np.column_stack([self.log_evidence, np.log(evidences[:, :taken])]), axis=1
-        )[:, -1]
-
+        logs = np.log(
+            evidences[:, :taken], out=np.zeros((n_streams, taken)), where=evidences[:, :taken] > 0
+        )
+        self.log_evidence = self.log_evidence + np.add.reduce(logs, axis=1)
+        slots = k0 + 1 + taken
+        total = after[:, taken - 1, np.newaxis]
+        weights = origin[:, slots - 1 :: -1] * products[:, taken - 1, slots - 1 :: -1]
+        self.weights = np.divide(weights, total, out=np.zeros(weights.shape), where=total > 0)
         self.precision[:width] = precision[taken]
         self.mode[:, :width] = mode[:, taken]
         self.log_mass[:, :width] = log_mass[:, taken]
-        if running.size < n_streams:
-            kept = np.zeros((n_streams, k0 + taken + 1))
-            kept[running] = weights
-            weights = kept
-        self.weights = weights
         return Steps(
             done,
             alarm,
@@ -389,14 +378,15 @@ def _scaled_density(grid, cys, ratio, precision, mode, log_mass) -> np.ndarray:
     return pis
 
 
-def _top_overflows(grid: QGrid, precision: float, mode: np.ndarray, log_mass: np.ndarray) -> list[int]:
-    """Streams whose full-run row, (A, mode, log Z) with the (streams,)
-    arrays, has a density past the float range."""
+def _top_overflows(grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
+    """Mask of the full-run rows, (A, mode, log Z) with A broadcast against
+    the others, whose density passes the float range."""
     # A row's log density is at most -log Z, so only then can the
     # full-run row's peak, at the grid point nearest its mode, overflow.
-    if not log_mass.min() < -LOG_MAX_FLOAT:
-        return []
+    suspect = log_mass < -LOG_MAX_FLOAT
+    if not suspect.any():
+        return suspect
     at = np.rint((np.clip(mode, grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
     offset = grid.values[at.astype(int)] - mode
     peak = -0.5 * precision * offset**2 - log_mass
-    return np.flatnonzero(~(peak <= LOG_MAX_FLOAT)).tolist()
+    return suspect & ~(peak <= LOG_MAX_FLOAT)

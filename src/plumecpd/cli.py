@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -407,7 +408,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: a parse reads it
+    and never changes it, and building it costs more than most parses."""
     parser = argparse.ArgumentParser(
         prog="plumecpd",
         description="Emission-rate estimation and online changepoint detection",
@@ -454,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--lrr", type=_float_list)
     sweep.add_argument("--jnr", type=_float_list)
-    sweep.add_argument("--threshold", type=_float_list, default=[0.8])
+    sweep.add_argument("--threshold", type=_float_list, default=(0.8,))
     sweep.add_argument("--lambda", dest="lam", type=float, default=15.0)
     sweep.add_argument("--instances", type=int, default=1000)
     sweep.add_argument("--repetitions", type=int, default=100)

@@ -34,7 +34,6 @@ import numpy as np
 from .bocd import (
     DEFAULT_LAMBDA,
     DEFAULT_PREDICTIVE_METHOD,
-    DEFAULT_PRUNE_THRESHOLD,
     PredictiveMethod,
     RunLengthState,
     block_passes,
@@ -150,7 +149,7 @@ def detect_series(
         try:
             steps = state.advance(
                 cys[np.newaxis, start:stop], fms[start:stop], lik_cfg, cfg.lam,
-                cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD, cfg.threshold,
+                cfg.predictive_method, cfg.threshold,
             )
         except ValueError as exc:
             raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
@@ -205,9 +204,10 @@ def first_alarms(
     which ``detect_series(cys[i], fm, cfg)`` raises its first event, or 0
     where it raises none, and the changepoint probability at that pass,
     0.0 where there is none. The whole block advances in lockstep through
-    the step ``detect_series`` uses, with the same arithmetic and the same
-    checks; each stream leaves the block at its first alarm, so a pass
-    after it is never taken and cannot fail.
+    the step ``detect_series`` uses, with the same checks, in blocks whose
+    sizes may differ from its own, so a changepoint probability may differ
+    in its last bits; each stream leaves the block at its first alarm, so a
+    pass after it is never taken and cannot fail.
 
     Raises ``DetectionError`` for the lowest-index stream that fails at or
     before its first alarm, with ``instance`` set to its row.
@@ -230,7 +230,7 @@ def first_alarms(
         try:
             steps = state.advance(
                 cys[live, start:stop], [fm] * (stop - start), lik_cfg, cfg.lam,
-                cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD, cfg.threshold,
+                cfg.predictive_method, cfg.threshold,
             )
         except ValueError as exc:
             # A configuration the core rejects fails every stream alike.

@@ -5,7 +5,8 @@ principles with plain numpy, so the package under test shares no code
 path with it. The step oracle, ``StepOracle`` and the detector loops over
 it, keeps the one-pass arithmetic of the run-length step and calls the
 package's log Z and row builders once per pass: it pins the block step's
-batching to that arithmetic, bit for bit.
+rows and reports to that arithmetic bit for bit, and its folded weights
+to the one-pass weight recursion within 1e-12.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, FAR_SIGMAS
+from plumecpd.bocd import FAR_SIGMAS
 from plumecpd.detector import DetectionEvent, PassReport
 from plumecpd.errors import DetectionError, InputDataError, MeasurementIncompatibleError
 from plumecpd.inference import (
@@ -284,7 +285,8 @@ def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
 
 class StepOracle:
     """The run-length state of B streams stepped one pass at a time: the
-    arithmetic of the package's block step, one pass per call.
+    arithmetic of the package's block step, one pass per call, with the
+    weights renormalized after every pass.
 
     Layout as ``bocd.RunLengthState``: slot j of ``precision`` (shared),
     ``mode`` and ``log_mass`` is run length k - j, slots k + 1 on hold the
@@ -305,7 +307,7 @@ class StepOracle:
     def full_run_posterior(self) -> EmissionPosterior:
         return conjugate_posterior(self.grid, self.precision[0], self.mode[0, 0], self.log_mass[0, 0])
 
-    def advance(self, cys, fm, cfg, lam, method, prune_threshold) -> dict[int, str]:
+    def advance(self, cys, fm, cfg, lam, method) -> dict[int, str]:
         """Fold one measurement per stream; the reason of each stream that
         fails, whose new state is then meaningless. Raises ``ValueError``
         for a configuration no stream can run."""
@@ -365,8 +367,6 @@ class StepOracle:
             unnormalized[~possible] = 1.0
             evidence[~possible] = 1.0
         weights = unnormalized / evidence[:, np.newaxis]
-        weights[weights < prune_threshold] = 0.0
-        weights /= weights.sum(axis=1, keepdims=True)
         if new_log_mass[:, 0].min() < -LOG_MAX_FLOAT:
             at = np.rint((np.clip(new_mode[:, 0], grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
             offset = grid.values[at.astype(int)] - new_mode[:, 0]
@@ -396,9 +396,7 @@ def step_oracle_detect(cys, fms, cfg, pass_indices=None):
     for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
         previous = posterior
         try:
-            errors = state.advance(
-                cy, fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
-            )
+            errors = state.advance(cy, fm, lik_cfg, cfg.lam, cfg.predictive_method)
             if errors:
                 raise MeasurementIncompatibleError(errors[0])
             posterior = state.full_run_posterior()
@@ -429,9 +427,7 @@ def step_oracle_first_alarms(cys, fm, cfg):
     failures: dict[int, str] = {}
     for k in range(n_passes):
         try:
-            errors = state.advance(
-                cys[live, k], fm, lik_cfg, cfg.lam, cfg.predictive_method, DEFAULT_PRUNE_THRESHOLD
-            )
+            errors = state.advance(cys[live, k], fm, lik_cfg, cfg.lam, cfg.predictive_method)
         except ValueError as exc:
             failures.update(dict.fromkeys(live.tolist(), f"pass {k + 1}: {exc}"))
             break

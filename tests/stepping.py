@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState, block_passes
+from plumecpd.bocd import RunLengthState, block_passes
 from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import (
     EmissionPosterior,
@@ -72,7 +72,6 @@ def run_core(
     lam: float,
     grid: QGrid,
     method: str = "marginal",
-    prune_threshold: float = DEFAULT_PRUNE_THRESHOLD,
     start: tuple[np.ndarray, ...] | None = None,
 ) -> CoreRun:
     """Advance one stream through ``RunLengthState.advance`` over ``cys``.
@@ -98,9 +97,7 @@ def run_core(
     start = 0
     while start < cys.shape[1]:
         block = cys[:, start : start + block_passes(1, state.k)]
-        steps = state.advance(
-            block, [fm] * block.shape[1], cfg, lam, method, prune_threshold, math.inf
-        )
+        steps = state.advance(block, [fm] * block.shape[1], cfg, lam, method, math.inf)
         if steps.errors:
             raise MeasurementIncompatibleError(steps.errors[0])
         start += int(steps.done[0])

@@ -91,7 +91,7 @@ def test_01_recursion_matches_enumeration(capsys):
         if trial % 2 == 0:
             cys[int(rng.integers(1, k + 1)) :] *= 1.8
             cys = np.clip(cys, 0.0, 4.9)
-        run = run_core([float(c) for c in cys], UNIT_FM, cfg, 15.0, grid, prune_threshold=0.0)
+        run = run_core([float(c) for c in cys], UNIT_FM, cfg, 15.0, grid)
         alpha = run.weights * math.exp(run.log_evidence)
         expected = brute_force_alpha(
             [float(c) for c in cys], grid.values, grid.dq, 1.0, 0.3, 15.0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import brute_force_alpha, direct_posterior, gaussian_pdf, likelihood_vector
 from plumecpd.bocd import (
     BLOCK_SLOTS,
-    DEFAULT_PRUNE_THRESHOLD,
     PASS_BLOCK,
     RunLengthState,
     block_passes,
@@ -54,7 +53,6 @@ def predictive_probability(grid, precision, mode, cy, fm, cfg, method):
         lam,
         grid,
         method=method,
-        prune_threshold=0.0,
         start=(np.ones(1), np.array([precision]), np.array([mode])),
     )
     return alpha(run)[1] / (1.0 - 1.0 / lam)
@@ -205,9 +203,7 @@ class TestBocdStep:
             jump_at = int(rng.integers(1, k + 1))
             cys[jump_at:] *= 1.8
             cys = np.clip(cys, 0.0, 4.9)
-            run = run_core(
-                [float(c) for c in cys], unit_fm, cfg, lam, coarse_grid, prune_threshold=0.0
-            )
+            run = run_core([float(c) for c in cys], unit_fm, cfg, lam, coarse_grid)
             expected = brute_force_alpha(
                 [float(c) for c in cys], coarse_grid.values, coarse_grid.dq, 1.0, 0.3, 15.0
             )
@@ -217,7 +213,7 @@ class TestBocdStep:
         cfg = LikelihoodConfig(0.3)
         lam = 15.0
         cys = [1.8, 2.1, 3.9, 4.2, 4.0]
-        run = run_core(cys, unit_fm, cfg, lam, coarse_grid, prune_threshold=0.0)
+        run = run_core(cys, unit_fm, cfg, lam, coarse_grid)
         expected = brute_force_alpha(cys, coarse_grid.values, coarse_grid.dq, 1.0, 0.3, 15.0)
         assert run.weights[0] == pytest.approx(
             expected[0] / expected.sum(), rel=1e-9
@@ -318,24 +314,16 @@ class TestBocdStep:
         np.testing.assert_allclose(run.rows[-1], expected, rtol=1e-9, atol=1e-12 * expected.max())
         assert grid.values[int(np.argmax(run.rows[-1]))] == 1.665
 
-    def test_pruning_zeroes_negligible_hypotheses(self, unit_fm):
+    def test_long_stream_keeps_a_distribution(self, unit_fm):
+        # Nothing prunes the hypotheses: after 400 passes, with changes, the
+        # weights are still a probability distribution.
         grid = QGrid(0.0, 5.0, 0.005)
-        cfg = LikelihoodConfig(0.2)
-        lam = 15.0
-        cys = [2.0] * 6 + [4.5] * 6
-        weights = run_core(cys, unit_fm, cfg, lam, grid).weights
-        live = weights[weights > 0]
-        assert np.all(live >= 1e-12)
-        assert abs(float(np.sum(weights)) - 1.0) <= 1e-10
-
-    def test_aggressive_pruning_keeps_normalization(self, unit_fm, coarse_grid):
-        cfg = LikelihoodConfig(0.4)
-        lam = 15.0
-        weights = run_core(
-            [2.0, 2.1, 1.9, 2.2], unit_fm, cfg, lam, coarse_grid, prune_threshold=0.05
-        ).weights
-        assert abs(float(np.sum(weights)) - 1.0) <= 1e-10
-        assert np.all((weights == 0.0) | (weights >= 0.05))
+        rng = np.random.default_rng(400)
+        cys = np.clip(rng.normal(np.repeat([2.0, 4.5, 1.0, 3.0], 100), 0.2), 0.0, 4.9)
+        weights = run_core(cys, unit_fm, LikelihoodConfig(0.2), 15.0, grid).weights
+        assert weights.size == 401
+        assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
 
 
 class TestBlockPasses:
@@ -364,7 +352,8 @@ class TestRowBuffer:
     @pytest.mark.parametrize("method", ["marginal", "scaling"])
     def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid, method):
         # The four arrays are the whole state: a run rebuilt from them before
-        # every step has the bits of one run through a single state.
+        # every step has the rows of one run through a single state, and its
+        # weights to 1e-12, since a block folds its passes' weights together.
         cfg = LikelihoodConfig(0.5)
         rng = np.random.default_rng(3)
         cys = np.clip(rng.normal(2.0, 0.4, size=101), 0.0, 4.9)
@@ -372,7 +361,8 @@ class TestRowBuffer:
         log_evidence = 0.0
         for stepped in each_pass(cys, unit_fm, cfg, 15.0, coarse_grid, method=method):
             log_evidence += stepped.log_evidence
-        for field in ("weights", "precision", "mode", "log_mass"):
+        np.testing.assert_allclose(stepped.weights, whole.weights, rtol=0, atol=1e-12)
+        for field in ("precision", "mode", "log_mass"):
             assert np.array_equal(getattr(stepped, field), getattr(whole, field)), field
         assert log_evidence == pytest.approx(whole.log_evidence, rel=1e-12)
         assert whole.weights.size == 102
@@ -386,8 +376,7 @@ class TestRowBuffer:
 
         def step(cys, method):
             return state.advance(
-                np.array(cys)[:, np.newaxis], [unit_fm], cfg, 15.0, method,
-                DEFAULT_PRUNE_THRESHOLD, math.inf,
+                np.array(cys)[:, np.newaxis], [unit_fm], cfg, 15.0, method, math.inf
             ).errors
 
         assert step([2.0, 2.0], "marginal") == {}

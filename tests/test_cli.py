@@ -1083,3 +1083,34 @@ class TestParser:
             build_parser().parse_args(
                 ["sweep", "--passes", "p", "--met", "m", "--q-true", "1", "--out", "o", "--predictive", "exact"]
             )
+
+    def test_consecutive_main_calls_parse_independently(self, tmp_path):
+        # main reuses one parser; no call leaves a value for the next.
+        parser = build_parser()
+        assert build_parser() is parser
+        seen = []
+        parse = parser.parse_args
+
+        def recording(argv):
+            args = parse(argv)
+            seen.append(vars(args).copy())
+            return args
+
+        missing = str(tmp_path / "missing.csv")
+        sweep = ["sweep", "--passes", missing, "--met", missing, "--q-true", "1", "--out", str(tmp_path / "s")]
+        with mock.patch.object(parser, "parse_args", recording):
+            assert main(sweep + ["--threshold", "0.5,0.6", "--lrr", "2"]) == 2
+            calibrate = ["calibrate", "--passes", missing, "--met", missing, "--q-true", "1"]
+            assert main(calibrate + ["--out", str(tmp_path / "c")]) == 2
+            assert main(sweep) == 2
+        assert [args["command"] for args in seen] == ["sweep", "calibrate", "sweep"]
+        assert seen[0]["threshold"] == [0.5, 0.6] and seen[0]["lrr"] == [2.0]
+        assert "threshold" not in seen[1] and seen[1]["q_true"] == 1.0
+        assert seen[2]["threshold"] == (0.8,) and seen[2]["lrr"] is None
+
+    def test_usage_error_on_the_reused_parser_exits_two(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["detect", "--passes", "p"])
+            assert exc.value.code == 2
+            assert "usage: plumecpd detect" in capsys.readouterr().err

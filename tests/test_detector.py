@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -486,15 +487,54 @@ def alarms_outcome(first, block, fm, cfg):
     return passes.tolist(), cps.tolist()
 
 
+# A block's fold and the one-pass recursion agree on changepoint
+# probabilities to this much, absolute; on all else they are equal.
+CP_TOLERANCE = 1e-12
+
+
+def without_cp(items):
+    """Reports or events with their changepoint probabilities set to 0, and
+    those probabilities."""
+    return (
+        [dataclasses.replace(x, changepoint_probability=0.0) for x in items],
+        [x.changepoint_probability for x in items],
+    )
+
+
+def assert_same_outcome(got, expected):
+    """``detect_outcome`` results agree: error text, pass indices, cy, mode,
+    mean, std and event row bytes equal, changepoint probabilities to
+    ``CP_TOLERANCE``."""
+    if isinstance(got, str) or isinstance(expected, str):
+        assert got == expected
+        return
+    for ours, theirs in zip(got[:2], expected[:2]):
+        (ours, ours_cp), (theirs, theirs_cp) = without_cp(ours), without_cp(theirs)
+        assert ours == theirs
+        np.testing.assert_allclose(ours_cp, theirs_cp, rtol=0, atol=CP_TOLERANCE)
+    assert got[2] == expected[2]
+
+
+def assert_same_alarms(got, expected):
+    """``alarms_outcome`` results agree: passes, error text and failing
+    instance equal, changepoint probabilities to ``CP_TOLERANCE``."""
+    if isinstance(got[0], str) or isinstance(expected[0], str):
+        assert got == expected
+        return
+    assert got[0] == expected[0]
+    np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=CP_TOLERANCE)
+
+
 def assert_steps_as_one_pass_at_a_time(cys, fms, cfg, block=None):
     """``detect_series`` and ``first_alarms`` give what one pass at a time
-    through the step oracle gives, compared with ``==``."""
+    through the step oracle gives."""
     got = detect_outcome(detect_series, cys, fms, cfg)
-    assert got == detect_outcome(step_oracle_detect, cys, fms, cfg)
+    assert_same_outcome(got, detect_outcome(step_oracle_detect, cys, fms, cfg))
     if block is not None:
         fm = fms if isinstance(fms, ForwardModel) else fms[0]
-        assert alarms_outcome(first_alarms, block, fm, cfg) == alarms_outcome(
-            step_oracle_first_alarms, block, fm, cfg
+        assert_same_alarms(
+            alarms_outcome(first_alarms, block, fm, cfg),
+            alarms_outcome(step_oracle_first_alarms, block, fm, cfg),
         )
     return got
 
@@ -547,6 +587,41 @@ class TestBlockStep:
         got = assert_steps_as_one_pass_at_a_time([1.0] * len(fms), fms, cfg)
         assert got == f"pass {at}: forward ratio over sigma_e overflows the rate precision"
 
+    @pytest.mark.parametrize("sigma_e", [0.03, 0.1])
+    def test_far_pass_fails_at_itself(self, sigma_e):
+        # Pass 4 is so far above the grid that every predictive is 0. The
+        # fold is causal, so it fails at pass 4 and leaves the passes before
+        # it with the bits they have without it. first_alarms stops the
+        # stream at its alarm at pass 2, before the far pass.
+        fm = ForwardModel(1.0, 0.9)
+        cfg = make_config(sigma_e_initial=sigma_e)
+        cys = [0.0, 1.0, 0.0, 1000.0]
+        got = assert_steps_as_one_pass_at_a_time(cys, fm, cfg, [cys, [0.0] * 4])
+        assert got == "pass 4: observation impossible under all run-length hypotheses"
+        assert first_alarms(np.array([cys]), fm, cfg)[0].tolist() == [2]
+
+        def advance(block):
+            state = RunLengthState(1, len(block), cfg.grid)
+            return state.advance(
+                np.array([block]), [fm] * len(block), LikelihoodConfig(sigma_e), cfg.lam,
+                "marginal", math.inf,
+            )
+
+        steps, before = advance(cys), advance(cys[:3])
+        assert steps.done.tolist() == [4]
+        assert steps.errors == {0: "observation impossible under all run-length hypotheses"}
+        assert np.array_equal(steps.cp[0, :3], before.cp[0])
+
+    def test_fine_noise_takes_the_window_path(self, unit_fm):
+        # Rows narrower than 1.5 dq take the exact windowed sum, a pass at a
+        # time: the reports still equal the one-pass step's.
+        cys = 2.0 + np.random.default_rng(60).normal(0.0, 0.004, 60)
+        cfg = make_config(sigma_e_initial=0.004, grid=QGrid(0.0, 5.0, 0.05))
+        with mock.patch.object(bocd, "window_log_mass", wraps=bocd.window_log_mass) as window:
+            reports, events, _ = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg)
+        assert window.call_count == 60
+        assert len(reports) == 60 and events == []
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_lookahead_after_an_alarm_never_fails(self, unit_fm):
         # Stream 0 alarms at pass 2 and reads 1e300 at pass 3, inside the
@@ -556,8 +631,9 @@ class TestBlockStep:
         passes, cps = first_alarms(np.array([alarmed, [1.0] * 8]), unit_fm, cfg)
         assert passes.tolist() == [2, 0]
         assert cps[0] >= 0.5
-        assert alarms_outcome(first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg) == (
-            alarms_outcome(step_oracle_first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg)
+        assert_same_alarms(
+            alarms_outcome(first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg),
+            alarms_outcome(step_oracle_first_alarms, [alarmed, [1.0] * 8], unit_fm, cfg),
         )
 
 

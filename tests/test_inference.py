@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bayes_update, erf_gap, likelihood_vector
-from plumecpd.bocd import DEFAULT_PRUNE_THRESHOLD, RunLengthState
+from plumecpd.bocd import RunLengthState
 from plumecpd.errors import (
     ConfigError,
     InsufficientDataError,
@@ -121,8 +121,7 @@ class TestLikelihoodVector:
         cfg = LikelihoodConfig(1e-3)
         state = RunLengthState(2, 1, medium_grid)
         errors = state.advance(
-            np.array([[2.0], [cy]]), [unit_fm], cfg, 15.0, "marginal",
-            DEFAULT_PRUNE_THRESHOLD, math.inf,
+            np.array([[2.0], [cy]]), [unit_fm], cfg, 15.0, "marginal", math.inf
         ).errors
         assert errors == {1: "observation impossible under all run-length hypotheses"}
         alone = run_core([2.0], unit_fm, cfg, 15.0, medium_grid)
