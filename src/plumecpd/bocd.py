@@ -31,7 +31,8 @@ marginal predictive of hypothesis j is
 with z_j = (c - r mode_j) / sigma and Z_j' the Z of the updated row, which
 hypothesis j + 1 stores next, so a step computes one log Z per
 hypothesis. The scaling predictive reads each row at the two grid points
-around q* = c / r. A row is built, in O(n), only for a report or event.
+around q* = c / r. A row is built, in O(n), only for an event or a report
+the closed form cannot summarize (``inference.summarize_rows``).
 
 A hypothesis's (A, mode, log Z) and both predictives depend on the
 measurements and the noise scale alone, never on the weights, so
@@ -242,11 +243,10 @@ class RunLengthState:
             after /= precision[p + 1, live]
         fresh = hypotheses & (a > 0)[:, np.newaxis]
 
-        # log Z of every hypothesis of every pass in one call, less the rows
-        # of the exact windowed sum, whose bits depend on the rows summed
-        # with them: those come one pass at a time, for every stream, as a
-        # one-pass step computes them. A pass with a forward ratio of 0
-        # copies the rows before it, filled by then.
+        # log Z of every hypothesis of every pass: the closed forms in one
+        # call, then the rows of the exact windowed sum one pass at a time,
+        # for every stream. A pass with a forward ratio of 0 copies the rows
+        # before it, filled by then.
         log_mass = np.empty((n_streams, n_block + 1, width))
         log_mass[:, 0] = self.log_mass[:, :width]
         values, window = closed_form_log_mass(grid, precision[1:], mode[:, 1:])

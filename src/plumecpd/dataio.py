@@ -173,23 +173,23 @@ _RAW_ROW_DTYPE = np.dtype(
 )
 
 
-def _open_raw(path: Path):
+def _open_csv(path: Path):
     try:
         return open(path, newline="")
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
 
 
-def _raw_header(path: Path, handle) -> list[int]:
-    """Position of each of RAW_COLUMNS in the header row of an open
-    raw.csv, which is left at the first data row."""
+def _header_columns(path: Path, handle, columns: Sequence[str]) -> list[int]:
+    """Position of each of ``columns`` in the header row of an open CSV
+    file, which is left at the first data row."""
     header = next(csv.reader(handle), [])
-    missing = [c for c in RAW_COLUMNS if c not in header]
+    missing = [c for c in columns if c not in header]
     if missing:
         raise InputDataError(f"{path}: missing columns {missing}")
     # A repeated column name reads as its last occurrence, as in DictReader.
     column = {name: i for i, name in enumerate(header)}
-    return [column[name] for name in RAW_COLUMNS]
+    return [column[name] for name in columns]
 
 
 def _experiment_codes(ids: Sequence, exp_codes: dict) -> np.ndarray:
@@ -312,8 +312,8 @@ def _read_raw_checked(path: Path) -> tuple[list[str], list[np.ndarray]]:
     """
     exp_codes: dict = {}
     blocks = []
-    with _open_raw(path) as handle:
-        where = _raw_header(path, handle)
+    with _open_csv(path) as handle:
+        where = _header_columns(path, handle, RAW_COLUMNS)
         rows = filter(None, csv.reader(handle))
         line = 2
         while block := list(islice(rows, RAW_BLOCK_ROWS)):
@@ -334,8 +334,8 @@ def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
     raises ``InputDataError`` for the earliest bad row, naming its line,
     where blank lines are not counted, as ``csv.DictReader`` counts.
     """
-    with _open_raw(path) as handle:
-        where = _raw_header(path, handle)
+    with _open_csv(path) as handle:
+        where = _header_columns(path, handle, RAW_COLUMNS)
         parsed = _parse_raw_rows(handle, where)
     names, (codes, pass_index, *floats) = parsed or _read_raw_checked(path)
     if not codes.size:
@@ -404,11 +404,65 @@ def read_met(path: Path) -> dict[str, MetRow]:
     return rows
 
 
+# One passes.csv row as numpy's reader parses it, fields in PASS_COLUMNS order.
+_PASS_ROW_DTYPE = np.dtype(
+    [("experiment_id", object), ("pass_index", int), ("cy_g_per_m2", float)]
+)
+
+
 def read_passes(path: Path) -> dict[str, list[tuple[int, float]]]:
     """Reduced passes per experiment, sorted by pass index.
 
-    Pass indices are 1-based and unique within an experiment.
+    Pass indices are 1-based and unique within an experiment. numpy's C
+    reader parses the file. A file it cannot parse, or with a row that
+    fails a check, is read again row by row with Python's csv, float and
+    int parsers, which define what the file means: that reader raises
+    ``InputDataError`` for the first bad row, naming its line, where blank
+    lines are not counted, as ``csv.DictReader`` counts.
     """
+    with _open_csv(path) as handle:
+        where = _header_columns(path, handle, PASS_COLUMNS)
+        parsed = _parse_passes(handle, where)
+    return _read_passes_checked(path) if parsed is None else parsed
+
+
+def _parse_passes(handle, where: list[int]) -> dict[str, list[tuple[int, float]]] | None:
+    """The rows left in an open passes.csv, parsed by numpy's C reader and
+    grouped as ``read_passes`` returns them; None if a row does not parse
+    or fails a check."""
+    with warnings.catch_warnings():
+        # loadtxt warns of a file with no rows.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(
+                handle, dtype=_PASS_ROW_DTYPE, delimiter=",", quotechar='"',
+                comments=None, usecols=where, ndmin=1,
+            )
+        except ValueError:
+            return None
+    exp_codes: dict = {}
+    codes = _experiment_codes(rows["experiment_id"], exp_codes)
+    order = np.lexsort((rows["pass_index"], codes))
+    codes, pass_index, cy = codes[order], rows["pass_index"][order], rows["cy_g_per_m2"][order]
+    same_exp = codes[1:] == codes[:-1]
+    if (
+        not (np.isfinite(cy) & (cy >= 0)).all()
+        or (pass_index < 1).any()
+        or (same_exp & (pass_index[1:] == pass_index[:-1])).any()
+    ):
+        return None
+    splits = np.flatnonzero(~same_exp) + 1
+    return {
+        exp: list(zip(indices.tolist(), values.tolist()))
+        for exp, indices, values in zip(
+            exp_codes, np.split(pass_index, splits), np.split(cy, splits)
+        )
+    }
+
+
+def _read_passes_checked(path: Path) -> dict[str, list[tuple[int, float]]]:
+    """``read_passes`` a row at a time through ``csv.DictReader``, each row
+    checked as it is read."""
     grouped: dict[str, list[tuple[int, float]]] = {}
     seen: set[tuple[str, int]] = set()
     for line, row in _open_rows(path, PASS_COLUMNS):

@@ -15,12 +15,15 @@ its one step, which takes a block of passes sized by
 ``bocd.block_passes`` (at least ``PASS_BLOCK``, more as the run since the
 last reset grows), stops a stream at its first alarm or failure, and
 also checks the full-run row.
-``detect_series`` runs one stream to its end, builds the full-run rows of
-a block's pass reports together and, after an alarm, starts a fresh state
-at the next pass. ``first_alarms`` serves Monte Carlo scoring, which needs
-only each stream's first alarm: it advances a whole block of
-equal-length streams in lockstep, never builds a row, drops a stream at
-its first alarm and never takes the passes after it.
+``detect_series`` runs one stream to its end. It summarizes a block's
+pass reports together from their full-run rows' (A, mode, log Z) with
+``inference.summarize_rows``, which builds a row on the grid only where
+the closed form cannot stand in for it. An event's row is built at its
+alarm, and a fresh state starts at the next pass. ``first_alarms``
+serves Monte Carlo scoring, which needs only each stream's first alarm:
+it advances a whole block of equal-length streams in lockstep, never
+builds a row, drops a stream at its first alarm and never takes the
+passes after it.
 """
 
 from __future__ import annotations
@@ -45,17 +48,11 @@ from .inference import (
     EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    conjugate_densities,
     conjugate_posterior,
-    row_moments,
+    summarize_rows,
     uniform_prior,
 )
 from .transport import ForwardModel
-
-# Grid values a batch of report rows may hold: at most about 8 MiB an
-# array, and one row at a time on a grid past 2^20 points.
-REPORT_BATCH_POINTS = 2**20
-
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -134,12 +131,12 @@ def detect_series(
         raise ValueError("need one pass index per pass")
 
     grid = cfg.grid
-    rows_per_batch = max(1, REPORT_BATCH_POINTS // grid.n_points)
     flat = uniform_prior(grid)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = RunLengthState(1, cys.size, grid)
-    # The full-run rows after the last pass taken and after the one before.
-    previous = last = flat.density
+    # (A, mode, log Z) of the full-run row after the last pass taken; None
+    # for the flat prior.
+    last = None
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
@@ -158,39 +155,38 @@ def detect_series(
         cps = steps.cp[0].tolist()
         # A pass that failed has no row to report.
         built = done - 1 if failure is not None else done
-        for lo in range(0, built, rows_per_batch):
-            batch = slice(lo, min(lo + rows_per_batch, built))
-            precision = steps.precision[batch]
-            mode, log_mass = steps.mode[0, batch], steps.log_mass[0, batch]
-            densities, good = conjugate_densities(grid, precision, mode, log_mass)
-            if good < len(densities):
-                try:  # raises the row's error
-                    conjugate_posterior(grid, precision[good], mode[good], log_mass[good])
-                except (MeasurementIncompatibleError, ValueError) as exc:
-                    raise DetectionError(f"pass {pass_indices[start + lo + good]}: {exc}") from exc
-            means, stds = row_moments(grid, densities)
-            modes = grid.values[np.argmax(densities, axis=1)]
-            for j, values in enumerate(zip(modes.tolist(), means.tolist(), stds.tolist()), lo):
-                reports.append(
-                    PassReport(int(pass_indices[start + j]), float(cys[start + j]), cps[j], *values)
-                )
-            previous, last = (densities[-2] if len(densities) > 1 else last), densities[-1]
+        rows = steps.precision[:built], steps.mode[0, :built], steps.log_mass[0, :built]
+        modes, means, stds, good = summarize_rows(grid, *rows)
+        if good < built:
+            try:  # raises the row's error
+                conjugate_posterior(grid, *(row[good] for row in rows))
+            except (MeasurementIncompatibleError, ValueError) as exc:
+                raise DetectionError(f"pass {pass_indices[start + good]}: {exc}") from exc
+        for j, values in enumerate(zip(modes.tolist(), means.tolist(), stds.tolist())):
+            reports.append(
+                PassReport(int(pass_indices[start + j]), float(cys[start + j]), cps[j], *values)
+            )
         if failure is not None:
             raise DetectionError(f"pass {pass_indices[start + done - 1]}: {failure}")
         if steps.alarm[0]:
+            previous = last if done == 1 else tuple(row[done - 2] for row in rows)
             events.append(
                 DetectionEvent(
                     pass_index=int(pass_indices[start + done - 1]),
                     changepoint_probability=cps[done - 1],
-                    pre_change_posterior=EmissionPosterior(grid, previous),
+                    pre_change_posterior=(
+                        flat if previous is None else conjugate_posterior(grid, *previous)
+                    ),
                     regime_index=len(events) + 1,
                 )
             )
             # The triggering measurement is treated as the first of the
             # new regime and is not folded into the reset state.
             state = RunLengthState(1, cys.size, grid)
-            last = flat.density
+            last = None
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
+        else:
+            last = tuple(row[done - 1] for row in rows)
         start += done
     return reports, events
 

@@ -8,7 +8,9 @@ left-Riemann sum: the points q_min .. q_max - dq each carry weight dq.
 The forward map is linear (c = r q) and the noise Gaussian, so the
 posterior of any set of passes is exp(B q - A q^2 / 2) / Z on the grid,
 A = sum r^2 / sigma^2 and B = sum r c / sigma^2 (``conjugate_terms``),
-with Z the row's grid integral (``log_grid_mass``).
+with Z the row's grid integral (``log_grid_mass``). ``summarize_rows``
+gives the mode, mean and std of such rows, from (A, B / A, log Z) alone
+for a row well inside the grid, and by building the others.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .transport import ForwardModel, PassMeasurement, forward_concentration
 DEFAULT_Q_MIN_G_PER_S = 0.0
 DEFAULT_Q_MAX_G_PER_S = 5.0
 DEFAULT_DQ_G_PER_S = 0.005
+# Rounding a grid step may take, in ulps of max(|q_min|, |q_max|).
+GRID_SPACING_ULPS = 4
 
 # Noise scales below this overflow 1 / sigma_e^2, the precision one pass
 # adds to a rate row.
@@ -39,6 +43,12 @@ EDGE_MAX_SPANS = 100.0
 EDGE_REACH = 2.0
 WINDOW_HALF_WIDTH = 10.0
 WINDOW_BLOCK_POINTS = 2**16
+WINDOW_MIN_HALF = math.ceil(WINDOW_HALF_WIDTH * INTERIOR_MIN_WIDTH)
+
+# Grid values a batch of rows built for ``summarize_rows`` may hold: at
+# most about 8 MiB an array, and one row at a time on a grid past 2^20
+# points.
+REPORT_BATCH_POINTS = 2**20
 
 LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -67,8 +77,11 @@ class QGrid:
         if n < 3:
             raise ValueError("grid needs at least 3 points")
         values = self.q_min + self.dq * np.arange(n)
+        # Each value rounds once, so a step is dq within an ulp or two of
+        # the grid's largest magnitude, however fine dq is.
         spacing = np.diff(values)
-        if np.max(np.abs(spacing - self.dq)) > 1e-12 * self.dq:
+        ulp = np.spacing(max(abs(self.q_min), abs(self.q_max)))
+        if np.max(np.abs(spacing - self.dq)) > GRID_SPACING_ULPS * ulp:
             raise ValueError("grid spacing drifted beyond tolerance")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -159,8 +172,8 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
       within 2 sigma_q of [q_min, q_max]): the erf integral over
       [q_min, q_max] plus Euler-Maclaurin endpoint terms through dq^6;
     - else (narrow rows, modes far outside, A = 0): the exact log-sum-exp
-      over the summed points within 10 sigma_q of the clipped mode, by
-      ``window_log_mass`` on those rows together, in C order.
+      over the summed points in a window of at least 10 sigma_q about the
+      clipped mode, by ``window_log_mass`` on those rows together.
     """
     out, window = closed_form_log_mass(grid, precision, mode)
     if window.any():
@@ -184,13 +197,7 @@ def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.n
         width = precision**-0.5
     out = np.empty(np.broadcast_shapes(width.shape, mode.shape))
     np.add(np.log(width), HALF_LOG_2PI, out=out)
-    top = grid.q_max - grid.dq
-    slack = np.where(
-        width >= INTERIOR_MIN_WIDTH * grid.dq,
-        0.5 * (top - grid.q_min) - INTERIOR_MARGIN * width,
-        -np.inf,
-    )
-    outside = np.abs(mode - 0.5 * (grid.q_min + top)) > slack
+    outside = ~_interior(grid, width, mode)
     if not outside.any():
         return out, outside
     width = np.broadcast_to(width, out.shape)[outside]
@@ -208,6 +215,19 @@ def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.n
     window = np.zeros(out.shape, dtype=bool)
     window[outside] = ~edge
     return out, window
+
+
+def _interior(grid: QGrid, width, mode) -> np.ndarray:
+    """Mask of the rows, of widths sigma_q and modes broadcast together,
+    that ``log_grid_mass`` takes by its interior path: sigma_q >= 1.5 dq
+    and the mode 8 sigma_q inside the summed points."""
+    top = grid.q_max - grid.dq
+    slack = np.where(
+        width >= INTERIOR_MIN_WIDTH * grid.dq,
+        0.5 * (top - grid.q_min) - INTERIOR_MARGIN * width,
+        -np.inf,
+    )
+    return ~(np.abs(mode - 0.5 * (grid.q_min + top)) > slack)
 
 
 # erfc(6) is about 2e-17, below half an ulp of 1, so erf(x) is 1.0 from here on.
@@ -267,23 +287,27 @@ def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarr
 
 def window_log_mass(grid: QGrid, precision: np.ndarray, mode: np.ndarray) -> np.ndarray:
     """log Z of 1-D arrays of rows by log-sum-exp over the summed points
-    within 10 sigma_q of the mode clipped into the grid, widest rows first,
-    in blocks of windows of one length that stay inside the summed points.
-
-    A row's window spans the widest row of its block, so its last bits
-    depend on the rows it is called with.
+    about the mode clipped into the grid, in windows that stay inside the
+    summed points: a half width of 10 sigma_q in grid steps, at least 15,
+    rounded up to a power of two. Widest rows come first, in blocks of
+    rows whose windows have one length, so each row's bits depend on that
+    row alone, not on the rows it is called with.
     """
     with np.errstate(divide="ignore"):
         width = precision**-0.5
     n_sum = grid.n_points - 1
     centre = np.rint((np.clip(mode, grid.q_min, grid.q_max - grid.dq) - grid.q_min) / grid.dq)
-    half = np.minimum(np.ceil(WINDOW_HALF_WIDTH * width / grid.dq), n_sum).astype(int)
+    # Powers of two, so that a few window lengths serve all rows; the
+    # least covers every row narrower than the interior path's 1.5 dq.
+    need = np.maximum(np.ceil(WINDOW_HALF_WIDTH * width / grid.dq), WINDOW_MIN_HALF)
+    half = np.minimum(np.exp2(np.ceil(np.log2(need))), n_sum).astype(int)
     out = np.empty(mode.shape)
     order = np.argsort(-half, kind="stable")
     while order.size:
         reach = half[order[0]]
         length = min(2 * reach + 1, n_sum)
-        rows, order = np.split(order, [max(1, WINDOW_BLOCK_POINTS // length)])
+        alike = int(np.searchsorted(-half[order], -reach, side="right"))
+        rows, order = np.split(order, [min(alike, max(1, WINDOW_BLOCK_POINTS // length))])
         start = np.clip(centre[rows].astype(int) - reach, 0, n_sum - length)
         offset = grid.values[start[:, np.newaxis] + np.arange(length)] - mode[rows, np.newaxis]
         with np.errstate(over="ignore"):
@@ -310,7 +334,7 @@ def conjugate_posterior(
     """
     if log_mass is None:
         log_mass = float(log_grid_mass(grid, precision, mode))
-    log_density = _log_density(grid, precision, mode, log_mass)
+    log_density = _log_density(grid.values, precision, mode, log_mass)
     if not log_density.max() <= LOG_MAX_FLOAT:
         raise MeasurementIncompatibleError(POSTERIOR_OVERFLOW)
     return EmissionPosterior(grid, np.exp(log_density))
@@ -318,27 +342,77 @@ def conjugate_posterior(
 
 def conjugate_densities(
     grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The densities ``conjugate_posterior`` builds for rows given as 1-D
-    arrays of (A, mode, log Z), shape (rows, n_points), and how many
-    leading rows pass its checks; it raises its error for the next row."""
+    arrays of (A, mode, log Z), shape (rows, n_points), and a mask of the
+    rows that pass its checks."""
     log_density = _log_density(
-        grid, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
+        grid.values, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
     )
     with np.errstate(over="ignore"):
         densities = np.exp(log_density)
+    # exp is never negative, and a NaN density fails the total.
     totals = np.sum(densities[:, :-1], axis=1) * grid.dq
-    good = (
-        (log_density.max(axis=1) <= LOG_MAX_FLOAT)
-        & ~(densities.min(axis=1) < 0)
-        & (np.abs(totals - 1.0) <= 1e-8)
-    )
-    return densities, good.size if good.all() else int(np.argmin(good))
+    good = (log_density.max(axis=1) <= LOG_MAX_FLOAT) & (np.abs(totals - 1.0) <= 1e-8)
+    return densities, good
 
 
-def _log_density(grid: QGrid, precision, mode, log_mass) -> np.ndarray:
+def summarize_rows(
+    grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Mode, mean and standard deviation of the densities
+    ``conjugate_posterior`` builds for rows given as 1-D arrays of
+    (A, mode, log Z), and how many leading rows pass its checks; it raises
+    its error for the next row.
+
+    A row on the interior path of ``log_grid_mass`` is not built. Its
+    grid mean and std are its mode and A^-1/2 within 1e-13 relative: less
+    than 1e-15 of its mass lies past the summed points, and at
+    sigma_q >= 1.5 dq the grid's aliasing error is below 1e-17. Its mode
+    column is the first maximum of its densities at the grid points next
+    to its mode, the values its full row holds there. Other rows are
+    built on the grid, ``REPORT_BATCH_POINTS`` values at a time.
+    """
+    with np.errstate(divide="ignore"):
+        width = precision**-0.5
+    interior = _interior(grid, width, mode)
+    modes, means, stds = np.empty(mode.shape), mode.copy(), width.copy()
+    good = np.ones(mode.shape, dtype=bool)
+    rows = np.flatnonzero(interior)
+    if rows.size:
+        # A row's density falls away from its mode on either side, weakly
+        # in floats, and c - 1 and c + 1 lie on either side of it, with c
+        # the grid point nearest the mode. So a first maximum at c or c + 1
+        # is the row's. One at c - 1 might tie a point before it: such a
+        # row is built. The interior margin keeps these points in range.
+        nearest = np.rint((mode[rows] - grid.q_min) / grid.dq).astype(int)
+        points = nearest[:, np.newaxis] + np.arange(-1, 2)
+        log_density = _log_density(
+            grid.values[points],
+            precision[rows, np.newaxis],
+            mode[rows, np.newaxis],
+            log_mass[rows, np.newaxis],
+        )
+        with np.errstate(over="ignore"):
+            first = np.argmax(np.exp(log_density), axis=1)
+        modes[rows] = grid.values[nearest - 1 + first]
+        # The peak is among these points. The row integrates to 1 within
+        # the interior path's own error, far inside the 1e-8 check.
+        good[rows] = log_density.max(axis=1) <= LOG_MAX_FLOAT
+        interior[rows[first == 0]] = False
+    built = np.flatnonzero(~interior)
+    per_batch = max(1, REPORT_BATCH_POINTS // grid.n_points)
+    for lo in range(0, built.size, per_batch):
+        rows = built[lo : lo + per_batch]
+        densities, good[rows] = conjugate_densities(grid, precision[rows], mode[rows], log_mass[rows])
+        means[rows], stds[rows] = row_moments(grid, densities)
+        modes[rows] = grid.values[np.argmax(densities, axis=1)]
+    return modes, means, stds, good.size if good.all() else int(np.argmin(good))
+
+
+def _log_density(values: np.ndarray, precision, mode, log_mass) -> np.ndarray:
     # offset * offset * (-0.5 * precision) - log_mass, in place
-    out = np.subtract(grid.values, mode)
+    out = np.subtract(values, mode)
     out *= out
     out *= -0.5 * precision
     out -= log_mass

@@ -245,6 +245,49 @@ def read_raw_rows(path) -> dict:
     return grouped
 
 
+def read_passes_rows(path) -> dict:
+    """Row-at-a-time passes.csv reader: {exp: [(pass_index, cy)]}, each
+    list sorted by pass index.
+
+    Each row is read through ``csv.DictReader``, parsed field by field and
+    checked in that order: cy parses and is finite and non-negative, the
+    pass index parses and is at least 1, and (exp, pass index) is new.
+    """
+    grouped: dict = {}
+    seen: set = set()
+    try:
+        handle = open(path, newline="")
+    except OSError as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
+    with handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [c for c in ["experiment_id", "pass_index", "cy_g_per_m2"] if c not in header]
+        if missing:
+            raise InputDataError(f"{path}: missing columns {missing}")
+        for line, row in enumerate(reader, start=2):
+            exp = row["experiment_id"]
+            cy = _raw_field(path, line, row, "cy_g_per_m2", float)
+            if not math.isfinite(cy):
+                raise InputDataError(f"{path}:{line}: non-finite cy_g_per_m2")
+            if cy < 0:
+                raise InputDataError(f"{path}:{line}: negative cy_g_per_m2")
+            pass_index = _raw_field(path, line, row, "pass_index", int)
+            if pass_index < 1:
+                raise InputDataError(
+                    f"{path}:{line}: pass_index must be at least 1, got {pass_index}"
+                )
+            if (exp, pass_index) in seen:
+                raise InputDataError(
+                    f"{path}:{line}: duplicate pass_index {pass_index} for experiment {exp!r}"
+                )
+            seen.add((exp, pass_index))
+            grouped.setdefault(exp, []).append((pass_index, cy))
+    for passes in grouped.values():
+        passes.sort()
+    return grouped
+
+
 def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
     """``passes.csv`` text that ``ingest`` writes for a raw.csv, one sample at a time.
 

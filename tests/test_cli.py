@@ -540,6 +540,23 @@ class TestDetect:
         assert rc == 2
         assert "byte limit" in capsys.readouterr().err
 
+    def test_fine_grid_runs(self, tmp_path, met_csv):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = self._config(tmp_path, 0.001, dq=0.0005)
+        out = tmp_path / "out"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+        assert rc == 0
+        assert len(read_pass_reports_csv(out / "passes_report.csv")) == 4
+
+    def test_span_of_a_fraction_of_steps_exits_two(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = self._config(tmp_path, 0.001, dq=0.0003)
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "integer number of dq steps" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_two(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 4)

@@ -1,9 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plumecpd import dataio
 from plumecpd.dataio import (
@@ -192,6 +197,57 @@ class TestReadMet:
             read_met(path)
 
 
+def outcome(read, path):
+    """What ``read(path)`` returns, or the text of its ``InputDataError``."""
+    try:
+        return read(path)
+    except InputDataError as exc:
+        return str(exc)
+
+
+PASS_IDS = ["e1", "e2", "4", "", " e1", '"e1"', '"e,2"', '"a""b"', "\u0662", "e\u00e9"]
+PASS_INDEX_TEXT = ["1", "2", "3", "01", "+2", " 3", '"2"']
+ODD_PASS_INDEX_TEXT = ["1_0", "\u0662", "\uff13", "0", "-1", "1.0", "", "99999999999999999999"]
+CY_TEXT = st.one_of(
+    st.sampled_from(["0.5", "0", "-0", "1e-3", ".5", "Infinity", " 2.5", '"1.5"']),
+    st.floats(0.0, 1e6).map(repr),
+)
+ODD_CY_TEXT = ["nan", "inf", "-inf", "-0.5", "1_0.5", "\u0661", "0x1p3", "1d3", "", "1e400"]
+
+
+@st.composite
+def passes_files(draw):
+    """passes.csv text meant to trip a parser: columns in any order with an
+    extra one, quoted and non-ASCII ids, numbers only Python parses, bad and
+    duplicate values, short rows, blank lines and any line ending. A file
+    draws how often a value is odd, so some files are clean."""
+    columns = draw(st.permutations(["experiment_id", "pass_index", "cy_g_per_m2", "note"]))
+    if draw(st.integers(0, 19)) == 0:
+        columns = columns[1:]
+    odd = draw(st.sampled_from([0, 0, 1, 3]))
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        fields = {
+            "experiment_id": draw(st.sampled_from(PASS_IDS)),
+            "pass_index": draw(
+                st.sampled_from(ODD_PASS_INDEX_TEXT if draw(st.integers(0, 19)) < odd else PASS_INDEX_TEXT)
+            ),
+            "cy_g_per_m2": draw(
+                st.sampled_from(ODD_CY_TEXT) if draw(st.integers(0, 19)) < odd else CY_TEXT
+            ),
+            "note": draw(st.sampled_from(["", "x"])),
+        }
+        row = [fields[c] for c in columns]
+        if draw(st.integers(0, 39)) < odd:
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
 class TestPassesRoundTrip:
     def test_read_sorts_by_pass_index(self, tmp_path):
         path = tmp_path / "passes.csv"
@@ -228,6 +284,34 @@ class TestPassesRoundTrip:
         back = read_passes(path)
         assert back["e1"] == [(1, 0.1 + 0.2), (2, math.pi / 17)]
         assert back["e2"] == [(1, 1e-17)]
+
+    def test_clean_file_skips_the_diagnostic_reader(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        path.write_text(
+            "cy_g_per_m2,note,experiment_id,pass_index\r\n"
+            '0.5,x,"e,1",2\r\n\r\n1e-3,,e2,1\r\n0.25,y,"e,1",1\r\n'
+        )
+        with mock.patch.object(dataio, "_read_passes_checked", side_effect=AssertionError("diagnostic reader ran")):
+            grouped = read_passes(path)
+        assert grouped == {"e,1": [(1, 0.25), (2, 0.5)], "e2": [(1, 1e-3)]}
+
+    def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\ne1,1_0,\u0661\ne1,\u0662,2_5.0\n")
+        assert read_passes(path) == {"e1": [(2, 25.0), (10, 1.0)]}
+
+    def test_empty_body_gives_no_experiments(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\n\n")
+        assert read_passes(path) == {}
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=passes_files())
+    def test_same_result_or_error_as_the_row_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "passes.csv"
+            path.write_text(text, newline="")
+            assert repr(outcome(read_passes, path)) == repr(outcome(oracles.read_passes_rows, path))
 
     def test_experiments_require_met(self, tmp_path):
         passes = {"e1": [(1, 0.1), (2, 0.2)]}

@@ -14,7 +14,7 @@ from oracles import (
     step_oracle_detect,
     step_oracle_first_alarms,
 )
-from plumecpd import bocd
+from plumecpd import bocd, inference
 from plumecpd.bocd import PASS_BLOCK, RunLengthState
 from plumecpd.detector import (
     DetectionEvent,
@@ -31,7 +31,7 @@ from plumecpd.inference import (
     grid_integrate,
     uniform_prior,
 )
-from plumecpd.surrogate import make_unit_forward_experiment
+from plumecpd.surrogate import make_surrogate_experiment, make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
 from plumecpd.transport import ForwardModel
@@ -382,6 +382,52 @@ def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
             sigma = sigma_e * cfg.sigma_e_post_factor
 
 
+def built_rows(run):
+    """The number of full-run rows ``run()`` builds on the grid."""
+    built = []
+    real = inference.conjugate_densities
+
+    def conjugate_densities(grid, precision, *args):
+        built.append(len(precision))
+        return real(grid, precision, *args)
+
+    with mock.patch.object(inference, "conjugate_densities", conjugate_densities):
+        run()
+    return sum(built)
+
+
+class TestReportSummaries:
+    """Reports of interior rows come from (A, mode, log Z); a row is built
+    only where the closed form cannot stand in for it."""
+
+    def test_stationary_stream_builds_only_its_first_rows(self):
+        # A long_stream-like stream: 448 passes, 32 shuffles of one 14-pass
+        # surrogate experiment. Its first 17 rows are too wide for their
+        # mode to sit 8 sigma_q inside the grid; every later row is interior.
+        exp, fm = make_surrogate_experiment("E1", 14, 0.5, 0.5, 30.0)
+        rng = np.random.default_rng(5)
+        cys = np.concatenate([rng.permutation(exp.cy_series) for _ in range(32)])
+        cfg = make_config(sigma_e_initial=estimate_sigma_e(list(exp.cy_series), 0.5, fm))
+        assert built_rows(lambda: detect_series(cys, fm, cfg)) == 17
+
+    @pytest.mark.parametrize("at", [17, 20, 33])
+    def test_event_after_an_interior_row_keeps_the_built_bytes(self, unit_fm, at):
+        # At sigma_e 0.1 every row before the alarm is interior, so the only
+        # row built for a report is the pass after it, under ten times the
+        # noise. The event's row, the previous pass's, is built for the
+        # event alone, with the bytes the step oracle's rows have. An alarm
+        # at pass 17 or 33 opens a block.
+        cys = [2.0] * (at - 1) + [3.5, 2.0]
+        cfg = make_config(sigma_e_initial=0.1)
+        outcome = []
+        built = built_rows(
+            lambda: outcome.append(assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg))
+        )
+        assert built == 1
+        _, events, _ = outcome[0]
+        assert [e.pass_index for e in events] == [at]
+
+
 def first_alarm_of(cys, fm, cfg):
     """detect_series's first event as (pass, cp), (0, 0.0) without one, or
     the message of the error it raises at or before that event."""
@@ -441,6 +487,15 @@ class TestFirstAlarms:
         assert passes.tolist() == [3, 0]
         assert cps.tolist() == [1.0, 0.0]
 
+    def test_window_rows_beside_another_stream_keep_their_bits(self):
+        # From pass 2 on the rows are narrower than 1.5 dq and take the
+        # windowed sum, here in one call with the zero stream's rows. A
+        # window sized by the widest row of the call gave cp ...418 at
+        # pass 3, one ulp from detect_series's ...419.
+        cfg = make_config(sigma_e_initial=0.1, grid=QGrid(0.0, 5.0, 0.05))
+        block = [[0.0] * 4, [3.4416821976637535, 3.78922644350765, 2.75, 0.0]]
+        assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)
+
     def test_rejected_configuration_fails_the_first_stream(self):
         cfg = make_config(predictive_method="scaling")
         assert_first_alarms_match([[1.0, 2.0], [1.0, 2.0]], ForwardModel(1.0, 0.0), cfg)
@@ -488,30 +543,39 @@ def alarms_outcome(first, block, fm, cfg):
 
 
 # A block's fold and the one-pass recursion agree on changepoint
-# probabilities to this much, absolute; on all else they are equal.
+# probabilities to this much, absolute.
 CP_TOLERANCE = 1e-12
+# A report's mean and std, from the closed form on interior rows, agree with
+# the step oracle's grid sums to this much, relative. All else is equal.
+MOMENT_RTOL = 1e-12
 
 
-def without_cp(items):
-    """Reports or events with their changepoint probabilities set to 0, and
-    those probabilities."""
+def without(items, names):
+    """Reports or events with the named fields set to 0, and those fields'
+    values, a list per field."""
     return (
-        [dataclasses.replace(x, changepoint_probability=0.0) for x in items],
-        [x.changepoint_probability for x in items],
+        [dataclasses.replace(x, **dict.fromkeys(names, 0.0)) for x in items],
+        [[getattr(x, name) for x in items] for name in names],
     )
 
 
 def assert_same_outcome(got, expected):
-    """``detect_outcome`` results agree: error text, pass indices, cy, mode,
-    mean, std and event row bytes equal, changepoint probabilities to
-    ``CP_TOLERANCE``."""
+    """``detect_outcome`` results agree: error text, pass indices, cy, mode
+    and event row bytes equal, changepoint probabilities to
+    ``CP_TOLERANCE`` and report means and stds to ``MOMENT_RTOL``."""
     if isinstance(got, str) or isinstance(expected, str):
         assert got == expected
         return
-    for ours, theirs in zip(got[:2], expected[:2]):
-        (ours, ours_cp), (theirs, theirs_cp) = without_cp(ours), without_cp(theirs)
+    fields = [
+        ["changepoint_probability", "mean_g_per_s", "std_g_per_s"],
+        ["changepoint_probability"],
+    ]
+    for ours, theirs, names in zip(got[:2], expected[:2], fields):
+        (ours, ours_values), (theirs, theirs_values) = without(ours, names), without(theirs, names)
         assert ours == theirs
+        (ours_cp, *ours_moments), (theirs_cp, *theirs_moments) = ours_values, theirs_values
         np.testing.assert_allclose(ours_cp, theirs_cp, rtol=0, atol=CP_TOLERANCE)
+        np.testing.assert_allclose(ours_moments, theirs_moments, rtol=MOMENT_RTOL, atol=0)
     assert got[2] == expected[2]
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import bayes_update, erf_gap, likelihood_vector
+from plumecpd import inference
 from plumecpd.bocd import RunLengthState
 from plumecpd.errors import (
     ConfigError,
@@ -27,7 +28,10 @@ from plumecpd.inference import (
     posterior_mean_std,
     posterior_mode,
     _erf_gaps,
+    _interior,
+    summarize_rows,
     uniform_prior,
+    window_log_mass,
 )
 from plumecpd.transport import ForwardModel
 from stepping import posterior_of, run_core
@@ -57,6 +61,14 @@ class TestQGrid:
     def test_bad_grids_rejected(self, q_min, q_max, dq):
         with pytest.raises(ValueError):
             QGrid(q_min, q_max, dq)
+
+    @pytest.mark.parametrize("q_min,q_max,dq", [(0.0, 5.0, 0.0005), (0.0, 1.0, 1e-4), (0.0, 20.0, 0.002)])
+    def test_fine_grids_accepted(self, q_min, q_max, dq):
+        # Their steps differ from dq by about one ulp of q_max, which is
+        # more than 1e-12 dq.
+        grid = QGrid(q_min, q_max, dq)
+        assert grid.n_points == 10001
+        assert grid.values[-1] == pytest.approx(q_max, rel=1e-15)
 
 
 class TestUniformPrior:
@@ -198,6 +210,18 @@ class TestLogGridMass:
             np.exp(exponent - exponent.max()).sum() * DEFAULT_GRID.dq
         )
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_window_rows_keep_their_bits_in_any_company(self):
+        # Narrow rows, rows whose modes are far off the grid and a flat
+        # row, summed together and one at a time.
+        grid = DEFAULT_GRID
+        rng = np.random.default_rng(7)
+        width = grid.dq * 10.0 ** rng.uniform(-2.0, 3.0, 40)
+        precision = np.append(width**-2.0, 0.0)
+        mode = np.append(rng.uniform(-3.0, 8.0, 40), 0.0)
+        together = window_log_mass(grid, precision, mode)
+        alone = [window_log_mass(grid, precision[i : i + 1], mode[i : i + 1])[0] for i in range(41)]
+        assert together.tolist() == alone
 
     def test_each_path_on_one_call(self):
         grid = DEFAULT_GRID
@@ -401,6 +425,71 @@ class TestPosteriorSummaries:
         mean, std = posterior_mean_std(post)
         assert mean == pytest.approx(2.0)
         assert std == pytest.approx(1.0)
+
+
+class TestSummarizeRows:
+    """Summaries of rows given as (A, mode, log Z) against the rows
+    ``conjugate_posterior`` builds."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=st.sampled_from(
+            [DEFAULT_GRID, QGrid(0.0, 5.0, 0.001), QGrid(0.0, 5.0, 0.05), QGrid(1.0, 2.0, 0.01)]
+        ),
+        rows=st.lists(
+            st.tuples(st.floats(-1.0, 3.0), st.floats(0.0, 1.0), st.sampled_from([None, 0.0, 0.5])),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_interior_rows_match_their_built_rows(self, grid, rows):
+        # sigma_q from 0.1 to 1000 grid steps, the mode from 2 sigma_q below
+        # the grid to 2 sigma_q above it, or moved onto a grid point or
+        # halfway between two, where a row's two largest densities may tie.
+        precision, mode = [], []
+        for steps, across, snap in rows:
+            width = grid.dq * 10.0**steps
+            low, high = grid.q_min - 2.0 * width, grid.q_max + 2.0 * width
+            at = low + across * (high - low)
+            if snap is not None:
+                at = grid.q_min + (math.floor((at - grid.q_min) / grid.dq) + snap) * grid.dq
+            precision.append(width**-2.0)
+            mode.append(at)
+        precision, mode = np.array(precision), np.array(mode)
+        log_mass = log_grid_mass(grid, precision, mode)
+        modes, means, stds, good = summarize_rows(grid, precision, mode, log_mass)
+        interior = _interior(grid, precision**-0.5, mode)
+        for i, row in enumerate(zip(precision, mode, log_mass)):
+            try:
+                post = conjugate_posterior(grid, *row)
+            except (MeasurementIncompatibleError, ValueError):
+                assert good == i
+                return
+            mean, std = posterior_mean_std(post)
+            assert modes[i] == posterior_mode(post)
+            if interior[i]:
+                assert means[i] == pytest.approx(mean, rel=1e-12, abs=0)
+                assert stds[i] == pytest.approx(std, rel=1e-12, abs=0)
+            else:
+                assert (means[i], stds[i]) == (mean, std)
+        assert good == len(rows)
+
+    def test_a_first_maximum_that_may_tie_an_earlier_point_is_built(self, monkeypatch):
+        # Halfway between points 201 and 202, which tie; rint takes 202 as
+        # the nearest point, so the first maximum is at the point before it.
+        grid = DEFAULT_GRID
+        precision, mode = np.array([1e4]), np.array([1.0075])
+        log_mass = log_grid_mass(grid, precision, mode)
+        built = []
+        real = inference.conjugate_densities
+        monkeypatch.setattr(
+            inference, "conjugate_densities", lambda *args: built.append(args[1]) or real(*args)
+        )
+        modes, _, _, good = summarize_rows(grid, precision, mode, log_mass)
+        post = conjugate_posterior(grid, precision[0], mode[0], log_mass[0])
+        assert good == 1
+        assert modes[0] == posterior_mode(post)
+        assert [b.tolist() for b in built] == [[1e4]]
 
 
 class TestConsistency:
