@@ -32,11 +32,11 @@ def main() -> int:
 
     exp, fm = make_surrogate_experiment("demo", args.passes, args.cv, args.q_true)
     sigma_e = estimate_sigma_e(list(exp.cy_series), args.q_true, fm)
-    instance = synthesize_batch(exp, args.lrr, 1, master_seed=args.seed)[0]
+    series = synthesize_batch(exp, args.lrr, 1, master_seed=args.seed)[0]
     cfg = DetectorConfig(threshold=args.threshold, sigma_e_initial=sigma_e)
-    reports, events = detect_series(instance.series, fm, cfg)
+    reports, events = detect_series(series, fm, cfg)
 
-    print(f"sigma_e = {sigma_e:.5g} g/m2, true change after pass {instance.true_cp_index}")
+    print(f"sigma_e = {sigma_e:.5g} g/m2, true change after pass {exp.n_passes}")
     print(f"{'pass':>4} {'cy g/m2':>12} {'P(change)':>10} {'mode g/s':>9} {'mean g/s':>9} {'std g/s':>8}")
     event_passes = {e.pass_index: e for e in events}
     for r in reports:

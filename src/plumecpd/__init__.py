@@ -42,18 +42,15 @@ from .surrogate import (
 from .synthesis import (
     ExperimentRecord,
     SignalStats,
-    SynthesizedInstance,
     instance_rng,
     signal_stats,
     synthesize_batch,
-    synthesize_instance,
 )
 from .transport import (
     ConstantDispersion,
     ForwardModel,
     Geometry,
     MetSummary,
-    PassMeasurement,
     ReflectedGaussianDispersion,
     ambient_baseline,
     build_forward_model,
@@ -83,14 +80,12 @@ __all__ = [
     "MeasurementIncompatibleError",
     "MetSummary",
     "OutcomeLabel",
-    "PassMeasurement",
     "PassReport",
     "PerformanceReport",
     "PlumeCpdError",
     "QGrid",
     "ReflectedGaussianDispersion",
     "SignalStats",
-    "SynthesizedInstance",
     "ambient_baseline",
     "bootstrap_ci",
     "build_forward_model",
@@ -111,6 +106,5 @@ __all__ = [
     "signal_stats",
     "stratified_lognormal_series",
     "synthesize_batch",
-    "synthesize_instance",
     "uniform_prior",
 ]

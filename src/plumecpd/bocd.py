@@ -75,9 +75,8 @@ from .inference import (
     POSTERIOR_OVERFLOW,
     LikelihoodConfig,
     QGrid,
-    closed_form_log_mass,
     conjugate_terms,
-    window_log_mass,
+    log_grid_mass,
 )
 from .transport import ForwardModel
 
@@ -241,25 +240,14 @@ class RunLengthState:
             after = np.multiply(precision[p, live], mode[:, p, live], out=mode[:, p + 1, live])
             after += b[:, p, np.newaxis]
             after /= precision[p + 1, live]
-        fresh = hypotheses & (a > 0)[:, np.newaxis]
 
-        # log Z of every hypothesis of every pass: the closed forms in one
-        # call, then the rows of the exact windowed sum one pass at a time,
-        # for every stream. A pass with a forward ratio of 0 copies the rows
-        # before it, filled by then.
+        # log Z of every hypothesis of every pass, in one call. Each entry
+        # depends on its own row alone, so a pass with a forward ratio of 0
+        # repeats the values before it, and slots past a pass's hypotheses,
+        # flat rows, hold the state's exact log(q_max - q_min).
         log_mass = np.empty((n_streams, n_block + 1, width))
         log_mass[:, 0] = self.log_mass[:, :width]
-        values, window = closed_form_log_mass(grid, precision[1:], mode[:, 1:])
-        log_mass[:, 1:] = np.where(fresh, values, self.log_mass[:, np.newaxis, :width])
-        window &= fresh
-        for p in np.flatnonzero((a == 0) | window.any(axis=(0, 2))).tolist():
-            if a[p] == 0:
-                log_mass[:, p + 1] = log_mass[:, p]
-            else:
-                rows = window[:, p]
-                log_mass[:, p + 1][rows] = window_log_mass(
-                    grid, np.broadcast_to(precision[p + 1], rows.shape)[rows], mode[:, p + 1][rows]
-                )
+        log_mass[:, 1:] = log_grid_mass(grid, precision[1:], mode[:, 1:])
 
         if method == "marginal":
             # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.

@@ -277,14 +277,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
             ExperimentRecord(exp_id, 1.0, np.array([cy for _, cy in passes[exp_id]]))
             for exp_id in sorted(passes)
         ]
-    rows = []
-    for exp in experiments:
-        for lrr in args.lrr:
-            for i, inst in enumerate(
-                synthesize_batch(exp, lrr, args.instances, args.seed)
-            ):
-                rows.append((exp.experiment_id, inst, i))
-    dataio.write_instances_csv(Path(args.out), rows)
+    batches = [
+        (exp.experiment_id, lrr, synthesize_batch(exp, lrr, args.instances, args.seed))
+        for exp in experiments
+        for lrr in args.lrr
+    ]
+    dataio.write_instances_csv(Path(args.out), batches)
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .detector import DetectionEvent, PassReport
 from .errors import InputDataError
 from .metrics import PerformanceReport
-from .synthesis import ExperimentRecord, SynthesizedInstance
+from .synthesis import ExperimentRecord
 from .transport import MetSummary
 
 RAW_COLUMNS = [
@@ -546,16 +546,16 @@ def write_events_json(path: Path, rows: Iterable[tuple[str, DetectionEvent, floa
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def write_instances_csv(
-    path: Path, rows: Iterable[tuple[str, SynthesizedInstance, int]]
-) -> None:
+def write_instances_csv(path: Path, batches: Iterable[tuple[str, float, np.ndarray]]) -> None:
+    """Every pass of (experiment id, lrr, instances) batches, the instances
+    numbered from 0 as the rows of a ``synthesize_batch`` array: 2N passes
+    each, the change after pass N."""
     lines = [",".join(INSTANCE_COLUMNS)]
-    for exp, inst, index in rows:
-        for k, cy in enumerate(inst.series, start=1):
-            post = int(k > inst.true_cp_index)
-            lines.append(
-                f"{exp},{_fmt(inst.lrr)},{index},{k},{_fmt(cy)},{post}"
-            )
+    for exp, lrr, instances in batches:
+        n = instances.shape[1] // 2
+        for index, series in enumerate(instances):
+            for k, cy in enumerate(series, start=1):
+                lines.append(f"{exp},{_fmt(lrr)},{index},{k},{_fmt(cy)},{int(k > n)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -575,64 +575,3 @@ def write_report_csv(path: Path, rows: Iterable[dict]) -> None:
                 cells.append(_fmt(value))
         lines.append(",".join(cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_pass_reports_csv(path: Path) -> list[tuple[str, PassReport]]:
-    rows = []
-    for line, row in _open_rows(path, PASS_REPORT_COLUMNS):
-        rows.append(
-            (
-                row["experiment_id"],
-                PassReport(
-                    pass_index=_parse_int(path, line, row, "pass_index"),
-                    cy_g_per_m2=_parse_float(path, line, row, "cy_g_per_m2"),
-                    changepoint_probability=_parse_float(
-                        path, line, row, "changepoint_probability"
-                    ),
-                    mode_g_per_s=_parse_float(path, line, row, "mode_g_per_s"),
-                    mean_g_per_s=_parse_float(path, line, row, "mean_g_per_s"),
-                    std_g_per_s=_parse_float(path, line, row, "std_g_per_s"),
-                ),
-            )
-        )
-    return rows
-
-
-def read_events_json(path: Path) -> list[dict]:
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, list):
-        raise InputDataError(f"{path}: expected a JSON array")
-    return payload
-
-
-def read_instances_csv(path: Path) -> list[dict]:
-    rows = []
-    for line, row in _open_rows(path, INSTANCE_COLUMNS):
-        rows.append(
-            {
-                "experiment_id": row["experiment_id"],
-                "lrr": _parse_float(path, line, row, "lrr"),
-                "instance_index": _parse_int(path, line, row, "instance_index"),
-                "pass_index": _parse_int(path, line, row, "pass_index"),
-                "cy_g_per_m2": _parse_float(path, line, row, "cy_g_per_m2"),
-                "is_post_change": _parse_int(path, line, row, "is_post_change"),
-            }
-        )
-    return rows
-
-
-def read_report_csv(path: Path) -> list[dict]:
-    rows = []
-    for line, row in _open_rows(path, REPORT_COLUMNS):
-        parsed: dict = {"experiment_id": row["experiment_id"]}
-        for col in REPORT_COLUMNS[1:]:
-            parsed[col] = (
-                None if row[col] == "" else _parse_float(path, line, row, col)
-            )
-        rows.append(parsed)
-    return rows

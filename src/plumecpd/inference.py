@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InsufficientDataError, MeasurementIncompatibleError
-from .transport import ForwardModel, PassMeasurement, forward_concentration
+from .transport import ForwardModel, forward_concentration
 
 DEFAULT_Q_MIN_G_PER_S = 0.0
 DEFAULT_Q_MAX_G_PER_S = 5.0
@@ -168,28 +168,14 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
     - interior (sigma_q >= 1.5 dq, mode 8 sigma_q inside the summed
       points): the Gaussian integral, log(2 pi / A) / 2, whose aliasing
       and tail errors are below 1e-15 relative;
+    - flat (A = 0): log(q_max - q_min), exactly;
     - wide near an edge (10 dq <= sigma_q <= 100 (q_max - q_min), mode
       within 2 sigma_q of [q_min, q_max]): the erf integral over
       [q_min, q_max] plus Euler-Maclaurin endpoint terms through dq^6;
-    - else (narrow rows, modes far outside, A = 0): the exact log-sum-exp
-      over the summed points in a window of at least 10 sigma_q about the
-      clipped mode, by ``window_log_mass`` on those rows together.
-    """
-    out, window = closed_form_log_mass(grid, precision, mode)
-    if window.any():
-        out[window] = window_log_mass(
-            grid,
-            np.broadcast_to(precision, out.shape)[window],
-            np.broadcast_to(mode, out.shape)[window],
-        )
-    return out
-
-
-def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.ndarray]:
-    """``log_grid_mass`` by its interior and edge paths alone.
-
-    Returns log Z and a mask of the rows left to ``window_log_mass``,
-    whose entries are NaN. Each entry depends on its own row only.
+    - else (narrow rows, modes far outside): the exact log-sum-exp over
+      the summed points in a window of at least 10 sigma_q about the
+      clipped mode, by ``window_log_mass``.
+    Each entry depends on its own row only.
     """
     precision = np.asarray(precision, dtype=float)
     mode = np.asarray(mode, dtype=float)
@@ -199,7 +185,8 @@ def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.n
     np.add(np.log(width), HALF_LOG_2PI, out=out)
     outside = ~_interior(grid, width, mode)
     if not outside.any():
-        return out, outside
+        return out
+    precision = np.broadcast_to(precision, out.shape)[outside]
     width = np.broadcast_to(width, out.shape)[outside]
     mode = np.broadcast_to(mode, out.shape)[outside]
     span = grid.q_max - grid.q_min
@@ -208,13 +195,15 @@ def closed_form_log_mass(grid: QGrid, precision, mode) -> tuple[np.ndarray, np.n
         & (width <= EDGE_MAX_SPANS * span)
         & (np.abs(mode - 0.5 * (grid.q_min + grid.q_max)) <= 0.5 * span + EDGE_REACH * width)
     )
-    values = np.full(mode.shape, np.nan)
+    # A flat row (A = 0) is infinitely wide, past the edge path's bound.
+    window = ~edge & (precision > 0)
+    values = np.full(mode.shape, math.log(span))
     if edge.any():
         values[edge] = _edge_log_mass(grid, mode[edge], width[edge])
+    if window.any():
+        values[window] = window_log_mass(grid, precision[window], mode[window])
     out[outside] = values
-    window = np.zeros(out.shape, dtype=bool)
-    window[outside] = ~edge
-    return out, window
+    return out
 
 
 def _interior(grid: QGrid, width, mode) -> np.ndarray:
@@ -445,7 +434,7 @@ def row_moments(grid: QGrid, densities: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def estimate_sigma_e(
-    passes: Sequence[PassMeasurement] | Sequence[float],
+    passes: Sequence[float],
     q_true: float,
     fms: ForwardModel | Sequence[ForwardModel],
 ) -> float:
@@ -454,7 +443,7 @@ def estimate_sigma_e(
     Uses the N-1 normalization over residuals cy_k - predicted(q_true),
     and raises ``ValueError`` if the estimate overflows the float range.
     """
-    cys = [p.cy_g_per_m2 if isinstance(p, PassMeasurement) else float(p) for p in passes]
+    cys = [float(p) for p in passes]
     n = len(cys)
     if n < 2:
         raise InsufficientDataError("need at least 2 passes to estimate sigma_e")

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detector import DetectionEvent, DetectorConfig, first_alarms
+from .detector import DetectorConfig, first_alarms
 from .errors import DetectionError
 from .synthesis import ExperimentRecord, synthesize_batch, instance_rng
 from .transport import ForwardModel, Geometry, build_forward_model
@@ -43,20 +43,12 @@ class OutcomeLabel(enum.Enum):
 
 
 def classify_outcome(
-    events: Sequence[DetectionEvent] | Sequence[int],
-    true_cp_index: int,
-    n_passes: int,
+    events: Sequence[int], true_cp_index: int, n_passes: int
 ) -> OutcomeLabel:
-    """Label one instance from its detection events.
-
-    Accepts full events or bare pass indices, as tests and offline
-    tooling frequently carry only the indices.
-    """
+    """Label one instance from the pass indices of its detection events."""
     if not 1 <= true_cp_index < n_passes:
         raise ValueError("true changepoint must lie strictly inside the stream")
-    passes = sorted(
-        e.pass_index if isinstance(e, DetectionEvent) else int(e) for e in events
-    )
+    passes = sorted(int(e) for e in events)
     if any(p < 1 or p > n_passes for p in passes):
         raise ValueError("event pass index outside the stream")
     if not passes:
@@ -152,19 +144,20 @@ def _score_instances(
 ) -> tuple[list[OutcomeLabel], list[int]]:
     instances = synthesize_batch(exp, lrr, n_instances, master_seed, start_index)
     try:
-        alarms, _ = first_alarms(np.stack([inst.series for inst in instances]), fm, cfg)
+        alarms, _ = first_alarms(instances, fm, cfg)
     except DetectionError as exc:
         raise DetectionError(
             f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
             f"{repetition} instance {start_index + exc.instance}: {exc}"
         ) from exc
+    n = exp.n_passes
     labels: list[OutcomeLabel] = []
     delays: list[int] = []
-    for inst, first in zip(instances, alarms.tolist()):
-        label = classify_outcome([first] if first else [], inst.true_cp_index, inst.series.size)
+    for first in alarms.tolist():
+        label = classify_outcome([first] if first else [], n, 2 * n)
         labels.append(label)
         if label in (OutcomeLabel.TP, OutcomeLabel.DTP):
-            delays.append(first - inst.true_cp_index)
+            delays.append(first - n)
     return labels, delays
 
 

@@ -50,23 +50,6 @@ class ExperimentRecord:
 
 
 @dataclass(frozen=True)
-class SynthesizedInstance:
-    """A 2N-pass series whose rate changes right after pass ``true_cp_index``."""
-
-    series: np.ndarray = field(compare=False)
-    true_cp_index: int
-    lrr: float
-
-    def __post_init__(self) -> None:
-        series = np.asarray(self.series, dtype=float)
-        if series.size != 2 * self.true_cp_index:
-            raise ValueError("series must hold exactly 2N passes with the change at N")
-        series = series.copy()
-        series.setflags(write=False)
-        object.__setattr__(self, "series", series)
-
-
-@dataclass(frozen=True)
 class SignalStats:
     mean: float
     std: float
@@ -94,51 +77,41 @@ def instance_rng(
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def synthesize_instance(
-    exp: ExperimentRecord, lrr: float, rng: np.random.Generator
-) -> SynthesizedInstance:
-    """Shuffle the original and the scaled copy, then concatenate.
-
-    Both halves use Fisher-Yates draws from ``rng`` (the identity
-    permutation is a legitimate outcome). The pre-change half preserves
-    the original multiset exactly; the post-change half preserves the
-    multiset of lrr-scaled values, so the half-mean ratio is lrr up to
-    float summation order.
-    """
-    if not (lrr > 0 and math.isfinite(lrr)):
-        raise ValueError("leak rate ratio must be positive and finite")
-    with np.errstate(over="ignore"):
-        scaled = exp.cy_series * lrr
-    if not np.isfinite(scaled).all():
-        raise ValueError("leak rate ratio times a pass overflows")
-    first = rng.permutation(exp.cy_series)
-    second = rng.permutation(scaled)
-    return SynthesizedInstance(
-        series=np.concatenate([first, second]),
-        true_cp_index=exp.n_passes,
-        lrr=float(lrr),
-    )
-
-
 def synthesize_batch(
     exp: ExperimentRecord,
     lrr: float,
     n_instances: int,
     master_seed: int,
     start_index: int = 0,
-) -> list[SynthesizedInstance]:
-    """Generate instances ``start_index .. start_index + n_instances - 1``.
+) -> np.ndarray:
+    """Instances ``start_index .. start_index + n_instances - 1`` as the
+    rows of an (n_instances, 2N) array, the rate changing after pass N.
 
-    Instance i always uses the child seed derived from
-    (master_seed, experiment_id, lrr, i), so batches are reproducible
-    and may be split across workers without changing any series.
+    Row i is the series shuffled, then the series times lrr shuffled, both
+    by Fisher-Yates draws from the child generator of (master_seed,
+    experiment_id, lrr, i) (the identity permutation is a legitimate
+    outcome). So batches are reproducible and may be split across workers
+    without changing any series. The pre-change half preserves the
+    original multiset exactly; the post-change half preserves the multiset
+    of lrr-scaled values, so the half-mean ratio is lrr up to float
+    summation order.
     """
     if n_instances < 1:
         raise ValueError("need at least one instance")
-    return [
-        synthesize_instance(exp, lrr, instance_rng(master_seed, exp.experiment_id, lrr, i))
-        for i in range(start_index, start_index + n_instances)
-    ]
+    if not (lrr > 0 and math.isfinite(lrr)):
+        raise ValueError("leak rate ratio must be positive and finite")
+    series = exp.cy_series
+    with np.errstate(over="ignore"):
+        scaled = series * lrr
+    if not np.isfinite(scaled).all():
+        raise ValueError("leak rate ratio times a pass overflows")
+    n = exp.n_passes
+    out = np.empty((n_instances, 2 * n))
+    for row, i in zip(out, range(start_index, start_index + n_instances)):
+        rng = instance_rng(master_seed, exp.experiment_id, lrr, i)
+        row[:n] = series[rng.permutation(n)]
+        row[n:] = scaled[rng.permutation(n)]
+    return out
 
 
 def signal_stats(series: np.ndarray, lrr: float) -> SignalStats:

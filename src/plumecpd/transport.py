@@ -95,22 +95,6 @@ class Geometry:
 
 
 @dataclass(frozen=True)
-class PassMeasurement:
-    """One reduced pass: a cross-plume integrated concentration in g/m^2."""
-
-    pass_index: int
-    cy_g_per_m2: float
-    geometry: Geometry | None = None
-    met: MetSummary | None = None
-
-    def __post_init__(self) -> None:
-        if self.pass_index < 1:
-            raise ValueError("pass index is 1-based")
-        if self.cy_g_per_m2 < 0:
-            raise ValueError("integrated concentration must be non-negative")
-
-
-@dataclass(frozen=True)
 class ForwardModel:
     """Linear map from emission rate to integrated concentration.
 

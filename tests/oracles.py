@@ -2,11 +2,12 @@
 
 Everything here but the step oracle recomputes results from first
 principles with plain numpy, so the package under test shares no code
-path with it. The step oracle, ``StepOracle`` and the detector loops over
-it, keeps the one-pass arithmetic of the run-length step and calls the
-package's log Z and row builders once per pass: it pins the block step's
-rows and reports to that arithmetic bit for bit, and its folded weights
-to the one-pass weight recursion within 1e-12.
+path with it; the synthesis oracle takes its generators from the
+package's ``instance_rng``. The step oracle, ``StepOracle`` and the
+detector loops over it, keeps the one-pass arithmetic of the run-length
+step and calls the package's log Z and row builders once per pass: it
+pins the block step's rows and reports to that arithmetic bit for bit,
+and its folded weights to the one-pass weight recursion within 1e-12.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from plumecpd.inference import (
     posterior_mode,
     uniform_prior,
 )
+from plumecpd.synthesis import ExperimentRecord, instance_rng
 from plumecpd.transport import ForwardModel, forward_concentration
 
 
@@ -324,6 +326,20 @@ def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
                 total += conc * dt * speed * math.sin(math.radians(angle))
             lines.append(f"{exp},{pass_index},{total!r}")
     return "\n".join(lines) + "\n"
+
+
+def synthesize_instances(
+    exp: ExperimentRecord, lrr: float, n_instances: int, master_seed: int, start_index: int = 0
+) -> np.ndarray:
+    """Shuffle-and-scale instances built one at a time and stacked: each is
+    ``rng.permutation`` of the series, then of the series times lrr."""
+    instances = []
+    for i in range(start_index, start_index + n_instances):
+        rng = instance_rng(master_seed, exp.experiment_id, lrr, i)
+        first = rng.permutation(exp.cy_series)
+        second = rng.permutation(exp.cy_series * lrr)
+        instances.append(np.concatenate([first, second]))
+    return np.stack(instances)
 
 
 class StepOracle:

@@ -244,9 +244,8 @@ def test_07_jump_to_noise_identity(capsys):
         exp, _ = make_unit_forward_experiment(f"cv{cv:g}", 14, cv, 0.5)
         for lrr in (1.5, 3.0, 7.5):
             target = (lrr - 1.0) / cv
-            for inst in synthesize_batch(exp, lrr, 100, master_seed=29):
-                pre = inst.series[: inst.true_cp_index]
-                post = inst.series[inst.true_cp_index :]
+            for series in synthesize_batch(exp, lrr, 100, master_seed=29):
+                pre, post = series[: exp.n_passes], series[exp.n_passes :]
                 jnr = (post.mean() - pre.mean()) / pre.std(ddof=1)
                 worst = max(worst, abs(jnr - target) / target)
                 checked += 1

@@ -17,9 +17,8 @@ from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import (
     LikelihoodConfig,
     QGrid,
-    closed_form_log_mass,
     grid_integrate,
-    window_log_mass,
+    log_grid_mass,
 )
 from plumecpd.transport import ForwardModel
 from stepping import run_core
@@ -222,31 +221,21 @@ class TestBocdStep:
     def test_single_likelihood_evaluation_per_step(self, unit_fm, coarse_grid):
         # One log Z per hypothesis and step gives every hypothesis's
         # marginal likelihood of the new pass. A block of passes computes
-        # them in one call over (passes, slots), the few slots past a pass's
-        # hypotheses included, less the exact windowed sums, which each
-        # pass computes for its own hypotheses.
+        # them, every path of the sum, in one call over (streams, passes,
+        # slots), the few slots past a pass's hypotheses included.
         import plumecpd.bocd as bocd_module
 
         cfg = LikelihoodConfig(0.4)
-        sizes, window_rows = [], []
+        sizes = []
 
         def counting(grid, precision, mode):
             sizes.append(np.broadcast_shapes(np.shape(precision), np.shape(mode)))
-            return closed_form_log_mass(grid, precision, mode)
+            return log_grid_mass(grid, precision, mode)
 
-        def counting_window(grid, precision, mode):
-            window_rows.append(mode.size)
-            return window_log_mass(grid, precision, mode)
-
-        with (
-            mock.patch.object(bocd_module, "closed_form_log_mass", side_effect=counting),
-            mock.patch.object(bocd_module, "window_log_mass", side_effect=counting_window),
-        ):
+        with mock.patch.object(bocd_module, "log_grid_mass", side_effect=counting):
             run_core([2.0] * 10, unit_fm, cfg, 15.0, coarse_grid)
         assert PASS_BLOCK == 8
         assert sizes == [(1, 8, 9), (1, 2, 11)]
-        assert 0 < len(window_rows) <= 10
-        assert all(0 < n <= 11 for n in window_rows)
 
     def test_hazard_monotonicity_on_calm_streams(self, unit_fm, coarse_grid):
         cfg = LikelihoodConfig(0.6)

@@ -16,14 +16,7 @@ from hypothesis import strategies as st
 
 from plumecpd import cli, dataio
 from plumecpd.cli import build_parser, main
-from plumecpd.dataio import (
-    read_events_json,
-    read_instances_csv,
-    read_pass_reports_csv,
-    read_passes,
-    read_report_csv,
-    write_passes_csv,
-)
+from plumecpd.dataio import read_passes, write_passes_csv
 from plumecpd.detector import DetectorConfig, detect_series
 from plumecpd.errors import ConfigError, DetectionError, InputDataError
 from plumecpd.inference import QGrid, estimate_sigma_e
@@ -31,6 +24,7 @@ from plumecpd.metrics import evaluate_cell
 from plumecpd.surrogate import make_surrogate_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.transport import forward_concentration
+from readers import read_events_json, read_instances_csv, read_pass_reports_csv, read_report_csv
 
 MET_HEADER = "experiment_id,x_m,u_mean_mps,sigma_u_mps,sigma_w_mps,u_star_mps,temperature_K"
 MET_ROW_4 = "4,30,2.72,1.15,0.30,0.24,293.15"
@@ -475,9 +469,9 @@ class TestDetect:
 
     def test_step_change_walkthrough(self, tmp_path, met_csv, exp4):
         exp, fm = exp4
-        inst = synthesize_batch(exp, 4.0, 1, master_seed=7)[0]
+        series = synthesize_batch(exp, 4.0, 1, master_seed=7)[0]
         passes = tmp_path / "passes.csv"
-        write_series(passes, inst.series)
+        write_series(passes, series)
         sigma_e = estimate_sigma_e(list(exp.cy_series), 0.083, fm)
         config = self._config(tmp_path, sigma_e)
         out = tmp_path / "out"

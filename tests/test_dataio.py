@@ -15,13 +15,9 @@ from plumecpd.dataio import (
     RAW_SAMPLE_DTYPE,
     atomic_write_text,
     experiments_from_passes,
-    read_events_json,
-    read_instances_csv,
     read_met,
-    read_pass_reports_csv,
     read_passes,
     read_raw_samples,
-    read_report_csv,
     sweep_row,
     write_events_json,
     write_instances_csv,
@@ -33,7 +29,8 @@ from plumecpd.detector import DetectionEvent, PassReport
 from plumecpd.errors import InputDataError
 from plumecpd.inference import QGrid, uniform_prior
 from plumecpd.metrics import PerformanceReport
-from plumecpd.synthesis import instance_rng, synthesize_instance, ExperimentRecord
+from plumecpd.synthesis import ExperimentRecord, synthesize_batch
+from readers import read_events_json, read_instances_csv, read_pass_reports_csv, read_report_csv
 
 
 RAW_HEADER = "experiment_id,pass_index,time_s,mixing_ratio_ppm,vehicle_speed_mps,road_angle_deg"
@@ -404,14 +401,15 @@ class TestInstancesRoundTrip:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "instances.csv"
         exp = ExperimentRecord("e1", 30.0, np.array([0.1, 0.2, 0.3]))
-        inst = synthesize_instance(exp, 2.0, instance_rng(0, "e1", 2.0, 0))
-        write_instances_csv(path, [("e1", inst, 0)])
+        instances = synthesize_batch(exp, 2.0, 2, master_seed=0)
+        write_instances_csv(path, [("e1", 2.0, instances)])
         rows = read_instances_csv(path)
-        assert len(rows) == 6
-        assert [r["pass_index"] for r in rows] == [1, 2, 3, 4, 5, 6]
-        assert [r["is_post_change"] for r in rows] == [0, 0, 0, 1, 1, 1]
-        assert np.array_equal([r["cy_g_per_m2"] for r in rows], inst.series)
-        assert all(r["lrr"] == 2.0 and r["instance_index"] == 0 for r in rows)
+        assert len(rows) == 12
+        assert [r["pass_index"] for r in rows] == [1, 2, 3, 4, 5, 6] * 2
+        assert [r["is_post_change"] for r in rows] == [0, 0, 0, 1, 1, 1] * 2
+        assert [r["instance_index"] for r in rows] == [0] * 6 + [1] * 6
+        assert np.array_equal([r["cy_g_per_m2"] for r in rows], instances.ravel())
+        assert all(r["lrr"] == 2.0 and r["experiment_id"] == "e1" for r in rows)
 
 
 class TestReportRoundTrip:

@@ -122,8 +122,8 @@ def exp4():
 class TestStepChangeDetection:
     def test_seeded_instance_triggers_right_after_change(self, exp4):
         exp, fm, cfg = exp4
-        inst = synthesize_batch(exp, 4.0, 1, master_seed=7)[0]
-        _, events = detect_series(inst.series, fm, cfg)
+        series = synthesize_batch(exp, 4.0, 1, master_seed=7)[0]
+        _, events = detect_series(series, fm, cfg)
         assert [e.pass_index for e in events] == [13]
         assert events[0].changepoint_probability >= 0.8
         assert events[0].regime_index == 1
@@ -131,8 +131,8 @@ class TestStepChangeDetection:
     def test_detection_within_two_passes_across_instances(self, exp4):
         exp, fm, cfg = exp4
         prompt = 0
-        for inst in synthesize_batch(exp, 4.0, 100, master_seed=7):
-            _, events = detect_series(inst.series, fm, cfg)
+        for series in synthesize_batch(exp, 4.0, 100, master_seed=7):
+            _, events = detect_series(series, fm, cfg)
             passes = [e.pass_index for e in events]
             assert not passes or min(passes) > 12
             if passes and min(passes) <= 15:
@@ -459,7 +459,7 @@ class TestFirstAlarms:
         # The block's streams leave the lockstep batch at different passes,
         # and some never do.
         exp, fm, cfg = exp4
-        block = np.stack([i.series for i in synthesize_batch(exp, 2.2, 12, master_seed=7)])
+        block = synthesize_batch(exp, 2.2, 12, master_seed=7)
         passes, _ = first_alarms(block, fm, cfg)
         assert {13, 24, 0} <= set(passes.tolist())
         assert_first_alarms_match(block, fm, cfg)
@@ -677,13 +677,20 @@ class TestBlockStep:
         assert np.array_equal(steps.cp[0, :3], before.cp[0])
 
     def test_fine_noise_takes_the_window_path(self, unit_fm):
-        # Rows narrower than 1.5 dq take the exact windowed sum, a pass at a
-        # time: the reports still equal the one-pass step's.
+        # Rows narrower than 1.5 dq take the exact windowed sum, a block's
+        # rows in one call: the reports still equal the one-pass step's.
         cys = 2.0 + np.random.default_rng(60).normal(0.0, 0.004, 60)
         cfg = make_config(sigma_e_initial=0.004, grid=QGrid(0.0, 5.0, 0.05))
-        with mock.patch.object(bocd, "window_log_mass", wraps=bocd.window_log_mass) as window:
-            reports, events, _ = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg)
-        assert window.call_count == 60
+        with (
+            mock.patch.object(bocd, "log_grid_mass", wraps=bocd.log_grid_mass) as blocks,
+            mock.patch.object(
+                inference, "window_log_mass", wraps=inference.window_log_mass
+            ) as window,
+        ):
+            detect_series(cys, unit_fm, cfg)
+        # Each block's one log Z call sends rows to the window path.
+        assert window.call_count == blocks.call_count > 0
+        reports, events, _ = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg)
         assert len(reports) == 60 and events == []
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

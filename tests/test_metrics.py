@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from plumecpd.detector import DetectionEvent, DetectorConfig
+from plumecpd.detector import DetectorConfig
 from plumecpd.errors import DetectionError
-from plumecpd.inference import QGrid, uniform_prior
+from plumecpd.inference import QGrid
 from plumecpd.metrics import (
     OutcomeLabel,
     bootstrap_ci,
@@ -12,16 +12,6 @@ from plumecpd.metrics import (
     evaluate_cell,
 )
 from plumecpd.surrogate import make_unit_forward_experiment
-
-
-def event_at(pass_index):
-    grid = QGrid(0.0, 5.0, 0.5)
-    return DetectionEvent(
-        pass_index=pass_index,
-        changepoint_probability=0.9,
-        pre_change_posterior=uniform_prior(grid),
-        regime_index=1,
-    )
 
 
 class TestClassifyOutcome:
@@ -39,10 +29,6 @@ class TestClassifyOutcome:
 
     def test_event_exactly_at_change_is_fp(self):
         assert classify_outcome([12], 12, 24) is OutcomeLabel.FP
-
-    def test_accepts_detection_events(self):
-        assert classify_outcome([event_at(13)], 12, 24) is OutcomeLabel.TP
-        assert classify_outcome([event_at(5), event_at(13)], 12, 24) is OutcomeLabel.FP
 
     def test_trailing_events_ignored_after_first(self):
         assert classify_outcome([13, 20, 24], 12, 24) is OutcomeLabel.TP

@@ -11,14 +11,8 @@ from plumecpd.surrogate import (
     make_unit_forward_experiment,
     stratified_lognormal_series,
 )
-from plumecpd.synthesis import (
-    ExperimentRecord,
-    SynthesizedInstance,
-    instance_rng,
-    signal_stats,
-    synthesize_batch,
-    synthesize_instance,
-)
+from oracles import synthesize_instances
+from plumecpd.synthesis import ExperimentRecord, instance_rng, signal_stats, synthesize_batch
 
 
 def make_exp(series, experiment_id="e1"):
@@ -44,47 +38,49 @@ class TestExperimentRecord:
             exp.cy_series[0] = 5.0
 
 
+def one_instance(exp, lrr, seed=0):
+    """Instance 0 of a batch, one row of ``synthesize_batch``."""
+    return synthesize_batch(exp, lrr, 1, master_seed=seed)[0]
+
+
 class TestSynthesizeInstance:
     def test_identity_scaling_preserves_multiset(self):
         exp = make_exp([1.0, 2.0, 3.0])
-        inst = synthesize_instance(exp, 1.0, instance_rng(0, "e1", 1.0, 0))
-        assert sorted(inst.series[:3]) == [1.0, 2.0, 3.0]
-        assert sorted(inst.series[3:]) == [1.0, 2.0, 3.0]
+        series = one_instance(exp, 1.0)
+        assert sorted(series[:3]) == [1.0, 2.0, 3.0]
+        assert sorted(series[3:]) == [1.0, 2.0, 3.0]
 
     def test_scaled_half_is_permutation_of_scaled_values(self):
         exp = make_exp([1.0, 2.0])
-        inst = synthesize_instance(exp, 4.0, instance_rng(0, "e1", 4.0, 0))
-        assert sorted(inst.series[:2]) == [1.0, 2.0]
-        assert sorted(inst.series[2:]) == [4.0, 8.0]
-        assert np.mean(inst.series[2:]) / np.mean(inst.series[:2]) == pytest.approx(4.0)
+        series = one_instance(exp, 4.0)
+        assert sorted(series[:2]) == [1.0, 2.0]
+        assert sorted(series[2:]) == [4.0, 8.0]
+        assert np.mean(series[2:]) / np.mean(series[:2]) == pytest.approx(4.0)
 
     def test_twelve_pass_experiment_doubles(self):
-        exp = make_exp(np.linspace(0.5, 2.0, 12), experiment_id="4")
-        inst = synthesize_instance(exp, 4.0, instance_rng(0, "4", 4.0, 0))
-        assert inst.series.size == 24
-        assert inst.true_cp_index == 12
-        assert inst.lrr == 4.0
+        values = np.linspace(0.5, 2.0, 12)
+        exp = make_exp(values, experiment_id="4")
+        batch = synthesize_batch(exp, 4.0, 1, master_seed=0)
+        assert batch.shape == (1, 24)
+        assert sorted(batch[0, :12]) == sorted(values)
+        assert sorted(batch[0, 12:]) == sorted(values * 4.0)
 
     def test_nonpositive_lrr_rejected(self):
         exp = make_exp([1.0, 2.0])
         with pytest.raises(ValueError):
-            synthesize_instance(exp, 0.0, instance_rng(0, "e1", 0.0, 0))
+            one_instance(exp, 0.0)
 
     @pytest.mark.parametrize("lrr", [math.nan, math.inf])
     def test_non_finite_lrr_rejected(self, lrr):
         exp = make_exp([1.0, 2.0])
         with pytest.raises(ValueError):
-            synthesize_instance(exp, lrr, instance_rng(0, "e1", lrr, 0))
+            one_instance(exp, lrr)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaled_pass_past_the_float_range_rejected(self):
         exp = make_exp([1.0, 1e308])
         with pytest.raises(ValueError, match="overflows"):
-            synthesize_instance(exp, 2.0, instance_rng(0, "e1", 2.0, 0))
-
-    def test_series_length_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            SynthesizedInstance(series=np.ones(5), true_cp_index=3, lrr=2.0)
+            one_instance(exp, 2.0)
 
     @given(
         values=st.lists(st.floats(0.01, 50.0), min_size=2, max_size=16),
@@ -94,11 +90,11 @@ class TestSynthesizeInstance:
     @settings(max_examples=80, deadline=None)
     def test_half_mean_ratio_equals_lrr(self, values, lrr, seed):
         exp = make_exp(values)
-        inst = synthesize_instance(exp, lrr, instance_rng(seed, "e1", lrr, 0))
+        series = one_instance(exp, lrr, seed)
         n = exp.n_passes
-        assert sorted(inst.series[:n]) == sorted(values)
-        np.testing.assert_allclose(sorted(inst.series[n:]), sorted(np.array(values) * lrr))
-        ratio = np.mean(inst.series[n:]) / np.mean(inst.series[:n])
+        assert sorted(series[:n]) == sorted(values)
+        np.testing.assert_allclose(sorted(series[n:]), sorted(np.array(values) * lrr))
+        ratio = np.mean(series[n:]) / np.mean(series[:n])
         assert ratio == pytest.approx(lrr, rel=1e-9)
 
 
@@ -106,13 +102,13 @@ class TestSynthesizeBatch:
     def test_thousand_instances(self):
         exp = make_exp(np.linspace(0.5, 2.0, 12))
         batch = synthesize_batch(exp, 2.0, 1000, master_seed=3)
-        assert len(batch) == 1000
+        assert batch.shape == (1000, 24)
 
     def test_same_seed_reproduces_batch(self):
         exp = make_exp(np.linspace(0.5, 2.0, 12))
         a = synthesize_batch(exp, 2.0, 20, master_seed=9)
         b = synthesize_batch(exp, 2.0, 20, master_seed=9)
-        assert all(np.array_equal(x.series, y.series) for x, y in zip(a, b))
+        assert np.array_equal(a, b)
 
     def test_singleton_batch(self):
         exp = make_exp([1.0, 2.0, 3.0])
@@ -127,8 +123,7 @@ class TestSynthesizeBatch:
         exp = make_exp(np.linspace(0.5, 2.0, 12))
         whole = synthesize_batch(exp, 3.0, 10, master_seed=4)
         part = synthesize_batch(exp, 3.0, 4, master_seed=4, start_index=6)
-        for x, y in zip(whole[6:], part):
-            assert np.array_equal(x.series, y.series)
+        assert np.array_equal(whole[6:], part)
 
     def test_distinct_seeds_differ(self):
         exp = make_exp(np.linspace(0.5, 2.0, 12))
@@ -136,9 +131,29 @@ class TestSynthesizeBatch:
         for seed in range(100):
             a = synthesize_batch(exp, 2.0, 1, master_seed=seed)[0]
             b = synthesize_batch(exp, 2.0, 1, master_seed=seed + 100)[0]
-            if not np.array_equal(a.series, b.series):
+            if not np.array_equal(a, b):
                 differing += 1
         assert differing == 100
+
+    @given(
+        values=st.lists(
+            st.floats(0.0, 1e6, allow_subnormal=True), min_size=2, max_size=20
+        ),
+        lrr=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**63),
+        start=st.integers(0, 2**40),
+        n_instances=st.integers(1, 8),
+        experiment_id=st.text(max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_instances_built_one_at_a_time(
+        self, values, lrr, seed, start, n_instances, experiment_id
+    ):
+        exp = make_exp(values, experiment_id)
+        got = synthesize_batch(exp, lrr, n_instances, seed, start_index=start)
+        expected = synthesize_instances(exp, lrr, n_instances, seed, start_index=start)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestInstanceRng:
@@ -194,11 +209,11 @@ class TestSignalStats:
         series = stratified_lognormal_series(14, 2.0, 0.4)
         exp = make_exp(series)
         lrr = 3.5
-        inst = synthesize_instance(exp, lrr, instance_rng(1, "e1", lrr, 0))
+        inst = one_instance(exp, lrr, seed=1)
         n = exp.n_passes
-        mu1 = float(np.mean(inst.series[:n]))
-        mu2 = float(np.mean(inst.series[n:]))
-        sigma1 = float(np.std(inst.series[:n], ddof=1))
+        mu1 = float(np.mean(inst[:n]))
+        mu2 = float(np.mean(inst[n:]))
+        sigma1 = float(np.std(inst[:n], ddof=1))
         jnr_direct = (mu2 - mu1) / sigma1
         assert jnr_direct == pytest.approx(signal_stats(series, lrr).jnr, rel=1e-9)
 
