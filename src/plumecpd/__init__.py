@@ -27,12 +27,10 @@ from .inference import (
     uniform_prior,
 )
 from .metrics import (
-    OutcomeLabel,
     PerformanceReport,
     bootstrap_ci,
-    classify_outcome,
-    compute_metrics,
     evaluate_cell,
+    score_first_alarms,
 )
 from .surrogate import (
     make_surrogate_experiment,
@@ -79,7 +77,6 @@ __all__ = [
     "LikelihoodConfig",
     "MeasurementIncompatibleError",
     "MetSummary",
-    "OutcomeLabel",
     "PassReport",
     "PerformanceReport",
     "PlumeCpdError",
@@ -89,8 +86,6 @@ __all__ = [
     "ambient_baseline",
     "bootstrap_ci",
     "build_forward_model",
-    "classify_outcome",
-    "compute_metrics",
     "cross_plume_integrate",
     "detect_series",
     "estimate_sigma_e",
@@ -103,6 +98,7 @@ __all__ = [
     "posterior_mean_std",
     "posterior_mode",
     "ppm_to_mass_concentration",
+    "score_first_alarms",
     "signal_stats",
     "stratified_lognormal_series",
     "synthesize_batch",

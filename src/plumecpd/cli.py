@@ -260,12 +260,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_lrr(lrr: float, source: str) -> None:
+    if not (lrr > 0 and math.isfinite(lrr)):
+        raise ConfigError(f"{source} must be positive and finite, got {lrr!r}")
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances must be at least 1, got {args.instances}")
     for lrr in args.lrr:
-        if not (lrr > 0 and math.isfinite(lrr)):
-            raise ConfigError(f"--lrr must be positive and finite, got {lrr!r}")
+        _check_lrr(lrr, "--lrr")
     passes = dataio.read_passes(Path(args.passes))
     met_rows = dataio.read_met(Path(args.met)) if args.met else None
     if met_rows is not None:
@@ -324,6 +328,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("pass at most one of --lrr or --jnr")
     if args.lrr is None and args.jnr is None:
         args.lrr = [1.5 + i for i in range(7)]
+    for lrr in args.lrr or ():
+        _check_lrr(lrr, "--lrr")
     for flag in ("instances", "repetitions", "boot", "workers"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
@@ -360,7 +366,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axis = args.jnr if args.jnr is not None else args.lrr
         cv = signal_stats(exp.cy_series, 1.0).cv
         for axis_value in axis:
-            lrr = 1.0 + axis_value * cv if args.jnr is not None else axis_value
+            if args.jnr is not None:
+                lrr = 1.0 + axis_value * cv
+                source = f"experiment {exp.experiment_id!r}: the lrr of --jnr {axis_value!r}"
+                _check_lrr(lrr, source)
+            else:
+                lrr = axis_value
             for template in templates:
                 cfg = dataclasses.replace(template, sigma_e_initial=sigma_e)
                 payload = (

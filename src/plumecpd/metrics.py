@@ -1,24 +1,22 @@
-"""Outcome classification and detection performance metrics.
+"""Detection performance metrics from each instance's first alarm.
 
 An instance with a known change between passes N and N+1 is scored from
-its ordered detection events. Any event at or before the change is a
-false positive and takes precedence over everything else, since an
-operator would have been alerted spuriously. Otherwise the first event
-lands either immediately after the change (true positive), later
-(delayed true positive), or never (false negative).
+its first alarm. An alarm at or before the change is a false positive
+and takes precedence over everything else, since an operator would have
+been alerted spuriously. Otherwise the first alarm lands either
+immediately after the change (true positive), later (delayed true
+positive), or never (false negative).
 
-So a label needs only an instance's first alarm. A cell's instances all
-share the length 2N, the grid, the forward model and the detector
-configuration, and ``detector.first_alarms`` scores each repetition's
-instances as one lockstep block that stops processing an instance at its
-first alarm. A failure at a pass after an instance's
+A cell's instances all share the length 2N, the grid, the forward model
+and the detector configuration, and ``detector.first_alarms`` scores each
+repetition's instances as one lockstep block that stops processing an
+instance at its first alarm. A failure at a pass after an instance's
 first alarm therefore never occurs; one at or before it aborts the cell
 with the instance's coordinates.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +25,7 @@ import numpy as np
 from .detector import DetectorConfig, first_alarms
 from .errors import DetectionError
 from .synthesis import ExperimentRecord, synthesize_batch, instance_rng
-from .transport import ForwardModel, Geometry, build_forward_model
+from .transport import ForwardModel
 
 # Reserved stream index for the cell-level bootstrap generator, far above
 # any realistic instance index, so metric resampling never collides with
@@ -35,80 +33,43 @@ from .transport import ForwardModel, Geometry, build_forward_model
 BOOTSTRAP_STREAM_INDEX = 2**62
 
 
-class OutcomeLabel(enum.Enum):
-    TP = "TP"
-    DTP = "DTP"
-    FN = "FN"
-    FP = "FP"
-
-
-def classify_outcome(
-    events: Sequence[int], true_cp_index: int, n_passes: int
-) -> OutcomeLabel:
-    """Label one instance from the pass indices of its detection events."""
-    if not 1 <= true_cp_index < n_passes:
-        raise ValueError("true changepoint must lie strictly inside the stream")
-    passes = sorted(int(e) for e in events)
-    if any(p < 1 or p > n_passes for p in passes):
-        raise ValueError("event pass index outside the stream")
-    if not passes:
-        return OutcomeLabel.FN
-    if passes[0] <= true_cp_index:
-        return OutcomeLabel.FP
-    if passes[0] == true_cp_index + 1:
-        return OutcomeLabel.TP
-    return OutcomeLabel.DTP
-
-
 @dataclass(frozen=True)
 class PerformanceReport:
-    tp: int
-    dtp: int
-    fn: int
-    fp: int
     recall: float
     detection_recall: float
     false_positive_rate: float
     detection_delay: float | None
-    recall_ci: tuple[float, float] | None = None
-    detection_recall_ci: tuple[float, float] | None = None
-    false_positive_rate_ci: tuple[float, float] | None = None
-    detection_delay_ci: tuple[float, float] | None = None
+    recall_ci: tuple[float, float]
+    detection_recall_ci: tuple[float, float]
+    false_positive_rate_ci: tuple[float, float]
 
 
-def compute_metrics(
-    labels: Sequence[OutcomeLabel], delays: Sequence[float] = ()
-) -> PerformanceReport:
-    """Aggregate labels (and delays of detected instances) into metrics.
+def score_first_alarms(
+    alarms: np.ndarray, n_passes: int
+) -> tuple[float, float, float, float | None]:
+    """Recall, detection recall, false-positive rate and mean delay of a
+    batch of 2N-pass instances whose rate changes after pass N.
 
-    ``delays`` must hold one entry per TP or DTP instance. The mean delay
-    is only reported when every true change was detected, because a
-    partially detected batch would bias it toward the easy instances.
+    ``alarms`` holds each instance's first alarm pass, 0 for none, as
+    ``detector.first_alarms`` returns it. The mean delay, in passes after
+    the change, is only reported when every true change was detected,
+    because a partially detected batch would bias it toward the easy
+    instances.
     """
-    if not labels:
+    alarms = np.asarray(alarms)
+    if alarms.size == 0:
         raise ValueError("no instances to score")
-    tp = sum(1 for l in labels if l is OutcomeLabel.TP)
-    dtp = sum(1 for l in labels if l is OutcomeLabel.DTP)
-    fn = sum(1 for l in labels if l is OutcomeLabel.FN)
-    fp = sum(1 for l in labels if l is OutcomeLabel.FP)
-    detected = tp + dtp
-    denom = detected + fn
+    if np.any((alarms < 0) | (alarms > 2 * n_passes)):
+        raise ValueError("alarm pass outside the stream")
+    fp = np.count_nonzero((alarms > 0) & (alarms <= n_passes))
+    detected = alarms > n_passes
+    denom = alarms.size - fp
     if denom == 0:
         raise ValueError("recall undefined: every instance was a false positive")
-    if len(delays) != detected:
-        raise ValueError("need exactly one delay per detected instance")
-    detection_recall = detected / denom
-    delay = float(np.mean(delays)) if detected and detection_recall == 1.0 else None
-    return PerformanceReport(
-        tp=tp,
-        dtp=dtp,
-        fn=fn,
-        fp=fp,
-        recall=tp / denom,
-        detection_recall=detection_recall,
-        false_positive_rate=fp / len(labels),
-        detection_delay=delay,
-    )
+    detection_recall = np.count_nonzero(detected) / denom
+    delay = float(np.mean(alarms[detected] - n_passes)) if detection_recall == 1.0 else None
+    recall = np.count_nonzero(alarms == n_passes + 1) / denom
+    return recall, detection_recall, fp / alarms.size, delay
 
 
 def bootstrap_ci(
@@ -132,43 +93,14 @@ def bootstrap_ci(
     return float(lo), float(hi)
 
 
-def _score_instances(
-    exp: ExperimentRecord,
-    lrr: float,
-    cfg: DetectorConfig,
-    fm: ForwardModel,
-    n_instances: int,
-    master_seed: int,
-    start_index: int,
-    repetition: int = 0,
-) -> tuple[list[OutcomeLabel], list[int]]:
-    instances = synthesize_batch(exp, lrr, n_instances, master_seed, start_index)
-    try:
-        alarms, _ = first_alarms(instances, fm, cfg)
-    except DetectionError as exc:
-        raise DetectionError(
-            f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
-            f"{repetition} instance {start_index + exc.instance}: {exc}"
-        ) from exc
-    n = exp.n_passes
-    labels: list[OutcomeLabel] = []
-    delays: list[int] = []
-    for first in alarms.tolist():
-        label = classify_outcome([first] if first else [], n, 2 * n)
-        labels.append(label)
-        if label in (OutcomeLabel.TP, OutcomeLabel.DTP):
-            delays.append(first - n)
-    return labels, delays
-
-
 def evaluate_cell(
     exp: ExperimentRecord,
     lrr: float,
     cfg: DetectorConfig,
+    fm: ForwardModel,
     n_instances: int = 1000,
     n_repetitions: int = 100,
     master_seed: int = 0,
-    fm: ForwardModel | None = None,
     n_boot: int = 10_000,
 ) -> PerformanceReport:
     """Score one (experiment, lrr) cell with repetition-level intervals.
@@ -177,48 +109,29 @@ def evaluate_cell(
     (instance indices keep counting across repetitions, so every series
     in the cell is distinct and reproducible). Point estimates average
     the per-repetition metrics and the intervals are percentile
-    bootstraps over those repetition values. The delay column is present
-    only when every repetition achieved full detection.
+    bootstraps over those repetition values. The delay is present only
+    when every repetition achieved full detection.
     """
-    if fm is None:
-        if exp.met is None:
-            raise ValueError("need met data or an explicit forward model")
-        fm = build_forward_model(exp.met, Geometry(exp.fetch_m))
-    recalls, det_recalls, fprs, delay_means = [], [], [], []
-    tp = dtp = fn = fp = 0
+    scores = []
     for rep in range(n_repetitions):
-        labels, delays = _score_instances(
-            exp,
-            lrr,
-            cfg,
-            fm,
-            n_instances,
-            master_seed,
-            start_index=rep * n_instances,
-            repetition=rep,
-        )
-        report = compute_metrics(labels, delays)
-        tp, dtp, fn, fp = tp + report.tp, dtp + report.dtp, fn + report.fn, fp + report.fp
-        recalls.append(report.recall)
-        det_recalls.append(report.detection_recall)
-        fprs.append(report.false_positive_rate)
-        if report.detection_delay is not None:
-            delay_means.append(report.detection_delay)
+        start = rep * n_instances
+        instances = synthesize_batch(exp, lrr, n_instances, master_seed, start)
+        try:
+            alarms, _ = first_alarms(instances, fm, cfg)
+        except DetectionError as exc:
+            raise DetectionError(
+                f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
+                f"{rep} instance {start + exc.instance}: {exc}"
+            ) from exc
+        scores.append(score_first_alarms(alarms, exp.n_passes))
+    recalls, det_recalls, fprs, delays = zip(*scores)
     boot_rng = instance_rng(master_seed, exp.experiment_id, lrr, BOOTSTRAP_STREAM_INDEX)
-    have_delay = len(delay_means) == n_repetitions
     return PerformanceReport(
-        tp=tp,
-        dtp=dtp,
-        fn=fn,
-        fp=fp,
         recall=float(np.mean(recalls)),
         detection_recall=float(np.mean(det_recalls)),
         false_positive_rate=float(np.mean(fprs)),
-        detection_delay=float(np.mean(delay_means)) if have_delay else None,
+        detection_delay=None if None in delays else float(np.mean(delays)),
         recall_ci=bootstrap_ci(recalls, n_boot=n_boot, rng=boot_rng),
         detection_recall_ci=bootstrap_ci(det_recalls, n_boot=n_boot, rng=boot_rng),
         false_positive_rate_ci=bootstrap_ci(fprs, n_boot=n_boot, rng=boot_rng),
-        detection_delay_ci=(
-            bootstrap_ci(delay_means, n_boot=n_boot, rng=boot_rng) if have_delay else None
-        ),
     )

@@ -252,19 +252,13 @@ def build_forward_model(
     met: MetSummary,
     geom: Geometry,
     model: DispersionModel | None = None,
-    velocity_scale: float = 1.0,
 ) -> ForwardModel:
-    """Assemble the linear forward model for one experiment.
-
-    The advection velocity is the mean streamwise velocity times an
-    optional scale, which is the adjustment point if a plume-specific
-    advection speed is ever calibrated.
-    """
-    if velocity_scale <= 0:
-        raise ValueError("velocity scale must be positive")
+    """Assemble the linear forward model for one experiment: advection at
+    the mean streamwise velocity, vertical dispersion from ``model``
+    (the reflected Gaussian by default)."""
     dispersion = model if model is not None else ReflectedGaussianDispersion()
     return ForwardModel(
-        advection_velocity_mps=met.mean_velocity_mps * velocity_scale,
+        advection_velocity_mps=met.mean_velocity_mps,
         dispersion_factor_per_m=dispersion.vertical_factor(met, geom),
     )
 

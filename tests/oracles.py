@@ -13,8 +13,11 @@ and its folded weights to the one-pass weight recursion within 1e-12.
 from __future__ import annotations
 
 import csv
+import enum
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -340,6 +343,91 @@ def synthesize_instances(
         second = rng.permutation(exp.cy_series * lrr)
         instances.append(np.concatenate([first, second]))
     return np.stack(instances)
+
+
+class OutcomeLabel(enum.Enum):
+    TP = "TP"
+    DTP = "DTP"
+    FN = "FN"
+    FP = "FP"
+
+
+def classify_outcome(
+    events: Sequence[int], true_cp_index: int, n_passes: int
+) -> OutcomeLabel:
+    """Label one instance from the pass indices of its detection events."""
+    if not 1 <= true_cp_index < n_passes:
+        raise ValueError("true changepoint must lie strictly inside the stream")
+    passes = sorted(int(e) for e in events)
+    if any(p < 1 or p > n_passes for p in passes):
+        raise ValueError("event pass index outside the stream")
+    if not passes:
+        return OutcomeLabel.FN
+    if passes[0] <= true_cp_index:
+        return OutcomeLabel.FP
+    if passes[0] == true_cp_index + 1:
+        return OutcomeLabel.TP
+    return OutcomeLabel.DTP
+
+
+@dataclass(frozen=True)
+class LabelReport:
+    tp: int
+    dtp: int
+    fn: int
+    fp: int
+    recall: float
+    detection_recall: float
+    false_positive_rate: float
+    detection_delay: float | None
+
+
+def compute_metrics(
+    labels: Sequence[OutcomeLabel], delays: Sequence[float] = ()
+) -> LabelReport:
+    """Aggregate labels (and delays of detected instances) into metrics.
+
+    ``delays`` must hold one entry per TP or DTP instance. The mean delay
+    is only reported when every true change was detected, because a
+    partially detected batch would bias it toward the easy instances.
+    """
+    if not labels:
+        raise ValueError("no instances to score")
+    tp = sum(1 for l in labels if l is OutcomeLabel.TP)
+    dtp = sum(1 for l in labels if l is OutcomeLabel.DTP)
+    fn = sum(1 for l in labels if l is OutcomeLabel.FN)
+    fp = sum(1 for l in labels if l is OutcomeLabel.FP)
+    detected = tp + dtp
+    denom = detected + fn
+    if denom == 0:
+        raise ValueError("recall undefined: every instance was a false positive")
+    if len(delays) != detected:
+        raise ValueError("need exactly one delay per detected instance")
+    detection_recall = detected / denom
+    delay = float(np.mean(delays)) if detected and detection_recall == 1.0 else None
+    return LabelReport(
+        tp=tp,
+        dtp=dtp,
+        fn=fn,
+        fp=fp,
+        recall=tp / denom,
+        detection_recall=detection_recall,
+        false_positive_rate=fp / len(labels),
+        detection_delay=delay,
+    )
+
+
+def label_first_alarms(alarms, n_passes: int) -> LabelReport:
+    """Score first alarms through the label path: one label per instance
+    of a 2N-pass stream whose change follows pass N, one delay per
+    detected instance, then ``compute_metrics``."""
+    labels, delays = [], []
+    for first in np.asarray(alarms).tolist():
+        label = classify_outcome([first] if first else [], n_passes, 2 * n_passes)
+        labels.append(label)
+        if label in (OutcomeLabel.TP, OutcomeLabel.DTP):
+            delays.append(first - n_passes)
+    return compute_metrics(labels, delays)
 
 
 class StepOracle:

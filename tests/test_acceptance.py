@@ -27,7 +27,7 @@ from plumecpd.inference import (
     posterior_mode,
     uniform_prior,
 )
-from plumecpd.metrics import OutcomeLabel, bootstrap_ci, compute_metrics, evaluate_cell
+from plumecpd.metrics import bootstrap_ci, evaluate_cell, score_first_alarms
 from plumecpd.surrogate import make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.transport import ForwardModel
@@ -254,25 +254,17 @@ def test_07_jump_to_noise_identity(capsys):
 
 
 def test_08_metric_formulas(capsys):
-    batch = compute_metrics(
-        [OutcomeLabel.TP] * 700 + [OutcomeLabel.DTP] * 200 + [OutcomeLabel.FN] * 100,
-        delays=[1.0] * 700 + [2.0] * 200,
-    )
-    exact = (
-        batch.recall == 0.7
-        and batch.detection_recall == 0.9
-        and batch.false_positive_rate == 0.0
-        and batch.detection_delay is None
-    )
+    # First alarms of 20-pass instances whose change follows pass 10: a
+    # TP alarms at pass 11, a DTP later, an FP at or before 10, an FN never.
+    n = 10
+    batch = score_first_alarms(np.array([n + 1] * 700 + [n + 2] * 200 + [0] * 100), n)
+    exact = batch == (0.7, 0.9, 0.0, None)
     with pytest.raises(ValueError, match="recall undefined"):
-        compute_metrics([OutcomeLabel.FP] * 1000)
-    all_fp = compute_metrics([OutcomeLabel.FP] * 999 + [OutcomeLabel.TP], delays=[1.0])
-    fp_ok = all_fp.false_positive_rate == 0.999
-    delayed = compute_metrics(
-        [OutcomeLabel.TP, OutcomeLabel.TP, OutcomeLabel.DTP, OutcomeLabel.DTP],
-        delays=[1.0, 1.0, 2.0, 4.0],
-    )
-    delay_ok = delayed.detection_delay == 2.0
+        score_first_alarms(np.full(1000, n), n)
+    all_fp = score_first_alarms(np.array([n] * 999 + [n + 1]), n)
+    fp_ok = all_fp[2] == 0.999
+    delayed = score_first_alarms(np.array([n + 1, n + 1, n + 2, n + 4]), n)
+    delay_ok = delayed[3] == 2.0
     # 4 values keep every resampled mean exact (sums of 0.8 stay exact
     # under doubling); odd sizes collapse to a point one ulp off 0.8
     lo, hi = bootstrap_ci([0.8] * 6)

@@ -1006,6 +1006,37 @@ class TestSweep:
         assert rc == 2
         assert "at most one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lrr, message",
+        [
+            ("-1.0", "got -1.0"),
+            ("nan", "got nan"),
+            ("inf", "got inf"),
+            ("3.0,-1.0", "got -1.0"),
+        ],
+    )
+    def test_bad_lrr_exits_two_before_any_file_is_read(self, tmp_path, exp4, capsys, lrr, message):
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        out = tmp_path / "out"
+        with mock.patch.object(cli.dataio, "read_passes", side_effect=AssertionError("read")):
+            rc = main(self._argv(passes, met, out, lrr=lrr))
+        assert rc == 2
+        assert f"--lrr must be positive and finite, {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jnr", ["-5.0", "2.0,-5.0", "nan", "2.0,inf"])
+    def test_bad_jnr_lrr_exits_two_before_any_cell(self, tmp_path, exp4, capsys, jnr):
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        out = tmp_path / "out"
+        rc = main(self._argv(passes, met, out, jnr=jnr))
+        assert rc == 2
+        bad = jnr.split(",")[-1]
+        assert f"experiment '4': the lrr of --jnr {float(bad)!r} must be positive and finite" in (
+            capsys.readouterr().err
+        )
+        assert not list(out.glob("cells/*.json"))
+        assert not (out / "report.csv").exists()
+
     def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
         passes, met, _, _ = self._inputs(tmp_path, exp4)
         with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):

@@ -441,10 +441,6 @@ class TestReportRoundTrip:
     def test_sweep_row_fills_every_column(self):
         exp = ExperimentRecord("e1", 30.0, np.array([1.0, 2.0]))
         report = PerformanceReport(
-            tp=0,
-            dtp=0,
-            fn=0,
-            fp=0,
             recall=0.7,
             detection_recall=0.9,
             false_positive_rate=0.01,

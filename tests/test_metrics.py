@@ -1,34 +1,41 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import OutcomeLabel, classify_outcome, compute_metrics, label_first_alarms
 from plumecpd.detector import DetectorConfig
 from plumecpd.errors import DetectionError
 from plumecpd.inference import QGrid
-from plumecpd.metrics import (
-    OutcomeLabel,
-    bootstrap_ci,
-    classify_outcome,
-    compute_metrics,
-    evaluate_cell,
-)
+from plumecpd.metrics import bootstrap_ci, evaluate_cell, score_first_alarms
 from plumecpd.surrogate import make_unit_forward_experiment
 
 
+def _alarms(n, tp=0, dtp=0, fn=0, fp=0):
+    """First alarms of a 2n-pass batch: TPs at n + 1, DTPs at n + 2, FPs
+    at n and FNs at 0."""
+    return np.array([n + 1] * tp + [n + 2] * dtp + [0] * fn + [n] * fp)
+
+
 class TestClassifyOutcome:
+    """The label rules on the first alarm of a 24-pass stream whose change
+    follows pass 12; the multi-event cases pin the reference labeler."""
+
     def test_event_right_after_change_is_tp(self):
-        assert classify_outcome([13], 12, 24) is OutcomeLabel.TP
+        assert score_first_alarms([13], 12) == (1.0, 1.0, 0.0, 1.0)
 
     def test_late_first_event_is_dtp(self):
-        assert classify_outcome([15], 12, 24) is OutcomeLabel.DTP
+        assert score_first_alarms([15], 12) == (0.0, 1.0, 0.0, 3.0)
 
     def test_premature_event_is_fp_even_with_later_hit(self):
         assert classify_outcome([9, 13], 12, 24) is OutcomeLabel.FP
 
     def test_no_events_is_fn(self):
-        assert classify_outcome([], 12, 24) is OutcomeLabel.FN
+        assert score_first_alarms([0], 12) == (0.0, 0.0, 0.0, None)
 
     def test_event_exactly_at_change_is_fp(self):
-        assert classify_outcome([12], 12, 24) is OutcomeLabel.FP
+        assert score_first_alarms([12, 0], 12) == (0.0, 0.0, 0.5, None)
 
     def test_trailing_events_ignored_after_first(self):
         assert classify_outcome([13, 20, 24], 12, 24) is OutcomeLabel.TP
@@ -43,61 +50,74 @@ class TestClassifyOutcome:
         with pytest.raises(ValueError):
             classify_outcome([pass_index], 12, 24)
 
+    @pytest.mark.parametrize("pass_index", [-1, 25])
+    def test_alarm_must_lie_inside_stream(self, pass_index):
+        with pytest.raises(ValueError, match="outside the stream"):
+            score_first_alarms([13, pass_index], 12)
+
 
 class TestComputeMetrics:
-    def _labels(self, tp=0, dtp=0, fn=0, fp=0):
-        return (
-            [OutcomeLabel.TP] * tp
-            + [OutcomeLabel.DTP] * dtp
-            + [OutcomeLabel.FN] * fn
-            + [OutcomeLabel.FP] * fp
-        )
-
     def test_mixed_batch(self):
-        labels = self._labels(tp=700, dtp=200, fn=100)
-        report = compute_metrics(labels, delays=[1.0] * 900)
-        assert report.recall == pytest.approx(0.7)
-        assert report.detection_recall == pytest.approx(0.9)
-        assert report.false_positive_rate == 0.0
-        assert report.detection_delay is None
+        assert score_first_alarms(_alarms(12, tp=700, dtp=200, fn=100), 12) == (
+            0.7, 0.9, 0.0, None
+        )
 
     def test_all_false_positives_is_undefined(self):
         with pytest.raises(ValueError, match="recall undefined"):
-            compute_metrics(self._labels(fp=1000))
+            score_first_alarms(_alarms(12, fp=1000), 12)
 
     def test_delay_with_full_detection(self):
-        labels = self._labels(tp=2, dtp=2)
-        report = compute_metrics(labels, delays=[1, 1, 2, 4])
-        assert report.detection_delay == pytest.approx(2.0)
-        assert report.recall == pytest.approx(0.5)
-        assert report.detection_recall == 1.0
+        recall, detection_recall, _, delay = score_first_alarms([13, 13, 14, 16], 12)
+        assert delay == 2.0
+        assert recall == 0.5
+        assert detection_recall == 1.0
 
     def test_fp_count_feeds_rate_only(self):
-        labels = self._labels(tp=3, fn=1, fp=4)
-        report = compute_metrics(labels, delays=[1, 1, 1])
-        assert report.recall == pytest.approx(3 / 4)
-        assert report.false_positive_rate == pytest.approx(4 / 8)
+        recall, _, fpr, _ = score_first_alarms(_alarms(12, tp=3, fn=1, fp=4), 12)
+        assert recall == 3 / 4
+        assert fpr == 4 / 8
 
     def test_empty_labels_rejected(self):
-        with pytest.raises(ValueError):
-            compute_metrics([])
+        with pytest.raises(ValueError, match="no instances to score"):
+            score_first_alarms(np.array([], dtype=int), 12)
 
     def test_delay_count_must_match_detected(self):
         with pytest.raises(ValueError):
-            compute_metrics(self._labels(tp=2), delays=[1.0])
+            compute_metrics([OutcomeLabel.TP] * 2, delays=[1.0])
 
     def test_order_invariant(self):
-        labels = self._labels(tp=5, dtp=3, fn=2, fp=1)
-        rng = np.random.default_rng(3)
-        shuffled = list(rng.permutation(labels))
-        a = compute_metrics(labels, delays=[1] * 8)
-        b = compute_metrics(shuffled, delays=[1] * 8)
-        assert a == b
+        alarms = _alarms(12, tp=5, dtp=3, fn=2, fp=1)
+        shuffled = np.random.default_rng(3).permutation(alarms)
+        assert score_first_alarms(alarms, 12) == score_first_alarms(shuffled, 12)
 
     def test_recall_never_exceeds_detection_recall(self):
         for tp, dtp, fn in [(1, 0, 0), (3, 4, 2), (0, 5, 5), (0, 0, 7)]:
-            report = compute_metrics(self._labels(tp=tp, dtp=dtp, fn=fn), delays=[1] * (tp + dtp))
-            assert 0.0 <= report.recall <= report.detection_recall <= 1.0
+            recall, detection_recall, _, _ = score_first_alarms(_alarms(12, tp, dtp, fn), 12)
+            assert 0.0 <= recall <= detection_recall <= 1.0
+
+
+@st.composite
+def alarm_batches(draw):
+    n = draw(st.integers(1, 30))
+    return draw(st.lists(st.integers(0, 2 * n), max_size=60)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(alarm_batches())
+def test_score_first_alarms_matches_label_oracle(batch):
+    """Any alarms over [0, 2N] score exactly as one label per instance
+    counted by the reference ``compute_metrics``, or both raise alike."""
+    alarms, n = batch
+    alarms = np.array(alarms, dtype=int)
+    try:
+        want = label_first_alarms(alarms, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            score_first_alarms(alarms, n)
+        return
+    assert score_first_alarms(alarms, n) == (
+        want.recall, want.detection_recall, want.false_positive_rate, want.detection_delay
+    )
 
 
 class TestBootstrapCi:
@@ -144,7 +164,6 @@ class TestEvaluateCell:
         report = evaluate_cell(
             exp, 3.0, cfg, n_instances=10, n_repetitions=3, master_seed=1, fm=fm, n_boot=200
         )
-        assert report.tp + report.dtp + report.fn + report.fp == 30
         for rate in (report.recall, report.detection_recall, report.false_positive_rate):
             assert 0.0 <= rate <= 1.0
         assert report.recall <= report.detection_recall
@@ -170,7 +189,6 @@ class TestEvaluateCell:
         assert report.detection_recall == 1.0
         assert report.detection_delay is not None
         assert report.detection_delay >= 1.0
-        assert report.detection_delay_ci is not None
 
     def test_deterministic_given_seed(self):
         exp, fm, sigma_e = self._setup(0.4, q_true=0.5)

@@ -310,11 +310,6 @@ class TestForwardModel:
         sigma_z = 0.5 * 20.0 / 2.0
         assert fm.dispersion_factor_per_m == pytest.approx(2.0 / (math.sqrt(2 * math.pi) * sigma_z))
 
-    def test_velocity_scale_override(self):
-        met = make_met(u=2.0)
-        fm = build_forward_model(met, Geometry(20.0), velocity_scale=1.5)
-        assert fm.advection_velocity_mps == pytest.approx(3.0)
-
 
 class TestMetSummary:
     @pytest.mark.parametrize(
