@@ -22,13 +22,15 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from . import __version__, dataio
-from .detector import DetectorConfig, detect_series
+from .bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD, PredictiveMethod
+from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
-from .inference import QGrid, estimate_sigma_e, posterior_mean_std, posterior_mode
+from .inference import DEFAULT_GRID, QGrid, estimate_sigma_e, posterior_mean_std, posterior_mode
 from .metrics import evaluate_cell
 from .synthesis import signal_stats, synthesize_batch
 from .transport import (
@@ -42,25 +44,6 @@ from .transport import (
     cross_plume_integrate,
     ppm_to_mass_concentration,
 )
-
-
-# Largest grid, in bytes of one array of its rates; a finer grid is
-# rejected as a configuration error up front instead of failing with a
-# MemoryError partway through a run.
-MAX_GRID_BYTES = 2**30
-
-
-def _check_grid_size(q_min: float, q_max: float, dq: float, source: str) -> None:
-    """Reject, from its bounds alone, a grid whose rates would take more
-    than ``MAX_GRID_BYTES``; bounds that QGrid rejects are left to it."""
-    if not dq > 0:
-        return
-    need = ((q_max - q_min) / dq + 1) * 8
-    if need > MAX_GRID_BYTES:
-        raise ConfigError(
-            f"{source}: a grid with dq {dq!r} over [{q_min!r}, {q_max!r}] needs "
-            f"{need:.3g} bytes per rate array, over the {MAX_GRID_BYTES} byte limit"
-        )
 
 
 def _float_list(text: str) -> list[float]:
@@ -208,20 +191,18 @@ def _load_detect_config(path: Path) -> dict:
 
 def _detector_config(raw: dict, sigma_e: object, source: str) -> DetectorConfig:
     try:
-        bounds = (
-            float(raw.get("q_min", 0.0)),
-            float(raw.get("q_max", 5.0)),
-            float(raw.get("dq", 0.005)),
+        grid = QGrid(
+            float(raw.get("q_min", DEFAULT_GRID.q_min)),
+            float(raw.get("q_max", DEFAULT_GRID.q_max)),
+            float(raw.get("dq", DEFAULT_GRID.dq)),
         )
-        _check_grid_size(*bounds, source)
-        grid = QGrid(*bounds)
         return DetectorConfig(
-            threshold=float(raw.get("threshold", 0.8)),
+            threshold=float(raw.get("threshold", DEFAULT_THRESHOLD)),
             sigma_e_initial=float(sigma_e),
-            lam=float(raw.get("lambda", 15.0)),
-            sigma_e_post_factor=float(raw.get("sigma_e_post_factor", 10.0)),
+            lam=float(raw.get("lambda", DEFAULT_LAMBDA)),
+            sigma_e_post_factor=float(raw.get("sigma_e_post_factor", DEFAULT_SIGMA_E_POST_FACTOR)),
             grid=grid,
-            predictive_method=raw.get("predictive", "marginal"),
+            predictive_method=raw.get("predictive", DEFAULT_PREDICTIVE_METHOD),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -341,7 +322,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cell_dir = out_dir / "cells"
     cell_dir.mkdir(parents=True, exist_ok=True)
 
-    _check_grid_size(args.q_min, args.q_max, args.dq, "sweep")
     try:
         grid = QGrid(args.q_min, args.q_max, args.dq)
         # One config per threshold, checked before any cell runs; each
@@ -467,17 +447,19 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=_seed, default=0)
     sweep.add_argument("--lrr", type=_float_list)
     sweep.add_argument("--jnr", type=_float_list)
-    sweep.add_argument("--threshold", type=_float_list, default=(0.8,))
-    sweep.add_argument("--lambda", dest="lam", type=float, default=15.0)
+    sweep.add_argument("--threshold", type=_float_list, default=(DEFAULT_THRESHOLD,))
+    sweep.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     sweep.add_argument("--instances", type=int, default=1000)
     sweep.add_argument("--repetitions", type=int, default=100)
-    sweep.add_argument("--predictive", choices=["scaling", "marginal"], default="marginal")
+    sweep.add_argument(
+        "--predictive", choices=get_args(PredictiveMethod), default=DEFAULT_PREDICTIVE_METHOD
+    )
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--boot", type=int, default=10_000)
-    sweep.add_argument("--q-min", type=float, default=0.0)
-    sweep.add_argument("--q-max", type=float, default=5.0)
-    sweep.add_argument("--dq", type=float, default=0.005)
-    sweep.add_argument("--sigma-post-factor", type=float, default=10.0)
+    sweep.add_argument("--q-min", type=float, default=DEFAULT_GRID.q_min)
+    sweep.add_argument("--q-max", type=float, default=DEFAULT_GRID.q_max)
+    sweep.add_argument("--dq", type=float, default=DEFAULT_GRID.dq)
+    sweep.add_argument("--sigma-post-factor", type=float, default=DEFAULT_SIGMA_E_POST_FACTOR)
     _add_geometry_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser

@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -130,12 +129,15 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-def _open_rows(path: Path, required: Sequence[str]):
+def _open_csv(path: Path):
     try:
-        handle = open(path, newline="")
+        return open(path, newline="")
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
-    with handle:
+
+
+def _open_rows(path: Path, required: Sequence[str]):
+    with _open_csv(path) as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
@@ -159,25 +161,13 @@ def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-# Rows parsed per chunk of raw.csv. Parsing a chunk at a time bounds the
-# memory the parsers hold, as Python strings and row buffers, to one
-# chunk, whatever the file size.
+# Rows parsed per chunk of raw.csv and passes.csv. Parsing a chunk at a
+# time bounds the memory the parsers hold, as Python strings and row
+# buffers, to one chunk, whatever the file size.
 RAW_BLOCK_ROWS = 4096
 
 # One raw sample; read_raw_samples returns arrays of this dtype.
 RAW_SAMPLE_DTYPE = np.dtype([(name, float) for name in RAW_COLUMNS[2:]])
-
-# One raw.csv row as numpy's reader parses it, fields in RAW_COLUMNS order.
-_RAW_ROW_DTYPE = np.dtype(
-    [("experiment_id", object), ("pass_index", int), *RAW_SAMPLE_DTYPE.descr]
-)
-
-
-def _open_csv(path: Path):
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise InputDataError(f"{path}: {exc}") from exc
 
 
 def _header_columns(path: Path, handle, columns: Sequence[str]) -> list[int]:
@@ -192,10 +182,9 @@ def _header_columns(path: Path, handle, columns: Sequence[str]) -> list[int]:
     return [column[name] for name in columns]
 
 
-def _experiment_codes(ids: Sequence, exp_codes: dict) -> np.ndarray:
+def _experiment_codes(ids: np.ndarray, exp_codes: dict) -> np.ndarray:
     """Code of each experiment id; ids new to ``exp_codes`` are added to
     it, numbered in order of first appearance."""
-    ids = np.asarray(ids, dtype=object)
     # Rows of one experiment mostly come together: look up each run once.
     new_run = np.ones(ids.size, bool)
     new_run[1:] = ids[1:] != ids[:-1]
@@ -207,137 +196,176 @@ def _experiment_codes(ids: Sequence, exp_codes: dict) -> np.ndarray:
     return np.repeat(codes, np.diff(np.r_[starts, ids.size]))
 
 
-def _sample_checks(time_s, ppm, speed, angle) -> list[tuple[np.ndarray, str]]:
-    """Mask of the samples failing each value check, with its message, in
-    check order."""
-    return [
-        (~np.isfinite(time_s), "sample time must be finite"),
-        (~(np.isfinite(ppm) & (ppm >= 0)), "mixing ratio must be finite and non-negative"),
-        (~(np.isfinite(speed) & (speed > 0)), "vehicle speed must be finite and positive"),
-        (~((0 < angle) & (angle <= 90)), "road angle must lie in (0, 90] degrees"),
-    ]
-
-
-def _parse_raw_rows(handle, where: list[int]) -> tuple[list, list[np.ndarray]] | None:
-    """The rows left in an open raw.csv, parsed by numpy's C reader
-    RAW_BLOCK_ROWS rows at a time, as ``_read_raw_checked`` returns them;
-    None if a row does not parse or fails a check."""
-    exp_codes: dict = {}
-    blocks = []
-    with warnings.catch_warnings():
-        # loadtxt warns of blank lines under max_rows and of a chunk
-        # with no rows; blank lines are skipped, as csv.DictReader does.
-        warnings.simplefilter("ignore", UserWarning)
-        while True:
-            try:
-                chunk = np.loadtxt(
-                    handle, dtype=_RAW_ROW_DTYPE, delimiter=",", quotechar='"',
-                    comments=None, usecols=where, max_rows=RAW_BLOCK_ROWS, ndmin=1,
-                )
-            except ValueError:
-                return None
-            codes = _experiment_codes(chunk["experiment_id"], exp_codes)
-            # Copies, so that the chunk and its id strings can be freed.
-            pass_index, *floats = (chunk[name].copy() for name in RAW_COLUMNS[1:])
-            if "" in exp_codes or (pass_index < 1).any():
-                return None
-            if any(mask.any() for mask, _ in _sample_checks(*floats)):
-                return None
-            blocks.append([codes, pass_index, *floats])
-            if len(chunk) < RAW_BLOCK_ROWS:
-                break
-    return list(exp_codes), [np.concatenate(parts) for parts in zip(*blocks)]
-
-
 def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray | None]:
     """Strings parsed with ``kind`` (int or float) into an array of that
-    type, and a mask of the ones that do not parse (None when all do)."""
+    type, and a mask of the ones that do not parse (None when all do).
+    Ints come back as Python ints in an object array where one does not
+    parse or is past the int64 range, so that such a pass index is kept."""
     try:
         return np.fromiter(map(kind, values), kind, len(values)), None
     except (TypeError, ValueError, OverflowError):
-        parsed = np.zeros(len(values), kind)
+        parsed = []
         bad = np.zeros(len(values), bool)
         for i, text in enumerate(values):
             try:
-                parsed[i] = kind(text)
-            except (TypeError, ValueError, OverflowError):
+                parsed.append(kind(text))
+            except (TypeError, ValueError):
+                parsed.append(kind())
                 bad[i] = True
-        return parsed, bad
+        return np.array(parsed, object if kind is int else kind), bad
 
 
-def _raw_block(path: Path, first_line: int, rows: list[list[str]], where: list[int],
-               exp_codes: dict) -> list[np.ndarray]:
-    """Parse and check one block of raw rows into columns: experiment code,
-    pass index, then the RAW_SAMPLE_DTYPE fields.
+def _loadtxt_chunks(handle, where: list[int], columns: Sequence[str]):
+    """The chunks of ``_csv_chunks`` parsed by numpy's C reader, with no line,
+    texts or parse failures; raises ValueError for a chunk it cannot parse."""
+    dtype = np.dtype([(columns[0], object), (columns[1], int), *((c, float) for c in columns[2:])])
+    while True:
+        with warnings.catch_warnings():
+            # loadtxt warns of blank lines under max_rows and of a chunk
+            # with no rows; blank lines are skipped, as csv.DictReader does.
+            warnings.simplefilter("ignore", UserWarning)
+            chunk = np.loadtxt(
+                handle, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                usecols=where, max_rows=RAW_BLOCK_ROWS, ndmin=1,
+            )
+        # Copies, so that the chunk and its id strings can be freed.
+        yield None, {name: chunk[name].copy() for name in columns}, None, {}
+        if len(chunk) < RAW_BLOCK_ROWS:
+            return
 
-    Raises for the earliest bad row; within that row the checks run in the
-    order listed below, which is the order in which a row is read.
-    """
+
+def _csv_chunks(handle, where: list[int], columns: Sequence[str]):
+    """The rows left in an open table, RAW_BLOCK_ROWS at a time, read with
+    Python's csv, int and float parsers: (line of the chunk's first row,
+    columns by name, their texts, mask of the values of each number
+    column that do not parse) per chunk. Lines are counted as
+    csv.DictReader counts them, without blank lines; a missing field
+    reads as None."""
     width = max(where) + 1
-    if min(map(len, rows)) < width:
-        rows = [row + [None] * (width - len(row)) for row in rows]
-    columns = list(zip(*rows))
-    ids, pass_text, *float_text = (columns[i] for i in where)
-    codes = _experiment_codes(ids, exp_codes)
-    empty_id = np.isin(codes, [exp_codes[e] for e in ("", None) if e in exp_codes])
-    floats, parse_checks = [], []
-    for name, text in zip(RAW_COLUMNS[2:], float_text):
-        values, bad = _parse_column(text, float)
-        floats.append(values)
-        parse_checks.append((bad, lambda i, name=name, text=text: f"bad {name} value {text[i]!r}"))
-    pass_index, bad_pass = _parse_column(pass_text, int)
-    checks = [
-        (empty_id, lambda i: "empty experiment_id"),
-        *parse_checks,
-        *((mask, lambda i, message=message: message) for mask, message in _sample_checks(*floats)),
-        (bad_pass, lambda i: f"bad pass_index value {pass_text[i]!r}"),
-        (pass_index < 1, lambda i: f"pass_index must be at least 1, got {pass_index[i]}"),
-    ]
-    firsts = [(int(np.argmax(mask)), order) for order, (mask, _) in enumerate(checks)
-              if mask is not None and mask.any()]
-    if firsts:
-        i, order = min(firsts)
-        raise InputDataError(f"{path}:{first_line + i}: {checks[order][1](i)}")
-    return [codes, pass_index, *floats]
+    rows = filter(None, csv.reader(handle))
+    line = 2
+    while block := list(islice(rows, RAW_BLOCK_ROWS)):
+        if min(map(len, block)) < width:
+            block = [row + [None] * (width - len(row)) for row in block]
+        fields = list(zip(*block))
+        texts = {name: fields[i] for name, i in zip(columns, where)}
+        parsed = {columns[0]: np.array(texts[columns[0]], object)}
+        bad = {}
+        for name, kind in zip(columns[1:], [int] + [float] * (len(columns) - 2)):
+            parsed[name], bad[name] = _parse_column(texts[name], kind)
+        yield line, parsed, texts, bad
+        line += len(block)
 
 
-def _read_raw_checked(path: Path) -> tuple[list[str], list[np.ndarray]]:
-    """raw.csv read a block of rows at a time with Python's csv, float and
-    int parsers, each row checked as it is read: the experiment ids, and
-    the columns (experiment code, pass index, then the RAW_SAMPLE_DTYPE
-    fields), an experiment's code being its position among the ids.
+def _read_table(path: Path, columns: Sequence[str], checks: Sequence
+                ) -> tuple[list, np.ndarray, np.ndarray, list[np.ndarray]]:
+    """A CSV table of ``columns`` (experiment id, pass index, then float
+    columns), each row put through ``checks`` in order: the experiment
+    ids in order of first appearance, and arrays of each row's code (its
+    experiment's position among the ids), pass index and float columns.
 
-    Raises ``InputDataError`` for the earliest bad row, naming its line,
-    where blank lines are not counted, as ``csv.DictReader`` counts.
+    A check is the name of a number column, whose values must parse, or a
+    (mask, message) pair: ``mask(table)`` flags the rows of a chunk that
+    fail, where ``table`` holds the chunk's columns by name, each row's
+    experiment code as "code" and the codes of the ids so far as
+    "exp_codes". It lives for the whole read, so a check may keep in it
+    what earlier chunks held. ``message`` is formatted with the failing
+    row's columns.
+
+    numpy's C reader parses the file a chunk at a time. A file it cannot
+    parse, or with a row that fails a check, is read again by a reader
+    built on Python's csv, float and int parsers, the one that defines
+    what the file means: it raises ``InputDataError`` for the earliest bad
+    row, naming its line, where blank lines are not counted, as
+    ``csv.DictReader`` counts; within a row the first failing check wins.
     """
+    try:
+        return _scan_table(path, columns, checks, _loadtxt_chunks)
+    except ValueError:
+        return _scan_table(path, columns, checks, _csv_chunks)
+
+
+def _scan_table(path: Path, columns: Sequence[str], checks: Sequence, chunks):
+    """``_read_table`` over the chunks that ``chunks`` yields. A failing
+    check raises ValueError for a chunk with no line, and otherwise
+    ``InputDataError`` for the earliest bad row."""
     exp_codes: dict = {}
-    blocks = []
+    blocks = [[np.empty(0, np.intp), np.empty(0, int)] + [np.empty(0)] * (len(columns) - 2)]
+    table: dict = {"exp_codes": exp_codes}
     with _open_csv(path) as handle:
-        where = _header_columns(path, handle, RAW_COLUMNS)
-        rows = filter(None, csv.reader(handle))
-        line = 2
-        while block := list(islice(rows, RAW_BLOCK_ROWS)):
-            blocks.append(_raw_block(path, line, block, where, exp_codes))
-            line += len(block)
-    columns = [np.concatenate(parts) for parts in zip(*blocks)] or [np.empty(0)] * 6
-    return list(exp_codes), columns
+        where = _header_columns(path, handle, columns)
+        for line, parsed, texts, bad in chunks(handle, where, columns):
+            table.update(parsed, code=_experiment_codes(parsed[columns[0]], exp_codes))
+            masks = [bad.get(check) if isinstance(check, str) else check[0](table) for check in checks]
+            firsts = [(int(np.argmax(mask)), order) for order, mask in enumerate(masks)
+                      if mask is not None and mask.any()]
+            if firsts and line is None:
+                raise ValueError("a row fails a check")
+            if firsts:
+                i, order = min(firsts)
+                check = checks[order]
+                if isinstance(check, str):
+                    problem = f"bad {check} value {texts[check][i]!r}"
+                else:
+                    problem = check[1].format(**{name: table[name][i] for name in columns})
+                raise InputDataError(f"{path}:{line + i}: {problem}")
+            blocks.append([table["code"], *(parsed[name] for name in columns[1:])])
+    codes, pass_index, *floats = (np.concatenate(parts) for parts in zip(*blocks))
+    return list(exp_codes), codes, pass_index, floats
+
+
+def _repeated_pairs(table: dict) -> np.ndarray:
+    """Rows whose (experiment_id, pass_index) an earlier row of the file
+    has; the pairs seen so far are kept in ``table``."""
+    seen = table.setdefault("seen_pairs", set())
+    repeated = np.zeros(len(table["pass_index"]), bool)
+    for i, pair in enumerate(zip(table["code"].tolist(), table["pass_index"].tolist())):
+        repeated[i] = pair in seen
+        seen.add(pair)
+    return repeated
+
+
+_PASS_INDEX_CHECKS = [
+    "pass_index",
+    (lambda t: t["pass_index"] < 1, "pass_index must be at least 1, got {pass_index}"),
+]
+
+# Each file's checks in the order in which a row is read.
+_RAW_CHECKS = [
+    (lambda t: np.array([not e for e in t["exp_codes"]], bool)[t["code"]], "empty experiment_id"),
+    *RAW_COLUMNS[2:],
+    (lambda t: ~np.isfinite(t["time_s"]), "sample time must be finite"),
+    (
+        lambda t: ~(np.isfinite(t["mixing_ratio_ppm"]) & (t["mixing_ratio_ppm"] >= 0)),
+        "mixing ratio must be finite and non-negative",
+    ),
+    (
+        lambda t: ~(np.isfinite(t["vehicle_speed_mps"]) & (t["vehicle_speed_mps"] > 0)),
+        "vehicle speed must be finite and positive",
+    ),
+    (
+        lambda t: ~((0 < t["road_angle_deg"]) & (t["road_angle_deg"] <= 90)),
+        "road angle must lie in (0, 90] degrees",
+    ),
+    *_PASS_INDEX_CHECKS,
+]
+_PASS_CHECKS = [
+    "cy_g_per_m2",
+    (lambda t: ~np.isfinite(t["cy_g_per_m2"]), "non-finite cy_g_per_m2"),
+    (lambda t: t["cy_g_per_m2"] < 0, "negative cy_g_per_m2"),
+    *_PASS_INDEX_CHECKS,
+    (_repeated_pairs, "duplicate pass_index {pass_index} for experiment {experiment_id!r}"),
+]
 
 
 def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
     """Raw analyzer samples grouped by experiment and pass, time-ordered.
 
     Each pass is a RAW_SAMPLE_DTYPE array view, its samples in time order
-    (ties keep file order). numpy's C reader parses the file a chunk of
-    RAW_BLOCK_ROWS rows at a time. A file it cannot parse, or with a value
-    that fails a check, is read again by a reader built on Python's csv,
-    float and int parsers, the one that defines what the file means: it
-    raises ``InputDataError`` for the earliest bad row, naming its line,
-    where blank lines are not counted, as ``csv.DictReader`` counts.
+    (ties keep file order). Rows are read and checked as ``_read_table``
+    describes: a bad row raises ``InputDataError`` naming its line.
     """
-    with _open_csv(path) as handle:
-        where = _header_columns(path, handle, RAW_COLUMNS)
-        parsed = _parse_raw_rows(handle, where)
-    names, (codes, pass_index, *floats) = parsed or _read_raw_checked(path)
+    names, codes, pass_index, floats = _read_table(path, RAW_COLUMNS, _RAW_CHECKS)
     if not codes.size:
         return {}
     order = np.lexsort((floats[0], pass_index, codes))
@@ -404,86 +432,21 @@ def read_met(path: Path) -> dict[str, MetRow]:
     return rows
 
 
-# One passes.csv row as numpy's reader parses it, fields in PASS_COLUMNS order.
-_PASS_ROW_DTYPE = np.dtype(
-    [("experiment_id", object), ("pass_index", int), ("cy_g_per_m2", float)]
-)
-
-
 def read_passes(path: Path) -> dict[str, list[tuple[int, float]]]:
     """Reduced passes per experiment, sorted by pass index.
 
-    Pass indices are 1-based and unique within an experiment. numpy's C
-    reader parses the file. A file it cannot parse, or with a row that
-    fails a check, is read again row by row with Python's csv, float and
-    int parsers, which define what the file means: that reader raises
-    ``InputDataError`` for the first bad row, naming its line, where blank
-    lines are not counted, as ``csv.DictReader`` counts.
+    Pass indices are 1-based and unique within an experiment. Rows are
+    read and checked as ``_read_table`` describes: a bad row raises
+    ``InputDataError`` naming its line.
     """
-    with _open_csv(path) as handle:
-        where = _header_columns(path, handle, PASS_COLUMNS)
-        parsed = _parse_passes(handle, where)
-    return _read_passes_checked(path) if parsed is None else parsed
-
-
-def _parse_passes(handle, where: list[int]) -> dict[str, list[tuple[int, float]]] | None:
-    """The rows left in an open passes.csv, parsed by numpy's C reader and
-    grouped as ``read_passes`` returns them; None if a row does not parse
-    or fails a check."""
-    with warnings.catch_warnings():
-        # loadtxt warns of a file with no rows.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            rows = np.loadtxt(
-                handle, dtype=_PASS_ROW_DTYPE, delimiter=",", quotechar='"',
-                comments=None, usecols=where, ndmin=1,
-            )
-        except ValueError:
-            return None
-    exp_codes: dict = {}
-    codes = _experiment_codes(rows["experiment_id"], exp_codes)
-    order = np.lexsort((rows["pass_index"], codes))
-    codes, pass_index, cy = codes[order], rows["pass_index"][order], rows["cy_g_per_m2"][order]
-    same_exp = codes[1:] == codes[:-1]
-    if (
-        not (np.isfinite(cy) & (cy >= 0)).all()
-        or (pass_index < 1).any()
-        or (same_exp & (pass_index[1:] == pass_index[:-1])).any()
-    ):
-        return None
-    splits = np.flatnonzero(~same_exp) + 1
+    names, codes, pass_index, (cy,) = _read_table(path, PASS_COLUMNS, _PASS_CHECKS)
+    order = np.lexsort((pass_index, codes))
+    codes, pass_index, cy = codes[order], pass_index[order], cy[order]
+    splits = np.flatnonzero(codes[1:] != codes[:-1]) + 1
     return {
         exp: list(zip(indices.tolist(), values.tolist()))
-        for exp, indices, values in zip(
-            exp_codes, np.split(pass_index, splits), np.split(cy, splits)
-        )
+        for exp, indices, values in zip(names, np.split(pass_index, splits), np.split(cy, splits))
     }
-
-
-def _read_passes_checked(path: Path) -> dict[str, list[tuple[int, float]]]:
-    """``read_passes`` a row at a time through ``csv.DictReader``, each row
-    checked as it is read."""
-    grouped: dict[str, list[tuple[int, float]]] = {}
-    seen: set[tuple[str, int]] = set()
-    for line, row in _open_rows(path, PASS_COLUMNS):
-        exp = row["experiment_id"]
-        cy = _parse_float(path, line, row, "cy_g_per_m2")
-        if not math.isfinite(cy):
-            raise InputDataError(f"{path}:{line}: non-finite cy_g_per_m2")
-        if cy < 0:
-            raise InputDataError(f"{path}:{line}: negative cy_g_per_m2")
-        pass_index = _parse_int(path, line, row, "pass_index")
-        if pass_index < 1:
-            raise InputDataError(f"{path}:{line}: pass_index must be at least 1, got {pass_index}")
-        if (exp, pass_index) in seen:
-            raise InputDataError(
-                f"{path}:{line}: duplicate pass_index {pass_index} for experiment {exp!r}"
-            )
-        seen.add((exp, pass_index))
-        grouped.setdefault(exp, []).append((pass_index, cy))
-    for passes in grouped.values():
-        passes.sort()
-    return grouped
 
 
 def experiments_from_passes(

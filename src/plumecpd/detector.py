@@ -54,12 +54,18 @@ from .inference import (
 )
 from .transport import ForwardModel
 
+# The alarm threshold the command line uses when none is given, and the
+# widening of sigma_e after the first detected change.
+DEFAULT_THRESHOLD = 0.8
+DEFAULT_SIGMA_E_POST_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     threshold: float
     sigma_e_initial: float
     lam: float = DEFAULT_LAMBDA
-    sigma_e_post_factor: float = 10.0
+    sigma_e_post_factor: float = DEFAULT_SIGMA_E_POST_FACTOR
     grid: QGrid = DEFAULT_GRID
     predictive_method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD
 

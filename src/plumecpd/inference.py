@@ -29,6 +29,10 @@ DEFAULT_Q_MAX_G_PER_S = 5.0
 DEFAULT_DQ_G_PER_S = 0.005
 # Rounding a grid step may take, in ulps of max(|q_min|, |q_max|).
 GRID_SPACING_ULPS = 4
+# Largest grid, in bytes of one array of its rates; a finer grid is
+# rejected from its bounds, before any array exists, instead of failing
+# with a MemoryError partway through a run.
+MAX_GRID_BYTES = 2**30
 
 # Noise scales below this overflow 1 / sigma_e^2, the precision one pass
 # adds to a rate row.
@@ -66,11 +70,19 @@ class QGrid:
     values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.q_min, self.q_max, self.dq))):
+            raise ValueError("grid bounds and dq must be finite")
         if not (self.q_min < self.q_max):
             raise ValueError("q_min must be below q_max")
         if self.dq <= 0:
             raise ValueError("dq must be positive")
         steps = (self.q_max - self.q_min) / self.dq
+        need = (steps + 1) * 8
+        if need > MAX_GRID_BYTES:
+            raise ValueError(
+                f"a grid with dq {self.dq!r} over [{self.q_min!r}, {self.q_max!r}] needs "
+                f"{need:.3g} bytes per rate array, over the {MAX_GRID_BYTES} byte limit"
+            )
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ValueError("grid span must be an integer number of dq steps")
         n = int(round(steps)) + 1

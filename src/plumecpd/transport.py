@@ -71,12 +71,6 @@ class MetSummary:
                     "turbulent intensity inconsistent with sigma_u / mean velocity"
                 )
 
-    @property
-    def intensity(self) -> float:
-        if self.turbulent_intensity is not None:
-            return self.turbulent_intensity
-        return self.sigma_u_mps / self.mean_velocity_mps
-
 
 @dataclass(frozen=True)
 class Geometry:
@@ -105,10 +99,10 @@ class ForwardModel:
     dispersion_factor_per_m: float
 
     def __post_init__(self) -> None:
-        if self.advection_velocity_mps <= 0:
-            raise ValueError("advection velocity must be positive")
-        if self.dispersion_factor_per_m < 0:
-            raise ValueError("dispersion factor must be non-negative")
+        if not _positive_finite(self.advection_velocity_mps):
+            raise ValueError("advection velocity must be positive and finite")
+        if not (self.dispersion_factor_per_m >= 0 and math.isfinite(self.dispersion_factor_per_m)):
+            raise ValueError("dispersion factor must be non-negative and finite")
 
 
 def ambient_baseline(series: Sequence[float]) -> float:

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from plumecpd import cli, dataio
+from plumecpd import cli, dataio, inference
 from plumecpd.cli import build_parser, main
 from plumecpd.dataio import read_passes, write_passes_csv
-from plumecpd.detector import DetectorConfig, detect_series
+from plumecpd.bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD
+from plumecpd.detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from plumecpd.errors import ConfigError, DetectionError, InputDataError
-from plumecpd.inference import QGrid, estimate_sigma_e
+from plumecpd.inference import DEFAULT_GRID, QGrid, estimate_sigma_e
 from plumecpd.metrics import evaluate_cell
 from plumecpd.surrogate import make_surrogate_experiment
 from plumecpd.synthesis import synthesize_batch
@@ -488,6 +489,31 @@ class TestDetect:
         reports = read_pass_reports_csv(out / "passes_report.csv")
         assert [r.pass_index for _, r in reports] == list(range(1, 25))
 
+    def test_omitted_keys_take_the_library_defaults(self, tmp_path, met_csv, exp4):
+        exp, fm = exp4
+        passes = tmp_path / "passes.csv"
+        write_series(passes, synthesize_batch(exp, 4.0, 1, master_seed=7)[0])
+        sigma_e = estimate_sigma_e(list(exp.cy_series), 0.083, fm)
+        spelled_out = {
+            "q_min": DEFAULT_GRID.q_min,
+            "q_max": DEFAULT_GRID.q_max,
+            "dq": DEFAULT_GRID.dq,
+            "threshold": DEFAULT_THRESHOLD,
+            "lambda": DEFAULT_LAMBDA,
+            "sigma_e_post_factor": DEFAULT_SIGMA_E_POST_FACTOR,
+            "predictive": DEFAULT_PREDICTIVE_METHOD,
+        }
+        written = []
+        for name, extra in [("short", {}), ("full", spelled_out)]:
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"sigma_e": sigma_e, **extra}))
+            out = tmp_path / name
+            argv = ["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config)]
+            assert main(argv + ["--out", str(out)]) == 0
+            written.append([(out / f).read_bytes() for f in ("events.json", "passes_report.csv")])
+        assert written[0] == written[1]
+        assert b'"pass_index"' in written[0][0]
+
     def test_constant_input_writes_empty_events(self, tmp_path, met_csv):
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 10)
@@ -529,10 +555,9 @@ class TestDetect:
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 4)
         config = self._config(tmp_path, 0.001, dq=1e-12)
-        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
-            rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "byte limit" in capsys.readouterr().err
+        assert f"{config}: a grid with dq 1e-12" in capsys.readouterr().err
 
     def test_fine_grid_runs(self, tmp_path, met_csv):
         passes = tmp_path / "passes.csv"
@@ -1039,17 +1064,15 @@ class TestSweep:
 
     def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
         passes, met, _, _ = self._inputs(tmp_path, exp4)
-        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
-            rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", dq="1e-12"))
+        rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", dq="1e-12"))
         assert rc == 2
-        assert "byte limit" in capsys.readouterr().err
+        assert "sweep: a grid with dq 1e-12" in capsys.readouterr().err
 
     def test_infinite_q_max_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
         passes, met, _, _ = self._inputs(tmp_path, exp4)
-        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
-            rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", **{"q-max": "inf"}))
+        rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", **{"q-max": "inf"}))
         assert rc == 2
-        assert "byte limit" in capsys.readouterr().err
+        assert "sweep: grid bounds and dq must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -1081,19 +1104,24 @@ class TestSweep:
 
 class TestRowBufferCap:
     """The grid-size cap, which took the place of the row-buffer cap: one
-    array of the grid's rates may take at most 1 GiB."""
+    array of the grid's rates may take at most 1 GiB. QGrid checks it from
+    the bounds, before any array exists."""
 
-    def test_limit_is_inclusive(self):
-        # 2**27 points of 8 bytes take exactly 2**30 bytes.
-        cli._check_grid_size(0.0, 2.0**27 - 1.0, 1.0, "cfg")
+    def test_limit_is_inclusive(self, monkeypatch):
+        assert inference.MAX_GRID_BYTES == 2**30
+        # 1001 points of 8 bytes take exactly the lowered limit.
+        monkeypatch.setattr(inference, "MAX_GRID_BYTES", 8 * 1001)
+        QGrid(0.0, 1000.0, 1.0)
+        with pytest.raises(ValueError, match="byte limit"):
+            QGrid(0.0, 1001.0, 1.0)
         with pytest.raises(ConfigError, match="^cfg: .*byte limit"):
-            cli._check_grid_size(0.0, 2.0**27, 1.0, "cfg")
+            cli._detector_config({"q_max": 1001.0, "dq": 1.0}, 0.1, "cfg")
 
     def test_tiny_dq_and_infinite_span_rejected_long_streams_accepted(self):
-        with pytest.raises(ConfigError):
-            cli._check_grid_size(0.0, 5.0, 1e-300, "cfg")
-        with pytest.raises(ConfigError):
-            cli._check_grid_size(0.0, math.inf, 0.005, "cfg")
+        with pytest.raises(ValueError, match="byte limit"):
+            QGrid(0.0, 5.0, 1e-300)
+        with pytest.raises(ValueError, match="must be finite"):
+            QGrid(0.0, math.inf, 0.005)
         # The detector's state grows with a stream only as O(k).
         cfg = cli._detector_config({"sigma_e": 0.1}, 0.1, "cfg")
         assert cfg.grid.n_points == 1001
@@ -1103,10 +1131,9 @@ class TestRowBufferCap:
         write_series(passes, [0.007] * 4)
         config = tmp_path / "config.json"
         config.write_text('{"sigma_e": 0.001, "q_max": Infinity}')
-        with mock.patch.object(cli, "QGrid", side_effect=AssertionError("grid built")):
-            rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "byte limit" in capsys.readouterr().err
+        assert f"{config}: grid bounds and dq must be finite" in capsys.readouterr().err
 
 
 class TestParser:

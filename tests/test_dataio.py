@@ -119,9 +119,9 @@ class TestReadRawSamples:
         path = tmp_path / "raw.csv"
         rows = [f"e{i % 2},{1 + i % 3},{0.1 * (20 - i)!r},2.0,3.0,{45 + i}" for i in range(20)]
         path.write_text(RAW_HEADER + "\r\n" + "\r\n".join(rows[:9] + ["", ""] + rows[9:]) + "\r\n")
-        with mock.patch.object(dataio, "_parse_raw_rows", return_value=None):
+        with mock.patch.object(dataio, "_loadtxt_chunks", side_effect=ValueError("not parsed")):
             expected = read_raw_samples(path)
-        with mock.patch.object(dataio, "_read_raw_checked", side_effect=AssertionError("diagnostic reader ran")):
+        with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
             grouped = read_raw_samples(path)
         assert list(grouped) == list(expected) == ["e0", "e1"]
         for exp, passes in expected.items():
@@ -130,7 +130,16 @@ class TestReadRawSamples:
     def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "\n" + "e1,\u0662,1_0.5,2.0,3.0,90\n" + "e1,2,\uff11\uff12,2.0,3.0,90\n")
-        assert read_raw_samples(path)["e1"][2].tolist() == [(10.5, 2.0, 3.0, 90.0), (12.0, 2.0, 3.0, 90.0)]
+        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+            samples = read_raw_samples(path)["e1"][2]
+        assert diagnostic.called
+        assert samples.tolist() == [(10.5, 2.0, 3.0, 90.0), (12.0, 2.0, 3.0, 90.0)]
+
+    def test_pass_index_past_int64_is_kept(self, tmp_path):
+        # Python's int() defines the file, as it does for passes.csv.
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n" + "e1,99999999999999999999,0.0,2.0,3.0,90\n" + "e1,1,0.5,2.0,3.0,90\n")
+        assert list(read_raw_samples(path)["e1"]) == [1, 99999999999999999999]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -288,14 +297,28 @@ class TestPassesRoundTrip:
             "cy_g_per_m2,note,experiment_id,pass_index\r\n"
             '0.5,x,"e,1",2\r\n\r\n1e-3,,e2,1\r\n0.25,y,"e,1",1\r\n'
         )
-        with mock.patch.object(dataio, "_read_passes_checked", side_effect=AssertionError("diagnostic reader ran")):
-            grouped = read_passes(path)
-        assert grouped == {"e,1": [(1, 0.25), (2, 0.5)], "e2": [(1, 1e-3)]}
+        for block_rows in [1, 2, dataio.RAW_BLOCK_ROWS]:
+            with (
+                mock.patch.object(dataio, "RAW_BLOCK_ROWS", block_rows),
+                mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")),
+            ):
+                grouped = read_passes(path)
+            assert grouped == {"e,1": [(1, 0.25), (2, 0.5)], "e2": [(1, 1e-3)]}
 
     def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
         path = tmp_path / "passes.csv"
         path.write_text("experiment_id,pass_index,cy_g_per_m2\ne1,1_0,\u0661\ne1,\u0662,2_5.0\n")
-        assert read_passes(path) == {"e1": [(2, 25.0), (10, 1.0)]}
+        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+            grouped = read_passes(path)
+        assert diagnostic.called
+        assert grouped == {"e1": [(2, 25.0), (10, 1.0)]}
+
+    def test_duplicate_of_a_pass_in_an_earlier_chunk_names_the_later_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "RAW_BLOCK_ROWS", 2)
+        path = tmp_path / "passes.csv"
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\n4,1,0.5\n5,1,0.5\n4,2,0.5\n\n5,2,0.5\n4,1,0.7\n")
+        with pytest.raises(InputDataError, match=r"passes\.csv:6: duplicate pass_index 1 for experiment '4'"):
+            read_passes(path)
 
     def test_empty_body_gives_no_experiments(self, tmp_path):
         path = tmp_path / "passes.csv"
@@ -303,12 +326,14 @@ class TestPassesRoundTrip:
         assert read_passes(path) == {}
 
     @settings(max_examples=300, deadline=None)
-    @given(text=passes_files())
-    def test_same_result_or_error_as_the_row_reader(self, text):
+    @given(text=passes_files(), block_rows=st.sampled_from([1, 2, 5, dataio.RAW_BLOCK_ROWS]))
+    def test_same_result_or_error_as_the_row_reader(self, text, block_rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "passes.csv"
             path.write_text(text, newline="")
-            assert repr(outcome(read_passes, path)) == repr(outcome(oracles.read_passes_rows, path))
+            with mock.patch.object(dataio, "RAW_BLOCK_ROWS", block_rows):
+                got = outcome(read_passes, path)
+            assert repr(got) == repr(outcome(oracles.read_passes_rows, path))
 
     def test_experiments_require_met(self, tmp_path):
         passes = {"e1": [(1, 0.1), (2, 0.2)]}

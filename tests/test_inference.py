@@ -62,6 +62,20 @@ class TestQGrid:
         with pytest.raises(ValueError):
             QGrid(q_min, q_max, dq)
 
+    @pytest.mark.parametrize(
+        "q_min, q_max, dq, message",
+        [
+            (-math.inf, 5.0, 0.005, "grid bounds and dq must be finite"),
+            (0.0, 5.0, math.nan, "grid bounds and dq must be finite"),
+            (0.0, 5.0, 1e-12, "byte limit"),
+        ],
+    )
+    def test_unbuildable_grids_rejected_before_any_array(self, q_min, q_max, dq, message):
+        # These raised OverflowError, a NaN-to-integer ValueError and a
+        # MemoryError for 36.4 TiB of rates.
+        with pytest.raises(ValueError, match=message):
+            QGrid(q_min, q_max, dq)
+
     @pytest.mark.parametrize("q_min,q_max,dq", [(0.0, 5.0, 0.0005), (0.0, 1.0, 1e-4), (0.0, 20.0, 0.002)])
     def test_fine_grids_accepted(self, q_min, q_max, dq):
         # Their steps differ from dq by about one ulp of q_max, which is

