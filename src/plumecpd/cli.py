@@ -26,7 +26,7 @@ from typing import get_args
 
 import numpy as np
 
-from . import __version__, dataio
+from . import dataio
 from .bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD, PredictiveMethod
 from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
@@ -162,6 +162,20 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+# Config keys whose values are JSON numbers; 'sigma_e' may also map
+# experiment ids to numbers.
+_NUMBER_KEYS = {"q_min", "q_max", "dq", "sigma_e", "threshold", "lambda", "sigma_e_post_factor"}
+
+
+def _check_number(path: Path, key: str, value: object) -> None:
+    """Reject a config value that is not a JSON number: float() would read
+    a string such as "0.0027", and a boolean, an int subclass, as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: config key {key} must be a number, got {value!r}")
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: config key {key} is past the float range, got {value!r}")
+
+
 def _load_detect_config(path: Path) -> dict:
     try:
         raw = json.loads(path.read_text())
@@ -171,19 +185,17 @@ def _load_detect_config(path: Path) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
-    known = {
-        "q_min",
-        "q_max",
-        "dq",
-        "sigma_e",
-        "threshold",
-        "lambda",
-        "sigma_e_post_factor",
-        "predictive",
-    }
-    for key in raw:
-        if key not in known:
+    for key, value in raw.items():
+        if key == "predictive":
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}: config key 'predictive' must be a string, got {value!r}")
+        elif key not in _NUMBER_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
+        elif key == "sigma_e" and isinstance(value, dict):
+            for exp_id, entry in value.items():
+                _check_number(path, f"'sigma_e' entry {exp_id!r}", entry)
+        else:
+            _check_number(path, repr(key), value)
     if "sigma_e" not in raw:
         raise ConfigError(f"{path}: missing required key 'sigma_e'")
     return raw
@@ -283,9 +295,22 @@ def _canonical(value):
     return value
 
 
+@functools.cache
+def _source_digests() -> list[list[str]]:
+    """The sha256 of each of the package's modules, with its path relative
+    to the package's parent, in sorted order: read once per process."""
+    package = Path(__file__).resolve().parent
+    return [
+        [path.relative_to(package.parent).as_posix(), hashlib.sha256(path.read_bytes()).hexdigest()]
+        for path in sorted(package.glob("*.py"))
+    ]
+
+
 def _cell_key(payload: tuple) -> str:
-    """Digest of everything a sweep cell's row depends on, for the resume cache."""
-    blob = json.dumps([__version__, [_canonical(v) for v in payload]], sort_keys=True)
+    """Digest of everything a sweep cell's row depends on, for the resume
+    cache: the cell's inputs and the package's source, so that no edit to
+    the code outlives a cached row."""
+    blob = json.dumps([_source_digests(), [_canonical(v) for v in payload]], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -316,12 +316,22 @@ def _scan_table(path: Path, columns: Sequence[str], checks: Sequence, chunks):
 
 def _repeated_pairs(table: dict) -> np.ndarray:
     """Rows whose (experiment_id, pass_index) an earlier row of the file
-    has; the pairs seen so far are kept in ``table``."""
+    has. Within the chunk, a stable sort by (code, pass_index) puts each
+    pair's rows together in file order, so every row after the first is
+    a repeat. The pairs of earlier chunks are kept in ``table``, and only
+    the chunk's first rows of a pair are looked up there."""
     seen = table.setdefault("seen_pairs", set())
-    repeated = np.zeros(len(table["pass_index"]), bool)
-    for i, pair in enumerate(zip(table["code"].tolist(), table["pass_index"].tolist())):
-        repeated[i] = pair in seen
-        seen.add(pair)
+    codes, index = table["code"], table["pass_index"]
+    order = np.lexsort((index, codes))
+    codes_sorted, index_sorted = codes[order], index[order]
+    same = (codes_sorted[1:] == codes_sorted[:-1]) & (index_sorted[1:] == index_sorted[:-1])
+    repeated = np.zeros(codes.size, bool)
+    repeated[order[1:][same]] = True
+    firsts = np.flatnonzero(~repeated)
+    pairs = list(zip(codes[firsts].tolist(), index[firsts].tolist()))
+    if seen:
+        repeated[firsts] = [pair in seen for pair in pairs]
+    seen.update(pairs)
     return repeated
 
 

@@ -188,6 +188,11 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
       the summed points in a window of at least 10 sigma_q about the
       clipped mode, by ``window_log_mass``.
     Each entry depends on its own row only.
+
+    Every entry first takes the interior value, and flat rows are then
+    overwritten in place. The rows on neither path are found once, as flat
+    indices into the broadcast shape, and only their widths and modes are
+    taken by those indices; precision only for window rows.
     """
     precision = np.asarray(precision, dtype=float)
     mode = np.asarray(mode, dtype=float)
@@ -195,26 +200,30 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
         width = precision**-0.5
     out = np.empty(np.broadcast_shapes(width.shape, mode.shape))
     np.add(np.log(width), HALF_LOG_2PI, out=out)
-    outside = ~_interior(grid, width, mode)
-    if not outside.any():
-        return out
-    precision = np.broadcast_to(precision, out.shape)[outside]
-    width = np.broadcast_to(width, out.shape)[outside]
-    mode = np.broadcast_to(mode, out.shape)[outside]
     span = grid.q_max - grid.q_min
+    # Rows with no positive precision take the flat row's value.
+    flat = ~(precision > 0)
+    np.copyto(out, math.log(span), where=flat)
+    done = _interior(grid, width, mode)
+    done |= flat
+    rows = np.flatnonzero(~done)
+    if not rows.size:
+        return out
+    width = np.take(np.broadcast_to(width, out.shape), rows)
+    mode = np.take(np.broadcast_to(mode, out.shape), rows)
     edge = (
         (width >= EDGE_MIN_WIDTH * grid.dq)
         & (width <= EDGE_MAX_SPANS * span)
         & (np.abs(mode - 0.5 * (grid.q_min + grid.q_max)) <= 0.5 * span + EDGE_REACH * width)
     )
-    # A flat row (A = 0) is infinitely wide, past the edge path's bound.
-    window = ~edge & (precision > 0)
-    values = np.full(mode.shape, math.log(span))
-    if edge.any():
-        values[edge] = _edge_log_mass(grid, mode[edge], width[edge])
-    if window.any():
-        values[window] = window_log_mass(grid, precision[window], mode[window])
-    out[outside] = values
+    entries = out.reshape(-1)
+    if not edge.all():
+        window = rows[~edge]
+        precision = np.take(np.broadcast_to(precision, out.shape), window)
+        entries[window] = window_log_mass(grid, precision, mode[~edge])
+        rows, mode, width = rows[edge], mode[edge], width[edge]
+    if rows.size:
+        entries[rows] = _edge_log_mass(grid, mode, width)
     return out
 
 
@@ -242,10 +251,14 @@ def _erf_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
     numpy has no erf, and a block step can send the edge path thousands of
     rows: ``math.erf``/``math.erfc`` map over plain lists of only the
-    arguments each form needs, with erf(hi) taken as 1.0 at hi >= 6.
+    arguments each form needs, with erf(hi) taken as 1.0 at hi >= 6. Rows
+    near one edge of a wide grid all take the sum form with erf(hi) = 1.0,
+    so when every row does, the gaps are 1.0 + erf(-lo) from one map.
     """
-    out = np.empty(lo.shape)
     tails = lo >= 0
+    if not tails.any() and (hi >= ERF_IS_ONE).all():
+        return 1.0 + _map(math.erf, -lo)
+    out = np.empty(lo.shape)
     out[tails] = _map(math.erfc, lo[tails]) - _map(math.erfc, hi[tails])
     sums = ~tails
     lo, hi = lo[sums], hi[sums]

@@ -3,7 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import plumecpd
 from plumecpd import cli, dataio, inference
 from plumecpd.cli import build_parser, main
 from plumecpd.dataio import read_passes, write_passes_csv
@@ -661,6 +666,32 @@ class TestDetect:
         assert rc == 2
         assert "config.json: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            # float() read each of these as a number, and detect exited 0.
+            ({"sigma_e": True}, "config key 'sigma_e' must be a number, got True"),
+            ({"sigma_e": {"4": True}}, "config key 'sigma_e' entry '4' must be a number, got True"),
+            ({"sigma_e": "0.0027"}, "config key 'sigma_e' must be a number, got '0.0027'"),
+            ({"sigma_e": 0.001, "dq": "0.005"}, "config key 'dq' must be a number, got '0.005'"),
+            ({"sigma_e": 0.001, "threshold": False}, "config key 'threshold' must be a number, got False"),
+            # float() raised OverflowError, which left a traceback and exit 1.
+            ({"sigma_e": 0.001, "lambda": 10**400}, "config key 'lambda' is past the float range"),
+            ({"sigma_e": 0.001, "predictive": 1}, "config key 'predictive' must be a string, got 1"),
+        ],
+        ids=["true", "true-entry", "string", "string-dq", "false-threshold", "huge-int", "int-predictive"],
+    )
+    def test_config_value_of_the_wrong_type_exits_two(self, tmp_path, met_csv, capsys, config, message):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not (out / "passes_report.csv").exists()
+
     def test_non_finite_cy_exits_two(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
         passes.write_text("experiment_id,pass_index,cy_g_per_m2\n4,1,0.007\n4,2,nan\n")
@@ -986,6 +1017,37 @@ class TestSweep:
         assert main(argv) == 0
         assert (out / "report.csv").read_bytes() == first
         assert json.loads(cell.read_text())["key"] != "stale"
+
+    def test_edit_to_the_package_source_is_recomputed(self, tmp_path, exp4):
+        # Two runs into one --out from a copy of the package, whose
+        # metrics.py changes in between: the cached cell was computed by
+        # other code, so the second run recomputes it, as a fresh run of
+        # the edited copy does.
+        passes, met, exp, fm = self._inputs(tmp_path, exp4)
+        package = tmp_path / "src" / "plumecpd"
+        shutil.copytree(
+            Path(plumecpd.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONDONTWRITEBYTECODE": "1"}
+
+        def sweep(out):
+            argv = [sys.executable, "-m", "plumecpd.cli", *self._argv(passes, met, out, lrr="3.0")]
+            subprocess.run(argv, env=env, check=True, capture_output=True)
+            return (out / "report.csv").read_bytes()
+
+        out = tmp_path / "out"
+        first = sweep(out)
+        metrics = package / "metrics.py"
+        metrics.write_text(
+            metrics.read_text()
+            + "\n\n_scores = score_first_alarms\n\n\n"
+            "def score_first_alarms(alarms, n_passes):\n"
+            "    recall, detection_recall, fpr, delay = _scores(alarms, n_passes)\n"
+            "    return recall, detection_recall, fpr + 0.5, delay\n"
+        )
+        resumed = sweep(out)
+        assert resumed != first
+        assert resumed == sweep(tmp_path / "fresh")
 
     def test_changed_pass_value_is_recomputed(self, tmp_path, exp4):
         # Reflecting a residual about the prediction changes the data but

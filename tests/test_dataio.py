@@ -320,6 +320,54 @@ class TestPassesRoundTrip:
         with pytest.raises(InputDataError, match=r"passes\.csv:6: duplicate pass_index 1 for experiment '4'"):
             read_passes(path)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # A pair three times: the second row is named, not the third.
+            ("4,1,0.5\n5,1,0.5\n4,2,0.5\n4,1,0.7\n4,1,0.8\n", "5: duplicate pass_index 1 for experiment '4'"),
+            # A repeat before another bad row, and after one.
+            ("4,2,0.5\n4,2,0.5\n4,0,0.5\n", "3: duplicate pass_index 2"),
+            ("4,2,0.5\n4,0,0.5\n4,2,0.5\n", "3: pass_index must be at least 1"),
+            # Sorted by pair, the repeat of the later pair comes first.
+            ("4,9,0.5\n4,1,0.5\n4,1,0.5\n4,9,0.5\n", "4: duplicate pass_index 1"),
+        ],
+    )
+    def test_repeat_within_one_chunk_names_its_earliest_bad_row(self, tmp_path, rows, message):
+        path = tmp_path / "passes.csv"
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + rows)
+        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+            with pytest.raises(InputDataError, match=rf"passes\.csv:{message}"):
+                read_passes(path)
+        assert diagnostic.called
+
+    def test_repeat_across_a_chunk_boundary(self, tmp_path):
+        # Rows 1 .. RAW_BLOCK_ROWS fill the first chunk; the repeat of pass
+        # 7 is the first row of the second, on file line RAW_BLOCK_ROWS + 2.
+        n = dataio.RAW_BLOCK_ROWS
+        lines = [f"4,{i},0.5" for i in range(1, n + 1)] + ["5,7,0.5", "4,7,0.5", "4,8,0.5"]
+        path = tmp_path / "passes.csv"
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + "\n".join(lines) + "\n")
+        with pytest.raises(InputDataError, match=rf"passes\.csv:{n + 3}: duplicate pass_index 7 for experiment '4'"):
+            read_passes(path)
+        # Without the repeat, both chunks read on the fast path.
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + "\n".join(lines[:-2]) + "\n")
+        with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
+            grouped = read_passes(path)
+        assert len(grouped["4"]) == n and grouped["5"] == [(7, 0.5)]
+
+    def test_repeat_on_the_diagnostic_path(self, tmp_path):
+        # 1_0 parses only in Python, so the file is read by the csv reader,
+        # whose pass indices are Python ints, one past the int64 range.
+        path = tmp_path / "passes.csv"
+        path.write_text(
+            "experiment_id,pass_index,cy_g_per_m2\n"
+            "4,1_0,0.5\n4,99999999999999999999,0.5\n4,10,0.5\n4,99999999999999999999,0.5\n"
+        )
+        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+            with pytest.raises(InputDataError, match=r"passes\.csv:4: duplicate pass_index 10 for"):
+                read_passes(path)
+        assert diagnostic.called
+
     def test_empty_body_gives_no_experiments(self, tmp_path):
         path = tmp_path / "passes.csv"
         path.write_text("experiment_id,pass_index,cy_g_per_m2\n\n")

@@ -237,6 +237,47 @@ class TestLogGridMass:
         alone = [window_log_mass(grid, precision[i : i + 1], mode[i : i + 1])[0] for i in range(41)]
         assert together.tolist() == alone
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grid=st.sampled_from([DEFAULT_GRID, QGrid(1.0, 2.0, 0.01)]),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_keep_their_bits_in_any_company(self, grid, shape, seed):
+        # A block as the block step sends it: one precision row per pass
+        # broadcast across the streams' modes, mixing flat rows (A = 0) with
+        # rows on the interior, edge and window paths. Each entry equals a
+        # one-row call bit for bit.
+        rng = np.random.default_rng(seed)
+        span = grid.q_max - grid.q_min
+        widths = grid.dq * np.array([np.inf, 0.1, 3.0, 20.0, 200.0, 1e4])
+        precision = widths[rng.integers(0, widths.size, shape[1:])] ** -2.0
+        modes = grid.q_min + span * np.array([-3.0, -0.01, 0.0, 0.02, 0.5, 0.97, 1.0, 1.4])
+        mode = modes[rng.integers(0, modes.size, shape)] + grid.dq * rng.uniform(-1.0, 1.0, shape)
+        together = log_grid_mass(grid, precision, mode)
+        assert together.shape == shape
+        for s, p, w in np.ndindex(shape):
+            alone = log_grid_mass(grid, precision[p, w], mode[s, p, w])
+            assert together[s, p, w].tobytes() == alone.tobytes()
+
+    def test_one_block_holds_every_path(self):
+        # Flat, interior, edge and window rows in one broadcast call, each
+        # equal to its one-row call and to the exact sum.
+        grid = DEFAULT_GRID
+        precision = np.array([[0.0, 16.0, 1.0, 1e8, 1e4]])
+        mode = np.array([[[2.5, 2.5, 0.1, 2.5, 4.99]], [[-1.0, 2.4, 4.8, 0.3, 5.3]]])
+        with np.errstate(divide="ignore"):
+            width = precision**-0.5
+        assert _interior(grid, width, mode).tolist() == [[[False, True, False, False, False]]] * 2
+        together = log_grid_mass(grid, precision, mode)
+        for s, p, w in np.ndindex(together.shape):
+            alone = log_grid_mass(grid, precision[p, w], mode[s, p, w])
+            assert together[s, p, w].tobytes() == alone.tobytes()
+            if precision[p, w] > 0:
+                assert abs(together[s, p, w] - exact_log_mass(grid, precision[p, w], mode[s, p, w])) <= 1e-11
+            else:
+                assert together[s, p, w] == math.log(grid.q_max - grid.q_min)
+
     def test_each_path_on_one_call(self):
         grid = DEFAULT_GRID
         precision = np.array([0.0, 1e8, 16.0, 16.0, 1e4, 1.0])

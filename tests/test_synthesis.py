@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -154,6 +155,71 @@ class TestSynthesizeBatch:
         expected = synthesize_instances(exp, lrr, n_instances, seed, start_index=start)
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
+
+
+def numpy_rng(seed, experiment_id, lrr, i):
+    """Instance i's generator, built by numpy's own SeedSequence and PCG64."""
+    lrr_bits = struct.unpack("<Q", struct.pack("<d", lrr))[0]
+    id_bits = int.from_bytes(experiment_id.encode("utf-8"), "little")
+    entropy = np.random.SeedSequence([seed, id_bits, lrr_bits, i])
+    return np.random.Generator(np.random.PCG64(entropy))
+
+
+# Start indices on either side of 2^32 and 2^64, where the index takes one
+# more 32-bit word, so that one batch may hold indices of two lengths.
+START_INDICES = st.one_of(
+    st.integers(0, 2**40),
+    st.integers(2**32 - 6, 2**32 + 1),
+    st.integers(2**64 - 6, 2**64 + 1),
+    st.integers(0, 2**100),
+)
+EXPERIMENT_IDS = st.one_of(st.sampled_from(["", "E1", "\u00f1\u00e9\u6f22\u5b57", "a\x00"]), st.text(max_size=12))
+# Subnormal lrr values from 5e-324 up: the smallest have bit patterns of one
+# 32-bit word.
+SUBNORMALS = st.integers(1, 2**52 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+
+
+class TestSeeding:
+    """Every generator state is numpy's own, however it is derived."""
+
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(0, 2**130)),
+        experiment_id=EXPERIMENT_IDS,
+        lrr=st.one_of(st.sampled_from([5e-324, 1.0, 3.0]), SUBNORMALS, st.floats(1e-300, 1e300)),
+        start=START_INDICES,
+        n_instances=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_batch_rows_equal_rows_from_numpys_seeding(
+        self, seed, experiment_id, lrr, start, n_instances
+    ):
+        exp = make_exp([0.5, 1.0, 2.0, 4.0, 8.0], experiment_id)
+        got = synthesize_batch(exp, lrr, n_instances, seed, start_index=start)
+        series = exp.cy_series
+        for row, i in zip(got, range(start, start + n_instances)):
+            rng = numpy_rng(seed, experiment_id, lrr, i)
+            first, second = rng.permutation(series.size), rng.permutation(series.size)
+            expected = np.concatenate([series[first], (series * lrr)[second]])
+            assert row.tobytes() == expected.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**70),
+        experiment_id=EXPERIMENT_IDS,
+        lrr=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, math.inf, math.nan]), SUBNORMALS, st.floats()),
+        index=START_INDICES,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_instance_rng_state_is_numpys(self, seed, experiment_id, lrr, index):
+        got = instance_rng(seed, experiment_id, lrr, index).bit_generator.state
+        assert got == numpy_rng(seed, experiment_id, lrr, index).bit_generator.state
+
+    def test_negative_seed_or_index_rejected(self):
+        exp = make_exp([1.0, 2.0])
+        for seed, start in [(-1, 0), (0, -1)]:
+            with pytest.raises(ValueError, match="must be non-negative"):
+                synthesize_batch(exp, 2.0, 3, seed, start_index=start)
+            with pytest.raises(ValueError, match="must be non-negative"):
+                instance_rng(seed, "e1", 2.0, start)
 
 
 class TestInstanceRng:
