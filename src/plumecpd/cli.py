@@ -86,12 +86,12 @@ def _forward_model(met_row: dataio.MetRow, args: argparse.Namespace):
         raise ConfigError(f"experiment {met_row.experiment_id!r}: {exc}") from exc
 
 
-def _sample_spacings(exp_id: str, pass_order: list[int], times: np.ndarray,
-                     lengths: np.ndarray) -> np.ndarray:
-    """Each sample's time step, for passes held one after another; the
-    first sample of a pass takes the pass's first gap as its spacing.
-    Raises for the first pass with fewer than 2 samples or with sample
-    times that do not increase."""
+def _sample_spacings(times: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each sample's time step, for passes held one after another, and the
+    position of the first pass with fewer than 2 samples or with sample
+    times that do not increase (the pass count if there is none). The
+    first sample of a pass takes the pass's first gap as its spacing;
+    spacings hold for the passes before the first bad one."""
     starts = np.cumsum(lengths) - lengths
     with np.errstate(over="ignore"):
         gaps = np.diff(times)
@@ -100,48 +100,60 @@ def _sample_spacings(exp_id: str, pass_order: list[int], times: np.ndarray,
     within[starts[1:] - 1] = False
     short = np.flatnonzero(lengths < 2)[:1].tolist()
     unordered = np.searchsorted(starts, np.flatnonzero(within & ~(gaps > 0))[:1], "right") - 1
-    if short or unordered.size:
-        k = min(short + unordered.tolist())
-        problem = "need at least 2 samples" if lengths[k] < 2 else "non-increasing sample times"
-        raise InputDataError(f"experiment {exp_id!r} pass {pass_order[k]}: {problem}")
+    bad = min(short + unordered.tolist(), default=lengths.size)
     spacings = np.r_[gaps[:1], gaps]
-    spacings[starts] = gaps[starts]
-    return spacings
+    spacings[starts[:bad]] = gaps[starts[:bad]]
+    return spacings, bad
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    """Reduce raw.csv to passes.csv. Each experiment's baseline is
+    subtracted and its samples converted at its temperature, then every
+    pass is integrated in one call. The error raised is the first that
+    the experiments meet, taken in sorted order: within one, its missing
+    met row, then its first pass with fewer than 2 samples or with sample
+    times that do not increase, then its first non-finite integral."""
     if not 0 < args.pressure < math.inf:
         raise ConfigError(f"--pressure must be positive and finite, got {args.pressure!r}")
     raw = dataio.read_raw_samples(Path(args.raw))
     met_rows = dataio.read_met(Path(args.met))
-    out_rows = []
-    for exp_id in sorted(raw):
-        if exp_id not in met_rows:
-            raise InputDataError(f"no met row for experiment {exp_id!r}")
-        passes = raw[exp_id]
-        pass_order = sorted(passes)
-        samples = np.concatenate([passes[p] for p in pass_order], dtype=dataio.RAW_SAMPLE_DTYPE)
-        lengths = np.array([len(passes[p]) for p in pass_order])
-        dts = _sample_spacings(exp_id, pass_order, samples["time_s"], lengths)
-        ppm = samples["mixing_ratio_ppm"]
-        above = ppm - ambient_baseline(ppm)
+    ids, experiment, lengths, samples = raw.experiment_ids, raw.experiment, raw.lengths, raw.samples
+    dts, bad_pass = _sample_spacings(samples["time_s"], lengths)
+    no_met = next((code for code, exp_id in enumerate(ids) if exp_id not in met_rows), len(ids))
+    # Only the experiments before the first with a missing met row or a bad
+    # pass are integrated: an overflow among them is raised first.
+    stop = min(no_met, int(experiment[bad_pass]) if bad_pass < lengths.size else len(ids))
+    first_pass = np.searchsorted(experiment, np.arange(stop + 1))
+    bounds = np.r_[0, np.cumsum(lengths)][first_pass]
+    ppm = samples["mixing_ratio_ppm"]
+    conc = np.empty(bounds[-1])
+    for exp_id, lo, hi in zip(ids, bounds[:-1].tolist(), bounds[1:].tolist()):
+        above = ppm[lo:hi] - ambient_baseline(ppm[lo:hi])
         above[above < 0] = 0.0
         # An overflow here shows as a non-finite integral, raised below.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            conc = ppm_to_mass_concentration(
+            conc[lo:hi] = ppm_to_mass_concentration(
                 above, met_rows[exp_id].met.temperature_k, args.pressure
             )
-        cys = cross_plume_integrate(
-            conc, dts, samples["vehicle_speed_mps"], samples["road_angle_deg"], lengths
+    n = conc.size
+    cys = cross_plume_integrate(
+        conc, dts[:n], samples["vehicle_speed_mps"][:n], samples["road_angle_deg"][:n],
+        lengths[: first_pass[-1]],
+    )
+    overflows = np.flatnonzero(~np.isfinite(cys))
+    if overflows.size:
+        k = overflows[0]
+        raise ValueError(
+            f"experiment {ids[experiment[k]]!r} pass {raw.pass_index[k]}: cross-plume integral "
+            "overflows the float range"
         )
-        for pass_index, cy in zip(pass_order, cys.tolist()):
-            if not math.isfinite(cy):
-                raise ValueError(
-                    f"experiment {exp_id!r} pass {pass_index}: cross-plume integral "
-                    "overflows the float range"
-                )
-            out_rows.append((exp_id, pass_index, cy))
-    dataio.write_passes_csv(Path(args.out), out_rows)
+    if stop < no_met:
+        problem = "need at least 2 samples" if lengths[bad_pass] < 2 else "non-increasing sample times"
+        raise InputDataError(f"experiment {ids[stop]!r} pass {raw.pass_index[bad_pass]}: {problem}")
+    if stop < len(ids):
+        raise InputDataError(f"no met row for experiment {ids[stop]!r}")
+    out_ids = [ids[code] for code in experiment.tolist()]
+    dataio.write_passes_csv(Path(args.out), zip(out_ids, raw.pass_index.tolist(), cys.tolist()))
     return 0
 
 
@@ -178,9 +190,11 @@ def _check_number(path: Path, key: str, value: object) -> None:
 
 def _load_detect_config(path: Path) -> dict:
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):

@@ -129,15 +129,28 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+# The encoding of every CSV file the package reads.
+CSV_ENCODING = "utf-8"
+
+
 def _open_csv(path: Path):
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding=CSV_ENCODING)
     except OSError as exc:
         raise InputDataError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _decoding(path: Path):
+    """Raise ``InputDataError`` naming ``path`` for bytes in it that do not decode."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{path}: {exc}") from exc
+
+
 def _open_rows(path: Path, required: Sequence[str]):
-    with _open_csv(path) as handle:
+    with _open_csv(path) as handle, _decoding(path):
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
@@ -161,19 +174,21 @@ def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-# Rows parsed per chunk of raw.csv and passes.csv. Parsing a chunk at a
-# time bounds the memory the parsers hold, as Python strings and row
-# buffers, to one chunk, whatever the file size.
+# Rows per chunk of the diagnostic reader, which reads raw.csv and
+# passes.csv a chunk at a time, so that it holds one chunk's Python
+# strings and row buffers at once. The fast path parses the whole file
+# in one call.
 RAW_BLOCK_ROWS = 4096
 
-# One raw sample; read_raw_samples returns arrays of this dtype.
+# One raw sample; a RawTable holds its samples in an array of this dtype.
 RAW_SAMPLE_DTYPE = np.dtype([(name, float) for name in RAW_COLUMNS[2:]])
 
+# Suffixes by which np.loadtxt, given a path, decompresses the file.
+_COMPRESSED_SUFFIXES = {".gz", ".bz2", ".xz", ".lzma"}
 
-def _header_columns(path: Path, handle, columns: Sequence[str]) -> list[int]:
-    """Position of each of ``columns`` in the header row of an open CSV
-    file, which is left at the first data row."""
-    header = next(csv.reader(handle), [])
+
+def _header_columns(path: Path, header: list[str], columns: Sequence[str]) -> list[int]:
+    """Position of each of ``columns`` in a CSV file's header row."""
     missing = [c for c in columns if c not in header]
     if missing:
         raise InputDataError(f"{path}: missing columns {missing}")
@@ -182,18 +197,13 @@ def _header_columns(path: Path, handle, columns: Sequence[str]) -> list[int]:
     return [column[name] for name in columns]
 
 
-def _experiment_codes(ids: np.ndarray, exp_codes: dict) -> np.ndarray:
-    """Code of each experiment id; ids new to ``exp_codes`` are added to
-    it, numbered in order of first appearance."""
-    # Rows of one experiment mostly come together: look up each run once.
-    new_run = np.ones(ids.size, bool)
-    new_run[1:] = ids[1:] != ids[:-1]
-    starts = np.flatnonzero(new_run)
-    run_ids = ids[starts].tolist()
-    for exp in dict.fromkeys(run_ids):
-        exp_codes.setdefault(exp, len(exp_codes))
-    codes = np.fromiter(map(exp_codes.__getitem__, run_ids), np.intp, len(run_ids))
-    return np.repeat(codes, np.diff(np.r_[starts, ids.size]))
+class _Codes(dict):
+    """Experiment codes by id: looking up a new id numbers it, so ids are
+    numbered in order of first appearance."""
+
+    def __missing__(self, exp_id: str) -> int:
+        self[exp_id] = code = len(self)
+        return code
 
 
 def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray | None]:
@@ -215,41 +225,59 @@ def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray 
         return np.array(parsed, object if kind is int else kind), bad
 
 
-def _loadtxt_chunks(handle, where: list[int], columns: Sequence[str]):
-    """The chunks of ``_csv_chunks`` parsed by numpy's C reader, with no line,
-    texts or parse failures; raises ValueError for a chunk it cannot parse."""
-    dtype = np.dtype([(columns[0], object), (columns[1], int), *((c, float) for c in columns[2:])])
-    while True:
-        with warnings.catch_warnings():
-            # loadtxt warns of blank lines under max_rows and of a chunk
-            # with no rows; blank lines are skipped, as csv.DictReader does.
-            warnings.simplefilter("ignore", UserWarning)
-            chunk = np.loadtxt(
-                handle, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                usecols=where, max_rows=RAW_BLOCK_ROWS, ndmin=1,
-            )
-        # Copies, so that the chunk and its id strings can be freed.
-        yield None, {name: chunk[name].copy() for name in columns}, None, {}
-        if len(chunk) < RAW_BLOCK_ROWS:
-            return
+def _has_line_end(texts: Iterable[str]) -> bool:
+    return any("\r" in text or "\n" in text for text in texts)
+
+
+def _loadtxt_table(path: Path, header: list[str], where: list[int], columns: Sequence[str]):
+    """The whole table as one chunk of ``_csv_chunks``, parsed by one call
+    of numpy's C reader on the file's path (its file mode, which reads in
+    large blocks), with no line, texts or parse failures, and with each
+    row's experiment code in place of its id: ids are coded as they are
+    read, so the parsed rows hold no strings.
+
+    Raises ValueError for a file that reader cannot parse, and for one
+    that file mode could read otherwise than the csv reader: one whose
+    name numpy decompresses, or with a CR or LF in a header field or an
+    id (file mode reads any line end as LF, inside quotes too).
+    """
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES or _has_line_end(header):
+        raise ValueError("file mode could read the file otherwise")
+    exp_codes = _Codes()
+    dtype = np.dtype([("code", np.intp), (columns[1], int), *((c, float) for c in columns[2:])])
+    with warnings.catch_warnings():
+        # loadtxt warns of a file with no rows.
+        warnings.simplefilter("ignore", UserWarning)
+        rows = np.loadtxt(
+            str(path), dtype=dtype, delimiter=",", quotechar='"', comments=None,
+            skiprows=1, usecols=where, ndmin=1, encoding=CSV_ENCODING,
+            converters={where[0]: exp_codes.__getitem__},
+        )
+    if _has_line_end(exp_codes):
+        raise ValueError("an id holds a line end")
+    parsed = {name: rows[name] for name in ["code", *columns[1:]]}
+    return None, {"exp_codes": exp_codes, **parsed}, None, {}
 
 
 def _csv_chunks(handle, where: list[int], columns: Sequence[str]):
     """The rows left in an open table, RAW_BLOCK_ROWS at a time, read with
     Python's csv, int and float parsers: (line of the chunk's first row,
-    columns by name, their texts, mask of the values of each number
-    column that do not parse) per chunk. Lines are counted as
-    csv.DictReader counts them, without blank lines; a missing field
-    reads as None."""
+    columns by name with each row's experiment code and the codes of the
+    ids so far, their texts, mask of the values of each number column
+    that do not parse) per chunk. Lines are counted as csv.DictReader
+    counts them, without blank lines; a missing field reads as None."""
     width = max(where) + 1
     rows = filter(None, csv.reader(handle))
+    exp_codes = _Codes()
     line = 2
     while block := list(islice(rows, RAW_BLOCK_ROWS)):
         if min(map(len, block)) < width:
             block = [row + [None] * (width - len(row)) for row in block]
         fields = list(zip(*block))
         texts = {name: fields[i] for name, i in zip(columns, where)}
-        parsed = {columns[0]: np.array(texts[columns[0]], object)}
+        ids = texts[columns[0]]
+        codes = np.fromiter(map(exp_codes.__getitem__, ids), np.intp, len(ids))
+        parsed = {columns[0]: ids, "exp_codes": exp_codes, "code": codes}
         bad = {}
         for name, kind in zip(columns[1:], [int] + [float] * (len(columns) - 2)):
             parsed[name], bad[name] = _parse_column(texts[name], kind)
@@ -272,46 +300,52 @@ def _read_table(path: Path, columns: Sequence[str], checks: Sequence
     what earlier chunks held. ``message`` is formatted with the failing
     row's columns.
 
-    numpy's C reader parses the file a chunk at a time. A file it cannot
-    parse, or with a row that fails a check, is read again by a reader
-    built on Python's csv, float and int parsers, the one that defines
-    what the file means: it raises ``InputDataError`` for the earliest bad
-    row, naming its line, where blank lines are not counted, as
+    The fast path parses the whole file with one call of numpy's C reader
+    (``_loadtxt_table``) and checks it as one chunk, so it holds the file's
+    parsed rows at once: ``plumecpd ingest`` of a 400,000-row raw.csv
+    (21.9 MB) peaks at about 80 MB of resident memory. A file that path
+    cannot read as the csv reader would, or with a row that fails a
+    check, is read again, RAW_BLOCK_ROWS rows at a time, by a reader built
+    on Python's csv, float and int parsers, the one that defines what the
+    file means: it raises ``InputDataError`` for the earliest bad row,
+    naming its line, where blank lines are not counted, as
     ``csv.DictReader`` counts; within a row the first failing check wins.
+    Bytes that are not valid text raise ``InputDataError`` naming the file.
     """
-    try:
-        return _scan_table(path, columns, checks, _loadtxt_chunks)
-    except ValueError:
-        return _scan_table(path, columns, checks, _csv_chunks)
+    with _open_csv(path) as handle, _decoding(path):
+        header = next(csv.reader(handle), [])
+        where = _header_columns(path, header, columns)
+        try:
+            return _scan_table(path, columns, checks, [_loadtxt_table(path, header, where, columns)])
+        except ValueError:
+            # The handle is still at the first data row.
+            return _scan_table(path, columns, checks, _csv_chunks(handle, where, columns))
 
 
-def _scan_table(path: Path, columns: Sequence[str], checks: Sequence, chunks):
-    """``_read_table`` over the chunks that ``chunks`` yields. A failing
-    check raises ValueError for a chunk with no line, and otherwise
-    ``InputDataError`` for the earliest bad row."""
-    exp_codes: dict = {}
+def _scan_table(path: Path, columns: Sequence[str], checks: Sequence, chunks: Iterable):
+    """``_read_table`` over ``chunks``. A failing check raises ValueError
+    for a chunk with no line, and otherwise ``InputDataError`` for the
+    earliest bad row."""
     blocks = [[np.empty(0, np.intp), np.empty(0, int)] + [np.empty(0)] * (len(columns) - 2)]
-    table: dict = {"exp_codes": exp_codes}
-    with _open_csv(path) as handle:
-        where = _header_columns(path, handle, columns)
-        for line, parsed, texts, bad in chunks(handle, where, columns):
-            table.update(parsed, code=_experiment_codes(parsed[columns[0]], exp_codes))
-            masks = [bad.get(check) if isinstance(check, str) else check[0](table) for check in checks]
-            firsts = [(int(np.argmax(mask)), order) for order, mask in enumerate(masks)
-                      if mask is not None and mask.any()]
-            if firsts and line is None:
-                raise ValueError("a row fails a check")
-            if firsts:
-                i, order = min(firsts)
-                check = checks[order]
-                if isinstance(check, str):
-                    problem = f"bad {check} value {texts[check][i]!r}"
-                else:
-                    problem = check[1].format(**{name: table[name][i] for name in columns})
-                raise InputDataError(f"{path}:{line + i}: {problem}")
-            blocks.append([table["code"], *(parsed[name] for name in columns[1:])])
+    table: dict = {"exp_codes": {}}
+    for line, parsed, texts, bad in chunks:
+        table.update(parsed)
+        masks = [bad.get(check) if isinstance(check, str) else check[0](table) for check in checks]
+        firsts = [(int(np.argmax(mask)), order) for order, mask in enumerate(masks)
+                  if mask is not None and mask.any()]
+        if firsts and line is None:
+            raise ValueError("a row fails a check")
+        if firsts:
+            i, order = min(firsts)
+            check = checks[order]
+            if isinstance(check, str):
+                problem = f"bad {check} value {texts[check][i]!r}"
+            else:
+                problem = check[1].format(**{name: table[name][i] for name in columns})
+            raise InputDataError(f"{path}:{line + i}: {problem}")
+        blocks.append([table["code"], *(parsed[name] for name in columns[1:])])
     codes, pass_index, *floats = (np.concatenate(parts) for parts in zip(*blocks))
-    return list(exp_codes), codes, pass_index, floats
+    return list(table["exp_codes"]), codes, pass_index, floats
 
 
 def _repeated_pairs(table: dict) -> np.ndarray:
@@ -368,31 +402,64 @@ _PASS_CHECKS = [
 ]
 
 
-def read_raw_samples(path: Path) -> dict[str, dict[int, np.ndarray]]:
-    """Raw analyzer samples grouped by experiment and pass, time-ordered.
+@dataclass(frozen=True)
+class RawTable:
+    """The passes of raw.csv, sorted by experiment id, then pass index.
 
-    Each pass is a RAW_SAMPLE_DTYPE array view, its samples in time order
-    (ties keep file order). Rows are read and checked as ``_read_table``
-    describes: a bad row raises ``InputDataError`` naming its line.
+    ``experiment_ids`` lists the experiment ids in sorted order. Per pass,
+    ``experiment`` holds its id's position in that list, ``pass_index``
+    its index and ``lengths`` its sample count. ``samples``
+    (RAW_SAMPLE_DTYPE) holds the passes' samples one pass after another,
+    each pass's in time order (ties keep file order).
+    """
+
+    experiment_ids: list[str]
+    experiment: np.ndarray
+    pass_index: np.ndarray
+    lengths: np.ndarray
+    samples: np.ndarray
+
+    def values(self) -> list[dict[int, np.ndarray]]:
+        """Per experiment, in ``experiment_ids`` order, its passes' samples
+        by pass index, as views of ``samples``."""
+        stops = np.cumsum(self.lengths)
+        grouped: list[dict[int, np.ndarray]] = [{} for _ in self.experiment_ids]
+        for code, index, start, stop in zip(
+            self.experiment.tolist(), self.pass_index.tolist(),
+            (stops - self.lengths).tolist(), stops.tolist(),
+        ):
+            grouped[code][index] = self.samples[start:stop]
+        return grouped
+
+
+def read_raw_samples(path: Path) -> RawTable:
+    """Raw analyzer samples as one table of passes.
+
+    Rows are read and checked as ``_read_table`` describes, the whole file
+    at once on its fast path: a bad row raises ``InputDataError`` naming
+    its line.
     """
     names, codes, pass_index, floats = _read_table(path, RAW_COLUMNS, _RAW_CHECKS)
-    if not codes.size:
-        return {}
+    # Renumber the codes to the experiments' sorted order.
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), np.intp)
+    rank[by_name] = np.arange(len(names))
+    codes = rank[codes]
     order = np.lexsort((floats[0], pass_index, codes))
     samples = np.empty(order.size, RAW_SAMPLE_DTYPE)
     for name, values in zip(RAW_SAMPLE_DTYPE.names, floats):
         samples[name] = values[order]
     codes, pass_index = codes[order], pass_index[order]
-    starts = np.flatnonzero(
-        np.r_[True, (codes[1:] != codes[:-1]) | (pass_index[1:] != pass_index[:-1])]
+    new_pass = np.ones(order.size, bool)
+    new_pass[1:] = (codes[1:] != codes[:-1]) | (pass_index[1:] != pass_index[:-1])
+    starts = np.flatnonzero(new_pass)
+    return RawTable(
+        experiment_ids=[names[i] for i in by_name],
+        experiment=codes[starts],
+        pass_index=pass_index[starts],
+        lengths=np.diff(np.r_[starts, order.size]),
+        samples=samples,
     )
-    stops = np.r_[starts[1:], order.size]
-    grouped: dict[str, dict[int, np.ndarray]] = {}
-    for start, stop, code, index in zip(
-        starts.tolist(), stops.tolist(), codes[starts].tolist(), pass_index[starts].tolist()
-    ):
-        grouped.setdefault(names[code], {})[index] = samples[start:stop]
-    return grouped
 
 
 @dataclass(frozen=True)

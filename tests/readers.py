@@ -8,6 +8,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from plumecpd.dataio import (
     INSTANCE_COLUMNS,
     PASS_REPORT_COLUMNS,
@@ -15,6 +17,7 @@ from plumecpd.dataio import (
     _open_rows,
     _parse_float,
     _parse_int,
+    read_raw_samples,
 )
 from plumecpd.detector import PassReport
 from plumecpd.errors import InputDataError
@@ -79,3 +82,10 @@ def read_report_csv(path: Path) -> list[dict]:
             )
         rows.append(parsed)
     return rows
+
+
+def read_raw_grouped(path: Path) -> dict[str, dict[int, np.ndarray]]:
+    """raw.csv's samples by experiment id, then pass index: each pass a
+    view of the ``RawTable`` that ``read_raw_samples`` returns."""
+    table = read_raw_samples(path)
+    return dict(zip(table.experiment_ids, table.values()))

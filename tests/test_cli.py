@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gzip
 import io
 import json
 import math
@@ -119,6 +120,33 @@ class TestIngest:
         out = tmp_path / "passes.csv"
         assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 2
         assert "raw.csv:3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "rows, rc, message",
+        [
+            # An earlier experiment's overflow wins over a later one's short
+            # pass, or over a later one's missing met row.
+            (["5,1,0.0,2.0,3.0,90"], 1, "experiment '4' pass 1: cross-plume integral overflows"),
+            (["9,1,0.0,2.0,3.0,90", "9,1,0.5,2.1,3.0,90"], 1, "experiment '4' pass 1: cross-plume integral overflows"),
+            # An earlier experiment's missing met row wins over a later overflow.
+            (["3,1,0.0,2.0,3.0,90", "3,1,0.5,2.1,3.0,90"], 2, "no met row for experiment '3'"),
+            # Within one experiment, a pass with non-increasing times wins
+            # over an overflow in an earlier pass, as does a short pass.
+            (["4,2,0.0,2.0,3.0,90", "4,2,0.0,2.1,3.0,90"], 2, "experiment '4' pass 2: non-increasing sample times"),
+            (["4,3,0.0,2.0,3.0,90"], 2, "experiment '4' pass 3: need at least 2 samples"),
+        ],
+        ids=["short-after", "no-met-after", "no-met-before", "unordered-within", "short-within"],
+    )
+    def test_first_error_across_experiments(self, tmp_path, capsys, rows, rc, message):
+        met = tmp_path / "met.csv"
+        met.write_text(MET_HEADER + "\n" + MET_ROW_4 + "\n5" + MET_ROW_4[1:] + "\n")
+        raw = tmp_path / "raw.csv"
+        # Experiment 4's pass 1 overflows; the rows of the case follow it.
+        raw.write_text("\n".join([RAW_HEADER, "4,1,0.0,1e308,1e300,90", "4,1,1.0,0.0,1e300,90", *rows]) + "\n")
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met), "--out", str(out)]) == rc
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("pressure", ["0", "-1", "nan", "inf"])
@@ -246,19 +274,29 @@ FLOAT_RESPELLINGS = [
 PASS_INDEX_RESPELLINGS = [lambda text: text + ".0", lambda text: "+" + text, lambda text: f" {text} "]
 
 
+def csv_line(cells: list, line_end: str, quoting: int = csv.QUOTE_MINIMAL) -> str:
+    """One CSV row ending in ``line_end``; a field holding CR or LF is
+    quoted whatever the line end."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\r\n", quoting=quoting).writerow(cells)
+    return text.getvalue()[:-2] + line_end
+
+
 @st.composite
 def raw_campaigns(draw):
     """A raw.csv text, the temperature per experiment and the parse block size.
 
     Several experiments and passes, rows in shuffled order, oblique road
     angles, subnormal mixing ratios, blank lines, an extra column, a
-    quoted header, LF, CRLF or CR line ends, numbers spelled in ways numpy
-    and Python may parse differently, and sometimes one corrupted,
-    truncated or duplicated row.
+    quoted header, ids and a header name holding a line end, LF, CRLF or
+    CR line ends, numbers spelled in ways numpy and Python may parse
+    differently, and sometimes one corrupted, truncated or duplicated row.
     """
     temperature = {}
     rows = []
-    for exp in draw(st.lists(st.sampled_from(["4", "A", "x 9", "exp,2", 'q"x']), min_size=1, max_size=3, unique=True)):
+    ids = ["4", "A", "x 9", "exp,2", 'q"x', "E\n1", "E\r\n1", "E\r1"]
+    note = draw(st.sampled_from(["note", "no\nte", "no\r\nte", "no\rte"]))
+    for exp in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3, unique=True)):
         temperature[exp] = draw(st.floats(250.0, 320.0))
         for pass_index in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True)):
             t = draw(st.floats(0.0, 100.0))
@@ -273,7 +311,7 @@ def raw_campaigns(draw):
                 rows.append({
                     "experiment_id": exp, "pass_index": str(pass_index), "time_s": repr(t),
                     "mixing_ratio_ppm": repr(ppm), "vehicle_speed_mps": repr(speed),
-                    "road_angle_deg": angle, "note": "n",
+                    "road_angle_deg": angle, note: "n",
                 })
     rows = draw(st.permutations(rows))
     respell = draw(st.booleans())
@@ -294,17 +332,16 @@ def raw_campaigns(draw):
         rows.insert(i, row)
         if fault != "duplicate":
             del rows[i + 1]
-    columns = draw(st.permutations(RAW_HEADER.split(",") + ["note"]))
+    columns = draw(st.permutations(RAW_HEADER.split(",") + [note]))
     line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     buffer = io.StringIO()
     header_quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
-    csv.writer(buffer, lineterminator=line_end, quoting=header_quoting).writerow(columns)
-    writer = csv.writer(buffer, lineterminator=line_end)
+    buffer.write(csv_line(columns, line_end, header_quoting))
     for row in rows:
         cells = [row[c] for c in columns]
         if fault == "short" and row is rows[i]:
             cells = cells[: draw(st.integers(1, len(cells) - 1))]
-        writer.writerow(cells)
+        buffer.write(csv_line(cells, line_end))
         if draw(st.integers(0, 9)) == 0:
             buffer.write(line_end)
     return buffer.getvalue(), temperature, draw(st.sampled_from([1, 2, 5, dataio.RAW_BLOCK_ROWS]))
@@ -315,12 +352,9 @@ def run_ingest(raw_text: str, temperature: dict, pressure: str = "101325.0"):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "raw.csv").write_text(raw_text)
-        met = io.StringIO()
-        writer = csv.writer(met, lineterminator="\n")
-        writer.writerow(MET_HEADER.split(","))
-        for exp, t in temperature.items():
-            writer.writerow([exp, 30, 2.72, 1.15, 0.30, 0.24, repr(t)])
-        (tmp / "met.csv").write_text(met.getvalue())
+        met = [csv_line(MET_HEADER.split(","), "\n")]
+        met += [csv_line([exp, 30, 2.72, 1.15, 0.30, 0.24, repr(t)], "\n") for exp, t in temperature.items()]
+        (tmp / "met.csv").write_text("".join(met))
         out = tmp / "passes.csv"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -333,7 +367,7 @@ def run_ingest(raw_text: str, temperature: dict, pressure: str = "101325.0"):
             expected = oracles.ingest_passes_csv(tmp / "raw.csv", temperature, float(pressure))
         except InputDataError as exc:
             expected_error = f"error: {exc}\n"
-        written = out.read_text() if out.exists() else None
+        written = out.read_bytes().decode() if out.exists() else None
     return rc, err.getvalue(), written, expected, expected_error
 
 
@@ -369,6 +403,55 @@ class TestIngestMatchesRowReader:
         else:
             assert f"raw.csv:{bad_line}: road angle" in err
             assert (rc, err, written) == (2, expected_error, None)
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are bad input: exit 2, naming the file."""
+
+    @pytest.mark.parametrize("where", ["id", "header", "gzip", "row 5000"])
+    def test_raw(self, tmp_path, met_csv, capsys, where):
+        rows = [f"4,{1 + i // 40},{0.5 * i!r},2.0,3.0,90".encode() for i in range(6000)]
+        header = RAW_HEADER.encode() + (b",not\xe9" if where == "header" else b"")
+        if where in ("id", "row 5000"):
+            i = 0 if where == "id" else 4998
+            rows[i] = b"4\xe9" + rows[i][1:]
+        text = b"\n".join([header, *rows]) + b"\n"
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(gzip.compress(text) if where == "gzip" else text)
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {raw}: 'utf-8' codec can't decode byte")
+        assert not out.exists()
+
+    def test_passes(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        passes.write_bytes(b"experiment_id,pass_index,cy_g_per_m2\n4,1,0.5\n4\xe9,2,0.5\n")
+        out = tmp_path / "cal.json"
+        argv = ["calibrate", "--passes", str(passes), "--met", str(met_csv), "--q-true", "0.083", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {passes}: 'utf-8' codec can't decode byte")
+        assert not out.exists()
+
+    def test_met(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(RAW_HEADER + "\n4,1,0.0,2.0,3.0,90\n4,1,0.5,2.1,3.0,90\n")
+        met = tmp_path / "met.csv"
+        met.write_bytes(MET_HEADER.encode() + b"\n" + MET_ROW_4.encode() + b"\n5\xe9" + MET_ROW_4[1:].encode() + b"\n")
+        out = tmp_path / "passes.csv"
+        assert main(["ingest", "--raw", str(raw), "--met", str(met), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {met}: 'utf-8' codec can't decode byte")
+        assert not out.exists()
+
+    def test_config(self, tmp_path, met_csv, capsys):
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.007] * 4)
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"sigma_e": 0.001, "dq": "\xe9"}')
+        out = tmp_path / "o"
+        rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: 'utf-8' codec can't decode byte")
+        assert not (out / "passes_report.csv").exists()
 
 
 class TestCalibrate:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -30,7 +31,13 @@ from plumecpd.errors import InputDataError
 from plumecpd.inference import QGrid, uniform_prior
 from plumecpd.metrics import PerformanceReport
 from plumecpd.synthesis import ExperimentRecord, synthesize_batch
-from readers import read_events_json, read_instances_csv, read_pass_reports_csv, read_report_csv
+from readers import (
+    read_events_json,
+    read_instances_csv,
+    read_pass_reports_csv,
+    read_raw_grouped,
+    read_report_csv,
+)
 
 
 RAW_HEADER = "experiment_id,pass_index,time_s,mixing_ratio_ppm,vehicle_speed_mps,road_angle_deg"
@@ -48,7 +55,13 @@ class TestReadRawSamples:
             + "e1,2,0.0,1.9,3.0,90\n"
             + "e2,1,0.0,2.3,3.0,45\n"
         )
-        grouped = read_raw_samples(path)
+        table = read_raw_samples(path)
+        assert table.experiment_ids == ["e1", "e2"]
+        assert table.experiment.tolist() == [0, 0, 1]
+        assert table.pass_index.tolist() == [1, 2, 1]
+        assert table.lengths.tolist() == [2, 1, 1]
+        assert table.samples["time_s"].tolist() == [0.1, 0.2, 0.0, 0.0]
+        grouped = read_raw_grouped(path)
         assert sorted(grouped) == ["e1", "e2"]
         assert sorted(grouped["e1"]) == [1, 2]
         times = grouped["e1"][1]["time_s"].tolist()
@@ -62,7 +75,7 @@ class TestReadRawSamples:
             "e1,1,0.0,2.0,3.0,90\n"
             "e1,1,0.5,1.0,3.0,45\n"
         )
-        samples = read_raw_samples(path)["e1"][1]
+        samples = read_raw_grouped(path)["e1"][1]
         assert samples.dtype == RAW_SAMPLE_DTYPE
         assert len(samples) == 3
         assert samples.tolist() == [(0.0, 2.0, 3.0, 90.0), (0.5, 3.0, 3.0, 90.0), (0.5, 1.0, 3.0, 45.0)]
@@ -70,7 +83,10 @@ class TestReadRawSamples:
     def test_empty_file_body_gives_no_experiments(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "\n\n")
-        assert read_raw_samples(path) == {}
+        table = read_raw_samples(path)
+        assert table.experiment_ids == [] and table.samples.size == 0
+        assert table.experiment.size == table.pass_index.size == table.lengths.size == 0
+        assert read_raw_grouped(path) == {}
 
     def test_line_numbers_skip_blank_lines(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -104,7 +120,7 @@ class TestReadRawSamples:
         path = tmp_path / "raw.csv"
         rows = [f"e{i % 2},{1 + i % 3},{0.1 * (20 - i)!r},2.0,3.0,90" for i in range(20)]
         path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n")
-        grouped = read_raw_samples(path)
+        grouped = read_raw_grouped(path)
         assert sum(len(s) for passes in grouped.values() for s in passes.values()) == 20
         for passes in grouped.values():
             for samples in passes.values():
@@ -119,10 +135,10 @@ class TestReadRawSamples:
         path = tmp_path / "raw.csv"
         rows = [f"e{i % 2},{1 + i % 3},{0.1 * (20 - i)!r},2.0,3.0,{45 + i}" for i in range(20)]
         path.write_text(RAW_HEADER + "\r\n" + "\r\n".join(rows[:9] + ["", ""] + rows[9:]) + "\r\n")
-        with mock.patch.object(dataio, "_loadtxt_chunks", side_effect=ValueError("not parsed")):
-            expected = read_raw_samples(path)
+        with mock.patch.object(dataio, "_loadtxt_table", side_effect=ValueError("not parsed")):
+            expected = read_raw_grouped(path)
         with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
-            grouped = read_raw_samples(path)
+            grouped = read_raw_grouped(path)
         assert list(grouped) == list(expected) == ["e0", "e1"]
         for exp, passes in expected.items():
             assert {k: v.tolist() for k, v in grouped[exp].items()} == {k: v.tolist() for k, v in passes.items()}
@@ -131,7 +147,7 @@ class TestReadRawSamples:
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "\n" + "e1,\u0662,1_0.5,2.0,3.0,90\n" + "e1,2,\uff11\uff12,2.0,3.0,90\n")
         with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
-            samples = read_raw_samples(path)["e1"][2]
+            samples = read_raw_grouped(path)["e1"][2]
         assert diagnostic.called
         assert samples.tolist() == [(10.5, 2.0, 3.0, 90.0), (12.0, 2.0, 3.0, 90.0)]
 
@@ -139,7 +155,7 @@ class TestReadRawSamples:
         # Python's int() defines the file, as it does for passes.csv.
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "\n" + "e1,99999999999999999999,0.0,2.0,3.0,90\n" + "e1,1,0.5,2.0,3.0,90\n")
-        assert list(read_raw_samples(path)["e1"]) == [1, 99999999999999999999]
+        assert list(read_raw_grouped(path)["e1"]) == [1, 99999999999999999999]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -168,6 +184,60 @@ class TestReadRawSamples:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputDataError):
             read_raw_samples(tmp_path / "nope.csv")
+
+    def test_clean_file_is_parsed_in_one_call_on_its_path(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = [f"e{i % 3},{1 + i % 5},{0.5 * i!r},2.0,3.0,90" for i in range(3 * dataio.RAW_BLOCK_ROWS + 7)]
+        path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n")
+        with (
+            mock.patch.object(dataio.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
+            mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")),
+        ):
+            table = read_raw_samples(path)
+        assert loadtxt.call_count == 1
+        assert loadtxt.call_args.args[0] == str(path)
+        assert type(loadtxt.call_args.args[0]) is str
+        assert table.lengths.sum() == len(rows)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_name_numpy_would_decompress_reads_as_plain_text(self, tmp_path, suffix):
+        text = RAW_HEADER + "\n" + "e1,1,0.2,2.1,3.0,90\n" + "e1,1,0.1,2.0,3.0,45\n" + "e2,1,0.0,2.3,3.0,90\n"
+        plain, named = tmp_path / "raw.csv", tmp_path / f"raw.csv{suffix}"
+        plain.write_text(text)
+        named.write_text(text)
+        expected = read_raw_grouped(plain)
+        got = read_raw_grouped(named)
+        assert list(got) == list(expected) == ["e1", "e2"]
+        for exp, passes in expected.items():
+            assert {k: v.tolist() for k, v in got[exp].items()} == {k: v.tolist() for k, v in passes.items()}
+
+    @pytest.mark.parametrize("exp_id", ["E\n1", "E\r\n1", "E\r1"])
+    def test_id_holding_a_line_end_keeps_it(self, tmp_path, exp_id):
+        path = tmp_path / "raw.csv"
+        rows = [f'"{exp_id}",1,0.0,2.0,3.0,90', "E,1,0.5,2.0,3.0,90", f'"{exp_id}",1,0.5,2.5,3.0,90']
+        path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n", newline="")
+        table = read_raw_samples(path)
+        assert table.experiment_ids == ["E", exp_id]
+        assert table.lengths.tolist() == [1, 2]
+
+    def test_header_name_holding_a_line_end(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text('"no\r\nte",' + RAW_HEADER + "\n" + "x,e1,1,0.0,2.0,3.0,90\n", newline="")
+        table = read_raw_samples(path)
+        assert table.experiment_ids == ["e1"] and table.samples.tolist() == [(0.0, 2.0, 3.0, 90.0)]
+
+    @pytest.mark.parametrize("where", ["id", "header", "late row"])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, where):
+        rows = [f"e1,1,{0.5 * i!r},2.0,3.0,90".encode() for i in range(6000)]
+        header = RAW_HEADER.encode()
+        if where == "header":
+            header += b",not\xe9"
+        else:
+            rows[0 if where == "id" else 4998] = b"e\xe9" + rows[0][2:]
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"\n".join([header, *rows]) + b"\n")
+        with pytest.raises(InputDataError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+            read_raw_samples(path)
 
 
 class TestReadMet:
@@ -211,7 +281,9 @@ def outcome(read, path):
         return str(exc)
 
 
-PASS_IDS = ["e1", "e2", "4", "", " e1", '"e1"', '"e,2"', '"a""b"', "\u0662", "e\u00e9"]
+PASS_IDS = [
+    "e1", "e2", "4", "", " e1", '"e1"', '"e,2"', '"a""b"', "\u0662", "e\u00e9", '"e\n1"', '"e\r\n1"', '"e\r1"',
+]
 PASS_INDEX_TEXT = ["1", "2", "3", "01", "+2", " 3", '"2"']
 ODD_PASS_INDEX_TEXT = ["1_0", "\u0662", "\uff13", "0", "-1", "1.0", "", "99999999999999999999"]
 CY_TEXT = st.one_of(
@@ -224,10 +296,12 @@ ODD_CY_TEXT = ["nan", "inf", "-inf", "-0.5", "1_0.5", "\u0661", "0x1p3", "1d3", 
 @st.composite
 def passes_files(draw):
     """passes.csv text meant to trip a parser: columns in any order with an
-    extra one, quoted and non-ASCII ids, numbers only Python parses, bad and
-    duplicate values, short rows, blank lines and any line ending. A file
-    draws how often a value is odd, so some files are clean."""
-    columns = draw(st.permutations(["experiment_id", "pass_index", "cy_g_per_m2", "note"]))
+    extra one, quoted and non-ASCII ids, ids and a header name holding a
+    line end, numbers only Python parses, bad and duplicate values, short
+    rows, blank lines and any line ending. A file draws how often a value
+    is odd, so some files are clean."""
+    note = draw(st.sampled_from(["note", '"no\nte"', '"no\r\nte"', '"no\rte"']))
+    columns = draw(st.permutations(["experiment_id", "pass_index", "cy_g_per_m2", note]))
     if draw(st.integers(0, 19)) == 0:
         columns = columns[1:]
     odd = draw(st.sampled_from([0, 0, 1, 3]))
@@ -244,7 +318,7 @@ def passes_files(draw):
             "cy_g_per_m2": draw(
                 st.sampled_from(ODD_CY_TEXT) if draw(st.integers(0, 19)) < odd else CY_TEXT
             ),
-            "note": draw(st.sampled_from(["", "x"])),
+            note: draw(st.sampled_from(["", "x"])),
         }
         row = [fields[c] for c in columns]
         if draw(st.integers(0, 39)) < odd:
@@ -349,7 +423,7 @@ class TestPassesRoundTrip:
         path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + "\n".join(lines) + "\n")
         with pytest.raises(InputDataError, match=rf"passes\.csv:{n + 3}: duplicate pass_index 7 for experiment '4'"):
             read_passes(path)
-        # Without the repeat, both chunks read on the fast path.
+        # Without the repeat, the file reads on the fast path.
         path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + "\n".join(lines[:-2]) + "\n")
         with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
             grouped = read_passes(path)
@@ -367,6 +441,12 @@ class TestPassesRoundTrip:
             with pytest.raises(InputDataError, match=r"passes\.csv:4: duplicate pass_index 10 for"):
                 read_passes(path)
         assert diagnostic.called
+
+    @pytest.mark.parametrize("name", ["passes.gz", "passes.csv.bz2", "passes.xz", "passes.lzma"])
+    def test_name_numpy_would_decompress_reads_as_plain_text(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_text("experiment_id,pass_index,cy_g_per_m2\ne1,2,0.5\ne2,1,1e-3\ne1,1,0.25\n")
+        assert read_passes(path) == {"e1": [(1, 0.25), (2, 0.5)], "e2": [(1, 1e-3)]}
 
     def test_empty_body_gives_no_experiments(self, tmp_path):
         path = tmp_path / "passes.csv"
