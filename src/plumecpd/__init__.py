@@ -17,14 +17,8 @@ from .errors import (
 )
 from .inference import (
     DEFAULT_GRID,
-    EmissionPosterior,
-    LikelihoodConfig,
     QGrid,
     estimate_sigma_e,
-    grid_integrate,
-    posterior_mean_std,
-    posterior_mode,
-    uniform_prior,
 )
 from .metrics import (
     PerformanceReport,
@@ -35,12 +29,10 @@ from .metrics import (
 from .surrogate import (
     make_surrogate_experiment,
     make_unit_forward_experiment,
-    stratified_lognormal_series,
 )
 from .synthesis import (
     ExperimentRecord,
     SignalStats,
-    instance_rng,
     signal_stats,
     synthesize_batch,
 )
@@ -68,13 +60,11 @@ __all__ = [
     "DetectionError",
     "DetectionEvent",
     "DetectorConfig",
-    "EmissionPosterior",
     "ExperimentRecord",
     "ForwardModel",
     "Geometry",
     "InputDataError",
     "InsufficientDataError",
-    "LikelihoodConfig",
     "MeasurementIncompatibleError",
     "MetSummary",
     "PassReport",
@@ -91,16 +81,10 @@ __all__ = [
     "estimate_sigma_e",
     "evaluate_cell",
     "forward_concentration",
-    "grid_integrate",
-    "instance_rng",
     "make_surrogate_experiment",
     "make_unit_forward_experiment",
-    "posterior_mean_std",
-    "posterior_mode",
     "ppm_to_mass_concentration",
     "score_first_alarms",
     "signal_stats",
-    "stratified_lognormal_series",
     "synthesize_batch",
-    "uniform_prior",
 ]

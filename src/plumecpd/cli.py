@@ -30,7 +30,7 @@ from . import dataio
 from .bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD, PredictiveMethod
 from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
-from .inference import DEFAULT_GRID, QGrid, estimate_sigma_e, posterior_mean_std, posterior_mode
+from .inference import DEFAULT_GRID, QGrid, built_summaries, estimate_sigma_e
 from .metrics import evaluate_cell
 from .synthesis import signal_stats, synthesize_batch
 from .transport import (
@@ -259,9 +259,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
         )
         report_rows += [(exp_id, r) for r in reports]
         for event in events:
-            mean, std = posterior_mean_std(event.pre_change_posterior)
-            mode = posterior_mode(event.pre_change_posterior)
-            event_rows.append((exp_id, event, mode, std))
+            # detect_series has checked the row: it is the previous pass's
+            # report row, or the flat prior.
+            row = np.array(event.pre_change_row)[:, np.newaxis]
+            modes, _, stds, _, _ = built_summaries(cfg.grid, *row)
+            event_rows.append((exp_id, event, float(modes[0]), float(stds[0])))
     dataio.write_events_json(out_dir / "events.json", event_rows)
     dataio.write_pass_reports_csv(out_dir / "passes_report.csv", report_rows)
     return 0

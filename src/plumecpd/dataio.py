@@ -114,23 +114,39 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# The encoding of every file the package writes, and of every CSV file it reads.
+CSV_ENCODING = "utf-8"
+
+
 def atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    a half-written file and interrupted runs can be resumed. A failure
-    is raised naming ``path`` and leaves no temp file behind."""
+    """Write ``text`` in ``CSV_ENCODING`` via a sibling temp file and
+    rename, so readers never see a half-written file and interrupted runs
+    can be resumed. Any failure leaves no temp file behind; an ``OSError``
+    is raised naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        tmp.write_text(text, encoding=CSV_ENCODING)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         # Where the temp file could not be made, removing it fails too.
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
-# The encoding of every CSV file the package reads.
-CSV_ENCODING = "utf-8"
+class _CsvIds(dict):
+    """Experiment ids as CSV fields, each quoted once, as csv's minimal
+    quoting does: in double quotes, with each quote doubled, where it holds
+    a comma, a double quote, CR or LF, and as it is otherwise."""
+
+    def __missing__(self, exp_id: str) -> str:
+        field = exp_id
+        if any(c in exp_id for c in ',"\r\n'):
+            field = '"' + exp_id.replace('"', '""') + '"'
+        self[exp_id] = field
+        return field
 
 
 def _open_csv(path: Path):
@@ -546,18 +562,20 @@ def experiments_from_passes(
 
 
 def write_passes_csv(path: Path, rows: Iterable[tuple[str, int, float]]) -> None:
+    ids = _CsvIds()
     lines = [",".join(PASS_COLUMNS)]
-    lines += [f"{exp},{idx},{_fmt(cy)}" for exp, idx, cy in rows]
+    lines += [f"{ids[exp]},{idx},{_fmt(cy)}" for exp, idx, cy in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_pass_reports_csv(path: Path, rows: Iterable[tuple[str, PassReport]]) -> None:
+    ids = _CsvIds()
     lines = [",".join(PASS_REPORT_COLUMNS)]
     for exp, r in rows:
         lines.append(
             ",".join(
                 [
-                    exp,
+                    ids[exp],
                     str(r.pass_index),
                     _fmt(r.cy_g_per_m2),
                     _fmt(r.changepoint_probability),
@@ -590,16 +608,19 @@ def write_instances_csv(path: Path, batches: Iterable[tuple[str, float, np.ndarr
     """Every pass of (experiment id, lrr, instances) batches, the instances
     numbered from 0 as the rows of a ``synthesize_batch`` array: 2N passes
     each, the change after pass N."""
+    ids = _CsvIds()
     lines = [",".join(INSTANCE_COLUMNS)]
     for exp, lrr, instances in batches:
         n = instances.shape[1] // 2
+        field = ids[exp]
         for index, series in enumerate(instances):
             for k, cy in enumerate(series, start=1):
-                lines.append(f"{exp},{_fmt(lrr)},{index},{k},{_fmt(cy)},{int(k > n)}")
+                lines.append(f"{field},{_fmt(lrr)},{index},{k},{_fmt(cy)},{int(k > n)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_report_csv(path: Path, rows: Iterable[dict]) -> None:
+    ids = _CsvIds()
     lines = [",".join(REPORT_COLUMNS)]
     for row in rows:
         cells = []
@@ -608,7 +629,7 @@ def write_report_csv(path: Path, rows: Iterable[dict]) -> None:
             if value is None:
                 cells.append("")
             elif isinstance(value, str):
-                cells.append(value)
+                cells.append(ids[value])
             elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
                 cells.append(str(value))
             else:

@@ -18,8 +18,9 @@ also checks the full-run row.
 ``detect_series`` runs one stream to its end. It summarizes a block's
 pass reports together from their full-run rows' (A, mode, log Z) with
 ``inference.summarize_rows``, which builds a row on the grid only where
-the closed form cannot stand in for it. An event's row is built at its
-alarm, and a fresh state starts at the next pass. ``first_alarms``
+the closed form cannot stand in for it, and raises the first failing
+row's reason. An event keeps its row as (A, mode, log Z), unbuilt, and
+a fresh state starts at the next pass. ``first_alarms``
 serves Monte Carlo scoring, which needs only each stream's first alarm:
 it advances a whole block of equal-length streams in lockstep, never
 builds a row, drops a stream at its first alarm and never takes the
@@ -41,16 +42,13 @@ from .bocd import (
     RunLengthState,
     block_passes,
 )
-from .errors import DetectionError, MeasurementIncompatibleError
+from .errors import DetectionError
 from .inference import (
     DEFAULT_GRID,
     NEGATIVE_CONCENTRATION,
-    EmissionPosterior,
     LikelihoodConfig,
     QGrid,
-    conjugate_posterior,
     summarize_rows,
-    uniform_prior,
 )
 from .transport import ForwardModel
 
@@ -88,11 +86,14 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class DetectionEvent:
-    """A threshold crossing, keeping the last pre-change rate posterior."""
+    """A threshold crossing, keeping the last pre-change rate posterior as
+    its row (A, mode, log Z): the full-run row after the previous pass, or
+    the flat prior (0, 0, log(q_max - q_min)) at the first pass after a
+    reset."""
 
     pass_index: int
     changepoint_probability: float
-    pre_change_posterior: EmissionPosterior
+    pre_change_row: tuple[float, float, float]
     regime_index: int
 
 
@@ -137,18 +138,16 @@ def detect_series(
         raise ValueError("need one pass index per pass")
 
     grid = cfg.grid
-    flat = uniform_prior(grid)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = RunLengthState(1, cys.size, grid)
-    # (A, mode, log Z) of the full-run row after the last pass taken; None
-    # for the flat prior.
-    last = None
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
     start = 0
     while start < cys.size:
         stop = min(start + block_passes(1, state.k), cys.size)
+        # The full-run row before the block, the flat prior in a fresh state.
+        before = (float(state.precision[0]), float(state.mode[0, 0]), float(state.log_mass[0, 0]))
         try:
             steps = state.advance(
                 cys[np.newaxis, start:stop], fms[start:stop], lik_cfg, cfg.lam,
@@ -162,12 +161,10 @@ def detect_series(
         # A pass that failed has no row to report.
         built = done - 1 if failure is not None else done
         rows = steps.precision[:built], steps.mode[0, :built], steps.log_mass[0, :built]
-        modes, means, stds, good = summarize_rows(grid, *rows)
-        if good < built:
-            try:  # raises the row's error
-                conjugate_posterior(grid, *(row[good] for row in rows))
-            except (MeasurementIncompatibleError, ValueError) as exc:
-                raise DetectionError(f"pass {pass_indices[start + good]}: {exc}") from exc
+        modes, means, stds, bad = summarize_rows(grid, *rows)
+        if bad is not None:
+            row, reason = bad
+            raise DetectionError(f"pass {pass_indices[start + row]}: {reason}")
         for j, values in enumerate(zip(modes.tolist(), means.tolist(), stds.tolist())):
             reports.append(
                 PassReport(int(pass_indices[start + j]), float(cys[start + j]), cps[j], *values)
@@ -175,13 +172,12 @@ def detect_series(
         if failure is not None:
             raise DetectionError(f"pass {pass_indices[start + done - 1]}: {failure}")
         if steps.alarm[0]:
-            previous = last if done == 1 else tuple(row[done - 2] for row in rows)
             events.append(
                 DetectionEvent(
                     pass_index=int(pass_indices[start + done - 1]),
                     changepoint_probability=cps[done - 1],
-                    pre_change_posterior=(
-                        flat if previous is None else conjugate_posterior(grid, *previous)
+                    pre_change_row=(
+                        before if done == 1 else tuple(float(row[done - 2]) for row in rows)
                     ),
                     regime_index=len(events) + 1,
                 )
@@ -189,10 +185,7 @@ def detect_series(
             # The triggering measurement is treated as the first of the
             # new regime and is not folded into the reset state.
             state = RunLengthState(1, cys.size, grid)
-            last = None
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
-        else:
-            last = tuple(row[done - 1] for row in rows)
         start += done
     return reports, events
 

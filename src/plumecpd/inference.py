@@ -8,9 +8,12 @@ left-Riemann sum: the points q_min .. q_max - dq each carry weight dq.
 The forward map is linear (c = r q) and the noise Gaussian, so the
 posterior of any set of passes is exp(B q - A q^2 / 2) / Z on the grid,
 A = sum r^2 / sigma^2 and B = sum r c / sigma^2 (``conjugate_terms``),
-with Z the row's grid integral (``log_grid_mass``). ``summarize_rows``
-gives the mode, mean and std of such rows, from (A, B / A, log Z) alone
-for a row well inside the grid, and by building the others.
+with Z the row's grid integral (``log_grid_mass``). That is the one form
+in which the package holds a rate posterior: (A, mode, log Z), with mode
+B / A, and the flat prior (0, 0, log(q_max - q_min)). ``summarize_rows``
+gives the mode, mean and std of such rows, from (A, mode, log Z) alone
+for a row well inside the grid, and for the others by building them on
+the grid with ``built_summaries``, which also summarizes an event's row.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientDataError, MeasurementIncompatibleError
+from .errors import ConfigError, InsufficientDataError
 from .transport import ForwardModel, forward_concentration
 
 DEFAULT_Q_MIN_G_PER_S = 0.0
@@ -106,33 +109,6 @@ class QGrid:
 DEFAULT_GRID = QGrid(DEFAULT_Q_MIN_G_PER_S, DEFAULT_Q_MAX_G_PER_S, DEFAULT_DQ_G_PER_S)
 
 
-def grid_integrate(grid: QGrid, values: np.ndarray) -> float:
-    """Left-Riemann integral of grid-sampled values over [q_min, q_max]."""
-    return float(np.sum(values[:-1]) * grid.dq)
-
-
-@dataclass(frozen=True)
-class EmissionPosterior:
-    """A normalized probability density over the rate grid."""
-
-    grid: QGrid
-    density: np.ndarray = field(compare=False)
-
-    def __post_init__(self) -> None:
-        density = np.asarray(self.density, dtype=float)
-        if density.shape != self.grid.values.shape:
-            raise ValueError("density shape must match the grid")
-        if density.min() < 0:
-            raise ValueError("density must be non-negative")
-        total = grid_integrate(self.grid, density)
-        if not abs(total - 1.0) <= 1e-8:
-            raise ValueError(f"density integrates to {total!r}, not 1")
-        if density is not self.density or density.flags.writeable:
-            density = density.copy()
-            density.setflags(write=False)
-            object.__setattr__(self, "density", density)
-
-
 @dataclass(frozen=True)
 class LikelihoodConfig:
     """Gaussian measurement noise scale for integrated concentrations."""
@@ -146,12 +122,6 @@ class LikelihoodConfig:
             raise ConfigError(
                 f"sigma_e must be at least {MIN_SIGMA_E:.3g}, or 1/sigma_e**2 overflows"
             )
-
-
-def uniform_prior(grid: QGrid) -> EmissionPosterior:
-    """Flat density 1 / (q_max - q_min) at every grid point."""
-    density = np.full(grid.n_points, 1.0 / (grid.q_max - grid.q_min))
-    return EmissionPosterior(grid, density)
 
 
 def conjugate_terms(
@@ -337,47 +307,41 @@ def window_log_mass(grid: QGrid, precision: np.ndarray, mode: np.ndarray) -> np.
     return out
 
 
-def conjugate_posterior(
-    grid: QGrid, precision: float, mode: float, log_mass: float | None = None
-) -> EmissionPosterior:
-    """The rate posterior exp(-A (q - mode)^2 / 2) / Z of passes whose
-    ``conjugate_terms`` sum to (A, B) = (``precision``, A mode).
-
-    Raises ``MeasurementIncompatibleError`` when the density overflows at
-    q_max, which no integral weights, for a narrow row piled against it.
-    """
-    if log_mass is None:
-        log_mass = float(log_grid_mass(grid, precision, mode))
-    log_density = _log_density(grid.values, precision, mode, log_mass)
-    if not log_density.max() <= LOG_MAX_FLOAT:
-        raise MeasurementIncompatibleError(POSTERIOR_OVERFLOW)
-    return EmissionPosterior(grid, np.exp(log_density))
-
-
 def conjugate_densities(
     grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The densities ``conjugate_posterior`` builds for rows given as 1-D
-    arrays of (A, mode, log Z), shape (rows, n_points), and a mask of the
-    rows that pass its checks."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The densities exp(-A (q - mode)^2 / 2) / Z of rows given as 1-D
+    arrays of (A, mode, log Z), shape (rows, n_points), with each row's
+    largest log density and its left-Riemann total."""
     log_density = _log_density(
         grid.values, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
     )
     with np.errstate(over="ignore"):
         densities = np.exp(log_density)
-    # exp is never negative, and a NaN density fails the total.
     totals = np.sum(densities[:, :-1], axis=1) * grid.dq
-    good = (log_density.max(axis=1) <= LOG_MAX_FLOAT) & (np.abs(totals - 1.0) <= 1e-8)
-    return densities, good
+    return densities, log_density.max(axis=1), totals
+
+
+def built_summaries(
+    grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mode, mean and standard deviation of rows given as 1-D arrays of
+    (A, mode, log Z), each built on the grid by ``conjugate_densities``,
+    and the largest log density and total it gives each row. The mode is
+    the grid rate of highest density, the smallest on a tie."""
+    densities, peaks, totals = conjugate_densities(grid, precision, mode, log_mass)
+    means, stds = row_moments(grid, densities)
+    return grid.values[np.argmax(densities, axis=1)], means, stds, peaks, totals
 
 
 def summarize_rows(
     grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Mode, mean and standard deviation of the densities
-    ``conjugate_posterior`` builds for rows given as 1-D arrays of
-    (A, mode, log Z), and how many leading rows pass its checks; it raises
-    its error for the next row.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, str] | None]:
+    """Mode, mean and standard deviation of rows given as 1-D arrays of
+    (A, mode, log Z), as ``built_summaries`` gives them, and the first row
+    that is no density on the grid with the reason, or None: its density
+    overflows at q_max, which no integral weights, for a narrow row piled
+    against it, or its total is not 1 within 1e-8.
 
     A row on the interior path of ``log_grid_mass`` is not built. Its
     grid mean and std are its mode and A^-1/2 within 1e-13 relative: less
@@ -391,7 +355,7 @@ def summarize_rows(
         width = precision**-0.5
     interior = _interior(grid, width, mode)
     modes, means, stds = np.empty(mode.shape), mode.copy(), width.copy()
-    good = np.ones(mode.shape, dtype=bool)
+    peaks, totals = np.empty(mode.shape), np.ones(mode.shape)
     rows = np.flatnonzero(interior)
     if rows.size:
         # A row's density falls away from its mode on either side, weakly
@@ -412,16 +376,23 @@ def summarize_rows(
         modes[rows] = grid.values[nearest - 1 + first]
         # The peak is among these points. The row integrates to 1 within
         # the interior path's own error, far inside the 1e-8 check.
-        good[rows] = log_density.max(axis=1) <= LOG_MAX_FLOAT
+        peaks[rows] = log_density.max(axis=1)
         interior[rows[first == 0]] = False
     built = np.flatnonzero(~interior)
     per_batch = max(1, REPORT_BATCH_POINTS // grid.n_points)
     for lo in range(0, built.size, per_batch):
         rows = built[lo : lo + per_batch]
-        densities, good[rows] = conjugate_densities(grid, precision[rows], mode[rows], log_mass[rows])
-        means[rows], stds[rows] = row_moments(grid, densities)
-        modes[rows] = grid.values[np.argmax(densities, axis=1)]
-    return modes, means, stds, good.size if good.all() else int(np.argmin(good))
+        modes[rows], means[rows], stds[rows], peaks[rows], totals[rows] = built_summaries(
+            grid, precision[rows], mode[rows], log_mass[rows]
+        )
+    # exp is never negative, and a NaN fails the check it enters.
+    good = (peaks <= LOG_MAX_FLOAT) & (np.abs(totals - 1.0) <= 1e-8)
+    if good.all():
+        return modes, means, stds, None
+    row = int(np.argmin(good))
+    if not peaks[row] <= LOG_MAX_FLOAT:
+        return modes, means, stds, (row, POSTERIOR_OVERFLOW)
+    return modes, means, stds, (row, f"density integrates to {float(totals[row])!r}, not 1")
 
 
 def _log_density(values: np.ndarray, precision, mode, log_mass) -> np.ndarray:
@@ -431,17 +402,6 @@ def _log_density(values: np.ndarray, precision, mode, log_mass) -> np.ndarray:
     out *= -0.5 * precision
     out -= log_mass
     return out
-
-
-def posterior_mode(posterior: EmissionPosterior) -> float:
-    """Grid rate with the highest density; ties resolve to the smallest rate."""
-    return float(posterior.grid.values[int(np.argmax(posterior.density))])
-
-
-def posterior_mean_std(posterior: EmissionPosterior) -> tuple[float, float]:
-    """Mean and standard deviation of the discretized posterior."""
-    mean, std = row_moments(posterior.grid, posterior.density[np.newaxis])
-    return float(mean[0]), float(std[0])
 
 
 def row_moments(grid: QGrid, densities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,18 +5,25 @@ principles with plain numpy, so the package under test shares no code
 path with it; the synthesis oracle takes its generators from the
 package's ``instance_rng``. The step oracle, ``StepOracle`` and the
 detector loops over it, keeps the one-pass arithmetic of the run-length
-step and calls the package's log Z and row builders once per pass: it
-pins the block step's rows and reports to that arithmetic bit for bit,
-and its folded weights to the one-pass weight recursion within 1e-12.
+step and calls the package's log Z once per pass: it pins the block
+step's rows and reports to that arithmetic bit for bit, and its folded
+weights to the one-pass weight recursion within 1e-12.
+
+The full-grid rate posterior, ``EmissionPosterior``, lives here too. The
+package holds a rate posterior only as (A, mode, log Z); tests build
+such a row on the grid with ``conjugate_posterior``, which repeats the
+package's arithmetic, and read it with ``posterior_mode`` and
+``posterior_mean_std``, the latter through the package's ``row_moments``.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,15 +35,11 @@ from plumecpd.inference import (
     HALF_LOG_2PI,
     LOG_MAX_FLOAT,
     POSTERIOR_OVERFLOW,
-    EmissionPosterior,
     LikelihoodConfig,
-    conjugate_posterior,
+    QGrid,
     conjugate_terms,
-    grid_integrate,
     log_grid_mass,
-    posterior_mean_std,
-    posterior_mode,
-    uniform_prior,
+    row_moments,
 )
 from plumecpd.synthesis import ExperimentRecord, instance_rng
 from plumecpd.transport import ForwardModel, forward_concentration
@@ -48,6 +51,72 @@ def gaussian_pdf(x: np.ndarray | float, mu: np.ndarray | float, sigma: float):
 
 def left_riemann(values: np.ndarray, dq: float) -> float:
     return float(np.sum(values[:-1]) * dq)
+
+
+def grid_integrate(grid: QGrid, values: np.ndarray) -> float:
+    """Left-Riemann integral of grid-sampled values over [q_min, q_max]."""
+    return left_riemann(values, grid.dq)
+
+
+@dataclass(frozen=True)
+class EmissionPosterior:
+    """A normalized probability density over the rate grid, built in full:
+    the form tests check the package's (A, mode, log Z) rows against."""
+
+    grid: QGrid
+    density: np.ndarray = field(compare=False)
+
+    def __post_init__(self) -> None:
+        density = np.asarray(self.density, dtype=float)
+        if density.shape != self.grid.values.shape:
+            raise ValueError("density shape must match the grid")
+        if density.min() < 0:
+            raise ValueError("density must be non-negative")
+        total = grid_integrate(self.grid, density)
+        if not abs(total - 1.0) <= 1e-8:
+            raise ValueError(f"density integrates to {total!r}, not 1")
+        if density is not self.density or density.flags.writeable:
+            density = density.copy()
+            density.setflags(write=False)
+            object.__setattr__(self, "density", density)
+
+
+def uniform_prior(grid: QGrid) -> EmissionPosterior:
+    """Flat density 1 / (q_max - q_min) at every grid point."""
+    density = np.full(grid.n_points, 1.0 / (grid.q_max - grid.q_min))
+    return EmissionPosterior(grid, density)
+
+
+def conjugate_posterior(
+    grid: QGrid, precision: float, mode: float, log_mass: float | None = None
+) -> EmissionPosterior:
+    """The row exp(-A (q - mode)^2 / 2) / Z of (A, mode, log Z) =
+    (``precision``, ``mode``, ``log_mass``) built on the grid, log Z from
+    ``log_grid_mass`` when left out, with the package's arithmetic, so
+    that it has the bits of the rows the package builds.
+
+    Raises ``MeasurementIncompatibleError`` when the density overflows at
+    q_max, which no integral weights, for a narrow row piled against it.
+    """
+    if log_mass is None:
+        log_mass = float(log_grid_mass(grid, precision, mode))
+    offset = grid.values - mode
+    log_density = offset * offset * (-0.5 * precision) - log_mass
+    if not log_density.max() <= LOG_MAX_FLOAT:
+        raise MeasurementIncompatibleError(POSTERIOR_OVERFLOW)
+    return EmissionPosterior(grid, np.exp(log_density))
+
+
+def posterior_mode(posterior: EmissionPosterior) -> float:
+    """Grid rate with the highest density; ties resolve to the smallest rate."""
+    return float(posterior.grid.values[int(np.argmax(posterior.density))])
+
+
+def posterior_mean_std(posterior: EmissionPosterior) -> tuple[float, float]:
+    """Mean and standard deviation of the discretized posterior, by the
+    package's ``row_moments``."""
+    mean, std = row_moments(posterior.grid, posterior.density[np.newaxis])
+    return float(mean[0]), float(std[0])
 
 
 def segment_marginal(
@@ -293,19 +362,28 @@ def read_passes_rows(path) -> dict:
     return grouped
 
 
+def csv_field(text: str) -> str:
+    """``text`` as one field of a row that ``csv.writer`` writes with its
+    default, minimal quoting."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow([text])
+    return buffer.getvalue()[:-2]
+
+
 def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
     """``passes.csv`` text that ``ingest`` writes for a raw.csv, one sample at a time.
 
     Nearest-rank 5th-percentile baseline per experiment, ppm to g/m^3 at
     the experiment's temperature, then a running sum of
     conc * dt * speed * sin(angle) per pass, where the first sample takes
-    the first gap as its dt.
+    the first gap as its dt. Ids are written as ``csv_field`` quotes them.
     """
     grouped = read_raw_rows(path)
     lines = ["experiment_id,pass_index,cy_g_per_m2"]
     for exp in sorted(grouped):
         if exp not in temperature_k:
             raise InputDataError(f"no met row for experiment {exp!r}")
+        field = csv_field(exp)
         all_ppm = sorted(s[1] for samples in grouped[exp].values() for s in samples)
         baseline = all_ppm[(5 * len(all_ppm) + 99) // 100 - 1]
         # R = 8.314462618 J/(mol K), methane molar mass 16.04 g/mol
@@ -327,7 +405,7 @@ def ingest_passes_csv(path, temperature_k: dict, pressure_pa: float) -> str:
                 above = max(ppm - baseline, 0.0)
                 conc = above * 1e-6 * 16.04 / molar_volume
                 total += conc * dt * speed * math.sin(math.radians(angle))
-            lines.append(f"{exp},{pass_index},{total!r}")
+            lines.append(f"{field},{pass_index},{total!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -451,8 +529,9 @@ class StepOracle:
     def select(self, keep: np.ndarray) -> None:
         self.mode, self.log_mass, self.weights = self.mode[keep], self.log_mass[keep], self.weights[keep]
 
-    def full_run_posterior(self) -> EmissionPosterior:
-        return conjugate_posterior(self.grid, self.precision[0], self.mode[0, 0], self.log_mass[0, 0])
+    def full_run_row(self) -> tuple[float, float, float]:
+        """(A, mode, log Z) of stream 0's full run: the flat prior before its first pass."""
+        return float(self.precision[0]), float(self.mode[0, 0]), float(self.log_mass[0, 0])
 
     def advance(self, cys, fm, cfg, lam, method) -> dict[int, str]:
         """Fold one measurement per stream; the reason of each stream that
@@ -535,18 +614,16 @@ def step_oracle_detect(cys, fms, cfg, pass_indices=None):
     fms = [fms] * cys.size if isinstance(fms, ForwardModel) else fms
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
-    flat = uniform_prior(cfg.grid)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = StepOracle(1, cys.size, cfg.grid)
-    posterior = flat
     reports, events = [], []
     for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
-        previous = posterior
+        previous = state.full_run_row()
         try:
             errors = state.advance(cy, fm, lik_cfg, cfg.lam, cfg.predictive_method)
             if errors:
                 raise MeasurementIncompatibleError(errors[0])
-            posterior = state.full_run_posterior()
+            posterior = conjugate_posterior(cfg.grid, *state.full_run_row())
         except (MeasurementIncompatibleError, ValueError) as exc:
             raise DetectionError(f"pass {idx}: {exc}") from exc
         cp = float(state.weights[0, 0])
@@ -557,7 +634,6 @@ def step_oracle_detect(cys, fms, cfg, pass_indices=None):
         if cp >= cfg.threshold:
             events.append(DetectionEvent(int(idx), cp, previous, len(events) + 1))
             state = StepOracle(1, cys.size, cfg.grid)
-            posterior = flat
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
     return reports, events
 

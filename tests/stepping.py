@@ -5,7 +5,8 @@ Tests that check the recursion itself, rather than the loops in
 ``run_core``, in the blocks ``block_passes`` sizes for the detector's
 drivers, with no alarm, and read back the normalized weights, the log
 evidence and each hypothesis's closed-form rate row. ``posterior_of``
-builds the package's rate posterior of a set of passes.
+builds the rate posterior of a set of passes from the package's
+conjugate terms.
 """
 
 from __future__ import annotations
@@ -15,16 +16,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from oracles import EmissionPosterior, conjugate_posterior
 from plumecpd.bocd import RunLengthState, block_passes
 from plumecpd.errors import MeasurementIncompatibleError
-from plumecpd.inference import (
-    EmissionPosterior,
-    LikelihoodConfig,
-    QGrid,
-    conjugate_posterior,
-    conjugate_terms,
-    log_grid_mass,
-)
+from plumecpd.inference import LikelihoodConfig, QGrid, conjugate_terms, log_grid_mass
 from plumecpd.transport import ForwardModel
 
 

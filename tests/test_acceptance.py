@@ -14,19 +14,18 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from oracles import bayes_update, brute_force_alpha
-from plumecpd.cli import main
-from plumecpd.dataio import write_passes_csv
-from plumecpd.detector import DetectorConfig
-from plumecpd.inference import (
-    LikelihoodConfig,
-    QGrid,
-    estimate_sigma_e,
+from oracles import (
+    bayes_update,
+    brute_force_alpha,
     grid_integrate,
     posterior_mean_std,
     posterior_mode,
     uniform_prior,
 )
+from plumecpd.cli import main
+from plumecpd.dataio import write_passes_csv
+from plumecpd.detector import DetectorConfig
+from plumecpd.inference import LikelihoodConfig, QGrid, estimate_sigma_e
 from plumecpd.metrics import bootstrap_ci, evaluate_cell, score_first_alarms
 from plumecpd.surrogate import make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch

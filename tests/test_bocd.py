@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_alpha, direct_posterior, gaussian_pdf, likelihood_vector
+from oracles import (
+    brute_force_alpha,
+    direct_posterior,
+    gaussian_pdf,
+    grid_integrate,
+    likelihood_vector,
+)
 from plumecpd.bocd import (
     BLOCK_SLOTS,
     PASS_BLOCK,
@@ -14,12 +20,7 @@ from plumecpd.bocd import (
     block_passes,
 )
 from plumecpd.errors import MeasurementIncompatibleError
-from plumecpd.inference import (
-    LikelihoodConfig,
-    QGrid,
-    grid_integrate,
-    log_grid_mass,
-)
+from plumecpd.inference import LikelihoodConfig, QGrid, log_grid_mass
 from plumecpd.transport import ForwardModel
 from stepping import run_core
 

@@ -371,6 +371,41 @@ def run_ingest(raw_text: str, temperature: dict, pressure: str = "101325.0"):
     return rc, err.getvalue(), written, expected, expected_error
 
 
+def test_quoted_ids_survive_ingest_calibrate_and_detect(tmp_path):
+    # Ids that a CSV field holds only in quotes: every file the chain
+    # writes must read back with them, one experiment per id.
+    ids = ["exp,2", 'a"b', "E\r1"]
+    raw = [csv_line(RAW_HEADER.split(","), "\n")]
+    for n, exp in enumerate(ids):
+        for pass_index in range(1, 5):
+            peak = 0.5 + 0.1 * n + 0.05 * (pass_index % 3)
+            for i in range(12):
+                ppm = 1.9 + peak * math.exp(-0.5 * (i * 0.5 - 3.0) ** 2)
+                raw.append(csv_line([exp, pass_index, i * 0.5, repr(ppm), 3.0, 90], "\n"))
+    met = [csv_line(MET_HEADER.split(","), "\n")]
+    met += [csv_line([exp, *MET_ROW_4.split(",")[1:]], "\n") for exp in ids]
+    (tmp_path / "raw.csv").write_text("".join(raw))
+    (tmp_path / "met.csv").write_text("".join(met))
+    inputs = ["--met", str(tmp_path / "met.csv")]
+    passes, calibration = tmp_path / "passes.csv", tmp_path / "calibration.json"
+    assert main(["ingest", "--raw", str(tmp_path / "raw.csv"), *inputs, "--out", str(passes)]) == 0
+    assert sorted(read_passes(passes)) == sorted(ids)
+    assert all(len(rows) == 4 for rows in read_passes(passes).values())
+    argv = ["calibrate", "--passes", str(passes), *inputs, "--q-true", "0.083", "--out", str(calibration)]
+    assert main(argv) == 0
+    sigma_e = json.loads(calibration.read_text())["sigma_e"]
+    assert sorted(sigma_e) == sorted(ids)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"sigma_e": sigma_e}))
+    out = tmp_path / "out"
+    argv = ["detect", "--passes", str(passes), *inputs, "--config", str(config), "--out", str(out)]
+    assert main(argv) == 0
+    reports = read_pass_reports_csv(out / "passes_report.csv")
+    assert [(exp, r.pass_index) for exp, r in reports] == [
+        (exp, k) for exp in sorted(ids) for k in range(1, 5)
+    ]
+
+
 class TestIngestMatchesRowReader:
     @settings(max_examples=150, deadline=None)
     @given(raw_campaigns(), st.sampled_from(["101325.0", "87000.5"]))
@@ -799,6 +834,70 @@ class TestDetect:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def oracle_events_json(cys, fm, cfg) -> str:
+    """events.json text for one experiment '4': the detector's events, each
+    row built on the grid and summarized by the oracle's mode and std."""
+    _, events = detect_series(cys, fm, cfg)
+    payload = []
+    for event in events:
+        posterior = oracles.conjugate_posterior(cfg.grid, *event.pre_change_row)
+        payload.append({
+            "experiment_id": "4",
+            "pass_index": event.pass_index,
+            "changepoint_probability": event.changepoint_probability,
+            "regime_index": event.regime_index,
+            "retained_mode": oracles.posterior_mode(posterior),
+            "retained_std": oracles.posterior_mean_std(posterior)[1],
+        })
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestEventsJson:
+    """Each event's retained mode and std are those of its row built on
+    the grid, byte for byte."""
+
+    def detect(self, tmp_path, met_csv, cys, **raw_cfg):
+        """events.json bytes of ``detect`` and the oracle's, and the events."""
+        args = build_parser().parse_args(["detect", "--passes", "p", "--met", "m", "--config", "c", "--out", "o"])
+        fm = cli._forward_model(dataio.read_met(met_csv)["4"], args)
+        cfg = cli._detector_config(raw_cfg, raw_cfg["sigma_e"], "cfg")
+        passes, config, out = tmp_path / "passes.csv", tmp_path / "config.json", tmp_path / "out"
+        write_series(passes, cys)
+        config.write_text(json.dumps(raw_cfg))
+        argv = ["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config)]
+        assert main(argv + ["--out", str(out)]) == 0
+        written = (out / "events.json").read_bytes()
+        return written, oracle_events_json(cys, fm, cfg).encode(), read_events_json(out / "events.json")
+
+    @pytest.mark.parametrize("method, post_factor", [("marginal", 1.0), ("scaling", 1.0), ("marginal", 3.0)])
+    def test_several_events_equal_the_oracle_summary(self, tmp_path, met_csv, method, post_factor):
+        args = build_parser().parse_args(["detect", "--passes", "p", "--met", "m", "--config", "c", "--out", "o"])
+        ratio = forward_concentration(1.0, cli._forward_model(dataio.read_met(met_csv)["4"], args))
+        rng = np.random.default_rng(3)
+        levels = [0.5, 1.5, 0.3, 2.5, 0.8, 4.0, 1.2]
+        cys = np.concatenate([q * (1.0 + 0.05 * rng.standard_normal(9)) for q in levels]) * ratio
+        written, expected, events = self.detect(
+            tmp_path, met_csv, cys.tolist(), sigma_e=0.05 * ratio,
+            sigma_e_post_factor=post_factor, predictive=method,
+        )
+        assert len(events) >= 6
+        assert written == expected
+
+    def test_flat_prior_event(self, tmp_path, met_csv):
+        # Below a threshold of 1 / lambda every pass after a reset alarms,
+        # so every event but the first keeps the flat prior, the row
+        # (0, 0, log 7) on this span-7 grid. Its density exp(-log 7) gives a
+        # std one ulp above that of the density 1 / 7.
+        written, expected, events = self.detect(
+            tmp_path, met_csv, [0.01] * 5, sigma_e=0.001, threshold=0.05, q_max=7.0, dq=0.05
+        )
+        assert written == expected
+        assert [e["pass_index"] for e in events] == [1, 2, 3, 4, 5]
+        assert {(e["retained_mode"], e["retained_std"]) for e in events} == {(0.0, 2.020674392374982)}
+        flat = oracles.uniform_prior(QGrid(0.0, 7.0, 0.05))
+        assert oracles.posterior_mean_std(flat)[1] == 2.0206743923749815
 
 
 class TestNonFiniteMet:

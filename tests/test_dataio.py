@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from plumecpd import dataio
 from plumecpd.dataio import (
     RAW_SAMPLE_DTYPE,
+    REPORT_COLUMNS,
     atomic_write_text,
     experiments_from_passes,
     read_met,
@@ -28,7 +32,7 @@ from plumecpd.dataio import (
 )
 from plumecpd.detector import DetectionEvent, PassReport
 from plumecpd.errors import InputDataError
-from plumecpd.inference import QGrid, uniform_prior
+from plumecpd.inference import QGrid
 from plumecpd.metrics import PerformanceReport
 from plumecpd.synthesis import ExperimentRecord, synthesize_batch
 from readers import (
@@ -521,7 +525,7 @@ class TestEventsRoundTrip:
         event = DetectionEvent(
             pass_index=13,
             changepoint_probability=0.93,
-            pre_change_posterior=uniform_prior(grid),
+            pre_change_row=(0.0, 0.0, math.log(grid.q_max - grid.q_min)),
             regime_index=1,
         )
         write_events_json(path, [("e1", event, 0.085, 0.01)])
@@ -613,6 +617,45 @@ class TestReportRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+# Ids that a CSV field holds only in quotes, and plain ones.
+QUOTED_IDS = ["exp,2", 'a"b', "E\r1", "E\n1"]
+PLAIN_IDS = ["e1", "x 9", "\xe9"]
+
+
+class TestQuotedIds:
+    """Every CSV writer quotes an id that holds a comma, a double quote,
+    CR or LF, as csv's minimal quoting does, and writes others as they are."""
+
+    def test_passes_read_back_with_their_ids(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        rows = [(exp, k, 0.5 * k) for exp in QUOTED_IDS + PLAIN_IDS for k in (1, 2)]
+        write_passes_csv(path, rows)
+        back = read_passes(path)
+        assert back == {exp: [(1, 0.5), (2, 1.0)] for exp in QUOTED_IDS + PLAIN_IDS}
+
+    def test_fields_are_csv_minimal_quoting(self, tmp_path):
+        path = tmp_path / "passes.csv"
+        ids = QUOTED_IDS + PLAIN_IDS
+        write_passes_csv(path, [(exp, 1, 0.5) for exp in ids])
+        expected = "experiment_id,pass_index,cy_g_per_m2\n" + "".join(
+            f"{oracles.csv_field(exp)},1,0.5\n" for exp in ids
+        )
+        assert path.read_bytes() == expected.encode()
+        assert "e1,1,0.5\n" in expected
+
+    def test_every_writer_round_trips_an_id(self, tmp_path):
+        report = PassReport(1, 0.3, 0.5, 0.085, 0.09, 0.01)
+        instances = np.array([[0.1, 0.2], [0.3, 0.4]])
+        for exp in QUOTED_IDS:
+            write_pass_reports_csv(tmp_path / "r.csv", [(exp, report)])
+            assert read_pass_reports_csv(tmp_path / "r.csv") == [(exp, report)]
+            write_instances_csv(tmp_path / "i.csv", [(exp, 2.0, instances)])
+            assert {r["experiment_id"] for r in read_instances_csv(tmp_path / "i.csv")} == {exp}
+            row = {**dict.fromkeys(REPORT_COLUMNS, 0.5), "experiment_id": exp}
+            write_report_csv(tmp_path / "s.csv", [row])
+            assert read_report_csv(tmp_path / "s.csv") == [row]
+
+
 class TestAtomicWrite:
     def test_no_temp_file_left_behind(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -634,6 +677,31 @@ class TestAtomicWrite:
             atomic_write_text(path, "x")
         assert info.value.filename == str(path)
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_writes_utf8_under_an_ascii_locale(self, tmp_path):
+        # Under the POSIX locale, with no UTF-8 mode, Python's default text
+        # encoding is ASCII, which cannot write the id.
+        path = tmp_path / "passes.csv"
+        code = (
+            "import sys; from pathlib import Path; from plumecpd.dataio import write_passes_csv; "
+            "write_passes_csv(Path(sys.argv[1]), [('\\xe9', 1, 0.5)])"
+        )
+        env = {
+            **os.environ,
+            "LC_ALL": "POSIX",
+            "PYTHONCOERCECLOCALE": "0",
+            "PYTHONUTF8": "0",
+            "PYTHONPATH": os.pathsep.join(sys.path),
+        }
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+        assert path.read_bytes() == "experiment_id,pass_index,cy_g_per_m2\n\xe9,1,0.5\n".encode()
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_encoding_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\udcff")
+        assert list(tmp_path.iterdir()) == []
 
     def test_overwrites_existing(self, tmp_path):
         path = tmp_path / "out.txt"

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     bayes_update,
+    conjugate_posterior,
     direct_posterior,
+    grid_integrate,
     grid_moments,
     step_oracle_detect,
     step_oracle_first_alarms,
+    uniform_prior,
 )
 from plumecpd import bocd, inference
 from plumecpd.bocd import PASS_BLOCK, RunLengthState
@@ -24,13 +27,7 @@ from plumecpd.detector import (
     first_alarms,
 )
 from plumecpd.errors import ConfigError, DetectionError
-from plumecpd.inference import (
-    MIN_SIGMA_E,
-    LikelihoodConfig,
-    QGrid,
-    grid_integrate,
-    uniform_prior,
-)
+from plumecpd.inference import MIN_SIGMA_E, LikelihoodConfig, QGrid
 from plumecpd.surrogate import make_surrogate_experiment, make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
@@ -41,6 +38,11 @@ from stepping import run_core
 def assert_same_posterior(density, expected):
     """Densities on one grid agree to 1e-9 relative, up to 1e-12 of the peak."""
     np.testing.assert_allclose(density, expected, rtol=1e-9, atol=1e-12 * np.max(expected))
+
+
+def retained_density(event, grid):
+    """The density of an event's pre-change row, built on the grid."""
+    return conjugate_posterior(grid, *event.pre_change_row).density
 
 
 def assert_report_summarizes(report, expected, grid):
@@ -177,7 +179,7 @@ class TestDetectorMechanics:
         assert len(events) == 1
         k = events[0].pass_index
         manual = direct_posterior(stream[: k - 1], grid.values, grid.dq, 1.0, cfg.sigma_e_initial)
-        assert_same_posterior(events[0].pre_change_posterior.density, manual)
+        assert_same_posterior(retained_density(events[0], grid), manual)
 
     def test_report_after_event_uses_fresh_widened_prior(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
@@ -276,7 +278,7 @@ class TestUnderflowedPosterior:
         chain = uniform_prior(cfg.grid)
         for cy in stream[:-1]:
             chain = bayes_update(chain, cy, unit_fm, LikelihoodConfig(sigma_e))
-        assert_same_posterior(events[0].pre_change_posterior.density, chain.density)
+        assert_same_posterior(retained_density(events[0], cfg.grid), chain.density)
 
     def test_alarm_pass_report_is_the_full_run_posterior(self, unit_fm):
         # The report at an alarm summarizes every pass since the last
@@ -377,7 +379,7 @@ def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
         )
         event = alarms.get(report.pass_index)
         if event is not None:
-            assert_same_posterior(event.pre_change_posterior.density, before)
+            assert_same_posterior(retained_density(event, grid), before)
             segment = []
             sigma = sigma_e * cfg.sigma_e_post_factor
 
@@ -414,9 +416,9 @@ class TestReportSummaries:
     def test_event_after_an_interior_row_keeps_the_built_bytes(self, unit_fm, at):
         # At sigma_e 0.1 every row before the alarm is interior, so the only
         # row built for a report is the pass after it, under ten times the
-        # noise. The event's row, the previous pass's, is built for the
-        # event alone, with the bytes the step oracle's rows have. An alarm
-        # at pass 17 or 33 opens a block.
+        # noise. The event keeps the previous pass's row as (A, mode, log Z),
+        # unbuilt, with the bits of the step oracle's. An alarm at pass 17
+        # or 33 opens a block.
         cys = [2.0] * (at - 1) + [3.5, 2.0]
         cfg = make_config(sigma_e_initial=0.1)
         outcome = []
@@ -426,6 +428,26 @@ class TestReportSummaries:
         assert built == 1
         _, events, _ = outcome[0]
         assert [e.pass_index for e in events] == [at]
+
+    def test_built_row_whose_total_is_off_fails_its_pass(self, unit_fm):
+        # As above, the only row built is the pass after the alarm at pass
+        # 20, the 21st, here numbered 121. A total 2e-8 off 1 fails it.
+        cys = [2.0] * 19 + [3.5, 2.0]
+        cfg = make_config(sigma_e_initial=0.1)
+        real = inference.conjugate_densities
+        totals = []
+
+        def conjugate_densities(*args):
+            densities, peaks, total = real(*args)
+            totals.append(total + 2e-8)
+            return densities, peaks, totals[-1]
+
+        with mock.patch.object(inference, "conjugate_densities", conjugate_densities):
+            with pytest.raises(DetectionError) as info:
+                detect_series(cys, unit_fm, cfg, pass_indices=range(101, 122))
+        [[total]] = totals
+        assert abs(total - 1.0) > 1e-8
+        assert str(info.value) == f"pass 121: density integrates to {float(total)!r}, not 1"
 
 
 def first_alarm_of(cys, fm, cfg):
@@ -530,7 +552,7 @@ def detect_outcome(detect, cys, fms, cfg):
         reports, events = detect(cys, fms, cfg)
     except DetectionError as exc:
         return str(exc)
-    rows = [e.pre_change_posterior.density.tobytes() for e in events]
+    rows = [retained_density(e, cfg.grid).tobytes() for e in events]
     return reports, events, rows
 
 
