@@ -12,7 +12,6 @@ from .errors import (
     DetectionError,
     InputDataError,
     InsufficientDataError,
-    MeasurementIncompatibleError,
     PlumeCpdError,
 )
 from .inference import (
@@ -65,7 +64,6 @@ __all__ = [
     "Geometry",
     "InputDataError",
     "InsufficientDataError",
-    "MeasurementIncompatibleError",
     "MetSummary",
     "PassReport",
     "PerformanceReport",

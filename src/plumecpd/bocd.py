@@ -64,14 +64,13 @@ Changepoint probabilities agree with the one-pass recursion within 1e-12.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple, Sequence, get_args
+from typing import Literal, NamedTuple, get_args
 
 import numpy as np
 
 from .inference import (
     HALF_LOG_2PI,
     LOG_MAX_FLOAT,
-    NEGATIVE_CONCENTRATION,
     POSTERIOR_OVERFLOW,
     LikelihoodConfig,
     QGrid,
@@ -142,7 +141,7 @@ class RunLengthState:
     ``weights[b, i]`` is stream b's probability of run length i, (B, k + 1),
     and ``log_evidence[b]`` the sum of its log step evidences. Slot j of
     ``precision`` (A, shared: the streams' passes have the same forward
-    models and noise), ``mode`` and ``log_mass`` (log Z), both
+    model and noise), ``mode`` and ``log_mass`` (log Z), both
     (B, n_passes + 2), is run length k - j. Slot 0 is the full run, which a
     report summarizes; slots k + 1 on hold the flat prior (A = 0, mode 0,
     Z = q_max - q_min), so a step folds the pass into slots 0 .. k + 1.
@@ -168,14 +167,15 @@ class RunLengthState:
     def advance(
         self,
         cys: np.ndarray,
-        fms: Sequence[ForwardModel],
+        fm: ForwardModel,
         cfg: LikelihoodConfig,
         lam: float,
         method: PredictiveMethod,
         threshold: float,
     ) -> Steps:
-        """Fold a block of passes, ``cys`` of shape (B, passes) with
-        ``fms[j]`` the forward model of pass j, into the state.
+        """Fold a block of passes, ``cys`` of shape (B, passes), into the
+        state. Every pass of every stream maps a rate q to r q through the
+        one forward model ``fm``, with noise ``cfg.sigma_e``.
 
         Each stream stops at its first alarm, a changepoint probability of
         at least ``threshold``, or at its first failure: a measurement
@@ -184,8 +184,13 @@ class RunLengthState:
         after the last pass taken; a stream that stopped before it, or
         failed, is meaningless there and is dropped with ``select``.
 
-        A pass whose configuration no stream can run ends the block before
-        it; its ``ValueError`` is raised when it is the block's first pass.
+        Arguments no stream can run raise ``ValueError`` before any pass is
+        taken, checked once for the whole block in this order: ``lam`` not
+        above 1, an unknown ``method``, a precision r^2 / sigma_e^2 that
+        overflows, the scaling predictive with a dispersion factor of 0,
+        and a negative measurement anywhere in the block. A caller that
+        must fail a negative measurement at its own pass ends the block
+        before it.
         """
         if not lam > 1:
             raise ValueError("expected run length lambda must exceed 1")
@@ -193,75 +198,56 @@ class RunLengthState:
             raise ValueError(f"unknown predictive method {method!r}")
         grid, k0, sigma = self.grid, self.k, cfg.sigma_e
         n_streams, n_block = cys.shape
-        # A pass the configuration rejects ends the block before it and is
-        # raised as the block's first pass, its checks in this order.
-        negative = (cys < 0).any(axis=0).tolist()
-        ratios = []
-        for p, fm in enumerate(fms):
-            # r as forward_concentration(1.0, fm) computes it, and r / sigma
-            # as conjugate_terms does.
-            ratio = fm.dispersion_factor_per_m / fm.advection_velocity_mps
-            scale = ratio / sigma
-            if negative[p]:
-                problem = NEGATIVE_CONCENTRATION
-            elif not scale * scale < math.inf:
-                problem = "forward ratio over sigma_e overflows the rate precision"
-            elif method == "scaling" and fm.dispersion_factor_per_m <= 0:
-                problem = "scaling predictive needs a positive dispersion factor"
-            else:
-                ratios.append(ratio)
-                continue
-            if p == 0:
-                raise ValueError(problem)
-            cys, fms, n_block = cys[:, :p], fms[:p], p
-            break
+        ratio = fm.ratio
+        scale = ratio / sigma
+        if not scale * scale < math.inf:
+            raise ValueError("forward ratio over sigma_e overflows the rate precision")
+        if method == "scaling" and fm.dispersion_factor_per_m <= 0:
+            raise ValueError("scaling predictive needs a positive dispersion factor")
 
-        ratios = np.array(ratios)
-        far = ~(cys <= ratios * grid.q_max + FAR_SIGMAS * sigma)
-        used = np.where(far, ratios * grid.q_max, cys)
-        a, b = conjugate_terms(used, fms, cfg)
+        far = ~(cys <= ratio * grid.q_max + FAR_SIGMAS * sigma)
+        used = np.where(far, ratio * grid.q_max, cys)
+        a, b = conjugate_terms(used, fm, cfg)  # raises on a negative measurement
         # Row p of these holds the state before pass p of the block, row
         # p + 1 after it; slots past k0 + p + 1 keep the flat prior.
         width = k0 + n_block + 1
         hypotheses = np.arange(width) <= k0 + 1 + np.arange(n_block)[:, np.newaxis]
         precision = np.add.accumulate(
-            np.vstack([self.precision[:width], np.where(hypotheses, a[:, np.newaxis], 0.0)])
+            np.vstack([self.precision[:width], np.where(hypotheses, a, 0.0)])
         )
         mode = np.empty((n_streams, n_block + 1, width))
         mode[:] = self.mode[:, np.newaxis, :width]
-        copies = np.flatnonzero(a == 0).tolist()
-        for p in range(n_block):
-            if p in copies:
-                # A forward ratio of 0: the pass says nothing about the rate.
-                mode[:, p + 1] = mode[:, p]
-                continue
-            live = slice(0, k0 + p + 2)
-            # (A mode + b) / A', in place
-            after = np.multiply(precision[p, live], mode[:, p, live], out=mode[:, p + 1, live])
-            after += b[:, p, np.newaxis]
-            after /= precision[p + 1, live]
+        # With a forward ratio of 0 no pass says anything about the rate,
+        # and every row keeps the mode it had.
+        if a > 0:
+            for p in range(n_block):
+                live = slice(0, k0 + p + 2)
+                # (A mode + b) / A', in place
+                after = np.multiply(precision[p, live], mode[:, p, live], out=mode[:, p + 1, live])
+                after += b[:, p, np.newaxis]
+                after /= precision[p + 1, live]
 
         # log Z of every hypothesis of every pass, in one call. Each entry
-        # depends on its own row alone, so a pass with a forward ratio of 0
-        # repeats the values before it, and slots past a pass's hypotheses,
-        # flat rows, hold the state's exact log(q_max - q_min).
+        # depends on its own row alone, so with a forward ratio of 0 every
+        # pass repeats the values before it, and slots past a pass's
+        # hypotheses, flat rows, hold the state's exact log(q_max - q_min).
         log_mass = np.empty((n_streams, n_block + 1, width))
         log_mass[:, 0] = self.log_mass[:, :width]
         log_mass[:, 1:] = log_grid_mass(grid, precision[1:], mode[:, 1:])
 
         if method == "marginal":
             # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
-            half_shrink = np.divide(
-                0.5 * precision[:-1], precision[1:], out=np.full((n_block, width), 0.5),
-                where=precision[1:] > 0,
-            )
-            half_shrink[copies] = 0.5
+            half_shrink = np.full((n_block, width), 0.5)
+            if a > 0:
+                np.divide(
+                    0.5 * precision[:-1], precision[1:], out=half_shrink, where=precision[1:] > 0
+                )
             pis = _marginal_density(
-                used, ratios, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
+                used, ratio, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
             )
         else:
-            inverses = np.array([fm.advection_velocity_mps / fm.dispersion_factor_per_m for fm in fms])
-            pis = _scaled_density(grid, used, inverses, precision[:-1], mode[:, :-1], log_mass[:, :-1])
+            inverse = fm.advection_velocity_mps / fm.dispersion_factor_per_m
+            pis = _scaled_density(grid, used, inverse, precision[:-1], mode[:, :-1], log_mass[:, :-1])
 
         # The fold, with every pass scaled by its largest predictive. A
         # growth factor is 1 in a slot the pass has not opened yet, and 0 on
@@ -338,22 +324,21 @@ class RunLengthState:
 
 def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shrink):
     """Marginal predictive density of each hypothesis; the last axis of the
-    arrays runs over hypotheses, ``cys`` and ``ratio`` lack it."""
-    z = (cys[..., np.newaxis] - np.asarray(ratio)[..., np.newaxis] * mode) / sigma
+    arrays runs over hypotheses, ``cys`` lacks it."""
+    z = (cys[..., np.newaxis] - ratio * mode) / sigma
     log_pis = new_log_mass - log_mass - half_shrink * z * z
     return np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
 
 
-def _scaled_density(grid, cys, ratio, precision, mode, log_mass) -> np.ndarray:
+def _scaled_density(grid, cys, inverse, precision, mode, log_mass) -> np.ndarray:
     """Change-of-variables predictive density of each hypothesis, shaped as
     in ``_marginal_density``.
 
-    Each row is linearly interpolated at q* = cy ``ratio``, ratio = u / D,
+    Each row is linearly interpolated at q* = cy ``inverse``, inverse = u / D,
     the rate its measurement maps back to. A q* outside the grid, or a row
     read that overflows, gives every hypothesis of the measurement density 0.
     """
-    ratio = np.asarray(ratio)
-    q_star = cys * ratio
+    q_star = cys * inverse
     inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
     pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
     j0 = np.minimum(pos.astype(int), grid.n_points - 2)
@@ -361,7 +346,7 @@ def _scaled_density(grid, cys, ratio, precision, mode, log_mass) -> np.ndarray:
     offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
     with np.errstate(over="ignore", invalid="ignore"):
         lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
-        pis = (lo * (1.0 - frac) + hi * frac) * ratio[..., np.newaxis]
+        pis = (lo * (1.0 - frac) + hi * frac) * inverse
     pis[~(inside & np.isfinite(pis).all(axis=-1))] = 0.0
     return pis
 

@@ -32,7 +32,7 @@ from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorCo
 from .errors import ConfigError, InputDataError, PlumeCpdError
 from .inference import DEFAULT_GRID, QGrid, built_summaries, estimate_sigma_e
 from .metrics import evaluate_cell
-from .synthesis import signal_stats, synthesize_batch
+from .synthesis import ExperimentRecord, signal_stats, synthesize_batch
 from .transport import (
     DEFAULT_SENSOR_HEIGHT_M,
     DEFAULT_SOURCE_HEIGHT_M,
@@ -284,8 +284,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if met_rows is not None:
         experiments = dataio.experiments_from_passes(passes, met_rows)
     else:
-        from .synthesis import ExperimentRecord
-
         experiments = [
             ExperimentRecord(exp_id, 1.0, np.array([cy for _, cy in passes[exp_id]]))
             for exp_id in sorted(passes)
@@ -343,6 +341,22 @@ def _sweep_cell_worker(payload: tuple) -> dict:
         n_boot=n_boot,
     )
     return dataio.sweep_row(exp, axis_value, cfg.threshold, report)
+
+
+def _cached_row(cell_path: Path, key: str) -> dict | None:
+    """The report row a sweep cell file holds for ``key``, or None for a
+    cache miss: no file, or one that is not UTF-8 JSON of an object with
+    that key and a row with the report's columns."""
+    try:
+        stored = json.loads(cell_path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):  # no file, not UTF-8, or not JSON
+        return None
+    if not (isinstance(stored, dict) and stored.get("key") == key):
+        return None
+    row = stored.get("row")
+    if not (isinstance(row, dict) and row.keys() == set(dataio.REPORT_COLUMNS)):
+        return None
+    return row
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -412,12 +426,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pending = []
     for i, (key, payload) in enumerate(cells):
         cell_path = cell_dir / f"cell_{i:05d}.json"
-        if cell_path.exists():
-            stored = json.loads(cell_path.read_text())
-            if stored.get("key") == key:
-                rows[i] = stored["row"]
-                continue
-        pending.append((i, key, payload, cell_path))
+        rows[i] = _cached_row(cell_path, key)
+        if rows[i] is None:
+            pending.append((i, key, payload, cell_path))
 
     def store(i: int, key: str, row: dict, cell_path: Path) -> None:
         rows[i] = row

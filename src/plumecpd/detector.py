@@ -107,23 +107,14 @@ class PassReport:
     std_g_per_s: float
 
 
-def _forward_models_per_pass(
-    fms: ForwardModel | Sequence[ForwardModel], n: int
-) -> Sequence[ForwardModel]:
-    if isinstance(fms, ForwardModel):
-        return [fms] * n
-    if len(fms) != n:
-        raise ValueError("need one forward model per pass")
-    return fms
-
-
 def detect_series(
     cys: Sequence[float],
-    fms: ForwardModel | Sequence[ForwardModel],
+    fm: ForwardModel,
     cfg: DetectorConfig,
     pass_indices: Sequence[int] | None = None,
 ) -> tuple[list[PassReport], list[DetectionEvent]]:
-    """Run the detector over raw integrated concentrations.
+    """Run the detector over raw integrated concentrations, every pass
+    with forward model ``fm``.
 
     Returns one report per pass and the events in pass order. Any failure
     raises ``DetectionError`` naming the pass.
@@ -131,7 +122,6 @@ def detect_series(
     cys = np.asarray(cys, dtype=float)
     if cys.size == 0:
         raise ValueError("empty measurement stream")
-    fms = _forward_models_per_pass(fms, cys.size)
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
     elif len(pass_indices) != cys.size:
@@ -143,14 +133,18 @@ def detect_series(
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
+    # The passes before the first negative measurement run; that pass then
+    # fails, unless one before it already has.
+    negative = np.flatnonzero(cys < 0)
+    n_run = int(negative[0]) if negative.size else cys.size
     start = 0
-    while start < cys.size:
-        stop = min(start + block_passes(1, state.k), cys.size)
+    while start < n_run:
+        stop = min(start + block_passes(1, state.k), n_run)
         # The full-run row before the block, the flat prior in a fresh state.
         before = (float(state.precision[0]), float(state.mode[0, 0]), float(state.log_mass[0, 0]))
         try:
             steps = state.advance(
-                cys[np.newaxis, start:stop], fms[start:stop], lik_cfg, cfg.lam,
+                cys[np.newaxis, start:stop], fm, lik_cfg, cfg.lam,
                 cfg.predictive_method, cfg.threshold,
             )
         except ValueError as exc:
@@ -187,6 +181,8 @@ def detect_series(
             state = RunLengthState(1, cys.size, grid)
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
         start += done
+    if n_run < cys.size:
+        raise DetectionError(f"pass {pass_indices[n_run]}: {NEGATIVE_CONCENTRATION}")
     return reports, events
 
 
@@ -224,7 +220,7 @@ def first_alarms(
         stop = min(start + block_passes(live.size, state.k), n_passes)
         try:
             steps = state.advance(
-                cys[live, start:stop], [fm] * (stop - start), lik_cfg, cfg.lam,
+                cys[live, start:stop], fm, lik_cfg, cfg.lam,
                 cfg.predictive_method, cfg.threshold,
             )
         except ValueError as exc:

@@ -22,10 +22,6 @@ class InsufficientDataError(InputDataError):
     """Too few records to perform the requested computation."""
 
 
-class MeasurementIncompatibleError(PlumeCpdError):
-    """A measurement has zero probability everywhere on the rate grid."""
-
-
 class DetectionError(PlumeCpdError):
     """Failure inside the detector loop, annotated with the pass index.
 

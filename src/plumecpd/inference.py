@@ -125,21 +125,16 @@ class LikelihoodConfig:
 
 
 def conjugate_terms(
-    cy: float | np.ndarray, fm: ForwardModel | Sequence[ForwardModel], cfg: LikelihoodConfig
-) -> tuple[float | np.ndarray, np.ndarray]:
+    cy: float | np.ndarray, fm: ForwardModel, cfg: LikelihoodConfig
+) -> tuple[float, np.ndarray]:
     """(a, b) with a = r^2 / sigma^2 and b = r cy / sigma^2 (an array shaped
     like ``cy``): with the forward map c = r q, a pass's likelihood is
-    exp(b q - a q^2 / 2) times a factor free of q. With one forward model
-    per entry of cy's last axis, a is an array of as many."""
+    exp(b q - a q^2 / 2) times a factor free of q."""
     cy = np.asarray(cy, dtype=float)
     if (cy < 0).any():
         raise ValueError(NEGATIVE_CONCENTRATION)
-    # r as forward_concentration(1.0, fm) computes it.
-    if isinstance(fm, ForwardModel):
-        scale = fm.dispersion_factor_per_m / fm.advection_velocity_mps / cfg.sigma_e
-        return scale * scale, scale * (cy / cfg.sigma_e)
-    scales = [f.dispersion_factor_per_m / f.advection_velocity_mps / cfg.sigma_e for f in fm]
-    return np.array([s * s for s in scales]), np.array(scales) * (cy / cfg.sigma_e)
+    scale = fm.ratio / cfg.sigma_e
+    return scale * scale, scale * (cy / cfg.sigma_e)
 
 
 def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
@@ -418,11 +413,7 @@ def row_moments(grid: QGrid, densities: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, np.sqrt(np.maximum(second, 0.0))
 
 
-def estimate_sigma_e(
-    passes: Sequence[float],
-    q_true: float,
-    fms: ForwardModel | Sequence[ForwardModel],
-) -> float:
+def estimate_sigma_e(passes: Sequence[float], q_true: float, fm: ForwardModel) -> float:
     """Residual noise scale around the forward prediction at a known rate.
 
     Uses the N-1 normalization over residuals cy_k - predicted(q_true),
@@ -432,12 +423,8 @@ def estimate_sigma_e(
     n = len(cys)
     if n < 2:
         raise InsufficientDataError("need at least 2 passes to estimate sigma_e")
-    if isinstance(fms, ForwardModel):
-        fms = [fms]
-    elif len(fms) != n:
-        raise ValueError("need one forward model per pass")
     with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.subtract(cys, [forward_concentration(q_true, fm) for fm in fms])
+        residuals = np.subtract(cys, forward_concentration(q_true, fm))
     # Summed one after the other, so the estimate does not depend on
     # numpy's summation order.
     sigma_e = math.sqrt(sum(r * r for r in residuals.tolist()) / (n - 1))

@@ -241,6 +241,8 @@ def synthesize_batch(
         row[:n] = series[rng.permutation(n)]
         row[n:] = scaled[rng.permutation(n)]
     return out
+
+
 def signal_stats(series: np.ndarray, lrr: float) -> SignalStats:
     """Sample statistics of an original signal and the implied JNR."""
     values = np.asarray(series, dtype=float)

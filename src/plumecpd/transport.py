@@ -104,6 +104,11 @@ class ForwardModel:
         if not (self.dispersion_factor_per_m >= 0 and math.isfinite(self.dispersion_factor_per_m)):
             raise ValueError("dispersion factor must be non-negative and finite")
 
+    @property
+    def ratio(self) -> float:
+        """The forward ratio r = D / u, in s/m^2: a rate q predicts r q."""
+        return self.dispersion_factor_per_m / self.advection_velocity_mps
+
 
 def ambient_baseline(series: Sequence[float]) -> float:
     """Nearest-rank 5th percentile of a raw mixing-ratio series.
@@ -265,7 +270,7 @@ def forward_concentration(q_g_per_s, fm: ForwardModel):
     q = np.asarray(q_g_per_s, dtype=float)
     if np.any(q < 0):
         raise ValueError("emission rate must be non-negative")
-    out = q * (fm.dispersion_factor_per_m / fm.advection_velocity_mps)
+    out = q * fm.ratio
     if np.isscalar(q_g_per_s) or out.ndim == 0:
         return float(out)
     return out

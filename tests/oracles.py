@@ -30,7 +30,7 @@ import numpy as np
 
 from plumecpd.bocd import FAR_SIGMAS
 from plumecpd.detector import DetectionEvent, PassReport
-from plumecpd.errors import DetectionError, InputDataError, MeasurementIncompatibleError
+from plumecpd.errors import DetectionError, InputDataError, PlumeCpdError
 from plumecpd.inference import (
     HALF_LOG_2PI,
     LOG_MAX_FLOAT,
@@ -42,7 +42,7 @@ from plumecpd.inference import (
     row_moments,
 )
 from plumecpd.synthesis import ExperimentRecord, instance_rng
-from plumecpd.transport import ForwardModel, forward_concentration
+from plumecpd.transport import forward_concentration
 
 
 def gaussian_pdf(x: np.ndarray | float, mu: np.ndarray | float, sigma: float):
@@ -56,6 +56,12 @@ def left_riemann(values: np.ndarray, dq: float) -> float:
 def grid_integrate(grid: QGrid, values: np.ndarray) -> float:
     """Left-Riemann integral of grid-sampled values over [q_min, q_max]."""
     return left_riemann(values, grid.dq)
+
+
+class MeasurementIncompatibleError(PlumeCpdError):
+    """A measurement has zero probability everywhere on the rate grid, or a
+    rate row built on the grid overflows: the oracles' failure, which the
+    package reports as a ``DetectionError`` or a ``Steps`` error instead."""
 
 
 @dataclass(frozen=True)
@@ -607,17 +613,16 @@ class StepOracle:
         return errors
 
 
-def step_oracle_detect(cys, fms, cfg, pass_indices=None):
+def step_oracle_detect(cys, fm, cfg, pass_indices=None):
     """``detect_series`` stepping ``StepOracle`` one pass at a time and
     building each report's row on its own."""
     cys = np.asarray(cys, dtype=float)
-    fms = [fms] * cys.size if isinstance(fms, ForwardModel) else fms
     if pass_indices is None:
         pass_indices = range(1, cys.size + 1)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = StepOracle(1, cys.size, cfg.grid)
     reports, events = [], []
-    for idx, cy, fm in zip(pass_indices, cys[:, np.newaxis], fms):
+    for idx, cy in zip(pass_indices, cys[:, np.newaxis]):
         previous = state.full_run_row()
         try:
             errors = state.advance(cy, fm, lik_cfg, cfg.lam, cfg.predictive_method)

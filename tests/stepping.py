@@ -16,9 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from oracles import EmissionPosterior, conjugate_posterior
+from oracles import EmissionPosterior, MeasurementIncompatibleError, conjugate_posterior
 from plumecpd.bocd import RunLengthState, block_passes
-from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import LikelihoodConfig, QGrid, conjugate_terms, log_grid_mass
 from plumecpd.transport import ForwardModel
 
@@ -92,7 +91,7 @@ def run_core(
     start = 0
     while start < cys.shape[1]:
         block = cys[:, start : start + block_passes(1, state.k)]
-        steps = state.advance(block, [fm] * block.shape[1], cfg, lam, method, math.inf)
+        steps = state.advance(block, fm, cfg, lam, method, math.inf)
         if steps.errors:
             raise MeasurementIncompatibleError(steps.errors[0])
         start += int(steps.done[0])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    MeasurementIncompatibleError,
     brute_force_alpha,
     direct_posterior,
     gaussian_pdf,
@@ -19,7 +20,6 @@ from plumecpd.bocd import (
     RunLengthState,
     block_passes,
 )
-from plumecpd.errors import MeasurementIncompatibleError
 from plumecpd.inference import LikelihoodConfig, QGrid, log_grid_mass
 from plumecpd.transport import ForwardModel
 from stepping import run_core
@@ -366,7 +366,7 @@ class TestRowBuffer:
 
         def step(cys, method):
             return state.advance(
-                np.array(cys)[:, np.newaxis], [unit_fm], cfg, 15.0, method, math.inf
+                np.array(cys)[:, np.newaxis], unit_fm, cfg, 15.0, method, math.inf
             ).errors
 
         assert step([2.0, 2.0], "marginal") == {}

@@ -1200,6 +1200,31 @@ class TestSweep:
         assert (out / "report.csv").read_bytes() == first
         assert json.loads(cell.read_text())["key"] != "stale"
 
+    def test_unusable_cell_files_are_recomputed(self, tmp_path, exp4):
+        # An empty file, a JSON list, the right key with no row, a row
+        # without the report's columns and a byte that is not UTF-8 each
+        # hold no cached row: the resumed sweep recomputes and rewrites
+        # every cell and writes a fresh run's report.
+        passes, met, exp, fm = self._inputs(tmp_path, exp4)
+        argv = lambda out: self._argv(passes, met, out, lrr="2.0,3.0,4.0,5.0,6.0")
+        out = tmp_path / "out"
+        assert main(argv(out)) == 0
+        cells = sorted((out / "cells").iterdir())
+        keys = [json.loads(cell.read_text())["key"] for cell in cells]
+        contents = [
+            b"",
+            b"[]",
+            json.dumps({"key": keys[2]}).encode(),
+            json.dumps({"key": keys[3], "row": {"recall": 1.0}}).encode(),
+            b"\xff",
+        ]
+        for cell, content in zip(cells, contents, strict=True):
+            cell.write_bytes(content)
+        assert main(argv(out)) == 0
+        assert [json.loads(cell.read_text())["key"] for cell in cells] == keys
+        assert main(argv(tmp_path / "fresh")) == 0
+        assert (out / "report.csv").read_bytes() == (tmp_path / "fresh" / "report.csv").read_bytes()
+
     def test_edit_to_the_package_source_is_recomputed(self, tmp_path, exp4):
         # Two runs into one --out from a copy of the package, whose
         # metrics.py changes in between: the cached cell was computed by

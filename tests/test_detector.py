@@ -210,9 +210,15 @@ class TestDetectorMechanics:
         with pytest.raises(ValueError):
             detect_series([], unit_fm, make_config())
 
-    def test_forward_model_count_mismatch(self, unit_fm):
-        with pytest.raises(ValueError):
-            detect_series([2.0, 2.0], [unit_fm] * 3, make_config())
+    def test_scaling_needs_a_positive_dispersion_factor(self):
+        # The forward model fails the stream at pass 1, unless pass 1 is
+        # itself negative.
+        fm = ForwardModel(1.0, 0.0)
+        cfg = make_config(predictive_method="scaling")
+        with pytest.raises(DetectionError, match="^pass 1: scaling .* positive dispersion factor$"):
+            detect_series([1.0, -1.0], fm, cfg)
+        with pytest.raises(DetectionError, match="^pass 1: integrated .* non-negative$"):
+            detect_series([-1.0, 1.0], fm, cfg)
 
     def test_run_detector_keeps_measurement_indices(self, unit_fm):
         reports, _ = detect_series(
@@ -546,10 +552,10 @@ def test_first_alarms_match_detect_series(block, sigma_e, method):
     assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)
 
 
-def detect_outcome(detect, cys, fms, cfg):
+def detect_outcome(detect, cys, fm, cfg):
     """Reports and events, each event with its row's bytes, or the error text."""
     try:
-        reports, events = detect(cys, fms, cfg)
+        reports, events = detect(cys, fm, cfg)
     except DetectionError as exc:
         return str(exc)
     rows = [retained_density(e, cfg.grid).tobytes() for e in events]
@@ -611,13 +617,12 @@ def assert_same_alarms(got, expected):
     np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=CP_TOLERANCE)
 
 
-def assert_steps_as_one_pass_at_a_time(cys, fms, cfg, block=None):
+def assert_steps_as_one_pass_at_a_time(cys, fm, cfg, block=None):
     """``detect_series`` and ``first_alarms`` give what one pass at a time
     through the step oracle gives."""
-    got = detect_outcome(detect_series, cys, fms, cfg)
-    assert_same_outcome(got, detect_outcome(step_oracle_detect, cys, fms, cfg))
+    got = detect_outcome(detect_series, cys, fm, cfg)
+    assert_same_outcome(got, detect_outcome(step_oracle_detect, cys, fm, cfg))
     if block is not None:
-        fm = fms if isinstance(fms, ForwardModel) else fms[0]
         assert_same_alarms(
             alarms_outcome(first_alarms, block, fm, cfg),
             alarms_outcome(step_oracle_first_alarms, block, fm, cfg),
@@ -659,19 +664,28 @@ class TestBlockStep:
         assert got == f"pass {at}: rate posterior density overflows at the top of the grid"
 
     @pytest.mark.parametrize("at", range(1, LONGEST + 1))
-    def test_rejected_pass_inside_a_block(self, at):
-        # A forward model whose ratio overflows the precision, or a negative
-        # measurement, fails its own pass, not the block's first.
-        fms = [ForwardModel(1.0, 1.0)] * LONGEST
+    def test_rejected_pass_inside_a_block(self, unit_fm, at):
+        # A negative measurement fails its own pass, not the block's first,
+        # unless a pass before it has failed; an alarm before it does not
+        # keep the stream from reaching it.
         cfg = make_config(sigma_e_initial=0.03)
-        cys = [1.0] * len(fms)
+        cys = [1.0] * LONGEST
         cys[at - 1] = -1.0
-        got = assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
+        got = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg)
         assert got == f"pass {at}: integrated concentration must be non-negative"
-        fms = list(fms)
-        fms[at - 1] = ForwardModel(1e-300, 1e10)
-        got = assert_steps_as_one_pass_at_a_time([1.0] * len(fms), fms, cfg)
-        assert got == f"pass {at}: forward ratio over sigma_e overflows the rate precision"
+        if at + 2 <= LONGEST:
+            impossible = [1.0] * LONGEST
+            impossible[at - 1], impossible[at + 1] = 1e3, -1.0
+            got = assert_steps_as_one_pass_at_a_time(impossible, unit_fm, cfg)
+            assert got == f"pass {at}: observation impossible under all run-length hypotheses"
+        if at > 2:
+            # Pass 2 alarms and resets the state, and the blocks after it
+            # start from pass 3.
+            reset = [1.0] + [3.0] * (LONGEST - 1)
+            assert [e.pass_index for e in detect_series(reset[: at - 1], unit_fm, cfg)[1]] == [2]
+            reset[at - 1] = -1.0
+            got = assert_steps_as_one_pass_at_a_time(reset, unit_fm, cfg)
+            assert got == f"pass {at}: integrated concentration must be non-negative"
 
     @pytest.mark.parametrize("sigma_e", [0.03, 0.1])
     def test_far_pass_fails_at_itself(self, sigma_e):
@@ -689,7 +703,7 @@ class TestBlockStep:
         def advance(block):
             state = RunLengthState(1, len(block), cfg.grid)
             return state.advance(
-                np.array([block]), [fm] * len(block), LikelihoodConfig(sigma_e), cfg.lam,
+                np.array([block]), fm, LikelihoodConfig(sigma_e), cfg.lam,
                 "marginal", math.inf,
             )
 
@@ -759,16 +773,13 @@ def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshol
     ``detect_series``, and the passes, changepoint probabilities and failing
     instance of ``first_alarms``, equal a pass-at-a-time loop over the step
     oracle, with alarms, impossible passes and rows at q_max anywhere in a
-    block, forward models that change from pass to pass, and blocks that
-    grow with the run or shrink to fit ``slots``."""
+    block, forward ratios of 0 and near 1, and blocks that grow with the
+    run or shrink to fit ``slots``."""
     cy = st.one_of(
         st.floats(0.0, 4.9), st.sampled_from([0.0, 5.0, 5.3, 1e3, 1e300]), st.floats(0.0, 6.0)
     )
     cys = data.draw(st.lists(cy, min_size=n, max_size=n), label="cys")
-    ratios = data.draw(
-        st.lists(st.sampled_from([0.9, 1.0, 1.1]), min_size=n, max_size=n), label="ratios"
-    )
-    fms = [ForwardModel(1.0, r) for r in ratios]
+    fm = ForwardModel(1.0, data.draw(st.sampled_from([0.0, 0.9, 1.0, 1.1]), label="ratio"))
     cfg = make_config(
         sigma_e_initial=sigma_e, threshold=threshold, grid=grid, predictive_method=method
     )
@@ -776,7 +787,7 @@ def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshol
         st.lists(st.lists(cy, min_size=n, max_size=n), min_size=1, max_size=3), label="block"
     )
     with mock.patch.object(bocd, "BLOCK_SLOTS", slots):
-        assert_steps_as_one_pass_at_a_time(cys, fms, cfg)
+        assert_steps_as_one_pass_at_a_time(cys, fm, cfg)
         assert_steps_as_one_pass_at_a_time(cys, ForwardModel(1.0, 1.0), cfg, block)
 
 

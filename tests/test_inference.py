@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     EmissionPosterior,
+    MeasurementIncompatibleError,
     bayes_update,
     conjugate_posterior,
     erf_gap,
@@ -18,11 +19,7 @@ from oracles import (
 )
 from plumecpd import inference
 from plumecpd.bocd import RunLengthState
-from plumecpd.errors import (
-    ConfigError,
-    InsufficientDataError,
-    MeasurementIncompatibleError,
-)
+from plumecpd.errors import ConfigError, InsufficientDataError
 from plumecpd.inference import (
     DEFAULT_GRID,
     ERF_IS_ONE,
@@ -151,7 +148,7 @@ class TestLikelihoodVector:
         cfg = LikelihoodConfig(1e-3)
         state = RunLengthState(2, 1, medium_grid)
         errors = state.advance(
-            np.array([[2.0], [cy]]), [unit_fm], cfg, 15.0, "marginal", math.inf
+            np.array([[2.0], [cy]]), unit_fm, cfg, 15.0, "marginal", math.inf
         ).errors
         assert errors == {1: "observation impossible under all run-length hypotheses"}
         alone = run_core([2.0], unit_fm, cfg, 15.0, medium_grid)
@@ -423,18 +420,9 @@ class TestEstimateSigmaE:
         with pytest.raises(InsufficientDataError):
             estimate_sigma_e([1.0], 1.0, unit_fm)
 
-    def test_per_pass_forward_models(self):
-        fms = [ForwardModel(1.0, 1.0), ForwardModel(2.0, 1.0)]
-        value = estimate_sigma_e([2.0, 1.5], 2.0, fms)
-        assert value == pytest.approx(math.sqrt(0.0**2 + 0.5**2))
-
     def test_overflowing_estimate_raises(self, unit_fm):
         with pytest.raises(ValueError, match="sigma_e overflows"):
             estimate_sigma_e([1.5e308, 0.0], 0.0, unit_fm)
-
-    def test_model_count_mismatch(self):
-        with pytest.raises(ValueError):
-            estimate_sigma_e([1.0, 2.0, 3.0], 1.0, [ForwardModel(1.0, 1.0)] * 2)
 
 
 class TestPosteriorSummaries:
