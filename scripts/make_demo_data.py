@@ -18,6 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from plumecpd.dataio import MET_REQUIRED, RAW_COLUMNS
 from plumecpd.surrogate import DEFAULT_SURROGATE_MET
 from plumecpd.transport import (
     Geometry,
@@ -59,7 +60,7 @@ def main() -> int:
 
     rng = np.random.default_rng(args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    lines = ["experiment_id,pass_index,time_s,mixing_ratio_ppm,vehicle_speed_mps,road_angle_deg"]
+    lines = [",".join(RAW_COLUMNS)]
     for k in range(1, args.passes + 1):
         cy = mean_cy * rng.lognormal(mean=0.0, sigma=args.cv)
         speed = float(rng.uniform(2.5, 4.0))
@@ -68,7 +69,7 @@ def main() -> int:
             lines.append(f"4,{k},{float(t)!r},{float(c)!r},{speed!r},90")
     (args.out / "raw.csv").write_text("\n".join(lines) + "\n")
     (args.out / "met.csv").write_text(
-        "experiment_id,x_m,u_mean_mps,sigma_u_mps,sigma_w_mps,u_star_mps,temperature_K\n"
+        ",".join(MET_REQUIRED) + "\n"
         f"4,30,{met.mean_velocity_mps},{met.sigma_u_mps},{met.sigma_w_mps},"
         f"{met.friction_velocity_mps},{met.temperature_k}\n"
     )

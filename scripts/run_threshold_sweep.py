@@ -76,10 +76,13 @@ def main() -> int:
     print(f"wrote {len(rows)} cells to {args.out}")
     print(f"{'thr':>5} {'lrr':>5} {'recall':>7} {'det_recall':>10} {'fpr':>7} {'delay':>6}")
     for row in rows:
-        delay = "-" if row["det_delay"] is None else f"{row['det_delay']:.2f}"
+        recall, det_recall, delay = (
+            "-" if row[key] is None else f"{row[key]:.{digits}f}"
+            for key, digits in (("recall", 3), ("det_recall", 3), ("det_delay", 2))
+        )
         print(
-            f"{row['threshold']:>5.2f} {row['lrr_or_jnr']:>5.2f} {row['recall']:>7.3f}"
-            f" {row['det_recall']:>10.3f} {row['fpr']:>7.3f} {delay:>6}"
+            f"{row['threshold']:>5.2f} {row['lrr_or_jnr']:>5.2f} {recall:>7}"
+            f" {det_recall:>10} {row['fpr']:>7.3f} {delay:>6}"
         )
     return 0
 

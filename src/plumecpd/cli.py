@@ -280,14 +280,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     for lrr in args.lrr:
         _check_lrr(lrr, "--lrr")
     passes = dataio.read_passes(Path(args.passes))
-    met_rows = dataio.read_met(Path(args.met)) if args.met else None
-    if met_rows is not None:
-        experiments = dataio.experiments_from_passes(passes, met_rows)
-    else:
-        experiments = [
-            ExperimentRecord(exp_id, 1.0, np.array([cy for _, cy in passes[exp_id]]))
-            for exp_id in sorted(passes)
-        ]
+    experiments = [
+        ExperimentRecord(exp_id, 1.0, np.array([cy for _, cy in passes[exp_id]]))
+        for exp_id in sorted(passes)
+    ]
     batches = [
         (exp.experiment_id, lrr, synthesize_batch(exp, lrr, args.instances, args.seed))
         for exp in experiments
@@ -386,7 +382,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 threshold=threshold,
                 sigma_e_initial=1.0,
                 lam=args.lam,
-                sigma_e_post_factor=args.sigma_post_factor,
                 grid=grid,
                 predictive_method=args.predictive,
             )
@@ -484,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write shuffled changepoint instances")
     synth.add_argument("--passes", required=True)
-    synth.add_argument("--met")
     synth.add_argument("--lrr", type=_float_list, required=True)
     synth.add_argument("--instances", type=int, default=10)
     synth.add_argument("--seed", type=_seed, default=0)
@@ -511,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q-min", type=float, default=DEFAULT_GRID.q_min)
     sweep.add_argument("--q-max", type=float, default=DEFAULT_GRID.q_max)
     sweep.add_argument("--dq", type=float, default=DEFAULT_GRID.dq)
-    sweep.add_argument("--sigma-post-factor", type=float, default=DEFAULT_SIGMA_E_POST_FACTOR)
     _add_geometry_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
     return parser

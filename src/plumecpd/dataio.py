@@ -43,16 +43,6 @@ MET_REQUIRED = [
     "u_star_mps",
     "temperature_K",
 ]
-MET_OPTIONAL = [
-    "n_passes",
-    "doy",
-    "turb_intensity",
-    "wind_dir_deg",
-    "heat_flux_w_m2",
-    "z_over_l",
-    "obukhov_length_m",
-    "z0_m",
-]
 REPORT_COLUMNS = [
     "experiment_id",
     "x_m",
@@ -91,18 +81,21 @@ INSTANCE_COLUMNS = [
 def sweep_row(
     exp: ExperimentRecord, axis_value: float, threshold: float, report: PerformanceReport
 ) -> dict:
-    """One ``report.csv`` row: a sweep cell's scores keyed by REPORT_COLUMNS."""
+    """One ``report.csv`` row: a sweep cell's scores keyed by REPORT_COLUMNS,
+    None for a score the report leaves undefined."""
+    recall_lo, recall_hi = report.recall_ci or (None, None)
+    det_recall_lo, det_recall_hi = report.detection_recall_ci or (None, None)
     return {
         "experiment_id": exp.experiment_id,
         "x_m": exp.fetch_m,
         "lrr_or_jnr": axis_value,
         "threshold": threshold,
         "recall": report.recall,
-        "recall_lo": report.recall_ci[0],
-        "recall_hi": report.recall_ci[1],
+        "recall_lo": recall_lo,
+        "recall_hi": recall_hi,
         "det_recall": report.detection_recall,
-        "det_recall_lo": report.detection_recall_ci[0],
-        "det_recall_hi": report.detection_recall_ci[1],
+        "det_recall_lo": det_recall_lo,
+        "det_recall_hi": det_recall_hi,
         "det_delay": report.detection_delay,
         "fpr": report.false_positive_rate,
         "fpr_lo": report.false_positive_rate_ci[0],
@@ -549,15 +542,11 @@ def experiments_from_passes(
     for exp_id in sorted(passes):
         if exp_id not in met_rows:
             raise InputDataError(f"no met row for experiment {exp_id!r}")
-        row = met_rows[exp_id]
-        records.append(
-            ExperimentRecord(
-                experiment_id=exp_id,
-                fetch_m=row.x_m,
-                cy_series=np.array([cy for _, cy in passes[exp_id]]),
-                met=row.met,
-            )
-        )
+        series = np.array([cy for _, cy in passes[exp_id]])
+        try:
+            records.append(ExperimentRecord(exp_id, met_rows[exp_id].x_m, series))
+        except ValueError as exc:
+            raise InputDataError(f"experiment {exp_id!r}: {exc}") from exc
     return records
 
 

@@ -32,15 +32,21 @@ from .transport import ForwardModel
 # the per-instance synthesis streams.
 BOOTSTRAP_STREAM_INDEX = 2**62
 
+CONFIDENCE_LEVEL = 0.95
+
 
 @dataclass(frozen=True)
 class PerformanceReport:
-    recall: float
-    detection_recall: float
+    """A cell's scores. The recalls and their intervals are None when a
+    repetition had every instance alarm before its change, and the delay
+    is None unless every repetition detected every change."""
+
+    recall: float | None
+    detection_recall: float | None
     false_positive_rate: float
     detection_delay: float | None
-    recall_ci: tuple[float, float]
-    detection_recall_ci: tuple[float, float]
+    recall_ci: tuple[float, float] | None
+    detection_recall_ci: tuple[float, float] | None
     false_positive_rate_ci: tuple[float, float]
 
 
@@ -74,21 +80,19 @@ def score_first_alarms(
 
 def bootstrap_ci(
     values: Sequence[float],
-    level: float = 0.95,
     n_boot: int = 10_000,
     rng: np.random.Generator | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of ``values``."""
+    """Percentile bootstrap interval, at ``CONFIDENCE_LEVEL``, for the
+    mean of ``values``."""
     data = np.asarray(values, dtype=float)
     if data.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    if not 0 < level < 1:
-        raise ValueError("confidence level must lie in (0, 1)")
     if rng is None:
         rng = np.random.default_rng(0)
     idx = rng.integers(0, data.size, size=(n_boot, data.size))
     means = data[idx].mean(axis=1)
-    tail = 100.0 * (1.0 - level) / 2.0
+    tail = 100.0 * (1.0 - CONFIDENCE_LEVEL) / 2.0
     lo, hi = np.percentile(means, [tail, 100.0 - tail])
     return float(lo), float(hi)
 
@@ -109,8 +113,10 @@ def evaluate_cell(
     (instance indices keep counting across repetitions, so every series
     in the cell is distinct and reproducible). Point estimates average
     the per-repetition metrics and the intervals are percentile
-    bootstraps over those repetition values. The delay is present only
-    when every repetition achieved full detection.
+    bootstraps over those repetition values. A repetition whose every
+    instance is a false positive scores an fpr of 1 and no recall, which
+    leaves the cell without recalls. The delay is present only when every
+    repetition achieved full detection.
     """
     scores = []
     for rep in range(n_repetitions):
@@ -123,15 +129,20 @@ def evaluate_cell(
                 f"experiment {exp.experiment_id!r} lrr {lrr} repetition "
                 f"{rep} instance {start + exc.instance}: {exc}"
             ) from exc
-        scores.append(score_first_alarms(alarms, exp.n_passes))
+        if np.all((alarms > 0) & (alarms <= exp.n_passes)):
+            scores.append((None, None, 1.0, None))
+        else:
+            scores.append(score_first_alarms(alarms, exp.n_passes))
     recalls, det_recalls, fprs, delays = zip(*scores)
     boot_rng = instance_rng(master_seed, exp.experiment_id, lrr, BOOTSTRAP_STREAM_INDEX)
-    return PerformanceReport(
-        recall=float(np.mean(recalls)),
-        detection_recall=float(np.mean(det_recalls)),
-        false_positive_rate=float(np.mean(fprs)),
-        detection_delay=None if None in delays else float(np.mean(delays)),
-        recall_ci=bootstrap_ci(recalls, n_boot=n_boot, rng=boot_rng),
-        detection_recall_ci=bootstrap_ci(det_recalls, n_boot=n_boot, rng=boot_rng),
-        false_positive_rate_ci=bootstrap_ci(fprs, n_boot=n_boot, rng=boot_rng),
-    )
+
+    def mean_and_ci(values):
+        if None in values:
+            return None, None
+        return float(np.mean(values)), bootstrap_ci(values, n_boot=n_boot, rng=boot_rng)
+
+    recall, recall_ci = mean_and_ci(recalls)
+    det_recall, det_recall_ci = mean_and_ci(det_recalls)
+    fpr, fpr_ci = mean_and_ci(fprs)
+    delay = None if None in delays else float(np.mean(delays))
+    return PerformanceReport(recall, det_recall, fpr, delay, recall_ci, det_recall_ci, fpr_ci)

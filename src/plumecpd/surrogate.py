@@ -84,7 +84,7 @@ def make_surrogate_experiment(
     fm = build_forward_model(met, geom, model=dispersion)
     mean_cy = q_true * fm.dispersion_factor_per_m / fm.advection_velocity_mps
     series = stratified_lognormal_series(n_passes, mean_cy, cv)
-    return ExperimentRecord(experiment_id, fetch_m, series, met=met), fm
+    return ExperimentRecord(experiment_id, fetch_m, series), fm
 
 
 def make_unit_forward_experiment(

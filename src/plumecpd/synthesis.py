@@ -20,26 +20,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError
-from .transport import MetSummary
 
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One measured experiment: its reduced passes plus met context."""
+    """One measured experiment: its id, fetch and reduced passes."""
 
     experiment_id: str
     fetch_m: float
     cy_series: np.ndarray = field(compare=False)
-    met: MetSummary | None = None
 
     def __post_init__(self) -> None:
         series = np.asarray(self.cy_series, dtype=float)
         if series.ndim != 1 or series.size < 2:
             raise InsufficientDataError("an experiment needs at least 2 passes")
+        if not np.all(np.isfinite(series)):
+            raise ValueError("integrated concentrations must be finite")
         if np.any(series < 0):
             raise ValueError("integrated concentrations must be non-negative")
-        if self.fetch_m <= 0:
-            raise ValueError("fetch must be positive")
+        if not 0 < self.fetch_m < math.inf:
+            raise ValueError("fetch must be positive and finite")
         series = series.copy()
         series.setflags(write=False)
         object.__setattr__(self, "cy_series", series)

@@ -128,9 +128,8 @@ def ppm_to_mass_concentration(
     ppm,
     temperature_k: float,
     pressure_pa: float = STANDARD_PRESSURE_PA,
-    molar_mass_g_per_mol: float = METHANE_MOLAR_MASS_G_PER_MOL,
 ):
-    """Convert a mixing ratio in ppm to a mass concentration in g/m^3.
+    """Convert a methane mixing ratio in ppm to a mass concentration in g/m^3.
 
     ``ppm`` is a float or an array; an array converts elementwise with
     the same floating-point operations as a float, so each element equals
@@ -141,7 +140,7 @@ def ppm_to_mass_concentration(
     if np.any(np.less(ppm, 0)):
         raise ValueError("mixing ratio must be non-negative")
     molar_volume = GAS_CONSTANT_J_PER_MOL_K * temperature_k / pressure_pa
-    return ppm * 1e-6 * molar_mass_g_per_mol / molar_volume
+    return ppm * 1e-6 * METHANE_MOLAR_MASS_G_PER_MOL / molar_volume
 
 
 def cross_plume_integrate(conc, dt, speed, angle_deg, pass_lengths) -> np.ndarray:

@@ -203,7 +203,7 @@ WRITERS = {
         ["detect", "--passes", "{passes}", "--met", "{met}", "--config", "{config}"],
         "events.json",
     ),
-    "synth": (["synth", "--passes", "{passes}", "--met", "{met}", "--lrr", "2", "--instances", "2"], ""),
+    "synth": (["synth", "--passes", "{passes}", "--lrr", "2", "--instances", "2"], ""),
     "sweep": (
         [
             "sweep", "--passes", "{passes}", "--met", "{met}", "--lrr", "2", "--instances", "2",
@@ -534,6 +534,15 @@ class TestCalibrate:
             == 2
         )
         assert "2 passes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x_m", ["0", "-1", "inf", "nan"])
+    def test_bad_fetch_exits_two_naming_the_experiment(self, tmp_path, capsys, x_m):
+        passes, met = tmp_path / "passes.csv", tmp_path / "met.csv"
+        write_series(passes, [0.005, 0.006])
+        met.write_text(MET_HEADER + "\n" + MET_ROW_4.replace("4,30,", f"4,{x_m},") + "\n")
+        argv = ["calibrate", "--passes", str(passes), "--met", str(met), "--q-true", "0.083"]
+        assert main(argv + ["--out", str(tmp_path / "cal.json")]) == 2
+        assert "error: experiment '4': fetch must be positive and finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q_true", ["nan", "inf", "-1"])
     def test_bad_q_true_exits_two_before_reading(self, tmp_path, met_csv, capsys, q_true):
@@ -1007,12 +1016,12 @@ def test_synth_and_sweep_give_finite_output_or_a_typed_error(cys, lrr):
         write_series(passes, cys)
         met.write_text(MET_HEADER + "\n" + MET_ROW_4 + "\n")
         (tmp / "out").mkdir()
-        common = ["--passes", str(passes), "--met", str(met), "--lrr", repr(lrr), "--instances", "2"]
+        common = ["--passes", str(passes), "--lrr", repr(lrr), "--instances", "2"]
         for argv in (
             ["synth", *common, "--out", str(tmp / "out" / "instances.csv")],
             [
-                "sweep", *common, "--q-true", "0.083", "--repetitions", "1", "--boot", "10",
-                "--out", str(tmp / "out" / "sweep"),
+                "sweep", *common, "--met", str(met), "--q-true", "0.083", "--repetitions", "1",
+                "--boot", "10", "--out", str(tmp / "out" / "sweep"),
             ],
         ):
             with contextlib.redirect_stderr(io.StringIO()):
@@ -1331,6 +1340,23 @@ class TestSweep:
         assert not list(out.glob("cells/*.json"))
         assert not (out / "report.csv").exists()
 
+    def test_cell_of_only_false_positives_has_no_recall(self, tmp_path, exp4):
+        # At threshold 1e-9 every instance alarms before its change: that
+        # cell reports fpr 1 and empty recalls, and the 0.8 cell beside it
+        # reads as it does alone.
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        assert main(self._argv(passes, met, both, lrr="3.0", threshold="1e-9,0.8")) == 0
+        assert main(self._argv(passes, met, alone, lrr="3.0", threshold="0.8")) == 0
+        fp_row = read_report_csv(both / "report.csv")[0]
+        assert fp_row["threshold"] == 1e-9
+        assert fp_row["fpr"] == fp_row["fpr_lo"] == fp_row["fpr_hi"] == 1.0
+        for col in ("recall", "recall_lo", "recall_hi", "det_recall", "det_recall_lo", "det_recall_hi", "det_delay"):
+            assert fp_row[col] is None, col
+        assert (both / "report.csv").read_text().splitlines()[2] == (
+            (alone / "report.csv").read_text().splitlines()[1]
+        )
+
     def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, exp4, capsys):
         passes, met, _, _ = self._inputs(tmp_path, exp4)
         rc = main(self._argv(passes, met, tmp_path / "out", lrr="2.0", dq="1e-12"))
@@ -1350,7 +1376,6 @@ class TestSweep:
             ("threshold", "1.5", "threshold must lie strictly between 0 and 1"),
             ("lambda", "1", "lambda must exceed 1"),
             ("lambda", "inf", "lambda must exceed 1 and be finite"),
-            ("sigma-post-factor", "nan", "sigma_e_post_factor must be at least 1"),
             ("instances", "0", "--instances must be at least 1"),
             ("repetitions", "0", "--repetitions must be at least 1"),
             ("boot", "0", "--boot must be at least 1"),

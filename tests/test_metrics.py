@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import OutcomeLabel, classify_outcome, compute_metrics, label_first_alarms
+from plumecpd import metrics
 from plumecpd.detector import DetectorConfig
 from plumecpd.errors import DetectionError
 from plumecpd.inference import QGrid
@@ -146,11 +148,6 @@ class TestBootstrapCi:
         with pytest.raises(ValueError):
             bootstrap_ci([])
 
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5])
-    def test_bad_level_rejected(self, level):
-        with pytest.raises(ValueError):
-            bootstrap_ci([0.5, 0.6], level=level)
-
 
 class TestEvaluateCell:
     def _setup(self, cv, q_true=2.0, n=12, exp_id="m1"):
@@ -195,6 +192,21 @@ class TestEvaluateCell:
         cfg = DetectorConfig(threshold=0.8, sigma_e_initial=sigma_e)
         kwargs = dict(n_instances=8, n_repetitions=2, master_seed=5, fm=fm, n_boot=100)
         assert evaluate_cell(exp, 2.5, cfg, **kwargs) == evaluate_cell(exp, 2.5, cfg, **kwargs)
+
+    def test_repetition_of_only_false_positives_leaves_no_recall(self):
+        # Repetition 0 has every instance alarm before its change: it
+        # counts fpr 1, and the cell has no recall. Its fpr averages the
+        # two repetitions.
+        exp, fm, sigma_e = self._setup(0.4, n=12)
+        cfg = DetectorConfig(threshold=0.8, sigma_e_initial=sigma_e)
+        reps = [(np.array([3, 12]), None), (np.array([13, 5]), None)]
+        with mock.patch.object(metrics, "first_alarms", side_effect=reps):
+            report = evaluate_cell(exp, 3.0, cfg, fm, n_instances=2, n_repetitions=2, n_boot=50)
+        assert report.false_positive_rate == 0.75
+        assert 0.5 <= report.false_positive_rate_ci[0] <= report.false_positive_rate_ci[1] <= 1.0
+        assert report.recall is report.recall_ci is None
+        assert report.detection_recall is report.detection_recall_ci is None
+        assert report.detection_delay is None
 
     def test_error_reports_cell_coordinates(self):
         exp, fm, _ = self._setup(0.3, exp_id="bad")

@@ -33,6 +33,19 @@ class TestExperimentRecord:
         with pytest.raises(ValueError):
             ExperimentRecord("e1", 0.0, np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize(
+        "fetch, series, message",
+        [
+            (math.nan, [1.0, 2.0], "fetch must be positive and finite"),
+            (math.inf, [1.0, 2.0], "fetch must be positive and finite"),
+            (1.0, [math.nan, 1.0], "integrated concentrations must be finite"),
+            (1.0, [1.0, math.inf], "integrated concentrations must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_values(self, fetch, series, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentRecord("e", fetch, series)
+
     def test_series_is_frozen(self):
         exp = make_exp([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -313,5 +326,4 @@ class TestSurrogates:
         exp, fm = make_surrogate_experiment("s", 14, 0.4, 0.083, fetch_m=30.0)
         predicted = 0.083 * fm.dispersion_factor_per_m / fm.advection_velocity_mps
         assert float(np.mean(exp.cy_series)) == pytest.approx(predicted, rel=1e-12)
-        assert exp.met is not None
         assert exp.n_passes == 14
