@@ -1,6 +1,6 @@
 """Mobile-survey emission rate inference with online changepoint detection."""
 
-from .bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD
+from .bocd import DEFAULT_LAMBDA
 from .detector import (
     DetectionEvent,
     DetectorConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "ConstantDispersion",
     "DEFAULT_GRID",
     "DEFAULT_LAMBDA",
-    "DEFAULT_PREDICTIVE_METHOD",
     "DetectionError",
     "DetectionEvent",
     "DetectorConfig",

@@ -30,11 +30,11 @@ marginal predictive of hypothesis j is
 
 with z_j = (c - r mode_j) / sigma and Z_j' the Z of the updated row, which
 hypothesis j + 1 stores next, so a step computes one log Z per
-hypothesis. The scaling predictive reads each row at the two grid points
-around q* = c / r. A row is built, in O(n), only for an event or a report
-the closed form cannot summarize (``inference.summarize_rows``).
+hypothesis. It is the exact posterior predictive of the model: a flat
+prior and Gaussian noise. A row is built, in O(n), only for an event or a
+report the closed form cannot summarize (``inference.summarize_rows``).
 
-A hypothesis's (A, mode, log Z) and both predictives depend on the
+A hypothesis's (A, mode, log Z) and its predictive depend on the
 measurements and the noise scale alone, never on the weights, so
 ``RunLengthState.advance`` computes them for a block of passes at once,
 each with the arithmetic of a one-pass step, so that they keep the bits of
@@ -64,7 +64,7 @@ Changepoint probabilities agree with the one-pass recursion within 1e-12.
 from __future__ import annotations
 
 import math
-from typing import Literal, NamedTuple, get_args
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,9 +80,6 @@ from .inference import (
 from .transport import ForwardModel
 
 DEFAULT_LAMBDA = 15.0
-
-PredictiveMethod = Literal["scaling", "marginal"]
-DEFAULT_PREDICTIVE_METHOD: PredictiveMethod = "marginal"
 
 # A measurement this many noise scales above every prediction on the grid
 # has likelihood below exp(-1250) / (sigma sqrt(2 pi)), 0 for any sigma, so
@@ -170,7 +167,6 @@ class RunLengthState:
         fm: ForwardModel,
         cfg: LikelihoodConfig,
         lam: float,
-        method: PredictiveMethod,
         threshold: float,
     ) -> Steps:
         """Fold a block of passes, ``cys`` of shape (B, passes), into the
@@ -186,24 +182,19 @@ class RunLengthState:
 
         Arguments no stream can run raise ``ValueError`` before any pass is
         taken, checked once for the whole block in this order: ``lam`` not
-        above 1, an unknown ``method``, a precision r^2 / sigma_e^2 that
-        overflows, the scaling predictive with a dispersion factor of 0,
-        and a negative measurement anywhere in the block. A caller that
-        must fail a negative measurement at its own pass ends the block
-        before it.
+        above 1, a precision r^2 / sigma_e^2 that overflows, and a
+        negative measurement anywhere in the block. A caller that must
+        fail a negative measurement at its own pass ends the block before
+        it.
         """
         if not lam > 1:
             raise ValueError("expected run length lambda must exceed 1")
-        if method not in get_args(PredictiveMethod):
-            raise ValueError(f"unknown predictive method {method!r}")
         grid, k0, sigma = self.grid, self.k, cfg.sigma_e
         n_streams, n_block = cys.shape
         ratio = fm.ratio
         scale = ratio / sigma
         if not scale * scale < math.inf:
             raise ValueError("forward ratio over sigma_e overflows the rate precision")
-        if method == "scaling" and fm.dispersion_factor_per_m <= 0:
-            raise ValueError("scaling predictive needs a positive dispersion factor")
 
         far = ~(cys <= ratio * grid.q_max + FAR_SIGMAS * sigma)
         used = np.where(far, ratio * grid.q_max, cys)
@@ -235,19 +226,13 @@ class RunLengthState:
         log_mass[:, 0] = self.log_mass[:, :width]
         log_mass[:, 1:] = log_grid_mass(grid, precision[1:], mode[:, 1:])
 
-        if method == "marginal":
-            # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
-            half_shrink = np.full((n_block, width), 0.5)
-            if a > 0:
-                np.divide(
-                    0.5 * precision[:-1], precision[1:], out=half_shrink, where=precision[1:] > 0
-                )
-            pis = _marginal_density(
-                used, ratio, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
-            )
-        else:
-            inverse = fm.advection_velocity_mps / fm.dispersion_factor_per_m
-            pis = _scaled_density(grid, used, inverse, precision[:-1], mode[:, :-1], log_mass[:, :-1])
+        # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
+        half_shrink = np.full((n_block, width), 0.5)
+        if a > 0:
+            np.divide(0.5 * precision[:-1], precision[1:], out=half_shrink, where=precision[1:] > 0)
+        pis = _marginal_density(
+            used, ratio, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
+        )
 
         # The fold, with every pass scaled by its largest predictive. A
         # growth factor is 1 in a slot the pass has not opened yet, and 0 on
@@ -328,27 +313,6 @@ def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shri
     z = (cys[..., np.newaxis] - ratio * mode) / sigma
     log_pis = new_log_mass - log_mass - half_shrink * z * z
     return np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
-
-
-def _scaled_density(grid, cys, inverse, precision, mode, log_mass) -> np.ndarray:
-    """Change-of-variables predictive density of each hypothesis, shaped as
-    in ``_marginal_density``.
-
-    Each row is linearly interpolated at q* = cy ``inverse``, inverse = u / D,
-    the rate its measurement maps back to. A q* outside the grid, or a row
-    read that overflows, gives every hypothesis of the measurement density 0.
-    """
-    q_star = cys * inverse
-    inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
-    pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
-    j0 = np.minimum(pos.astype(int), grid.n_points - 2)
-    frac = (pos - j0)[..., np.newaxis]
-    offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
-        pis = (lo * (1.0 - frac) + hi * frac) * inverse
-    pis[~(inside & np.isfinite(pis).all(axis=-1))] = 0.0
-    return pis
 
 
 def _top_overflows(grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray) -> np.ndarray:

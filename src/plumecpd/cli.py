@@ -22,12 +22,11 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import get_args
 
 import numpy as np
 
 from . import dataio
-from .bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD, PredictiveMethod
+from .bocd import DEFAULT_LAMBDA
 from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
 from .inference import DEFAULT_GRID, QGrid, built_summaries, estimate_sigma_e
@@ -200,10 +199,7 @@ def _load_detect_config(path: Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     for key, value in raw.items():
-        if key == "predictive":
-            if not isinstance(value, str):
-                raise ConfigError(f"{path}: config key 'predictive' must be a string, got {value!r}")
-        elif key not in _NUMBER_KEYS:
+        if key not in _NUMBER_KEYS:
             raise ConfigError(f"{path}: unknown config key {key!r}")
         elif key == "sigma_e" and isinstance(value, dict):
             for exp_id, entry in value.items():
@@ -228,7 +224,6 @@ def _detector_config(raw: dict, sigma_e: object, source: str) -> DetectorConfig:
             lam=float(raw.get("lambda", DEFAULT_LAMBDA)),
             sigma_e_post_factor=float(raw.get("sigma_e_post_factor", DEFAULT_SIGMA_E_POST_FACTOR)),
             grid=grid,
-            predictive_method=raw.get("predictive", DEFAULT_PREDICTIVE_METHOD),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
@@ -383,7 +378,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 sigma_e_initial=1.0,
                 lam=args.lam,
                 grid=grid,
-                predictive_method=args.predictive,
             )
             for threshold in args.threshold
         ]
@@ -497,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     sweep.add_argument("--instances", type=int, default=1000)
     sweep.add_argument("--repetitions", type=int, default=100)
-    sweep.add_argument(
-        "--predictive", choices=get_args(PredictiveMethod), default=DEFAULT_PREDICTIVE_METHOD
-    )
     sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--boot", type=int, default=10_000)
     sweep.add_argument("--q-min", type=float, default=DEFAULT_GRID.q_min)

@@ -176,13 +176,6 @@ def _parse_float(path: Path, line: int, row: dict, key: str) -> float:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
-    try:
-        return int(row[key])
-    except (TypeError, ValueError) as exc:
-        raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
-
-
 # Rows per chunk of the diagnostic reader, which reads raw.csv and
 # passes.csv a chunk at a time, so that it holds one chunk's Python
 # strings and row buffers at once. The fast path parses the whole file
@@ -476,22 +469,16 @@ class MetRow:
     experiment_id: str
     x_m: float
     met: MetSummary
-    n_passes: int | None = None
 
 
 def read_met(path: Path) -> dict[str, MetRow]:
+    """Met rows per experiment: the ``MET_REQUIRED`` columns and an
+    optional ``turb_intensity``. Any other column is ignored."""
     rows: dict[str, MetRow] = {}
     for line, row in _open_rows(path, MET_REQUIRED):
         exp = row["experiment_id"]
         if exp in rows:
             raise InputDataError(f"{path}:{line}: duplicate experiment_id {exp!r}")
-
-        def opt(key: str) -> float | None:
-            raw = row.get(key)
-            if raw is None or raw == "":
-                return None
-            return _parse_float(path, line, row, key)
-
         try:
             met = MetSummary(
                 mean_velocity_mps=_parse_float(path, line, row, "u_mean_mps"),
@@ -499,22 +486,15 @@ def read_met(path: Path) -> dict[str, MetRow]:
                 sigma_w_mps=_parse_float(path, line, row, "sigma_w_mps"),
                 friction_velocity_mps=_parse_float(path, line, row, "u_star_mps"),
                 temperature_k=_parse_float(path, line, row, "temperature_K"),
-                turbulent_intensity=opt("turb_intensity"),
-                wind_direction_deg=opt("wind_dir_deg"),
-                sensible_heat_flux_w_m2=opt("heat_flux_w_m2"),
-                stability_z_over_l=opt("z_over_l"),
-                obukhov_length_m=opt("obukhov_length_m"),
-                surface_roughness_m=opt("z0_m"),
+                turbulent_intensity=(
+                    _parse_float(path, line, row, "turb_intensity")
+                    if row.get("turb_intensity")
+                    else None
+                ),
             )
         except ValueError as exc:
             raise InputDataError(f"{path}:{line}: {exc}") from exc
-        n_passes = row.get("n_passes")
-        rows[exp] = MetRow(
-            experiment_id=exp,
-            x_m=_parse_float(path, line, row, "x_m"),
-            met=met,
-            n_passes=_parse_int(path, line, row, "n_passes") if n_passes else None,
-        )
+        rows[exp] = MetRow(exp, _parse_float(path, line, row, "x_m"), met)
     return rows
 
 

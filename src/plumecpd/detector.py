@@ -31,17 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, get_args
+from typing import Sequence
 
 import numpy as np
 
-from .bocd import (
-    DEFAULT_LAMBDA,
-    DEFAULT_PREDICTIVE_METHOD,
-    PredictiveMethod,
-    RunLengthState,
-    block_passes,
-)
+from .bocd import DEFAULT_LAMBDA, RunLengthState, block_passes
 from .errors import DetectionError
 from .inference import (
     DEFAULT_GRID,
@@ -65,7 +59,6 @@ class DetectorConfig:
     lam: float = DEFAULT_LAMBDA
     sigma_e_post_factor: float = DEFAULT_SIGMA_E_POST_FACTOR
     grid: QGrid = DEFAULT_GRID
-    predictive_method: PredictiveMethod = DEFAULT_PREDICTIVE_METHOD
 
     def __post_init__(self) -> None:
         if not 0 < self.threshold < 1:
@@ -80,8 +73,6 @@ class DetectorConfig:
             and math.isfinite(self.sigma_e_initial * self.sigma_e_post_factor)
         ):
             raise ValueError("sigma_e_post_factor must be at least 1 and keep sigma_e finite")
-        if self.predictive_method not in get_args(PredictiveMethod):
-            raise ValueError(f"unknown predictive method {self.predictive_method!r}")
 
 
 @dataclass(frozen=True)
@@ -143,10 +134,7 @@ def detect_series(
         # The full-run row before the block, the flat prior in a fresh state.
         before = (float(state.precision[0]), float(state.mode[0, 0]), float(state.log_mass[0, 0]))
         try:
-            steps = state.advance(
-                cys[np.newaxis, start:stop], fm, lik_cfg, cfg.lam,
-                cfg.predictive_method, cfg.threshold,
-            )
+            steps = state.advance(cys[np.newaxis, start:stop], fm, lik_cfg, cfg.lam, cfg.threshold)
         except ValueError as exc:
             raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
         done = int(steps.done[0])
@@ -219,10 +207,7 @@ def first_alarms(
     while start < n_passes and live.size:
         stop = min(start + block_passes(live.size, state.k), n_passes)
         try:
-            steps = state.advance(
-                cys[live, start:stop], fm, lik_cfg, cfg.lam,
-                cfg.predictive_method, cfg.threshold,
-            )
+            steps = state.advance(cys[live, start:stop], fm, lik_cfg, cfg.lam, cfg.threshold)
         except ValueError as exc:
             # A configuration the core rejects fails every stream alike.
             failures.update(dict.fromkeys(live.tolist(), f"pass {start + 1}: {exc}"))

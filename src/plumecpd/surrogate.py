@@ -36,7 +36,6 @@ DEFAULT_SURROGATE_MET = MetSummary(
     sigma_w_mps=0.30,
     friction_velocity_mps=0.24,
     temperature_k=293.15,
-    surface_roughness_m=0.03,
 )
 
 

@@ -49,11 +49,6 @@ class MetSummary:
     friction_velocity_mps: float
     temperature_k: float
     turbulent_intensity: float | None = None
-    wind_direction_deg: float | None = None
-    sensible_heat_flux_w_m2: float | None = None
-    stability_z_over_l: float | None = None
-    obukhov_length_m: float | None = None
-    surface_roughness_m: float | None = None
 
     def __post_init__(self) -> None:
         if not _positive_finite(self.mean_velocity_mps):

@@ -522,7 +522,8 @@ class StepOracle:
     Layout as ``bocd.RunLengthState``: slot j of ``precision`` (shared),
     ``mode`` and ``log_mass`` is run length k - j, slots k + 1 on hold the
     flat prior. Each call computes log Z of the pass's hypotheses in one
-    ``log_grid_mass`` call, and both predictives, for every stream.
+    ``log_grid_mass`` call, and their marginal predictives, for every
+    stream.
     """
 
     def __init__(self, n_streams: int, n_passes: int, grid) -> None:
@@ -539,14 +540,12 @@ class StepOracle:
         """(A, mode, log Z) of stream 0's full run: the flat prior before its first pass."""
         return float(self.precision[0]), float(self.mode[0, 0]), float(self.log_mass[0, 0])
 
-    def advance(self, cys, fm, cfg, lam, method) -> dict[int, str]:
+    def advance(self, cys, fm, cfg, lam) -> dict[int, str]:
         """Fold one measurement per stream; the reason of each stream that
         fails, whose new state is then meaningless. Raises ``ValueError``
         for a configuration no stream can run."""
         if not lam > 1:
             raise ValueError("expected run length lambda must exceed 1")
-        if method not in ("scaling", "marginal"):
-            raise ValueError(f"unknown predictive method {method!r}")
         grid, k = self.grid, self.weights.shape[1] - 1
         ratio = fm.dispersion_factor_per_m / fm.advection_velocity_mps
         sigma = cfg.sigma_e
@@ -566,24 +565,9 @@ class StepOracle:
             half_shrink = 0.5 * precision / new_precision
         else:
             new_mode, new_log_mass, half_shrink = mode, log_mass, 0.5
-        if method == "marginal":
-            z = (cys[:, np.newaxis] - ratio * mode) / sigma
-            log_pis = new_log_mass - log_mass - half_shrink * z * z
-            pis = np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
-        else:
-            if fm.dispersion_factor_per_m <= 0:
-                raise ValueError("scaling predictive needs a positive dispersion factor")
-            inverse = fm.advection_velocity_mps / fm.dispersion_factor_per_m
-            q_star = cys * inverse
-            inside = (grid.q_min <= q_star) & (q_star <= grid.q_max)
-            pos = np.where(inside, (q_star - grid.q_min) / grid.dq, 0.0)
-            j0 = np.minimum(pos.astype(int), grid.n_points - 2)
-            frac = (pos - j0)[:, np.newaxis]
-            offset = grid.values[np.stack([j0, j0 + 1])][..., np.newaxis] - mode
-            with np.errstate(over="ignore", invalid="ignore"):
-                lo, hi = np.exp(-0.5 * precision * offset * offset - log_mass)
-                pis = (lo * (1.0 - frac) + hi * frac) * inverse
-            pis[~(inside & np.isfinite(pis).all(axis=1))] = 0.0
+        z = (cys[:, np.newaxis] - ratio * mode) / sigma
+        log_pis = new_log_mass - log_mass - half_shrink * z * z
+        pis = np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
         pis[far] = 0.0
 
         h = 1.0 / lam
@@ -625,7 +609,7 @@ def step_oracle_detect(cys, fm, cfg, pass_indices=None):
     for idx, cy in zip(pass_indices, cys[:, np.newaxis]):
         previous = state.full_run_row()
         try:
-            errors = state.advance(cy, fm, lik_cfg, cfg.lam, cfg.predictive_method)
+            errors = state.advance(cy, fm, lik_cfg, cfg.lam)
             if errors:
                 raise MeasurementIncompatibleError(errors[0])
             posterior = conjugate_posterior(cfg.grid, *state.full_run_row())
@@ -655,7 +639,7 @@ def step_oracle_first_alarms(cys, fm, cfg):
     failures: dict[int, str] = {}
     for k in range(n_passes):
         try:
-            errors = state.advance(cys[live, k], fm, lik_cfg, cfg.lam, cfg.predictive_method)
+            errors = state.advance(cys[live, k], fm, lik_cfg, cfg.lam)
         except ValueError as exc:
             failures.update(dict.fromkeys(live.tolist(), f"pass {k + 1}: {exc}"))
             break

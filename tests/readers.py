@@ -16,11 +16,17 @@ from plumecpd.dataio import (
     REPORT_COLUMNS,
     _open_rows,
     _parse_float,
-    _parse_int,
     read_raw_samples,
 )
 from plumecpd.detector import PassReport
 from plumecpd.errors import InputDataError
+
+
+def _parse_int(path: Path, line: int, row: dict, key: str) -> int:
+    try:
+        return int(row[key])
+    except (TypeError, ValueError) as exc:
+        raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
 def read_pass_reports_csv(path: Path) -> list[tuple[str, PassReport]]:

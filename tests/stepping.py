@@ -65,7 +65,6 @@ def run_core(
     cfg: LikelihoodConfig,
     lam: float,
     grid: QGrid,
-    method: str = "marginal",
     start: tuple[np.ndarray, ...] | None = None,
 ) -> CoreRun:
     """Advance one stream through ``RunLengthState.advance`` over ``cys``.
@@ -91,7 +90,7 @@ def run_core(
     start = 0
     while start < cys.shape[1]:
         block = cys[:, start : start + block_passes(1, state.k)]
-        steps = state.advance(block, fm, cfg, lam, method, math.inf)
+        steps = state.advance(block, fm, cfg, lam, math.inf)
         if steps.errors:
             raise MeasurementIncompatibleError(steps.errors[0])
         start += int(steps.done[0])

@@ -16,6 +16,7 @@ from oracles import (
 )
 from plumecpd.bocd import (
     BLOCK_SLOTS,
+    FAR_SIGMAS,
     PASS_BLOCK,
     RunLengthState,
     block_passes,
@@ -41,7 +42,7 @@ def alpha(run):
     return run.weights * math.exp(run.log_evidence)
 
 
-def predictive_probability(grid, precision, mode, cy, fm, cfg, method):
+def predictive_probability(grid, precision, mode, cy, fm, cfg):
     """Predictive density of ``cy`` under one hypothesis whose rate row is
     exp(-precision (q - mode)^2 / 2) / Z, read from one core step: the
     growth weight times the step evidence, over the growth hazard."""
@@ -52,7 +53,6 @@ def predictive_probability(grid, precision, mode, cy, fm, cfg, method):
         cfg,
         lam,
         grid,
-        method=method,
         start=(np.ones(1), np.array([precision]), np.array([mode])),
     )
     return alpha(run)[1] / (1.0 - 1.0 / lam)
@@ -91,47 +91,6 @@ class TestHazard:
 class TestPredictiveProbability:
     """The predictive density one hypothesis gives the next measurement."""
 
-    def test_scaling_flat_identity_map(self, unit_fm):
-        grid = QGrid(0.0, 5.0, 0.005)
-        value = predictive_probability(
-            grid, 0.0, 0.0, 2.5, unit_fm, LikelihoodConfig(1.0), method="scaling"
-        )
-        assert value == pytest.approx(0.2)
-
-    def test_scaling_out_of_support(self, unit_fm):
-        # Every hypothesis, the fresh one included, gives it density 0.
-        grid = QGrid(0.0, 5.0, 0.005)
-        with pytest.raises(MeasurementIncompatibleError, match="impossible under all"):
-            predictive_probability(
-                grid, 0.0, 0.0, 6.0, unit_fm, LikelihoodConfig(1.0), method="scaling"
-            )
-
-    def test_scaling_interpolates_linearly(self, unit_fm):
-        grid = QGrid(0.0, 2.0, 0.5)
-        row = (grid, 1.0, 1.3)
-
-        def at(cy):
-            return predictive_probability(*row, cy, unit_fm, LikelihoodConfig(1.0), method="scaling")
-
-        assert at(0.75) == pytest.approx(0.5 * (at(0.5) + at(1.0)))
-        assert at(0.5) != pytest.approx(at(1.0))
-
-    def test_scaling_change_of_variables_factor(self):
-        fm = ForwardModel(advection_velocity_mps=2.0, dispersion_factor_per_m=1.0)
-        grid = QGrid(0.0, 5.0, 0.005)
-        value = predictive_probability(
-            grid, 0.0, 0.0, 1.0, fm, LikelihoodConfig(1.0), method="scaling"
-        )
-        assert value == pytest.approx(0.2 * 2.0)
-
-    def test_scaling_degenerate_transport(self):
-        fm = ForwardModel(advection_velocity_mps=1.0, dispersion_factor_per_m=0.0)
-        grid = QGrid(0.0, 5.0, 0.005)
-        with pytest.raises(ValueError):
-            predictive_probability(
-                grid, 0.0, 0.0, 1.0, fm, LikelihoodConfig(1.0), method="scaling"
-            )
-
     def test_marginal_delta_posterior_collapses(self, unit_fm):
         # A row far narrower than the grid step is a point mass.
         grid = QGrid(0.0, 5.0, 0.005)
@@ -139,26 +98,17 @@ class TestPredictiveProbability:
         sigma = 0.4
         cy = 2.3
         value = predictive_probability(
-            grid, 1e14, q_star, cy, unit_fm, LikelihoodConfig(sigma), method="marginal"
+            grid, 1e14, q_star, cy, unit_fm, LikelihoodConfig(sigma)
         )
         expected = gaussian_pdf(cy, q_star, sigma)
         assert value == pytest.approx(expected, rel=1e-12)
 
-    def test_unknown_method_rejected(self, unit_fm):
-        grid = QGrid(0.0, 5.0, 0.5)
-        with pytest.raises(ValueError):
-            predictive_probability(
-                grid, 0.0, 0.0, 1.0, unit_fm, LikelihoodConfig(1.0), method="exact"
-            )
-
-
 class TestBocdStep:
     """One stream stepped through the run-length core."""
 
-    @pytest.mark.parametrize("method", ["marginal", "scaling"])
-    def test_first_step_splits_by_hazard(self, unit_fm, method):
+    def test_first_step_splits_by_hazard(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
-        run = run_core([1.0], unit_fm, LikelihoodConfig(0.5), 15.0, grid, method=method)
+        run = run_core([1.0], unit_fm, LikelihoodConfig(0.5), 15.0, grid)
         assert run.weights == pytest.approx([1.0 / 15.0, 14.0 / 15.0])
 
     def test_entry_count_tracks_pass_count(self, unit_fm, coarse_grid):
@@ -249,37 +199,29 @@ class TestBocdStep:
             ):
                 assert run_lo.weights[0] >= run_hi.weights[0] - 1e-9
 
-    def test_scale_equivariance_of_scaling_method(self):
+    def test_scale_equivariance(self):
         s = 3.7
         cys = [1.8, 2.1, 3.9, 4.2, 4.0, 3.8]
         lam = 15.0
         fm = ForwardModel(1.0, 1.0)
-        base = run_core(
-            cys, fm, LikelihoodConfig(0.3), lam, QGrid(0.0, 5.0, 0.005), method="scaling"
-        )
+        base = run_core(cys, fm, LikelihoodConfig(0.3), lam, QGrid(0.0, 5.0, 0.005))
         scaled = run_core(
             [c * s for c in cys],
             fm,
             LikelihoodConfig(0.3 * s),
             lam,
             QGrid(0.0, 5.0 * s, 0.005 * s),
-            method="scaling",
         )
         np.testing.assert_allclose(scaled.weights, base.weights, rtol=1e-9)
-
-    def test_impossible_observation_scaling(self, unit_fm, coarse_grid):
-        with pytest.raises(MeasurementIncompatibleError):
-            run_core([9.0], unit_fm, LikelihoodConfig(0.3), 15.0, coarse_grid, method="scaling")
 
     def test_impossible_observation_marginal(self, unit_fm, coarse_grid):
         with pytest.raises(MeasurementIncompatibleError):
             run_core([500.0], unit_fm, LikelihoodConfig(1e-3), 15.0, coarse_grid)
 
-    @pytest.mark.parametrize("method", ["marginal", "scaling"])
-    def test_largest_float_is_impossible_without_overflow_warning(self, coarse_grid, method):
+    def test_largest_float_is_impossible_without_overflow_warning(self, coarse_grid):
         fm = ForwardModel(advection_velocity_mps=4.0, dispersion_factor_per_m=1.0)
         with pytest.raises(MeasurementIncompatibleError, match="impossible under all"):
-            run_core([2.0, 1.7e308], fm, LikelihoodConfig(0.3), 15.0, coarse_grid, method=method)
+            run_core([2.0, 1.7e308], fm, LikelihoodConfig(0.3), 15.0, coarse_grid)
 
     def test_underflowed_row_is_renormalized_in_log_space(self, unit_fm):
         grid = QGrid(0.0, 5.0, 0.005)
@@ -339,17 +281,16 @@ class TestRowBuffer:
     """The per-hypothesis state (weight, A, mode and log Z) that took the
     place of the run-length row buffers."""
 
-    @pytest.mark.parametrize("method", ["marginal", "scaling"])
-    def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid, method):
+    def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid):
         # The four arrays are the whole state: a run rebuilt from them before
         # every step has the rows of one run through a single state, and its
         # weights to 1e-12, since a block folds its passes' weights together.
         cfg = LikelihoodConfig(0.5)
         rng = np.random.default_rng(3)
         cys = np.clip(rng.normal(2.0, 0.4, size=101), 0.0, 4.9)
-        whole = run_core(cys, unit_fm, cfg, 15.0, coarse_grid, method=method)
+        whole = run_core(cys, unit_fm, cfg, 15.0, coarse_grid)
         log_evidence = 0.0
-        for stepped in each_pass(cys, unit_fm, cfg, 15.0, coarse_grid, method=method):
+        for stepped in each_pass(cys, unit_fm, cfg, 15.0, coarse_grid):
             log_evidence += stepped.log_evidence
         np.testing.assert_allclose(stepped.weights, whole.weights, rtol=0, atol=1e-12)
         for field in ("precision", "mode", "log_mass"):
@@ -364,18 +305,18 @@ class TestRowBuffer:
         cfg = LikelihoodConfig(0.3)
         state = RunLengthState(2, 3, coarse_grid)
 
-        def step(cys, method):
-            return state.advance(
-                np.array(cys)[:, np.newaxis], unit_fm, cfg, 15.0, method, math.inf
-            ).errors
+        def step(cys):
+            return state.advance(np.array(cys)[:, np.newaxis], unit_fm, cfg, 15.0, math.inf).errors
 
-        assert step([2.0, 2.0], "marginal") == {}
-        errors = step([2.1, 9.0], "scaling")
+        # More than FAR_SIGMAS noise scales above every prediction on the grid.
+        impossible = coarse_grid.q_max + FAR_SIGMAS * cfg.sigma_e + 1.0
+        assert step([2.0, 2.0]) == {}
+        errors = step([2.1, impossible])
         assert errors == {1: "observation impossible under all run-length hypotheses"}
-        alone = run_core([2.0, 2.1], unit_fm, cfg, 15.0, coarse_grid, method="scaling")
+        alone = run_core([2.0, 2.1], unit_fm, cfg, 15.0, coarse_grid)
         assert np.array_equal(state.weights[0], alone.weights)
         state.select(np.array([True, False]))
-        assert step([1.9], "marginal") == {}
+        assert step([1.9]) == {}
         assert state.weights.shape == (1, 4)
 
     def test_fresh_row_is_the_likelihood(self, unit_fm, coarse_grid):

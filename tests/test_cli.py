@@ -23,7 +23,7 @@ import plumecpd
 from plumecpd import cli, dataio, inference
 from plumecpd.cli import build_parser, main
 from plumecpd.dataio import read_passes, write_passes_csv
-from plumecpd.bocd import DEFAULT_LAMBDA, DEFAULT_PREDICTIVE_METHOD
+from plumecpd.bocd import DEFAULT_LAMBDA
 from plumecpd.detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from plumecpd.errors import ConfigError, DetectionError, InputDataError
 from plumecpd.inference import DEFAULT_GRID, QGrid, estimate_sigma_e
@@ -544,6 +544,24 @@ class TestCalibrate:
         assert main(argv + ["--out", str(tmp_path / "cal.json")]) == 2
         assert "error: experiment '4': fetch must be positive and finite" in capsys.readouterr().err
 
+    def test_met_columns_the_model_does_not_read_are_ignored(self, tmp_path, met_csv):
+        # Extra columns, bad values and an n_passes that disagrees with the
+        # passes included, change no byte of the output.
+        passes = tmp_path / "passes.csv"
+        write_series(passes, [0.005, 0.0062, 0.0041, 0.0057])
+        extra = tmp_path / "extra.csv"
+        extra.write_text(
+            MET_HEADER + ",n_passes,wind_dir_deg,heat_flux_w_m2,z_over_l,obukhov_length_m,z0_m\n"
+            + MET_ROW_4 + ",7,north,,nan,-inf,abc\n"
+        )
+        written = []
+        for met in (met_csv, extra):
+            out = tmp_path / f"{met.stem}.json"
+            argv = ["calibrate", "--passes", str(passes), "--met", str(met), "--q-true", "0.083"]
+            assert main(argv + ["--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("q_true", ["nan", "inf", "-1"])
     def test_bad_q_true_exits_two_before_reading(self, tmp_path, met_csv, capsys, q_true):
         out = tmp_path / "cal.json"
@@ -633,7 +651,6 @@ class TestDetect:
             "threshold": DEFAULT_THRESHOLD,
             "lambda": DEFAULT_LAMBDA,
             "sigma_e_post_factor": DEFAULT_SIGMA_E_POST_FACTOR,
-            "predictive": DEFAULT_PREDICTIVE_METHOD,
         }
         written = []
         for name, extra in [("short", {}), ("full", spelled_out)]:
@@ -675,13 +692,16 @@ class TestDetect:
         reports = read_pass_reports_csv(out / "passes_report.csv")
         assert all(math.isfinite(r.mean_g_per_s) for _, r in reports)
 
-    def test_unknown_predictive_method_exits_two(self, tmp_path, met_csv, capsys):
+    def test_predictive_key_exits_two(self, tmp_path, met_csv, capsys):
+        # The detector has one predictive, so a config that names one is
+        # refused like any other unknown key.
         passes = tmp_path / "passes.csv"
         write_series(passes, [0.007] * 4)
-        config = self._config(tmp_path, 0.001, predictive="bogus")
+        config = self._config(tmp_path, 0.001, predictive="marginal")
         rc = main(["detect", "--passes", str(passes), "--met", str(met_csv), "--config", str(config), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+        assert f"{config}: unknown config key 'predictive'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_grid_too_fine_exits_two_before_any_grid(self, tmp_path, met_csv, capsys):
         passes = tmp_path / "passes.csv"
@@ -804,9 +824,8 @@ class TestDetect:
             ({"sigma_e": 0.001, "threshold": False}, "config key 'threshold' must be a number, got False"),
             # float() raised OverflowError, which left a traceback and exit 1.
             ({"sigma_e": 0.001, "lambda": 10**400}, "config key 'lambda' is past the float range"),
-            ({"sigma_e": 0.001, "predictive": 1}, "config key 'predictive' must be a string, got 1"),
         ],
-        ids=["true", "true-entry", "string", "string-dq", "false-threshold", "huge-int", "int-predictive"],
+        ids=["true", "true-entry", "string", "string-dq", "false-threshold", "huge-int"],
     )
     def test_config_value_of_the_wrong_type_exits_two(self, tmp_path, met_csv, capsys, config, message):
         passes = tmp_path / "passes.csv"
@@ -880,8 +899,8 @@ class TestEventsJson:
         written = (out / "events.json").read_bytes()
         return written, oracle_events_json(cys, fm, cfg).encode(), read_events_json(out / "events.json")
 
-    @pytest.mark.parametrize("method, post_factor", [("marginal", 1.0), ("scaling", 1.0), ("marginal", 3.0)])
-    def test_several_events_equal_the_oracle_summary(self, tmp_path, met_csv, method, post_factor):
+    @pytest.mark.parametrize("post_factor", [1.0, 3.0])
+    def test_several_events_equal_the_oracle_summary(self, tmp_path, met_csv, post_factor):
         args = build_parser().parse_args(["detect", "--passes", "p", "--met", "m", "--config", "c", "--out", "o"])
         ratio = forward_concentration(1.0, cli._forward_model(dataio.read_met(met_csv)["4"], args))
         rng = np.random.default_rng(3)
@@ -889,7 +908,7 @@ class TestEventsJson:
         cys = np.concatenate([q * (1.0 + 0.05 * rng.standard_normal(9)) for q in levels]) * ratio
         written, expected, events = self.detect(
             tmp_path, met_csv, cys.tolist(), sigma_e=0.05 * ratio,
-            sigma_e_post_factor=post_factor, predictive=method,
+            sigma_e_post_factor=post_factor,
         )
         assert len(events) >= 6
         assert written == expected
@@ -945,11 +964,8 @@ class TestNonFiniteMet:
     threshold=st.floats(1e-6, 1.0 - 1e-6),
     lam=st.floats(1.001, 1e6),
     post_factor=st.floats(1.0, 1e3),
-    method=st.sampled_from(["marginal", "scaling"]),
 )
-def test_detect_gives_finite_output_or_a_typed_error(
-    data, grid, sigma_steps, threshold, lam, post_factor, method
-):
+def test_detect_gives_finite_output_or_a_typed_error(data, grid, sigma_steps, threshold, lam, post_factor):
     """Any finite, non-negative stream under a valid configuration: the
     detector reports finite numbers or raises DetectionError, ``detect``
     exits 0, 1 or 2, and no file it writes holds nan or inf."""
@@ -969,7 +985,6 @@ def test_detect_gives_finite_output_or_a_typed_error(
             "threshold": threshold,
             "lambda": lam,
             "sigma_e_post_factor": post_factor,
-            "predictive": method,
             "q_min": grid.q_min,
             "q_max": grid.q_max,
             "dq": grid.dq,
@@ -1441,11 +1456,13 @@ class TestParser:
             build_parser().parse_args(["synth", "--passes", "p", "--lrr", "a,b", "--out", "o"])
         assert exc.value.code == 2
 
-    def test_predictive_choices_enforced(self):
-        with pytest.raises(SystemExit):
+    def test_predictive_flag_rejected(self):
+        # The detector has one predictive, and no flag to choose it.
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
-                ["sweep", "--passes", "p", "--met", "m", "--q-true", "1", "--out", "o", "--predictive", "exact"]
+                ["sweep", "--passes", "p", "--met", "m", "--q-true", "1", "--out", "o", "--predictive", "marginal"]
             )
+        assert exc.value.code == 2
 
     def test_consecutive_main_calls_parse_independently(self, tmp_path):
         # main reuses one parser; no call leaves a value for the next.

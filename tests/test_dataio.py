@@ -18,6 +18,7 @@ from plumecpd import dataio
 from plumecpd.dataio import (
     RAW_SAMPLE_DTYPE,
     REPORT_COLUMNS,
+    MetRow,
     atomic_write_text,
     experiments_from_passes,
     read_met,
@@ -35,6 +36,7 @@ from plumecpd.errors import InputDataError
 from plumecpd.inference import QGrid
 from plumecpd.metrics import PerformanceReport
 from plumecpd.synthesis import ExperimentRecord, synthesize_batch
+from plumecpd.transport import MetSummary
 from readers import (
     read_events_json,
     read_instances_csv,
@@ -247,16 +249,9 @@ class TestReadRawSamples:
 class TestReadMet:
     def test_full_row(self, tmp_path):
         path = tmp_path / "met.csv"
-        path.write_text(
-            MET_HEADER
-            + ",n_passes,turb_intensity\n"
-            + "4,30,2.72,1.15,0.30,0.24,293.15,12,\n"
-        )
-        rows = read_met(path)
-        assert rows["4"].x_m == 30.0
-        assert rows["4"].n_passes == 12
-        assert rows["4"].met.mean_velocity_mps == 2.72
-        assert rows["4"].met.turbulent_intensity is None
+        path.write_text(MET_HEADER + ",turb_intensity\n" + "4,30,2.72,1.15,0.30,0.24,293.15,\n")
+        met = MetSummary(2.72, 1.15, 0.30, 0.24, 293.15)
+        assert read_met(path) == {"4": MetRow("4", 30.0, met)}
 
     def test_duplicate_experiment(self, tmp_path):
         path = tmp_path / "met.csv"

@@ -108,11 +108,6 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             make_config(sigma_e_initial=1e10, sigma_e_post_factor=1e300)
 
-    def test_unknown_predictive_method_rejected(self):
-        with pytest.raises(ValueError, match="bogus"):
-            make_config(predictive_method="bogus")
-        make_config(predictive_method="scaling")
-
 
 @pytest.fixture(scope="module")
 def exp4():
@@ -210,15 +205,19 @@ class TestDetectorMechanics:
         with pytest.raises(ValueError):
             detect_series([], unit_fm, make_config())
 
-    def test_scaling_needs_a_positive_dispersion_factor(self):
-        # The forward model fails the stream at pass 1, unless pass 1 is
-        # itself negative.
-        fm = ForwardModel(1.0, 0.0)
-        cfg = make_config(predictive_method="scaling")
-        with pytest.raises(DetectionError, match="^pass 1: scaling .* positive dispersion factor$"):
-            detect_series([1.0, -1.0], fm, cfg)
-        with pytest.raises(DetectionError, match="^pass 1: integrated .* non-negative$"):
-            detect_series([-1.0, 1.0], fm, cfg)
+    def test_zero_forward_ratio_keeps_the_flat_prior(self):
+        # A forward ratio of 0 says nothing about the rate: every
+        # hypothesis predicts N(0, sigma_e^2), so the changepoint
+        # probability stays at 1 / lambda and every report summarizes the
+        # flat prior.
+        grid = QGrid(0.0, 5.0, 0.05)
+        cfg = make_config(grid=grid)
+        reports, events = detect_series([0.1, 0.4, 0.0, 0.2], ForwardModel(1.0, 0.0), cfg)
+        assert events == []
+        assert len(reports) == 4
+        for report in reports:
+            assert report.changepoint_probability == pytest.approx(1.0 / cfg.lam, rel=1e-12)
+            assert_report_summarizes(report, uniform_prior(grid).density, grid)
 
     def test_run_detector_keeps_measurement_indices(self, unit_fm):
         reports, _ = detect_series(
@@ -357,15 +356,14 @@ class TestGridTopCell:
 @given(
     cys=st.lists(st.floats(0.0, 4.9), min_size=1, max_size=10),
     sigma_e=st.sampled_from([0.02, 0.1, 0.4]),
-    method=st.sampled_from(["marginal", "scaling"]),
 )
-def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e, method):
+def test_reports_and_events_follow_plain_bayes_chain(cys, sigma_e):
     """Reports summarize the oracle's posterior of the passes since the
     last reset, and each event keeps that posterior as of the previous
     pass, all to 1e-9 relative."""
     fm = ForwardModel(1.0, 1.0)
     grid = QGrid(0.0, 5.0, 0.05)
-    cfg = make_config(sigma_e_initial=sigma_e, grid=grid, predictive_method=method)
+    cfg = make_config(sigma_e_initial=sigma_e, grid=grid)
     try:
         reports, events = detect_series(cys, fm, cfg)
     except DetectionError:
@@ -524,9 +522,21 @@ class TestFirstAlarms:
         block = [[0.0] * 4, [3.4416821976637535, 3.78922644350765, 2.75, 0.0]]
         assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)
 
+    def test_stationary_streams_do_not_alarm(self, unit_fm):
+        # Twenty 300-pass streams of N(2, 0.05^2) through the unit map hold
+        # one rate, so any alarm is false. A predictive that read each row
+        # at q* = c / r, the sigma_e -> 0 limit of the exact one, alarmed
+        # on all twenty, the last at pass 63.
+        cys = np.array([np.random.default_rng(seed).normal(2.0, 0.05, 300) for seed in range(20)])
+        cfg = make_config(sigma_e_initial=0.05, grid=QGrid(0.0, 7.0, 0.005))
+        passes, _ = first_alarms(cys, unit_fm, cfg)
+        assert passes.tolist() == [0] * 20
+
     def test_rejected_configuration_fails_the_first_stream(self):
-        cfg = make_config(predictive_method="scaling")
-        assert_first_alarms_match([[1.0, 2.0], [1.0, 2.0]], ForwardModel(1.0, 0.0), cfg)
+        # r / sigma_e = 1e300: the rate precision overflows on every stream.
+        fm = ForwardModel(advection_velocity_mps=1e-200, dispersion_factor_per_m=1e100)
+        cfg = make_config(sigma_e_initial=1e-100, grid=QGrid(0.0, 5.0, 0.05))
+        assert_first_alarms_match([[1.0, 2.0], [1.0, 2.0]], fm, cfg)
 
     def test_bad_blocks_rejected(self, unit_fm):
         with pytest.raises(ValueError):
@@ -543,12 +553,9 @@ class TestFirstAlarms:
         )
     ),
     sigma_e=st.sampled_from([0.02, 0.1, 0.4]),
-    method=st.sampled_from(["marginal", "scaling"]),
 )
-def test_first_alarms_match_detect_series(block, sigma_e, method):
-    cfg = make_config(
-        sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05), predictive_method=method
-    )
+def test_first_alarms_match_detect_series(block, sigma_e):
+    cfg = make_config(sigma_e_initial=sigma_e, grid=QGrid(0.0, 5.0, 0.05))
     assert_first_alarms_match(block, ForwardModel(1.0, 1.0), cfg)
 
 
@@ -702,10 +709,7 @@ class TestBlockStep:
 
         def advance(block):
             state = RunLengthState(1, len(block), cfg.grid)
-            return state.advance(
-                np.array([block]), fm, LikelihoodConfig(sigma_e), cfg.lam,
-                "marginal", math.inf,
-            )
+            return state.advance(np.array([block]), fm, LikelihoodConfig(sigma_e), cfg.lam, math.inf)
 
         steps, before = advance(cys), advance(cys[:3])
         assert steps.done.tolist() == [4]
@@ -763,12 +767,11 @@ class TestSmallBlockStep(TestBlockStep):
     data=st.data(),
     n=st.integers(1, LONGEST),
     sigma_e=st.sampled_from([0.0013, 0.004, 0.03, 0.1, 0.4]),
-    method=st.sampled_from(["marginal", "scaling"]),
     threshold=st.sampled_from([0.3, 0.8, 0.99]),
     grid=st.sampled_from([QGrid(0.0, 5.0, 0.05), QGrid(0.0, 5.0, 0.01)]),
     slots=st.sampled_from([bocd.BLOCK_SLOTS, SMALL_SLOTS]),
 )
-def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshold, grid, slots):
+def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, threshold, grid, slots):
     """Reports, events and error text (pass index included) of
     ``detect_series``, and the passes, changepoint probabilities and failing
     instance of ``first_alarms``, equal a pass-at-a-time loop over the step
@@ -780,9 +783,7 @@ def test_block_step_equals_one_pass_at_a_time(data, n, sigma_e, method, threshol
     )
     cys = data.draw(st.lists(cy, min_size=n, max_size=n), label="cys")
     fm = ForwardModel(1.0, data.draw(st.sampled_from([0.0, 0.9, 1.0, 1.1]), label="ratio"))
-    cfg = make_config(
-        sigma_e_initial=sigma_e, threshold=threshold, grid=grid, predictive_method=method
-    )
+    cfg = make_config(sigma_e_initial=sigma_e, threshold=threshold, grid=grid)
     block = data.draw(
         st.lists(st.lists(cy, min_size=n, max_size=n), min_size=1, max_size=3), label="block"
     )
