@@ -36,11 +36,9 @@ from .synthesis import (
     synthesize_batch,
 )
 from .transport import (
-    ConstantDispersion,
     ForwardModel,
     Geometry,
     MetSummary,
-    ReflectedGaussianDispersion,
     ambient_baseline,
     build_forward_model,
     cross_plume_integrate,
@@ -52,7 +50,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "ConstantDispersion",
     "DEFAULT_GRID",
     "DEFAULT_LAMBDA",
     "DetectionError",
@@ -68,7 +65,6 @@ __all__ = [
     "PerformanceReport",
     "PlumeCpdError",
     "QGrid",
-    "ReflectedGaussianDispersion",
     "SignalStats",
     "ambient_baseline",
     "bootstrap_ci",

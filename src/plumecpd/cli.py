@@ -29,7 +29,7 @@ from . import dataio
 from .bocd import DEFAULT_LAMBDA
 from .detector import DEFAULT_SIGMA_E_POST_FACTOR, DEFAULT_THRESHOLD, DetectorConfig, detect_series
 from .errors import ConfigError, InputDataError, PlumeCpdError
-from .inference import DEFAULT_GRID, QGrid, built_summaries, estimate_sigma_e
+from .inference import DEFAULT_GRID, MIN_SIGMA_E, QGrid, built_summaries, estimate_sigma_e
 from .metrics import evaluate_cell
 from .synthesis import ExperimentRecord, signal_stats, synthesize_batch
 from .transport import (
@@ -37,7 +37,6 @@ from .transport import (
     DEFAULT_SOURCE_HEIGHT_M,
     STANDARD_PRESSURE_PA,
     Geometry,
-    ReflectedGaussianDispersion,
     build_forward_model,
     ambient_baseline,
     cross_plume_integrate,
@@ -65,7 +64,6 @@ def _seed(text: str) -> int:
 def _add_geometry_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--sensor-height", type=float, default=DEFAULT_SENSOR_HEIGHT_M)
     sub.add_argument("--source-height", type=float, default=DEFAULT_SOURCE_HEIGHT_M)
-    sub.add_argument("--spread-factor", type=float, default=1.0)
 
 
 def _check_q_true(q_true: float) -> None:
@@ -78,11 +76,22 @@ def _forward_model(met_row: dataio.MetRow, args: argparse.Namespace):
     flag the model cannot use is a configuration error."""
     try:
         geom = Geometry(met_row.x_m, args.sensor_height, args.source_height)
-        return build_forward_model(
-            met_row.met, geom, model=ReflectedGaussianDispersion(args.spread_factor)
-        )
+        return build_forward_model(met_row.met, geom)
     except ValueError as exc:
         raise ConfigError(f"experiment {met_row.experiment_id!r}: {exc}") from exc
+
+
+def _sigma_e(exp: ExperimentRecord, q_true: float, fm) -> float:
+    """The experiment's noise estimate at ``q_true``. An estimate below
+    MIN_SIGMA_E, 0 included, is one no detector takes: it fails the
+    experiment, as one that overflows does."""
+    sigma_e = estimate_sigma_e(list(exp.cy_series), q_true, fm)
+    if sigma_e < MIN_SIGMA_E:
+        raise ValueError(
+            f"experiment {exp.experiment_id!r}: sigma_e {sigma_e!r} is below {MIN_SIGMA_E:.3g}: "
+            "passes too close to the prediction at q_true"
+        )
+    return sigma_e
 
 
 def _sample_spacings(times: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
@@ -163,9 +172,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sigma = {}
     for exp in dataio.experiments_from_passes(passes, met_rows):
         fm = _forward_model(met_rows[exp.experiment_id], args)
-        sigma[exp.experiment_id] = estimate_sigma_e(
-            list(exp.cy_series), args.q_true, fm
-        )
+        sigma[exp.experiment_id] = _sigma_e(exp, args.q_true, fm)
     payload = {"q_true": args.q_true, "sigma_e": sigma}
     dataio.atomic_write_text(
         Path(args.out), json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -386,9 +393,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cells = []
     for exp in experiments:
         fm = _forward_model(met_rows[exp.experiment_id], args)
-        sigma_e = estimate_sigma_e(list(exp.cy_series), args.q_true, fm)
+        sigma_e = _sigma_e(exp, args.q_true, fm)
         axis = args.jnr if args.jnr is not None else args.lrr
-        cv = signal_stats(exp.cy_series, 1.0).cv
+        # Only --jnr needs the CV, which a constant experiment lacks.
+        cv = signal_stats(exp.cy_series, 1.0).cv if args.jnr is not None else None
         for axis_value in axis:
             if args.jnr is not None:
                 lrr = 1.0 + axis_value * cv
@@ -426,7 +434,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
 
     if args.workers > 1 and pending:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # The pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(args.workers, len(pending))) as pool:
             results = pool.map(_sweep_cell_worker, [p for _, _, p, _ in pending])
             for (i, key, _, cell_path), row in zip(pending, results):
                 store(i, key, row, cell_path)
@@ -453,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--met", required=True)
     ingest.add_argument("--out", required=True)
     ingest.add_argument("--pressure", type=float, default=STANDARD_PRESSURE_PA)
-    ingest.set_defaults(func=cmd_ingest)
 
     calibrate = sub.add_parser("calibrate", help="estimate sigma_e from a known rate")
     calibrate.add_argument("--passes", required=True)
@@ -461,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--q-true", type=float, required=True)
     calibrate.add_argument("--out", required=True)
     _add_geometry_flags(calibrate)
-    calibrate.set_defaults(func=cmd_calibrate)
 
     detect = sub.add_parser("detect", help="run the detector over recorded passes")
     detect.add_argument("--passes", required=True)
@@ -469,7 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--config", required=True)
     detect.add_argument("--out", required=True)
     _add_geometry_flags(detect)
-    detect.set_defaults(func=cmd_detect)
 
     synth = sub.add_parser("synth", help="write shuffled changepoint instances")
     synth.add_argument("--passes", required=True)
@@ -477,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--instances", type=int, default=10)
     synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out", required=True)
-    synth.set_defaults(func=cmd_synth)
 
     sweep = sub.add_parser("sweep", help="score detection over a jump-size grid")
     sweep.add_argument("--passes", required=True)
@@ -497,14 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--q-max", type=float, default=DEFAULT_GRID.q_max)
     sweep.add_argument("--dq", type=float, default=DEFAULT_GRID.dq)
     _add_geometry_flags(sweep)
-    sweep.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up at call time, so that a handler replaced after the parser
+    # was built is the one that runs.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except (InputDataError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

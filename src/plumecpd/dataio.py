@@ -376,9 +376,11 @@ _PASS_INDEX_CHECKS = [
     (lambda t: t["pass_index"] < 1, "pass_index must be at least 1, got {pass_index}"),
 ]
 
+_ID_CHECK = (lambda t: np.array([not e for e in t["exp_codes"]], bool)[t["code"]], "empty experiment_id")
+
 # Each file's checks in the order in which a row is read.
 _RAW_CHECKS = [
-    (lambda t: np.array([not e for e in t["exp_codes"]], bool)[t["code"]], "empty experiment_id"),
+    _ID_CHECK,
     *RAW_COLUMNS[2:],
     (lambda t: ~np.isfinite(t["time_s"]), "sample time must be finite"),
     (
@@ -396,6 +398,7 @@ _RAW_CHECKS = [
     *_PASS_INDEX_CHECKS,
 ]
 _PASS_CHECKS = [
+    _ID_CHECK,
     "cy_g_per_m2",
     (lambda t: ~np.isfinite(t["cy_g_per_m2"]), "non-finite cy_g_per_m2"),
     (lambda t: t["cy_g_per_m2"] < 0, "negative cy_g_per_m2"),
@@ -477,6 +480,8 @@ def read_met(path: Path) -> dict[str, MetRow]:
     rows: dict[str, MetRow] = {}
     for line, row in _open_rows(path, MET_REQUIRED):
         exp = row["experiment_id"]
+        if not exp:
+            raise InputDataError(f"{path}:{line}: empty experiment_id")
         if exp in rows:
             raise InputDataError(f"{path}:{line}: duplicate experiment_id {exp!r}")
         try:

@@ -18,14 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .synthesis import ExperimentRecord
-from .transport import (
-    ConstantDispersion,
-    DispersionModel,
-    ForwardModel,
-    Geometry,
-    MetSummary,
-    build_forward_model,
-)
+from .transport import ForwardModel, Geometry, MetSummary, build_forward_model
 
 # Met summary in the range of near-neutral daytime surface-layer
 # conditions over short grass (mean wind a few m/s, friction velocity
@@ -68,8 +61,6 @@ def make_surrogate_experiment(
     cv: float,
     q_true: float,
     fetch_m: float = 30.0,
-    met: MetSummary | None = None,
-    dispersion: DispersionModel | None = None,
 ) -> tuple[ExperimentRecord, ForwardModel]:
     """Build a synthetic experiment whose passes scatter around the
     forward prediction at ``q_true`` with the requested CV.
@@ -78,9 +69,7 @@ def make_surrogate_experiment(
     it, since every downstream step (noise calibration, detection)
     needs the same model.
     """
-    met = met if met is not None else DEFAULT_SURROGATE_MET
-    geom = Geometry(fetch_m)
-    fm = build_forward_model(met, geom, model=dispersion)
+    fm = build_forward_model(DEFAULT_SURROGATE_MET, Geometry(fetch_m))
     mean_cy = q_true * fm.dispersion_factor_per_m / fm.advection_velocity_mps
     series = stratified_lognormal_series(n_passes, mean_cy, cv)
     return ExperimentRecord(experiment_id, fetch_m, series), fm
@@ -94,19 +83,6 @@ def make_unit_forward_experiment(
     Convenient in tests where grid values should line up with
     measurements one to one.
     """
-    met = DEFAULT_SURROGATE_MET
-    record, fm = make_surrogate_experiment(
-        experiment_id,
-        n_passes,
-        cv,
-        q_true,
-        met=MetSummary(
-            mean_velocity_mps=1.0,
-            sigma_u_mps=met.sigma_u_mps / met.mean_velocity_mps,
-            sigma_w_mps=met.sigma_w_mps,
-            friction_velocity_mps=met.friction_velocity_mps,
-            temperature_k=met.temperature_k,
-        ),
-        dispersion=ConstantDispersion(1.0),
-    )
-    return record, fm
+    fm = ForwardModel(advection_velocity_mps=1.0, dispersion_factor_per_m=1.0)
+    series = stratified_lognormal_series(n_passes, q_true, cv)
+    return ExperimentRecord(experiment_id, 30.0, series), fm

@@ -12,7 +12,6 @@ All quantities are SI-based: g/s, g/m^3, g/m^2, m/s, K, Pa.
 
 from __future__ import annotations
 
-import abc
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -190,69 +189,33 @@ def cross_plume_integrate(conc, dt, speed, angle_deg, pass_lengths) -> np.ndarra
     return totals + 0.0
 
 
-class DispersionModel(abc.ABC):
-    """Maps met statistics and geometry to a vertical dispersion factor."""
+def vertical_factor(met: MetSummary, geom: Geometry) -> float:
+    """Vertical dispersion factor D_z in 1/m at the sensor height: a
+    Gaussian vertical profile with full ground reflection.
 
-    @abc.abstractmethod
-    def vertical_factor(self, met: MetSummary, geom: Geometry) -> float:
-        """Return D_z in 1/m, evaluated at the sensor height."""
-
-
-@dataclass(frozen=True)
-class ReflectedGaussianDispersion(DispersionModel):
-    """Gaussian vertical profile with full ground reflection.
-
-    The vertical spread is sigma_z = spread_factor * sigma_w * fetch / u,
-    a neutral-surface-layer scaling. spread_factor defaults to 1 and is
-    the hook for swapping in a calibrated plume spread.
+    The vertical spread is sigma_z = sigma_w * fetch / u, a
+    neutral-surface-layer scaling.
     """
-
-    spread_factor: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not _positive_finite(self.spread_factor):
-            raise ValueError("spread factor must be positive and finite")
-
-    def vertical_factor(self, met: MetSummary, geom: Geometry) -> float:
-        sigma_z = (
-            self.spread_factor * met.sigma_w_mps * geom.fetch_m / met.mean_velocity_mps
-        )
-        if not _positive_finite(sigma_z):
-            raise ValueError("degenerate vertical spread")
-        z, h = geom.sensor_height_m, geom.source_height_m
-        try:
-            direct = math.exp(-((z - h) ** 2) / (2.0 * sigma_z**2))
-            image = math.exp(-((z + h) ** 2) / (2.0 * sigma_z**2))
-        except ArithmeticError as exc:
-            # A square that overflows, or a spread whose square underflows to 0.
-            raise ValueError("vertical spread and heights leave the float range") from exc
-        return (direct + image) / (math.sqrt(2.0 * math.pi) * sigma_z)
+    sigma_z = met.sigma_w_mps * geom.fetch_m / met.mean_velocity_mps
+    if not _positive_finite(sigma_z):
+        raise ValueError("degenerate vertical spread")
+    z, h = geom.sensor_height_m, geom.source_height_m
+    try:
+        direct = math.exp(-((z - h) ** 2) / (2.0 * sigma_z**2))
+        image = math.exp(-((z + h) ** 2) / (2.0 * sigma_z**2))
+    except ArithmeticError as exc:
+        # A square that overflows, or a spread whose square underflows to 0.
+        raise ValueError("vertical spread and heights leave the float range") from exc
+    return (direct + image) / (math.sqrt(2.0 * math.pi) * sigma_z)
 
 
-@dataclass(frozen=True)
-class ConstantDispersion(DispersionModel):
-    """Fixed dispersion factor, mainly for tests and controlled sweeps."""
-
-    value_per_m: float
-
-    def vertical_factor(self, met: MetSummary, geom: Geometry) -> float:
-        if self.value_per_m < 0:
-            raise ValueError("dispersion factor must be non-negative")
-        return self.value_per_m
-
-
-def build_forward_model(
-    met: MetSummary,
-    geom: Geometry,
-    model: DispersionModel | None = None,
-) -> ForwardModel:
+def build_forward_model(met: MetSummary, geom: Geometry) -> ForwardModel:
     """Assemble the linear forward model for one experiment: advection at
-    the mean streamwise velocity, vertical dispersion from ``model``
-    (the reflected Gaussian by default)."""
-    dispersion = model if model is not None else ReflectedGaussianDispersion()
+    the mean streamwise velocity, vertical dispersion from
+    ``vertical_factor``."""
     return ForwardModel(
         advection_velocity_mps=met.mean_velocity_mps,
-        dispersion_factor_per_m=dispersion.vertical_factor(met, geom),
+        dispersion_factor_per_m=vertical_factor(met, geom),
     )
 
 

@@ -330,8 +330,9 @@ def read_passes_rows(path) -> dict:
     list sorted by pass index.
 
     Each row is read through ``csv.DictReader``, parsed field by field and
-    checked in that order: cy parses and is finite and non-negative, the
-    pass index parses and is at least 1, and (exp, pass index) is new.
+    checked in that order: the experiment id is not empty, cy parses and
+    is finite and non-negative, the pass index parses and is at least 1,
+    and (exp, pass index) is new.
     """
     grouped: dict = {}
     seen: set = set()
@@ -347,6 +348,8 @@ def read_passes_rows(path) -> dict:
             raise InputDataError(f"{path}: missing columns {missing}")
         for line, row in enumerate(reader, start=2):
             exp = row["experiment_id"]
+            if not exp:
+                raise InputDataError(f"{path}:{line}: empty experiment_id")
             cy = _raw_field(path, line, row, "cy_g_per_m2", float)
             if not math.isfinite(cy):
                 raise InputDataError(f"{path}:{line}: non-finite cy_g_per_m2")

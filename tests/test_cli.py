@@ -490,22 +490,6 @@ class TestUndecodableInput:
 
 
 class TestCalibrate:
-    def test_perfect_model_gives_zero(self, tmp_path, met_csv, exp4):
-        exp, fm = exp4
-        predicted = forward_concentration(0.083, fm)
-        passes = tmp_path / "passes.csv"
-        write_series(passes, [predicted] * 12)
-        out = tmp_path / "cal.json"
-        assert (
-            main(
-                ["calibrate", "--passes", str(passes), "--met", str(met_csv), "--q-true", "0.083", "--out", str(out)]
-            )
-            == 0
-        )
-        payload = json.loads(out.read_text())
-        assert payload["q_true"] == 0.083
-        assert payload["sigma_e"]["4"] == 0.0
-
     def test_recovers_injected_noise_scale(self, tmp_path, met_csv, exp4):
         exp, fm = exp4
         predicted = forward_concentration(0.083, fm)
@@ -586,7 +570,6 @@ class TestCalibrate:
     [
         ("--sensor-height", "nan", "heights must be non-negative and finite"),
         ("--source-height", "inf", "heights must be non-negative and finite"),
-        ("--spread-factor", "0", "spread factor must be positive and finite"),
         ("--sensor-height", "1e200", "vertical spread and heights leave the float range"),
     ],
 )
@@ -608,6 +591,47 @@ def test_geometry_the_model_cannot_use_exits_two(tmp_path, met_csv, capsys, comm
     assert main(argv + ["--passes", str(passes), "--met", str(met_csv), flag, value]) == 2
     assert f"experiment '4': {message}" in capsys.readouterr().err
     assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("estimate", ["zero", "tiny"])
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_sigma_e_below_the_floor_exits_one_naming_the_experiment(tmp_path, met_csv, exp4, capsys, command, estimate):
+    # Passes equal to the prediction at q_true estimate 0.0, and passes of
+    # 1e-160 to 6e-160 at q_true 0 estimate 4.27e-160: no detector takes
+    # a sigma_e below MIN_SIGMA_E.
+    _, fm = exp4
+    q_true, cys = {
+        "zero": ("0.083", [forward_concentration(0.083, fm)] * 12),
+        "tiny": ("0", [k * 1e-160 for k in range(1, 7)]),
+    }[estimate]
+    passes = tmp_path / "passes.csv"
+    write_series(passes, cys)
+    out = tmp_path / "out"
+    argv = {
+        "calibrate": ["calibrate", "--out", str(out / "cal.json")],
+        "sweep": ["sweep", "--lrr", "2.0", "--instances", "2", "--repetitions", "1", "--boot", "10", "--out", str(out)],
+    }[command]
+    assert main(argv + ["--passes", str(passes), "--met", str(met_csv), "--q-true", q_true]) == 1
+    err = capsys.readouterr().err
+    assert f"error: experiment '4': sigma_e {estimate_sigma_e(cys, float(q_true), fm)!r} is below 7.46e-155" in err
+    assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("which", ["passes", "met"])
+def test_empty_experiment_id_exits_two_naming_the_line(tmp_path, met_csv, capsys, which):
+    passes = tmp_path / "passes.csv"
+    if which == "passes":
+        write_passes_csv(passes, [("4", 1, 0.007), ("", 2, 0.008)])
+        argv = ["synth", "--passes", str(passes), "--lrr", "2.0", "--out", str(tmp_path / "instances.csv")]
+    else:
+        write_series(passes, [0.007, 0.008])
+        met_csv.write_text(met_csv.read_text() + MET_ROW_4.replace("4,", ",", 1) + "\n")
+        argv = ["calibrate", "--passes", str(passes), "--met", str(met_csv), "--q-true", "0.083",
+                "--out", str(tmp_path / "cal.json")]
+    assert main(argv) == 2
+    path = passes if which == "passes" else met_csv
+    assert f"error: {path}:3: empty experiment_id" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["met.csv", "passes.csv"]
 
 
 class TestDetect:
@@ -1075,10 +1099,9 @@ POSITIVE = plausible_or_any(1e-3, 1e3, 5e-324)
     cys=st.lists(plausible_or_any(0.0, 0.1, 0.0), min_size=2, max_size=6),
     q_true=plausible_or_any(0.0, 1.0, -1.0),
     heights=st.tuples(*[plausible_or_any(0.0, 10.0, -1.0)] * 2),
-    spread=plausible_or_any(0.1, 10.0, -1.0),
 )
 def test_ingest_and_calibrate_give_finite_output_or_a_typed_error(
-    passes, met, pressure, cys, q_true, heights, spread
+    passes, met, pressure, cys, q_true, heights
 ):
     """Finite raw samples, met values, passes and flags: ``ingest`` and
     ``calibrate`` exit 0, 1 or 2, and no file either writes holds nan or
@@ -1093,7 +1116,7 @@ def test_ingest_and_calibrate_give_finite_output_or_a_typed_error(
         met_csv.write_text(MET_HEADER + "\n4," + ",".join(map(repr, met)) + "\n")
         write_series(passes_csv, cys)
         out.mkdir()
-        geometry = [f"--sensor-height={heights[0]!r}", f"--source-height={heights[1]!r}", f"--spread-factor={spread!r}"]
+        geometry = [f"--sensor-height={heights[0]!r}", f"--source-height={heights[1]!r}"]
         for argv in (
             ["ingest", "--raw", str(raw), f"--pressure={pressure!r}", "--out", str(out / "passes.csv")],
             ["calibrate", "--passes", str(passes_csv), f"--q-true={q_true!r}", *geometry, "--out", str(out / "cal.json")],
@@ -1310,6 +1333,43 @@ class TestSweep:
         assert main(argv(tmp_path / "w2", "2")) == 0
         assert (tmp_path / "w1" / "report.csv").read_bytes() == (tmp_path / "w2" / "report.csv").read_bytes()
 
+    def test_pool_starts_no_more_workers_than_pending_cells(self, tmp_path, exp4):
+        # A pool starts all its workers at the first submit, so it is sized
+        # by the cells left to compute: 2, then 1 after one cell is lost.
+        passes, met, _, _ = self._inputs(tmp_path, exp4)
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        out = tmp_path / "out"
+        argv = self._argv(passes, met, out, lrr="2.0,3.0", workers="64")
+        with mock.patch.object(cli, "ProcessPoolExecutor", RecordingPool):
+            assert main(argv) == 0
+            (out / "cells" / "cell_00001.json").unlink()
+            assert main(argv) == 0
+        assert sizes == [2, 1]
+
+    def test_lrr_axis_runs_on_a_constant_experiment(self, tmp_path, capsys):
+        # Only --jnr reads the CV, which equal passes do not have.
+        passes, met = tmp_path / "passes.csv", tmp_path / "met.csv"
+        write_series(passes, [0.25] * 14)
+        met.write_text(MET_HEADER + "\n" + MET_ROW_4 + "\n")
+        assert main(self._argv(passes, met, tmp_path / "lrr", lrr="3.0")) == 0
+        assert len(read_report_csv(tmp_path / "lrr" / "report.csv")) == 1
+        assert main(self._argv(passes, met, tmp_path / "jnr", jnr="2.0")) == 1
+        assert "constant signal has zero CV, JNR undefined" in capsys.readouterr().err
+
     def test_jnr_axis_reports_jnr_values(self, tmp_path, exp4):
         passes, met, exp, fm = self._inputs(tmp_path, exp4)
         out = tmp_path / "out"
@@ -1487,6 +1547,15 @@ class TestParser:
         assert seen[0]["threshold"] == [0.5, 0.6] and seen[0]["lrr"] == [2.0]
         assert "threshold" not in seen[1] and seen[1]["q_true"] == 1.0
         assert seen[2]["threshold"] == (0.8,) and seen[2]["lrr"] is None
+
+    def test_main_runs_the_handler_bound_at_call_time(self, tmp_path):
+        # The parser is built once; a handler replaced after that is the
+        # one that runs.
+        argv = ["synth", "--passes", str(tmp_path / "missing.csv"), "--lrr", "2", "--out", str(tmp_path / "i.csv")]
+        assert main(argv) == 2
+        with mock.patch.object(cli, "cmd_synth", return_value=0) as handler:
+            assert main(argv) == 0
+        assert handler.call_count == 1
 
     def test_usage_error_on_the_reused_parser_exits_two(self, capsys):
         for _ in range(2):

@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from plumecpd.errors import InputDataError
 from plumecpd.transport import (
-    ConstantDispersion,
     ForwardModel,
     Geometry,
     MetSummary,
-    ReflectedGaussianDispersion,
     ambient_baseline,
     build_forward_model,
     cross_plume_integrate,
     forward_concentration,
     ppm_to_mass_concentration,
+    vertical_factor,
 )
 
 
@@ -210,15 +209,14 @@ class TestDispersion:
     def test_ground_reflection_doubles_peak(self):
         met = make_met(u=1.0, sigma_w=1.0)
         geom = Geometry(fetch_m=1.0, sensor_height_m=0.0, source_height_m=0.0)
-        assert ReflectedGaussianDispersion().vertical_factor(met, geom) == pytest.approx(2.0 / math.sqrt(2 * math.pi))
+        assert vertical_factor(met, geom) == pytest.approx(2.0 / math.sqrt(2 * math.pi))
 
     def test_vertical_profile_integrates_to_one(self):
         met = make_met(u=2.0, sigma_w=0.4)
-        model = ReflectedGaussianDispersion()
         sigma_z = 0.4 * 30.0 / 2.0
         z = np.linspace(0.0, 10.0 * (0.05 + 5 * sigma_z), 200_001)
         values = [
-            model.vertical_factor(met, Geometry(30.0, sensor_height_m=float(zi), source_height_m=0.05))
+            vertical_factor(met, Geometry(30.0, sensor_height_m=float(zi), source_height_m=0.05))
             for zi in z[:: len(z) // 2000]
         ]
         z_sub = z[:: len(z) // 2000]
@@ -228,39 +226,21 @@ class TestDispersion:
 
     def test_doubling_fetch_halves_centered_peak(self):
         met = make_met(u=1.0, sigma_w=1.0)
-        model = ReflectedGaussianDispersion()
-        near = model.vertical_factor(met, Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0))
-        far = model.vertical_factor(met, Geometry(2.0, sensor_height_m=0.0, source_height_m=0.0))
+        near = vertical_factor(met, Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0))
+        far = vertical_factor(met, Geometry(2.0, sensor_height_m=0.0, source_height_m=0.0))
         assert far == pytest.approx(near / 2.0)
 
-    def test_constant_model_ignores_met(self):
-        model = ConstantDispersion(0.37)
-        geom = Geometry(10.0)
-        assert model.vertical_factor(make_met(), geom) == 0.37
-        assert model.vertical_factor(make_met(u=9.0), geom) == 0.37
-
-    def test_spread_factor_scales_sigma(self):
-        met = make_met(u=1.0, sigma_w=1.0)
-        geom = Geometry(1.0, sensor_height_m=0.0, source_height_m=0.0)
-        wide = ReflectedGaussianDispersion(spread_factor=2.0).vertical_factor(met, geom)
-        assert wide == pytest.approx(1.0 / math.sqrt(2 * math.pi))
-
-
-    @pytest.mark.parametrize("factor", [0.0, -1.0, math.nan, math.inf])
-    def test_spread_factor_must_be_positive_and_finite(self, factor):
-        with pytest.raises(ValueError, match="spread factor must be positive and finite"):
-            ReflectedGaussianDispersion(spread_factor=factor)
-
     def test_infinite_spread_is_degenerate(self):
+        # sigma_w * fetch overflows to inf.
         with pytest.raises(ValueError, match="degenerate vertical spread"):
-            ReflectedGaussianDispersion(10.0).vertical_factor(make_met(), Geometry(1e308))
+            vertical_factor(make_met(sigma_w=10.0), Geometry(1e308))
 
     # A height whose square overflows; a spread whose square underflows to 0.
     @pytest.mark.parametrize("fetch, height", [(30.0, 1e200), (1e-170, 1.3)])
     def test_geometry_past_the_float_range_is_a_value_error(self, fetch, height):
         geom = Geometry(fetch, sensor_height_m=height)
         with pytest.raises(ValueError, match="leave the float range"):
-            ReflectedGaussianDispersion().vertical_factor(make_met(), geom)
+            vertical_factor(make_met(), geom)
 
 
 class TestGeometry:
