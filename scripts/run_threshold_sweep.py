@@ -1,44 +1,25 @@
-"""Operating-curve sweep on surrogate experiments.
+"""Operating-curve sweep on a surrogate experiment.
 
 Scores detection recall, false-positive rate, and delay over a grid of
-jump ratios and alarm thresholds, then writes the same ``report.csv``
-layout the CLI sweep emits. Useful for picking a threshold before
-committing to a field deployment.
+jump ratios and alarm thresholds with ``plumecpd sweep``, then copies its
+``report.csv`` to ``--out`` and prints one line per cell. Useful for
+picking a threshold before committing to a field deployment.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plumecpd.dataio import sweep_row, write_report_csv
-from plumecpd.detector import DetectorConfig
-from plumecpd.inference import estimate_sigma_e
-from plumecpd.metrics import evaluate_cell
-from plumecpd.surrogate import make_unit_forward_experiment
-
-
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
-
-
-def _cell(payload):
-    exp, fm, cfg, lrr, instances, repetitions, seed, boot = payload
-    report = evaluate_cell(
-        exp,
-        lrr,
-        cfg,
-        n_instances=instances,
-        n_repetitions=repetitions,
-        master_seed=seed,
-        fm=fm,
-        n_boot=boot,
-    )
-    return sweep_row(exp, lrr, cfg.threshold, report)
+from plumecpd.cli import main as plumecpd_main
+from plumecpd.dataio import MET_REQUIRED, write_passes_csv
+from plumecpd.surrogate import DEFAULT_SURROGATE_MET, make_surrogate_experiment
 
 
 def main() -> int:
@@ -46,8 +27,8 @@ def main() -> int:
     ap.add_argument("--cv", type=float, default=0.5)
     ap.add_argument("--passes", type=int, default=14)
     ap.add_argument("--q-true", type=float, default=0.5, help="pre-change rate, g/s")
-    ap.add_argument("--lrr", type=_floats, default=[1.0, 1.5, 2.0, 3.0, 5.0])
-    ap.add_argument("--threshold", type=_floats, default=[0.5, 0.8, 0.95])
+    ap.add_argument("--lrr", default="1,1.5,2,3,5")
+    ap.add_argument("--threshold", default="0.5,0.8,0.95")
     ap.add_argument("--instances", type=int, default=200)
     ap.add_argument("--repetitions", type=int, default=5)
     ap.add_argument("--boot", type=int, default=2000)
@@ -56,33 +37,38 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=Path("threshold_sweep.csv"))
     args = ap.parse_args()
 
-    exp, fm = make_unit_forward_experiment("surrogate", args.passes, args.cv, args.q_true)
-    sigma_e = estimate_sigma_e(list(exp.cy_series), args.q_true, fm)
-    payloads = []
-    for threshold in args.threshold:
-        cfg = DetectorConfig(threshold=threshold, sigma_e_initial=sigma_e)
-        for lrr in args.lrr:
-            payloads.append(
-                (exp, fm, cfg, lrr, args.instances, args.repetitions, args.seed, args.boot)
-            )
+    exp, _ = make_surrogate_experiment("surrogate", args.passes, args.cv, args.q_true)
+    met = DEFAULT_SURROGATE_MET
+    met_row = [exp.fetch_m, met.mean_velocity_mps, met.sigma_u_mps, met.sigma_w_mps,
+               met.friction_velocity_mps, met.temperature_k]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_passes_csv(tmp / "passes.csv", [("surrogate", k, cy) for k, cy in enumerate(exp.cy_series, 1)])
+        met_lines = [",".join(MET_REQUIRED), ",".join(["surrogate", *map(repr, met_row)])]
+        (tmp / "met.csv").write_text("\n".join(met_lines) + "\n")
+        rc = plumecpd_main([
+            "sweep", "--passes", str(tmp / "passes.csv"), "--met", str(tmp / "met.csv"),
+            "--q-true", repr(args.q_true), "--lrr", args.lrr, "--threshold", args.threshold,
+            "--instances", str(args.instances), "--repetitions", str(args.repetitions),
+            "--boot", str(args.boot), "--seed", str(args.seed), "--workers", str(args.workers),
+            "--out", str(tmp / "sweep"),
+        ])
+        if rc:
+            return rc
+        shutil.copyfile(tmp / "sweep" / "report.csv", args.out)
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_cell, payloads))
-    else:
-        rows = [_cell(p) for p in payloads]
-
-    write_report_csv(args.out, rows)
+    with open(args.out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
     print(f"wrote {len(rows)} cells to {args.out}")
     print(f"{'thr':>5} {'lrr':>5} {'recall':>7} {'det_recall':>10} {'fpr':>7} {'delay':>6}")
     for row in rows:
         recall, det_recall, delay = (
-            "-" if row[key] is None else f"{row[key]:.{digits}f}"
+            f"{float(row[key]):.{digits}f}" if row[key] else "-"
             for key, digits in (("recall", 3), ("det_recall", 3), ("det_delay", 2))
         )
         print(
-            f"{row['threshold']:>5.2f} {row['lrr_or_jnr']:>5.2f} {recall:>7}"
-            f" {det_recall:>10} {row['fpr']:>7.3f} {delay:>6}"
+            f"{float(row['threshold']):>5.2f} {float(row['lrr_or_jnr']):>5.2f} {recall:>7}"
+            f" {det_recall:>10} {float(row['fpr']):>7.3f} {delay:>6}"
         )
     return 0
 

@@ -84,8 +84,11 @@ def _forward_model(met_row: dataio.MetRow, args: argparse.Namespace):
 def _sigma_e(exp: ExperimentRecord, q_true: float, fm) -> float:
     """The experiment's noise estimate at ``q_true``. An estimate below
     MIN_SIGMA_E, 0 included, is one no detector takes: it fails the
-    experiment, as one that overflows does."""
-    sigma_e = estimate_sigma_e(list(exp.cy_series), q_true, fm)
+    experiment, as one that overflows does, naming it."""
+    try:
+        sigma_e = estimate_sigma_e(list(exp.cy_series), q_true, fm)
+    except ValueError as exc:
+        raise ValueError(f"experiment {exp.experiment_id!r}: {exc}") from exc
     if sigma_e < MIN_SIGMA_E:
         raise ValueError(
             f"experiment {exp.experiment_id!r}: sigma_e {sigma_e!r} is below {MIN_SIGMA_E:.3g}: "
@@ -396,7 +399,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sigma_e = _sigma_e(exp, args.q_true, fm)
         axis = args.jnr if args.jnr is not None else args.lrr
         # Only --jnr needs the CV, which a constant experiment lacks.
-        cv = signal_stats(exp.cy_series, 1.0).cv if args.jnr is not None else None
+        try:
+            cv = signal_stats(exp.cy_series, 1.0).cv if args.jnr is not None else None
+        except ValueError as exc:
+            raise ValueError(f"experiment {exp.experiment_id!r}: {exc}") from exc
         for axis_value in axis:
             if args.jnr is not None:
                 lrr = 1.0 + axis_value * cv

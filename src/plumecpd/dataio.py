@@ -1,7 +1,8 @@
 """CSV and JSON schemas used by the command line tools.
 
-Readers raise ``InputDataError`` with file and line context on schema
-problems. Writers format floats with ``repr`` so files round-trip
+Each file's columns are listed once. Readers raise ``InputDataError``
+with file and line context on schema problems. One writer writes every
+CSV file from its column list, floats with ``repr``, so files round-trip
 exactly and rerunning a command reproduces byte-identical output.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import operator
 import os
 import warnings
 from dataclasses import dataclass
@@ -103,10 +105,6 @@ def sweep_row(
     }
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 # The encoding of every file the package writes, and of every CSV file it reads.
 CSV_ENCODING = "utf-8"
 
@@ -176,10 +174,9 @@ def _parse_float(path: Path, line: int, row: dict, key: str) -> float:
         raise InputDataError(f"{path}:{line}: bad {key} value {row.get(key)!r}") from exc
 
 
-# Rows per chunk of the diagnostic reader, which reads raw.csv and
-# passes.csv a chunk at a time, so that it holds one chunk's Python
-# strings and row buffers at once. The fast path parses the whole file
-# in one call.
+# Rows per chunk of the csv reader, which parses raw.csv and passes.csv
+# a chunk at a time, so that it holds one chunk's Python strings and row
+# buffers at once. The fast path parses the whole file in one call.
 RAW_BLOCK_ROWS = 4096
 
 # One raw sample; a RawTable holds its samples in an array of this dtype.
@@ -224,7 +221,7 @@ def _parse_column(values: Sequence, kind: type) -> tuple[np.ndarray, np.ndarray 
             except (TypeError, ValueError):
                 parsed.append(kind())
                 bad[i] = True
-        return np.array(parsed, object if kind is int else kind), bad
+        return np.array(parsed, object if kind is int else kind), bad if bad.any() else None
 
 
 def _has_line_end(texts: Iterable[str]) -> bool:
@@ -232,11 +229,10 @@ def _has_line_end(texts: Iterable[str]) -> bool:
 
 
 def _loadtxt_table(path: Path, header: list[str], where: list[int], columns: Sequence[str]):
-    """The whole table as one chunk of ``_csv_chunks``, parsed by one call
-    of numpy's C reader on the file's path (its file mode, which reads in
-    large blocks), with no line, texts or parse failures, and with each
-    row's experiment code in place of its id: ids are coded as they are
-    read, so the parsed rows hold no strings.
+    """The whole table parsed by one call of numpy's C reader on the file's
+    path (its file mode, which reads in large blocks), as ``_csv_table``
+    returns it with no unparsed values and no decode error. Ids are coded
+    as they are read, so the parsed rows hold no strings.
 
     Raises ValueError for a file that reader cannot parse, and for one
     that file mode could read otherwise than the csv reader: one whose
@@ -257,34 +253,48 @@ def _loadtxt_table(path: Path, header: list[str], where: list[int], columns: Seq
         )
     if _has_line_end(exp_codes):
         raise ValueError("an id holds a line end")
-    parsed = {name: rows[name] for name in ["code", *columns[1:]]}
-    return None, {"exp_codes": exp_codes, **parsed}, None, {}
+    return {"exp_codes": exp_codes, **{name: rows[name].copy() for name in dtype.names}}, {}, None
 
 
-def _csv_chunks(handle, where: list[int], columns: Sequence[str]):
-    """The rows left in an open table, RAW_BLOCK_ROWS at a time, read with
-    Python's csv, int and float parsers: (line of the chunk's first row,
-    columns by name with each row's experiment code and the codes of the
-    ids so far, their texts, mask of the values of each number column
-    that do not parse) per chunk. Lines are counted as csv.DictReader
-    counts them, without blank lines; a missing field reads as None."""
+def _csv_table(handle, where: list[int], columns: Sequence[str]):
+    """The rows left in an open table, read RAW_BLOCK_ROWS at a time with
+    Python's csv, int and float parsers, up to the end of the first chunk
+    with a value that does not parse, or up to the chunk whose bytes do
+    not decode: (columns by name, with each row's experiment code as
+    "code" and the codes of the ids as "exp_codes"; the first (row, text)
+    of each number column that does not parse; the UnicodeDecodeError, or
+    None). Blank lines are not rows; a missing field reads as None."""
     width = max(where) + 1
     rows = filter(None, csv.reader(handle))
     exp_codes = _Codes()
-    line = 2
-    while block := list(islice(rows, RAW_BLOCK_ROWS)):
+    kinds = [np.intp, int] + [float] * (len(columns) - 2)
+    blocks = [[np.empty(0, kind) for kind in kinds]]
+    bad: dict = {}
+    error = None
+    start = 0
+    while not bad:
+        try:
+            block = list(islice(rows, RAW_BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            error = exc
+            break
+        if not block:
+            break
         if min(map(len, block)) < width:
             block = [row + [None] * (width - len(row)) for row in block]
         fields = list(zip(*block))
-        texts = {name: fields[i] for name, i in zip(columns, where)}
-        ids = texts[columns[0]]
-        codes = np.fromiter(map(exp_codes.__getitem__, ids), np.intp, len(ids))
-        parsed = {columns[0]: ids, "exp_codes": exp_codes, "code": codes}
-        bad = {}
-        for name, kind in zip(columns[1:], [int] + [float] * (len(columns) - 2)):
-            parsed[name], bad[name] = _parse_column(texts[name], kind)
-        yield line, parsed, texts, bad
-        line += len(block)
+        ids = fields[where[0]]
+        parsed = [np.fromiter(map(exp_codes.__getitem__, ids), np.intp, len(ids))]
+        for name, i, kind in zip(columns[1:], where[1:], kinds[1:]):
+            values, unparsed = _parse_column(fields[i], kind)
+            parsed.append(values)
+            if unparsed is not None:
+                row = int(np.argmax(unparsed))
+                bad[name] = (start + row, fields[i][row])
+        blocks.append(parsed)
+        start += len(block)
+    parts = (np.concatenate(part) for part in zip(*blocks))
+    return {"exp_codes": exp_codes, **dict(zip(["code", *columns[1:]], parts))}, bad, error
 
 
 def _read_table(path: Path, columns: Sequence[str], checks: Sequence
@@ -295,79 +305,61 @@ def _read_table(path: Path, columns: Sequence[str], checks: Sequence
     experiment's position among the ids), pass index and float columns.
 
     A check is the name of a number column, whose values must parse, or a
-    (mask, message) pair: ``mask(table)`` flags the rows of a chunk that
-    fail, where ``table`` holds the chunk's columns by name, each row's
-    experiment code as "code" and the codes of the ids so far as
-    "exp_codes". It lives for the whole read, so a check may keep in it
-    what earlier chunks held. ``message`` is formatted with the failing
-    row's columns.
+    (mask, message) pair: ``mask(table)`` flags the rows that fail, where
+    ``table`` holds the parsed columns by name, each row's experiment
+    code as "code" and the codes of the ids as "exp_codes". ``message``
+    is formatted with the failing row's columns.
 
     The fast path parses the whole file with one call of numpy's C reader
-    (``_loadtxt_table``) and checks it as one chunk, so it holds the file's
-    parsed rows at once: ``plumecpd ingest`` of a 400,000-row raw.csv
-    (21.9 MB) peaks at about 80 MB of resident memory. A file that path
-    cannot read as the csv reader would, or with a row that fails a
-    check, is read again, RAW_BLOCK_ROWS rows at a time, by a reader built
-    on Python's csv, float and int parsers, the one that defines what the
-    file means: it raises ``InputDataError`` for the earliest bad row,
-    naming its line, where blank lines are not counted, as
-    ``csv.DictReader`` counts; within a row the first failing check wins.
-    Bytes that are not valid text raise ``InputDataError`` naming the file.
+    (``_loadtxt_table``), so it holds the file's parsed rows at once:
+    ``plumecpd ingest`` of a 400,000-row raw.csv (21.9 MB) peaks at about
+    80 MB of resident memory. A file that path cannot read as the csv
+    reader would is parsed by ``_csv_table``, the parser that defines what
+    the file means. The checks run once, over whichever table was parsed:
+    the earliest bad row raises ``InputDataError`` naming its line, where
+    blank lines are not counted, as ``csv.DictReader`` counts; within a
+    row the first failing check wins. Bytes that are not valid text raise
+    ``InputDataError`` naming the file, unless a row before them fails.
     """
     with _open_csv(path) as handle, _decoding(path):
         header = next(csv.reader(handle), [])
         where = _header_columns(path, header, columns)
         try:
-            return _scan_table(path, columns, checks, [_loadtxt_table(path, header, where, columns)])
+            table, bad, error = _loadtxt_table(path, header, where, columns)
         except ValueError:
             # The handle is still at the first data row.
-            return _scan_table(path, columns, checks, _csv_chunks(handle, where, columns))
-
-
-def _scan_table(path: Path, columns: Sequence[str], checks: Sequence, chunks: Iterable):
-    """``_read_table`` over ``chunks``. A failing check raises ValueError
-    for a chunk with no line, and otherwise ``InputDataError`` for the
-    earliest bad row."""
-    blocks = [[np.empty(0, np.intp), np.empty(0, int)] + [np.empty(0)] * (len(columns) - 2)]
-    table: dict = {"exp_codes": {}}
-    for line, parsed, texts, bad in chunks:
-        table.update(parsed)
-        masks = [bad.get(check) if isinstance(check, str) else check[0](table) for check in checks]
-        firsts = [(int(np.argmax(mask)), order) for order, mask in enumerate(masks)
-                  if mask is not None and mask.any()]
-        if firsts and line is None:
-            raise ValueError("a row fails a check")
-        if firsts:
-            i, order = min(firsts)
-            check = checks[order]
-            if isinstance(check, str):
-                problem = f"bad {check} value {texts[check][i]!r}"
-            else:
-                problem = check[1].format(**{name: table[name][i] for name in columns})
-            raise InputDataError(f"{path}:{line + i}: {problem}")
-        blocks.append([table["code"], *(parsed[name] for name in columns[1:])])
-    codes, pass_index, *floats = (np.concatenate(parts) for parts in zip(*blocks))
-    return list(table["exp_codes"]), codes, pass_index, floats
+            table, bad, error = _csv_table(handle, where, columns)
+    firsts = []
+    for order, check in enumerate(checks):
+        if isinstance(check, str):
+            if check in bad:
+                firsts.append((bad[check][0], order))
+        elif (mask := check[0](table)).any():
+            firsts.append((int(np.argmax(mask)), order))
+    if firsts:
+        i, order = min(firsts)
+        check = checks[order]
+        if isinstance(check, str):
+            problem = f"bad {check} value {bad[check][1]!r}"
+        else:
+            exp_id = list(table["exp_codes"])[table["code"][i]]
+            problem = check[1].format(experiment_id=exp_id, **{name: table[name][i] for name in columns[1:]})
+        raise InputDataError(f"{path}:{i + 2}: {problem}")
+    if error is not None:
+        raise InputDataError(f"{path}: {error}") from error
+    return list(table["exp_codes"]), table["code"], table["pass_index"], [table[name] for name in columns[2:]]
 
 
 def _repeated_pairs(table: dict) -> np.ndarray:
     """Rows whose (experiment_id, pass_index) an earlier row of the file
-    has. Within the chunk, a stable sort by (code, pass_index) puts each
-    pair's rows together in file order, so every row after the first is
-    a repeat. The pairs of earlier chunks are kept in ``table``, and only
-    the chunk's first rows of a pair are looked up there."""
-    seen = table.setdefault("seen_pairs", set())
+    has: a stable sort by (code, pass_index) puts each pair's rows
+    together in file order, so every row after the first is a repeat."""
     codes, index = table["code"], table["pass_index"]
     order = np.lexsort((index, codes))
     codes_sorted, index_sorted = codes[order], index[order]
     same = (codes_sorted[1:] == codes_sorted[:-1]) & (index_sorted[1:] == index_sorted[:-1])
     repeated = np.zeros(codes.size, bool)
     repeated[order[1:][same]] = True
-    firsts = np.flatnonzero(~repeated)
-    pairs = list(zip(codes[firsts].tolist(), index[firsts].tolist()))
-    if seen:
-        repeated[firsts] = [pair in seen for pair in pairs]
-    seen.update(pairs)
     return repeated
 
 
@@ -535,31 +527,39 @@ def experiments_from_passes(
     return records
 
 
-def write_passes_csv(path: Path, rows: Iterable[tuple[str, int, float]]) -> None:
-    ids = _CsvIds()
-    lines = [",".join(PASS_COLUMNS)]
-    lines += [f"{ids[exp]},{idx},{_fmt(cy)}" for exp, idx, cy in rows]
+# Column formatters: each turns a column's values into CSV fields.
+def _ints(values: Iterable) -> Iterable[str]:
+    return map(str, values)
+
+
+def _floats(values: Iterable) -> Iterable[str]:
+    return map(repr, map(float, values))
+
+
+def _scores(values: Iterable) -> Iterable[str]:
+    """Floats, with a None score as an empty field."""
+    return ("" if value is None else repr(float(value)) for value in values)
+
+
+def _write_csv(path: Path, columns: Sequence[str], values: Iterable[Sequence], formats: Sequence) -> None:
+    """Write a CSV file of ``columns`` from ``values``, one sequence per
+    column: the first holds experiment ids, quoted as ``_CsvIds`` quotes
+    them, and each other is turned into fields by its entry of
+    ``formats``."""
+    values = list(values) or [()] * len(columns)
+    fields = [map(_CsvIds().__getitem__, values[0]), *(fmt(v) for fmt, v in zip(formats, values[1:]))]
+    lines = [",".join(columns), *map(",".join, zip(*fields))]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def write_passes_csv(path: Path, rows: Iterable[tuple[str, int, float]]) -> None:
+    _write_csv(path, PASS_COLUMNS, zip(*rows), [_ints, _floats])
 
 
 def write_pass_reports_csv(path: Path, rows: Iterable[tuple[str, PassReport]]) -> None:
-    ids = _CsvIds()
-    lines = [",".join(PASS_REPORT_COLUMNS)]
-    for exp, r in rows:
-        lines.append(
-            ",".join(
-                [
-                    ids[exp],
-                    str(r.pass_index),
-                    _fmt(r.cy_g_per_m2),
-                    _fmt(r.changepoint_probability),
-                    _fmt(r.mode_g_per_s),
-                    _fmt(r.mean_g_per_s),
-                    _fmt(r.std_g_per_s),
-                ]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    fields = operator.attrgetter(*PASS_REPORT_COLUMNS[1:])
+    values = zip(*((exp, *fields(report)) for exp, report in rows))
+    _write_csv(path, PASS_REPORT_COLUMNS, values, [_ints] + [_floats] * 5)
 
 
 def write_events_json(path: Path, rows: Iterable[tuple[str, DetectionEvent, float, float]]) -> None:
@@ -582,31 +582,20 @@ def write_instances_csv(path: Path, batches: Iterable[tuple[str, float, np.ndarr
     """Every pass of (experiment id, lrr, instances) batches, the instances
     numbered from 0 as the rows of a ``synthesize_batch`` array: 2N passes
     each, the change after pass N."""
-    ids = _CsvIds()
-    lines = [",".join(INSTANCE_COLUMNS)]
+    values: list[list] = [[] for _ in INSTANCE_COLUMNS]
     for exp, lrr, instances in batches:
-        n = instances.shape[1] // 2
-        field = ids[exp]
-        for index, series in enumerate(instances):
-            for k, cy in enumerate(series, start=1):
-                lines.append(f"{field},{_fmt(lrr)},{index},{k},{_fmt(cy)},{int(k > n)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        m, width = instances.shape
+        n = width // 2
+        values[0] += [exp] * instances.size
+        values[1] += [lrr] * instances.size
+        values[2] += np.repeat(np.arange(m), width).tolist()
+        values[3] += list(range(1, width + 1)) * m
+        values[4] += instances.ravel().tolist()
+        values[5] += ([0] * n + [1] * (width - n)) * m
+    _write_csv(path, INSTANCE_COLUMNS, values, [_floats, _ints, _ints, _floats, _ints])
 
 
 def write_report_csv(path: Path, rows: Iterable[dict]) -> None:
-    ids = _CsvIds()
-    lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in REPORT_COLUMNS:
-            value = row[col]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, str):
-                cells.append(ids[value])
-            elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                cells.append(str(value))
-            else:
-                cells.append(_fmt(value))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Rows keyed by REPORT_COLUMNS; a None score is written blank."""
+    values = zip(*map(operator.itemgetter(*REPORT_COLUMNS), rows))
+    _write_csv(path, REPORT_COLUMNS, values, [_scores] * (len(REPORT_COLUMNS) - 1))

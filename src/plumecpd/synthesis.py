@@ -233,7 +233,7 @@ def synthesize_batch(
     with np.errstate(over="ignore"):
         scaled = series * lrr
     if not np.isfinite(scaled).all():
-        raise ValueError("leak rate ratio times a pass overflows")
+        raise ValueError(f"experiment {exp.experiment_id!r} lrr {lrr}: leak rate ratio times a pass overflows")
     n = exp.n_passes
     out = np.empty((n_instances, 2 * n))
     rngs = _instance_generators(master_seed, exp.experiment_id, lrr, start_index, n_instances)

@@ -290,7 +290,8 @@ def raw_campaigns(draw):
     angles, subnormal mixing ratios, blank lines, an extra column, a
     quoted header, ids and a header name holding a line end, LF, CRLF or
     CR line ends, numbers spelled in ways numpy and Python may parse
-    differently, and sometimes one corrupted, truncated or duplicated row.
+    differently, and sometimes one or two corrupted, truncated or
+    duplicated rows.
     """
     temperature = {}
     rows = []
@@ -322,8 +323,11 @@ def raw_campaigns(draw):
                 PASS_INDEX_RESPELLINGS if column == "pass_index" else FLOAT_RESPELLINGS
             )
             row[column] = draw(st.sampled_from(spellings))(row[column])
-    fault = draw(st.sampled_from([None, None, "field", "short", "duplicate"]))
-    if fault is not None:
+    faults = draw(st.sampled_from([[], [], ["field"], ["short"], ["duplicate"]]))
+    if faults and draw(st.booleans()):
+        faults.append(draw(st.sampled_from(["field", "short", "duplicate"])))
+    short = []
+    for fault in faults:
         i = draw(st.integers(0, len(rows) - 1))
         row = dict(rows[i])
         if fault == "field":
@@ -332,6 +336,8 @@ def raw_campaigns(draw):
         rows.insert(i, row)
         if fault != "duplicate":
             del rows[i + 1]
+        if fault == "short":
+            short.append(row)
     columns = draw(st.permutations(RAW_HEADER.split(",") + [note]))
     line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     buffer = io.StringIO()
@@ -339,7 +345,7 @@ def raw_campaigns(draw):
     buffer.write(csv_line(columns, line_end, header_quoting))
     for row in rows:
         cells = [row[c] for c in columns]
-        if fault == "short" and row is rows[i]:
+        if any(row is r for r in short):
             cells = cells[: draw(st.integers(1, len(cells) - 1))]
         buffer.write(csv_line(cells, line_end))
         if draw(st.integers(0, 9)) == 0:
@@ -615,6 +621,47 @@ def test_sigma_e_below_the_floor_exits_one_naming_the_experiment(tmp_path, met_c
     err = capsys.readouterr().err
     assert f"error: experiment '4': sigma_e {estimate_sigma_e(cys, float(q_true), fm)!r} is below 7.46e-155" in err
     assert not [path for path in out.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize(
+    "argv, first, second, message",
+    [
+        (
+            ["calibrate", "--q-true", "0.5"], [1.0, 1.1], [1.5e308, 0.0],
+            "experiment 'B': passes too far from the prediction at q_true: sigma_e overflows",
+        ),
+        (
+            ["sweep", "--q-true", "0.5", "--lrr", "2"], [1.0, 1.1], [1.5e308, 0.0],
+            "experiment 'B': passes too far from the prediction at q_true: sigma_e overflows",
+        ),
+        (
+            ["synth", "--lrr", "10"], [1.0, 1.1], [1e308, 0.5],
+            "experiment 'B' lrr 10.0: leak rate ratio times a pass overflows",
+        ),
+        # A's passes times 1e200 stay near its sigma_e, so its cell runs.
+        (
+            ["sweep", "--q-true", "1.2795371227700745e+111", "--lrr", "1e200"], [1e-90, 1.1e-90], [1e110, 1.1e110],
+            "experiment 'B' lrr 1e+200: leak rate ratio times a pass overflows",
+        ),
+        (
+            ["sweep", "--q-true", "0.5", "--jnr", "1"], [1.0, 1.1], [0.5, 0.5],
+            "experiment 'B': constant signal has zero CV, JNR undefined",
+        ),
+    ],
+    ids=["calibrate-sigma_e", "sweep-sigma_e", "synth-lrr", "sweep-lrr", "sweep-jnr"],
+)
+def test_failure_of_the_second_experiment_names_it(tmp_path, capsys, argv, first, second, message):
+    passes, met = tmp_path / "passes.csv", tmp_path / "met.csv"
+    write_passes_csv(passes, [("A", 1, first[0]), ("A", 2, first[1]), ("B", 1, second[0]), ("B", 2, second[1])])
+    met.write_text(MET_HEADER + "\n" + "\n".join(MET_ROW_4.replace("4", exp, 1) for exp in "AB") + "\n")
+    out = tmp_path / "out"
+    argv = argv + ["--passes", str(passes), "--out", str(out)]
+    if argv[0] == "sweep":
+        argv += ["--instances", "2", "--repetitions", "1", "--boot", "10"]
+    if argv[0] != "synth":
+        argv += ["--met", str(met)]
+    assert main(argv) == 1
+    assert f"error: {message}\n" == capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["passes", "met"])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -143,7 +144,7 @@ class TestReadRawSamples:
         path.write_text(RAW_HEADER + "\r\n" + "\r\n".join(rows[:9] + ["", ""] + rows[9:]) + "\r\n")
         with mock.patch.object(dataio, "_loadtxt_table", side_effect=ValueError("not parsed")):
             expected = read_raw_grouped(path)
-        with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
+        with mock.patch.object(dataio, "_csv_table", side_effect=AssertionError("diagnostic reader ran")):
             grouped = read_raw_grouped(path)
         assert list(grouped) == list(expected) == ["e0", "e1"]
         for exp, passes in expected.items():
@@ -152,7 +153,7 @@ class TestReadRawSamples:
     def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "\n" + "e1,\u0662,1_0.5,2.0,3.0,90\n" + "e1,2,\uff11\uff12,2.0,3.0,90\n")
-        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+        with mock.patch.object(dataio, "_csv_table", wraps=dataio._csv_table) as diagnostic:
             samples = read_raw_grouped(path)["e1"][2]
         assert diagnostic.called
         assert samples.tolist() == [(10.5, 2.0, 3.0, 90.0), (12.0, 2.0, 3.0, 90.0)]
@@ -197,7 +198,7 @@ class TestReadRawSamples:
         path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n")
         with (
             mock.patch.object(dataio.np, "loadtxt", wraps=np.loadtxt) as loadtxt,
-            mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")),
+            mock.patch.object(dataio, "_csv_table", side_effect=AssertionError("diagnostic reader ran")),
         ):
             table = read_raw_samples(path)
         assert loadtxt.call_count == 1
@@ -244,6 +245,35 @@ class TestReadRawSamples:
         path.write_bytes(b"\n".join([header, *rows]) + b"\n")
         with pytest.raises(InputDataError, match=rf"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
             read_raw_samples(path)
+
+    @pytest.mark.parametrize("bad_row, message", [(9000, r"raw\.csv:4: road angle"), (2000, "'utf-8' codec can't decode")])
+    def test_bad_row_before_undecodable_bytes_is_named_unless_they_share_its_chunk(self, tmp_path, bad_row, message):
+        # Rows 0 .. RAW_BLOCK_ROWS - 1 form the first chunk of the csv reader.
+        rows = [f"e1,1,{0.5 * i!r},2.0,3.0,90".encode() for i in range(3 * dataio.RAW_BLOCK_ROWS)]
+        rows[2] = rows[2].replace(b",90", b",95")
+        rows[bad_row] = b"e\xe9" + rows[bad_row][2:]
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"\n".join([RAW_HEADER.encode(), *rows]) + b"\n")
+        with pytest.raises(InputDataError, match=message):
+            read_raw_samples(path)
+
+    def test_check_failure_before_a_chunk_only_python_parses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "RAW_BLOCK_ROWS", 2)
+        path = tmp_path / "raw.csv"
+        rows = [f"e1,1,{0.5 * i!r},2.0,3.0,90" for i in range(6)]
+        rows[1] = rows[1].replace(",2.0,", ",-2.0,")
+        rows[4] = rows[4].replace(",1,", ",1_0,")
+        path.write_text(RAW_HEADER + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputDataError, match=r"raw\.csv:3: mixing ratio must be finite and non-negative"):
+            read_raw_samples(path)
+
+    def test_check_failure_in_a_file_that_parses_skips_the_csv_reader(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEADER + "\n" + "e1,1,0.0,2.0,3.0,90\n" + "e1,1,0.5,2.0,3.0,95\n")
+        with mock.patch.object(dataio, "_csv_table", wraps=dataio._csv_table) as diagnostic:
+            with pytest.raises(InputDataError, match=r"raw\.csv:3: road angle"):
+                read_raw_samples(path)
+        assert not diagnostic.called
 
 
 class TestReadMet:
@@ -373,7 +403,7 @@ class TestPassesRoundTrip:
         for block_rows in [1, 2, dataio.RAW_BLOCK_ROWS]:
             with (
                 mock.patch.object(dataio, "RAW_BLOCK_ROWS", block_rows),
-                mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")),
+                mock.patch.object(dataio, "_csv_table", side_effect=AssertionError("diagnostic reader ran")),
             ):
                 grouped = read_passes(path)
             assert grouped == {"e,1": [(1, 0.25), (2, 0.5)], "e2": [(1, 1e-3)]}
@@ -381,7 +411,7 @@ class TestPassesRoundTrip:
     def test_numbers_only_python_parses_are_read_by_the_diagnostic_reader(self, tmp_path):
         path = tmp_path / "passes.csv"
         path.write_text("experiment_id,pass_index,cy_g_per_m2\ne1,1_0,\u0661\ne1,\u0662,2_5.0\n")
-        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+        with mock.patch.object(dataio, "_csv_table", wraps=dataio._csv_table) as diagnostic:
             grouped = read_passes(path)
         assert diagnostic.called
         assert grouped == {"e1": [(2, 25.0), (10, 1.0)]}
@@ -408,10 +438,10 @@ class TestPassesRoundTrip:
     def test_repeat_within_one_chunk_names_its_earliest_bad_row(self, tmp_path, rows, message):
         path = tmp_path / "passes.csv"
         path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + rows)
-        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+        with mock.patch.object(dataio, "_csv_table", wraps=dataio._csv_table) as diagnostic:
             with pytest.raises(InputDataError, match=rf"passes\.csv:{message}"):
                 read_passes(path)
-        assert diagnostic.called
+        assert not diagnostic.called
 
     def test_repeat_across_a_chunk_boundary(self, tmp_path):
         # Rows 1 .. RAW_BLOCK_ROWS fill the first chunk; the repeat of pass
@@ -424,7 +454,7 @@ class TestPassesRoundTrip:
             read_passes(path)
         # Without the repeat, the file reads on the fast path.
         path.write_text("experiment_id,pass_index,cy_g_per_m2\n" + "\n".join(lines[:-2]) + "\n")
-        with mock.patch.object(dataio, "_csv_chunks", side_effect=AssertionError("diagnostic reader ran")):
+        with mock.patch.object(dataio, "_csv_table", side_effect=AssertionError("diagnostic reader ran")):
             grouped = read_passes(path)
         assert len(grouped["4"]) == n and grouped["5"] == [(7, 0.5)]
 
@@ -436,7 +466,7 @@ class TestPassesRoundTrip:
             "experiment_id,pass_index,cy_g_per_m2\n"
             "4,1_0,0.5\n4,99999999999999999999,0.5\n4,10,0.5\n4,99999999999999999999,0.5\n"
         )
-        with mock.patch.object(dataio, "_csv_chunks", wraps=dataio._csv_chunks) as diagnostic:
+        with mock.patch.object(dataio, "_csv_table", wraps=dataio._csv_table) as diagnostic:
             with pytest.raises(InputDataError, match=r"passes\.csv:4: duplicate pass_index 10 for"):
                 read_passes(path)
         assert diagnostic.called
@@ -610,6 +640,30 @@ class TestReportRoundTrip:
         write_report_csv(a, rows)
         write_report_csv(b, rows)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWriters:
+    @pytest.mark.parametrize(
+        "write, header",
+        [
+            (write_passes_csv, "experiment_id,pass_index,cy_g_per_m2"),
+            (
+                write_pass_reports_csv,
+                "experiment_id,pass_index,cy_g_per_m2,changepoint_probability,mode_g_per_s,mean_g_per_s,std_g_per_s",
+            ),
+            (write_instances_csv, "experiment_id,lrr,instance_index,pass_index,cy_g_per_m2,is_post_change"),
+            (write_report_csv, ",".join(REPORT_COLUMNS)),
+        ],
+        ids=["passes", "pass_reports", "instances", "report"],
+    )
+    def test_no_rows_write_the_header_alone(self, tmp_path, write, header):
+        path = tmp_path / "out.csv"
+        write(path, [])
+        assert path.read_bytes() == (header + "\n").encode()
+
+    def test_pass_report_columns_are_the_report_fields(self):
+        # write_pass_reports_csv reads each report's fields by these names.
+        assert dataio.PASS_REPORT_COLUMNS[1:] == [field.name for field in dataclasses.fields(PassReport)]
 
 
 # Ids that a CSV field holds only in quotes, and plain ones.
