@@ -42,6 +42,17 @@ passes taken one at a time. ``block_passes`` sizes a block: it grows with
 the run length k, so a call's fixed cost is spread over more passes the
 longer a run lasts, up to a bound on the block's hypothesis slots.
 
+A state is built for one forward model and noise scale,
+``RunLengthState(n_streams, n_passes, grid, fm, cfg)``, and every pass it
+takes, ``advance(cys, lam, threshold)``, adds the same a to A. So A
+depends only on how many passes a hypothesis has taken: the state holds it
+as one table by pass count, with every term that depends on A alone (the
+width, the interior log Z and its test, the edge path's coefficients and
+the predictive's A / (2 A')), computed once per count when the state is
+built, and a block reads them through each slot's count. A block's
+hypothesis-sized arrays are views into one set of buffers that each
+thread keeps between calls.
+
 The weights of a block fold in closed form, with no pruning. A hypothesis
 never leaves its slot, so after pass p its joint weight is the weight it
 opened with times P[p, s], the product down its slot s of its growth
@@ -64,6 +75,7 @@ Changepoint probabilities agree with the one-pass recursion within 1e-12.
 from __future__ import annotations
 
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +87,8 @@ from .inference import (
     LikelihoodConfig,
     QGrid,
     conjugate_terms,
-    log_grid_mass,
+    log_mass_by_count,
+    row_terms,
 )
 from .transport import ForwardModel
 
@@ -133,20 +146,46 @@ class Steps(NamedTuple):
 
 
 class RunLengthState:
-    """Run-length posteriors of B streams after k passes each.
+    """Run-length posteriors of B streams after k passes each, every pass
+    mapping a rate q to r q through the one forward model ``fm``, with
+    noise ``cfg.sigma_e``.
 
     ``weights[b, i]`` is stream b's probability of run length i, (B, k + 1),
     and ``log_evidence[b]`` the sum of its log step evidences. Slot j of
-    ``precision`` (A, shared: the streams' passes have the same forward
-    model and noise), ``mode`` and ``log_mass`` (log Z), both
-    (B, n_passes + 2), is run length k - j. Slot 0 is the full run, which a
-    report summarizes; slots k + 1 on hold the flat prior (A = 0, mode 0,
-    Z = q_max - q_min), so a step folds the pass into slots 0 .. k + 1.
+    ``mode`` and ``log_mass`` (log Z), both (B, n_passes + 2), is run
+    length k - j. Slot 0 is the full run, which a report summarizes; slots
+    k + 1 on hold the flat prior (A = 0, mode 0, Z = q_max - q_min), so a
+    step folds the pass into slots 0 .. k + 1.
+
+    Every pass adds the same a = r^2 / sigma_e^2 to the precision A, so a
+    slot's A depends only on the passes it has taken, which
+    ``slot_counts`` gives: ``terms.precision[c]`` is c copies of a summed
+    one after another, the bits of a slot that took c passes. ``terms``
+    (``inference.RowTerms``) and ``half_shrink[c]``, the predictive's
+    A / (2 A') for a slot that takes its pass c + 1, hold each term that
+    depends on A alone once per pass count, for counts 0 .. n_passes.
+
+    A precision r^2 / sigma_e^2 that overflows raises ``ValueError``.
     """
 
-    def __init__(self, n_streams: int, n_passes: int, grid: QGrid) -> None:
-        self.grid = grid
-        self.precision = np.zeros(n_passes + 2)
+    def __init__(
+        self, n_streams: int, n_passes: int, grid: QGrid, fm: ForwardModel, cfg: LikelihoodConfig
+    ) -> None:
+        scale = fm.ratio / cfg.sigma_e
+        if not scale * scale < math.inf:
+            raise ValueError("forward ratio over sigma_e overflows the rate precision")
+        self.grid, self.fm, self.cfg = grid, fm, cfg
+        a = scale * scale
+        increments = np.full(n_passes + 1, a)
+        increments[0] = 0.0
+        precision = np.add.accumulate(increments)
+        precision.setflags(write=False)
+        self.terms = row_terms(grid, precision)
+        # Where no pass adds precision, every slot keeps its row and the
+        # factor is the flat one's 1/2.
+        self.half_shrink = np.full(n_passes, 0.5)
+        if a > 0:
+            np.divide(0.5 * precision[:-1], precision[1:], out=self.half_shrink)
         self.mode = np.zeros((n_streams, n_passes + 2))
         self.log_mass = np.full((n_streams, n_passes + 2), math.log(grid.q_max - grid.q_min))
         self.weights = np.ones((n_streams, 1))
@@ -161,17 +200,9 @@ class RunLengthState:
         self.mode, self.log_mass = self.mode[keep], self.log_mass[keep]
         self.weights, self.log_evidence = self.weights[keep], self.log_evidence[keep]
 
-    def advance(
-        self,
-        cys: np.ndarray,
-        fm: ForwardModel,
-        cfg: LikelihoodConfig,
-        lam: float,
-        threshold: float,
-    ) -> Steps:
+    def advance(self, cys: np.ndarray, lam: float, threshold: float) -> Steps:
         """Fold a block of passes, ``cys`` of shape (B, passes), into the
-        state. Every pass of every stream maps a rate q to r q through the
-        one forward model ``fm``, with noise ``cfg.sigma_e``.
+        state.
 
         Each stream stops at its first alarm, a changepoint probability of
         at least ``threshold``, or at its first failure: a measurement
@@ -182,31 +213,30 @@ class RunLengthState:
 
         Arguments no stream can run raise ``ValueError`` before any pass is
         taken, checked once for the whole block in this order: ``lam`` not
-        above 1, a precision r^2 / sigma_e^2 that overflows, and a
-        negative measurement anywhere in the block. A caller that must
-        fail a negative measurement at its own pass ends the block before
-        it.
+        above 1, and a negative measurement anywhere in the block. A
+        caller that must fail a negative measurement at its own pass ends
+        the block before it.
+
+        The block's hypothesis-sized arrays are views into buffers the
+        calling thread reuses (``_block_arrays``); what the call returns
+        or keeps is copied out of them.
         """
         if not lam > 1:
             raise ValueError("expected run length lambda must exceed 1")
-        grid, k0, sigma = self.grid, self.k, cfg.sigma_e
+        grid, k0, sigma, terms = self.grid, self.k, self.cfg.sigma_e, self.terms
         n_streams, n_block = cys.shape
-        ratio = fm.ratio
-        scale = ratio / sigma
-        if not scale * scale < math.inf:
-            raise ValueError("forward ratio over sigma_e overflows the rate precision")
+        ratio = self.fm.ratio
 
         far = ~(cys <= ratio * grid.q_max + FAR_SIGMAS * sigma)
         used = np.where(far, ratio * grid.q_max, cys)
-        a, b = conjugate_terms(used, fm, cfg)  # raises on a negative measurement
+        a, b = conjugate_terms(used, self.fm, self.cfg)  # raises on a negative measurement
         # Row p of these holds the state before pass p of the block, row
         # p + 1 after it; slots past k0 + p + 1 keep the flat prior.
         width = k0 + n_block + 1
         hypotheses = np.arange(width) <= k0 + 1 + np.arange(n_block)[:, np.newaxis]
-        precision = np.add.accumulate(
-            np.vstack([self.precision[:width], np.where(hypotheses, a, 0.0)])
-        )
-        mode = np.empty((n_streams, n_block + 1, width))
+        counts = slot_counts(k0 + np.arange(n_block + 1), width)
+        precision = terms.precision[counts]
+        mode, log_mass, pis, spare, products = _block_arrays(n_streams, n_block, width)
         mode[:] = self.mode[:, np.newaxis, :width]
         # With a forward ratio of 0 no pass says anything about the rate,
         # and every row keeps the mode it had.
@@ -218,20 +248,26 @@ class RunLengthState:
                 after += b[:, p, np.newaxis]
                 after /= precision[p + 1, live]
 
-        # log Z of every hypothesis of every pass, in one call. Each entry
-        # depends on its own row alone, so with a forward ratio of 0 every
-        # pass repeats the values before it, and slots past a pass's
-        # hypotheses, flat rows, hold the state's exact log(q_max - q_min).
-        log_mass = np.empty((n_streams, n_block + 1, width))
+        # log Z of every hypothesis of every pass, in one call, written into
+        # a contiguous buffer first. Each entry depends on its own row
+        # alone, so with a forward ratio of 0 every pass repeats the values
+        # before it, and slots past a pass's hypotheses, flat rows, hold the
+        # state's exact log(q_max - q_min).
+        log_mass_by_count(grid, terms, counts[1:], mode[:, 1:], out=spare, scratch=pis)
         log_mass[:, 0] = self.log_mass[:, :width]
-        log_mass[:, 1:] = log_grid_mass(grid, precision[1:], mode[:, 1:])
+        log_mass[:, 1:] = spare
 
-        # Slots past a pass's hypotheses would hold 0 / 0; nothing reads them.
-        half_shrink = np.full((n_block, width), 0.5)
-        if a > 0:
-            np.divide(0.5 * precision[:-1], precision[1:], out=half_shrink, where=precision[1:] > 0)
-        pis = _marginal_density(
-            used, ratio, sigma, mode[:, :-1], log_mass[:, :-1], log_mass[:, 1:], half_shrink
+        # Slots past a pass's hypotheses get the factor of a slot opened
+        # at it; nothing reads them.
+        _marginal_density(
+            used,
+            ratio,
+            sigma,
+            mode[:, :-1],
+            log_mass[:, :-1],
+            log_mass[:, 1:],
+            self.half_shrink[counts[:-1]],
+            out=(pis, spare),
         )
 
         # The fold, with every pass scaled by its largest predictive. A
@@ -241,15 +277,22 @@ class RunLengthState:
         h = 1.0 / lam
         steps = np.arange(n_block)
         opened = k0 + 1 + steps
-        pis = np.where(hypotheses & ~far[..., np.newaxis], pis, 0.0)
+        unopened = ~hypotheses
+        np.copyto(pis, 0.0, where=unopened)
+        pis[far] = 0.0
         most = pis.max(axis=2)
         scaled = (most > 0) & (most < math.inf)
         unit = np.where(scaled, most, 1.0)
-        hazard = np.where(hypotheses, 1.0 - h, 0.0)
-        hazard[steps, opened] = h
-        growth = pis / unit[..., np.newaxis] * hazard + ~hypotheses
+        # pis / unit * hazard + unopened, in place: the hazard is 1 - h in
+        # a slot the stream has opened, h in the one the pass opens.
+        growth = pis
+        growth /= unit[..., np.newaxis]
+        fresh = growth[:, steps, opened]
+        growth *= 1.0 - h
+        growth[:, steps, opened] = fresh * h
+        np.copyto(growth, 1.0, where=unopened)
         growth[~scaled] = 0.0
-        products = np.multiply.accumulate(growth, axis=1)
+        np.multiply.accumulate(growth, axis=1, out=products)
         # origin[:, s] is the weight slot s opens with: the state's weight,
         # or for the slot pass q opens, the total before that pass. Column
         # k0 + 1 + q holds that total, S_q, so each total is the product of
@@ -269,9 +312,8 @@ class RunLengthState:
         )
         evidences = np.divide(after, before, out=np.zeros(after.shape), where=before > 0) * unit
         impossible = ~((evidences > 0) & (evidences < math.inf))
-        failure = impossible | _top_overflows(
-            grid, precision[1:, 0], mode[:, 1:, 0], log_mass[:, 1:, 0]
-        )
+        full_run = terms.precision[k0 + 1 : k0 + n_block + 1]
+        failure = impossible | _top_overflows(grid, full_run, mode[:, 1:, 0], log_mass[:, 1:, 0])
         hit = failure | (cp >= threshold)
         first = hit.argmax(axis=1)
         at = np.arange(n_streams), first
@@ -293,7 +335,6 @@ class RunLengthState:
         total = after[:, taken - 1, np.newaxis]
         weights = origin[:, slots - 1 :: -1] * products[:, taken - 1, slots - 1 :: -1]
         self.weights = np.divide(weights, total, out=np.zeros(weights.shape), where=total > 0)
-        self.precision[:width] = precision[taken]
         self.mode[:, :width] = mode[:, taken]
         self.log_mass[:, :width] = log_mass[:, taken]
         return Steps(
@@ -301,18 +342,67 @@ class RunLengthState:
             alarm,
             errors,
             cp[:, :taken],
-            precision[1 : taken + 1, 0],
-            mode[:, 1 : taken + 1, 0],
-            log_mass[:, 1 : taken + 1, 0],
+            full_run[:taken],
+            mode[:, 1 : taken + 1, 0].copy(),
+            log_mass[:, 1 : taken + 1, 0].copy(),
         )
 
 
-def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shrink):
+def slot_counts(k, width: int) -> np.ndarray:
+    """Passes taken by slots 0 .. width - 1 of a state after k passes, for
+    each entry of the integer array ``k``, along a new last axis: k in
+    slots 0 and 1, which both hold every pass, k + 1 - s in slot s up to
+    k + 1, and 0 past it."""
+    return np.maximum(np.asarray(k)[..., np.newaxis] + 1 - np.maximum(np.arange(width), 1), 0)
+
+
+# The block arrays of each thread, kept between ``advance`` calls.
+_held = threading.local()
+
+
+def _block_arrays(n_streams: int, n_block: int, width: int) -> tuple[np.ndarray, ...]:
+    """Five arrays for a block: two of shape (n_streams, n_block + 1,
+    width), a state before and after each pass, then three of shape
+    (n_streams, n_block, width).
+
+    They are views into one array the calling thread keeps for its next
+    block, so a block allocates none of them. A block within
+    ``BLOCK_SLOTS`` needs at most 7 ``BLOCK_SLOTS`` values, and only such
+    blocks use the kept array; a larger one, which ``block_passes`` gives
+    only at the ``PASS_BLOCK`` minimum, allocates its own.
+    """
+    shapes = [(n_streams, n_block + 1, width)] * 2 + [(n_streams, n_block, width)] * 3
+    sizes = [math.prod(shape) for shape in shapes]
+    if sizes[-1] > BLOCK_SLOTS:
+        flat = np.empty(sum(sizes))
+    else:
+        flat = getattr(_held, "flat", None)
+        if flat is None or flat.size < sum(sizes):
+            flat = _held.flat = np.empty(max(sum(sizes), 7 * BLOCK_SLOTS))
+    arrays, lo = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(flat[lo : lo + size].reshape(shape))
+        lo += size
+    return tuple(arrays)
+
+
+def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shrink, out):
     """Marginal predictive density of each hypothesis; the last axis of the
-    arrays runs over hypotheses, ``cys`` lacks it."""
-    z = (cys[..., np.newaxis] - ratio * mode) / sigma
-    log_pis = new_log_mass - log_mass - half_shrink * z * z
-    return np.exp(log_pis - (math.log(sigma) + HALF_LOG_2PI))
+    arrays runs over hypotheses, ``cys`` lacks it. ``out``, two arrays
+    shaped like ``mode``, takes the densities in its first and is
+    overwritten in its second."""
+    pis, spare = out
+    # z = (cys - ratio mode) / sigma, in place
+    z = np.multiply(ratio, mode, out=pis)
+    np.subtract(cys[..., np.newaxis], z, out=z)
+    z /= sigma
+    # new_log_mass - log_mass - half_shrink z z - log(sigma sqrt(2 pi)), in place
+    shrink = np.multiply(half_shrink, z, out=spare)
+    shrink *= z
+    log_pis = np.subtract(new_log_mass, log_mass, out=pis)
+    log_pis -= shrink
+    log_pis -= math.log(sigma) + HALF_LOG_2PI
+    return np.exp(log_pis, out=log_pis)
 
 
 def _top_overflows(grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray) -> np.ndarray:

@@ -120,7 +120,7 @@ def detect_series(
 
     grid = cfg.grid
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-    state = RunLengthState(1, cys.size, grid)
+    state = None
     reports: list[PassReport] = []
     events: list[DetectionEvent] = []
 
@@ -130,11 +130,19 @@ def detect_series(
     n_run = int(negative[0]) if negative.size else cys.size
     start = 0
     while start < n_run:
-        stop = min(start + block_passes(1, state.k), n_run)
-        # The full-run row before the block, the flat prior in a fresh state.
-        before = (float(state.precision[0]), float(state.mode[0, 0]), float(state.log_mass[0, 0]))
         try:
-            steps = state.advance(cys[np.newaxis, start:stop], fm, lik_cfg, cfg.lam, cfg.threshold)
+            # A fresh state is built at the pass it starts from, which a
+            # noise scale it rejects fails.
+            if state is None:
+                state = RunLengthState(1, cys.size, grid, fm, lik_cfg)
+            stop = min(start + block_passes(1, state.k), n_run)
+            # The full-run row before the block, the flat prior in a fresh state.
+            before = (
+                float(state.terms.precision[state.k]),
+                float(state.mode[0, 0]),
+                float(state.log_mass[0, 0]),
+            )
+            steps = state.advance(cys[np.newaxis, start:stop], cfg.lam, cfg.threshold)
         except ValueError as exc:
             raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
         done = int(steps.done[0])
@@ -166,7 +174,7 @@ def detect_series(
             )
             # The triggering measurement is treated as the first of the
             # new regime and is not folded into the reset state.
-            state = RunLengthState(1, cys.size, grid)
+            state = None
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
         start += done
     if n_run < cys.size:
@@ -200,14 +208,16 @@ def first_alarms(
     passes = np.zeros(n_streams, dtype=int)
     cps = np.zeros(n_streams)
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
-    state = RunLengthState(n_streams, n_passes, cfg.grid)
+    state = None
     live = np.arange(n_streams)
     failures: dict[int, str] = {}
     start = 0
     while start < n_passes and live.size:
-        stop = min(start + block_passes(live.size, state.k), n_passes)
         try:
-            steps = state.advance(cys[live, start:stop], fm, lik_cfg, cfg.lam, cfg.threshold)
+            if state is None:
+                state = RunLengthState(n_streams, n_passes, cfg.grid, fm, lik_cfg)
+            stop = min(start + block_passes(live.size, state.k), n_passes)
+            steps = state.advance(cys[live, start:stop], cfg.lam, cfg.threshold)
         except ValueError as exc:
             # A configuration the core rejects fails every stream alike.
             failures.update(dict.fromkeys(live.tolist(), f"pass {start + 1}: {exc}"))

@@ -14,13 +14,20 @@ B / A, and the flat prior (0, 0, log(q_max - q_min)). ``summarize_rows``
 gives the mode, mean and std of such rows, from (A, mode, log Z) alone
 for a row well inside the grid, and for the others by building them on
 the grid with ``built_summaries``, which also summarizes an event's row.
+
+The terms of log Z that depend on A alone, the width, the interior
+value and its test, and the edge path's Euler-Maclaurin coefficients,
+are computed once per value of A by ``row_terms``. ``log_mass_by_count``
+takes rows as an index into those terms and a mode, so the run-length
+state, whose rows share one A per pass count, computes each term once
+per count; ``log_grid_mass`` is the same code with one entry per row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,6 +144,51 @@ def conjugate_terms(
     return scale * scale, scale * (cy / cfg.sigma_e)
 
 
+class RowTerms(NamedTuple):
+    """The terms of ``log_grid_mass`` that depend on a row's precision A
+    alone, one entry per value of a 1-D array of A (``row_terms``): so a
+    caller whose rows share a few precisions computes them once per
+    precision, and reads them through an index.
+
+    ``width`` is sigma_q = A^-1/2; ``log_mass`` the interior path's
+    log(2 pi / A) / 2, and log(q_max - q_min) where A is not positive;
+    ``slack`` how far the mode may lie from the middle of the summed
+    points for the interior path, -inf below 1.5 dq and +inf for a flat
+    row, which then keeps its ``log_mass``; and c1, c3 and c5 the edge
+    path's Euler-Maclaurin coefficients (``_edge_log_mass``).
+    """
+
+    precision: np.ndarray
+    width: np.ndarray
+    log_mass: np.ndarray
+    slack: np.ndarray
+    c1: np.ndarray
+    c3: np.ndarray
+    c5: np.ndarray
+
+
+def row_terms(grid: QGrid, precision: np.ndarray) -> RowTerms:
+    """The ``RowTerms`` of each entry of the 1-D array ``precision``."""
+    precision = np.asarray(precision, dtype=float)
+    with np.errstate(divide="ignore"):
+        width = precision**-0.5
+    log_mass = np.add(np.log(width), HALF_LOG_2PI)
+    flat = ~(precision > 0)
+    np.copyto(log_mass, math.log(grid.q_max - grid.q_min), where=flat)
+    slack = _slack(grid, width)
+    slack[flat] = np.inf
+    # Read only for rows on the edge path, at least 10 dq wide; other
+    # widths may overflow here.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        r = grid.dq / width
+        r3 = r**3
+        r5 = r3 * r * r
+        c1 = r / 12.0 + r3 / 240.0 + r5 / 2016.0
+        c3 = -(r3 / 720.0 + r5 / 3024.0)
+        c5 = r5 / 30240.0
+    return RowTerms(precision, width, log_mass, slack, c1, c3, c5)
+
+
 def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
     """log Z for rows exp(-A (q - mode)^2 / 2), elementwise and broadcast.
 
@@ -152,30 +204,50 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
     - else (narrow rows, modes far outside): the exact log-sum-exp over
       the summed points in a window of at least 10 sigma_q about the
       clipped mode, by ``window_log_mass``.
-    Each entry depends on its own row only.
-
-    Every entry first takes the interior value, and flat rows are then
-    overwritten in place. The rows on neither path are found once, as flat
-    indices into the broadcast shape, and only their widths and modes are
-    taken by those indices; precision only for window rows.
+    Each entry depends on its own row only. The terms of each precision
+    are computed once, by ``row_terms``, and the paths taken by
+    ``log_mass_by_count``.
     """
     precision = np.asarray(precision, dtype=float)
     mode = np.asarray(mode, dtype=float)
-    with np.errstate(divide="ignore"):
-        width = precision**-0.5
-    out = np.empty(np.broadcast_shapes(width.shape, mode.shape))
-    np.add(np.log(width), HALF_LOG_2PI, out=out)
-    span = grid.q_max - grid.q_min
-    # Rows with no positive precision take the flat row's value.
-    flat = ~(precision > 0)
-    np.copyto(out, math.log(span), where=flat)
-    done = _interior(grid, width, mode)
-    done |= flat
-    rows = np.flatnonzero(~done)
+    out = np.empty(np.broadcast_shapes(precision.shape, mode.shape))
+    counts = np.arange(precision.size).reshape(precision.shape)
+    terms = row_terms(grid, precision.reshape(-1))
+    log_mass_by_count(grid, terms, counts, mode, out, np.empty(out.shape))
+    return out
+
+
+def log_mass_by_count(
+    grid: QGrid,
+    terms: RowTerms,
+    counts: np.ndarray,
+    mode: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Write into ``out``, a C-contiguous array, the log Z of the rows
+    (A, mode) with A the precision of entry ``counts`` of ``terms``, by the
+    paths of ``log_grid_mass``. ``counts`` and ``mode`` broadcast to the
+    shape of ``out``; ``scratch`` is an array of that shape the call may
+    overwrite.
+
+    Every entry first takes its precision's interior value, flat rows
+    included. The rows on neither path are found once, as flat indices
+    into the shape of ``out``, and only their counts and modes are taken
+    by those indices.
+    """
+    np.copyto(out, np.take(terms.log_mass, counts))
+    top = grid.q_max - grid.dq
+    offset = np.subtract(mode, 0.5 * (grid.q_min + top), out=scratch)
+    np.abs(offset, out=offset)
+    # A NaN offset is not past its slack, and keeps the interior value.
+    rows = np.flatnonzero(np.greater(offset, np.take(terms.slack, counts)))
     if not rows.size:
-        return out
-    width = np.take(np.broadcast_to(width, out.shape), rows)
+        return
+    count = np.take(np.broadcast_to(counts, out.shape), rows)
     mode = np.take(np.broadcast_to(mode, out.shape), rows)
+    width = terms.width[count]
+    span = grid.q_max - grid.q_min
     edge = (
         (width >= EDGE_MIN_WIDTH * grid.dq)
         & (width <= EDGE_MAX_SPANS * span)
@@ -183,13 +255,25 @@ def log_grid_mass(grid: QGrid, precision, mode) -> np.ndarray:
     )
     entries = out.reshape(-1)
     if not edge.all():
-        window = rows[~edge]
-        precision = np.take(np.broadcast_to(precision, out.shape), window)
-        entries[window] = window_log_mass(grid, precision, mode[~edge])
-        rows, mode, width = rows[edge], mode[edge], width[edge]
+        window = ~edge
+        entries[rows[window]] = window_log_mass(grid, terms.precision[count[window]], mode[window])
+        rows, count, mode, width = rows[edge], count[edge], mode[edge], width[edge]
     if rows.size:
-        entries[rows] = _edge_log_mass(grid, mode, width)
-    return out
+        entries[rows] = _edge_log_mass(
+            grid, mode, width, terms.c1[count], terms.c3[count], terms.c5[count]
+        )
+
+
+def _slack(grid: QGrid, width) -> np.ndarray:
+    """How far a row of width sigma_q may lie from the middle of the
+    summed points for the interior path: 8 sigma_q inside them, or -inf
+    when the row is narrower than 1.5 dq."""
+    top = grid.q_max - grid.dq
+    return np.where(
+        width >= INTERIOR_MIN_WIDTH * grid.dq,
+        0.5 * (top - grid.q_min) - INTERIOR_MARGIN * width,
+        -np.inf,
+    )
 
 
 def _interior(grid: QGrid, width, mode) -> np.ndarray:
@@ -197,12 +281,7 @@ def _interior(grid: QGrid, width, mode) -> np.ndarray:
     that ``log_grid_mass`` takes by its interior path: sigma_q >= 1.5 dq
     and the mode 8 sigma_q inside the summed points."""
     top = grid.q_max - grid.dq
-    slack = np.where(
-        width >= INTERIOR_MIN_WIDTH * grid.dq,
-        0.5 * (top - grid.q_min) - INTERIOR_MARGIN * width,
-        -np.inf,
-    )
-    return ~(np.abs(mode - 0.5 * (grid.q_min + top)) > slack)
+    return ~(np.abs(mode - 0.5 * (grid.q_min + top)) > _slack(grid, width))
 
 
 # erfc(6) is about 2e-17, below half an ulp of 1, so erf(x) is 1.0 from here on.
@@ -238,26 +317,23 @@ def _map(f, x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, x.tolist()), float, x.size)
 
 
-def _edge_log_mass(grid: QGrid, mode: np.ndarray, width: np.ndarray) -> np.ndarray:
+def _edge_log_mass(
+    grid: QGrid, mode: np.ndarray, width: np.ndarray, c1: np.ndarray, c3: np.ndarray, c5: np.ndarray
+) -> np.ndarray:
     """log Z of wide rows: the erf integral plus Euler-Maclaurin terms.
 
     For f(q) = exp(-t^2 / 2), t = (q - mode) / sigma_q, the left sum with
     step h over [a, b] = [q_min, q_max] is the integral plus
     h/2 (f(a) - f(b)) + h^2/12 (f'(b) - f'(a)) - h^4/720 (f^(3)(b) - f^(3)(a))
     + h^6/30240 (f^(5)(b) - f^(5)(a)), with f^(m) = (-1/sigma_q)^m He_m(t) f;
-    below, h f(t) (1/2 + c1 t + c3 t^3 + c5 t^5) with r = h / sigma_q.
+    below, h f(t) (1/2 + c1 t + c3 t^3 + c5 t^5), with c1, c3 and c5
+    polynomials in r = h / sigma_q that ``row_terms`` computes.
     """
     ends = (np.array([[grid.q_min], [grid.q_max]]) - mode) / width
     # erf(u_b) - erf(u_a), u = t / sqrt(2), reflected about the mode so
     # that the interval's middle is at or above it.
     u = ends * np.where(ends[0] + ends[1] < 0, -math.sqrt(0.5), math.sqrt(0.5))
     gap = _erf_gaps(u.min(axis=0), u.max(axis=0))
-    r = grid.dq / width
-    r3 = r**3
-    r5 = r3 * r * r
-    c1 = r / 12.0 + r3 / 240.0 + r5 / 2016.0
-    c3 = -(r3 / 720.0 + r5 / 3024.0)
-    c5 = r5 / 30240.0
     t2 = ends * ends
     terms = np.exp(-0.5 * t2) * (0.5 + ends * (c1 + t2 * (c3 + t2 * c5)))
     integral = width * math.sqrt(0.5 * math.pi) * gap

@@ -17,8 +17,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from oracles import EmissionPosterior, MeasurementIncompatibleError, conjugate_posterior
-from plumecpd.bocd import RunLengthState, block_passes
-from plumecpd.inference import LikelihoodConfig, QGrid, conjugate_terms, log_grid_mass
+from plumecpd.bocd import RunLengthState, block_passes, slot_counts
+from plumecpd.inference import LikelihoodConfig, QGrid, conjugate_terms
 from plumecpd.transport import ForwardModel
 
 
@@ -69,37 +69,41 @@ def run_core(
 ) -> CoreRun:
     """Advance one stream through ``RunLengthState.advance`` over ``cys``.
 
-    The stream starts from ``start``, a (weights, precision, mode) or
-    (weights, precision, mode, log_mass) tuple indexed by run length as in
-    ``CoreRun``, with log Z from ``log_grid_mass`` when it is left out, or
-    from the flat prior with run length 0. An impossible measurement raises
+    The stream starts from the flat prior with run length 0, or from
+    ``start``, a (weights, mode, log_mass) tuple indexed by run length as
+    in ``CoreRun``, after as many passes of ``fm`` and ``cfg`` as it has
+    run lengths less one: the state holds each run length's precision
+    for those passes. An impossible measurement raises
     ``MeasurementIncompatibleError`` with the core's reason.
     """
     if start is None:
-        state = RunLengthState(1, len(cys), grid)
+        state = RunLengthState(1, len(cys), grid, fm, cfg)
     else:
-        weights, precision, mode = start[:3]
-        log_mass = start[3] if len(start) > 3 else log_grid_mass(grid, precision, mode)
+        weights, mode, log_mass = start
         k = weights.size - 1
-        state = RunLengthState(1, k + len(cys), grid)
+        state = RunLengthState(1, k + len(cys), grid, fm, cfg)
         state.weights = np.array(weights, dtype=float)[np.newaxis]
-        state.precision[: k + 1] = precision[::-1]
         state.mode[0, : k + 1] = mode[::-1]
         state.log_mass[0, : k + 1] = log_mass[::-1]
     cys = np.array(cys, dtype=float).reshape(1, -1)
     start = 0
     while start < cys.shape[1]:
         block = cys[:, start : start + block_passes(1, state.k)]
-        steps = state.advance(block, fm, cfg, lam, math.inf)
+        steps = state.advance(block, lam, math.inf)
         if steps.errors:
             raise MeasurementIncompatibleError(steps.errors[0])
         start += int(steps.done[0])
-    k = state.k
     return CoreRun(
         grid,
         state.weights[0].copy(),
         float(state.log_evidence[0]),
-        state.precision[k::-1].copy(),
-        state.mode[0, k::-1].copy(),
-        state.log_mass[0, k::-1].copy(),
+        slot_precision(state)[::-1],
+        state.mode[0, state.k :: -1].copy(),
+        state.log_mass[0, state.k :: -1].copy(),
     )
+
+
+def slot_precision(state: RunLengthState) -> np.ndarray:
+    """The precision A of slots 0 .. k of ``state``, read from its table
+    by the passes each slot has taken."""
+    return state.terms.precision[slot_counts(state.k, state.k + 1)]

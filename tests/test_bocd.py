@@ -14,14 +14,24 @@ from oracles import (
     grid_integrate,
     likelihood_vector,
 )
+from plumecpd import bocd
 from plumecpd.bocd import (
     BLOCK_SLOTS,
     FAR_SIGMAS,
     PASS_BLOCK,
     RunLengthState,
+    _marginal_density,
     block_passes,
+    slot_counts,
 )
-from plumecpd.inference import LikelihoodConfig, QGrid, log_grid_mass
+from plumecpd.detector import DetectorConfig, detect_series
+from plumecpd.inference import (
+    LikelihoodConfig,
+    QGrid,
+    conjugate_terms,
+    log_grid_mass,
+    log_mass_by_count,
+)
 from plumecpd.transport import ForwardModel
 from stepping import run_core
 
@@ -32,7 +42,7 @@ def each_pass(cys, fm, cfg, lam, grid, **kwargs):
     covers its own pass alone."""
     run = None
     for cy in cys:
-        start = None if run is None else (run.weights, run.precision, run.mode, run.log_mass)
+        start = None if run is None else (run.weights, run.mode, run.log_mass)
         run = run_core([cy], fm, cfg, lam, grid, start=start, **kwargs)
         yield run
 
@@ -44,18 +54,22 @@ def alpha(run):
 
 def predictive_probability(grid, precision, mode, cy, fm, cfg):
     """Predictive density of ``cy`` under one hypothesis whose rate row is
-    exp(-precision (q - mode)^2 / 2) / Z, read from one core step: the
-    growth weight times the step evidence, over the growth hazard."""
-    lam = 2.0
-    run = run_core(
-        [cy],
-        fm,
-        cfg,
-        lam,
-        grid,
-        start=(np.ones(1), np.array([precision]), np.array([mode])),
+    exp(-precision (q - mode)^2 / 2) / Z, by the block step's marginal
+    density of the (A, mode, log Z) rows before and after the pass."""
+    a, b = conjugate_terms(cy, fm, cfg)
+    after = precision + a
+    new_mode = (precision * mode + b) / after
+    pis = _marginal_density(
+        np.asarray(cy),
+        fm.ratio,
+        cfg.sigma_e,
+        np.array([mode]),
+        log_grid_mass(grid, precision, [mode]),
+        log_grid_mass(grid, after, [new_mode]),
+        np.array([0.5 * precision / after]),
+        out=(np.empty(1), np.empty(1)),
     )
-    return alpha(run)[1] / (1.0 - 1.0 / lam)
+    return float(pis[0])
 
 
 class TestHazard:
@@ -71,16 +85,20 @@ class TestHazard:
     def test_lambda_two(self, unit_fm, coarse_grid):
         assert self.first_step_cp(coarse_grid, unit_fm, 2.0) == pytest.approx(0.5, rel=1e-12)
 
-    def test_memoryless(self, unit_fm, coarse_grid):
-        # All mass on a long run with the same flat rate posterior: the
-        # change probability equals that of a fresh state.
+    def test_memoryless(self, coarse_grid):
+        # A forward ratio of 0 keeps every rate posterior at the flat prior.
+        # All mass on a run 1000 passes long with that posterior: the change
+        # probability equals that of a fresh state.
+        flat = ForwardModel(1.0, 0.0)
         k = 10**3
+        run = run_core([1.0] * k, flat, LikelihoodConfig(0.5), 7.0, coarse_grid)
+        assert not run.precision.any()
         weights = np.zeros(k + 1)
         weights[-1] = 1.0
-        long_run = (weights, np.zeros(k + 1), np.zeros(k + 1))
-        assert self.first_step_cp(coarse_grid, unit_fm, 7.0, long_run) == pytest.approx(
-            self.first_step_cp(coarse_grid, unit_fm, 7.0), rel=1e-12
-        )
+        long_run = (weights, run.mode, run.log_mass)
+        fresh = self.first_step_cp(coarse_grid, flat, 7.0)
+        assert self.first_step_cp(coarse_grid, flat, 7.0, long_run) == pytest.approx(fresh, rel=1e-12)
+        assert fresh == pytest.approx(1.0 / 7.0, rel=1e-12)
 
     @pytest.mark.parametrize("lam", [1.0, 0.5, 0.0, -3.0])
     def test_lambda_must_exceed_one(self, lam, unit_fm, coarse_grid):
@@ -92,7 +110,8 @@ class TestPredictiveProbability:
     """The predictive density one hypothesis gives the next measurement."""
 
     def test_marginal_delta_posterior_collapses(self, unit_fm):
-        # A row far narrower than the grid step is a point mass.
+        # A row far narrower than the grid step is a point mass. No state
+        # reaches A = 1e14 in one pass, so the row is given directly.
         grid = QGrid(0.0, 5.0, 0.005)
         q_star = grid.values[400]
         sigma = 0.4
@@ -179,11 +198,11 @@ class TestBocdStep:
         cfg = LikelihoodConfig(0.4)
         sizes = []
 
-        def counting(grid, precision, mode):
-            sizes.append(np.broadcast_shapes(np.shape(precision), np.shape(mode)))
-            return log_grid_mass(grid, precision, mode)
+        def counting(grid, terms, counts, mode, out, scratch):
+            sizes.append(out.shape)
+            return log_mass_by_count(grid, terms, counts, mode, out, scratch)
 
-        with mock.patch.object(bocd_module, "log_grid_mass", side_effect=counting):
+        with mock.patch.object(bocd_module, "log_mass_by_count", side_effect=counting):
             run_core([2.0] * 10, unit_fm, cfg, 15.0, coarse_grid)
         assert PASS_BLOCK == 8
         assert sizes == [(1, 8, 9), (1, 2, 11)]
@@ -303,10 +322,10 @@ class TestRowBuffer:
         # stream's state has the bits of a run on its own, and once the
         # failed stream is dropped the state steps on.
         cfg = LikelihoodConfig(0.3)
-        state = RunLengthState(2, 3, coarse_grid)
+        state = RunLengthState(2, 3, coarse_grid, unit_fm, cfg)
 
         def step(cys):
-            return state.advance(np.array(cys)[:, np.newaxis], unit_fm, cfg, 15.0, math.inf).errors
+            return state.advance(np.array(cys)[:, np.newaxis], 15.0, math.inf).errors
 
         # More than FAR_SIGMAS noise scales above every prediction on the grid.
         impossible = coarse_grid.q_max + FAR_SIGMAS * cfg.sigma_e + 1.0
@@ -325,3 +344,118 @@ class TestRowBuffer:
         likelihood = likelihood_vector(1.9, coarse_grid, unit_fm, cfg)
         lik_mass = float(np.sum(likelihood[:-1]) * coarse_grid.dq)
         np.testing.assert_allclose(run.rows[0], likelihood / lik_mass, rtol=1e-12)
+
+
+def sequential_sums(a, k, n_slots):
+    """Each slot's precision after k passes of precision a, summed one
+    pass after another: every pass adds a to slots 0 .. k + 1 of the
+    state before it."""
+    sums = np.zeros(n_slots)
+    for taken in range(k):
+        sums[: taken + 2] += a
+    return sums
+
+
+class TestPrecisionByCount:
+    """A state holds its precision as one table by pass count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ratio=st.floats(0.01, 100.0),
+        noise=st.floats(0.001, 0.1),
+        lengths=st.lists(st.integers(1, 30), min_size=1, max_size=5),
+        slots=st.sampled_from([BLOCK_SLOTS, 2**8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slots_hold_their_sequential_sums(self, ratio, noise, lengths, slots, seed):
+        # Blocks of random lengths, two streams and then one after
+        # ``select``, and the states ``detect_series`` builds before and
+        # after a reset with the widened sigma_e: A by slot, and each
+        # pass's full-run A, have the bits of summing a pass at a time.
+        grid = QGrid(0.0, 5.0, 0.05)
+        fm = ForwardModel(1.0, ratio)
+        cfg = LikelihoodConfig(ratio * noise)
+        a = conjugate_terms(0.0, fm, cfg)[0]
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        with mock.patch.object(bocd, "BLOCK_SLOTS", slots):
+            state = RunLengthState(2, n, grid, fm, cfg)
+            for i, length in enumerate(lengths):
+                k0 = state.k
+                cys = ratio * rng.uniform(0.5, 4.5, (state.weights.shape[0], length))
+                steps = state.advance(cys, 15.0, math.inf)
+                assert steps.done.tolist() == [length] * cys.shape[0]
+                full = [sequential_sums(a, k0 + p + 1, 1)[0] for p in range(length)]
+                assert steps.precision.tobytes() == np.array(full).tobytes()
+                by_slot = state.terms.precision[slot_counts(state.k, n + 2)]
+                assert by_slot.tobytes() == sequential_sums(a, state.k, n + 2).tobytes()
+                if i == 0:
+                    state.select(np.array([True, False]))
+
+            # A jump of 3 in the rate, 30 noise scales or more, alarms.
+            states = []
+            real = RunLengthState.advance
+
+            def advance(state, *args):
+                states.append(state)
+                return real(state, *args)
+
+            cys = ratio * np.repeat([1.0, 4.0], [n + 1, n + 1])
+            config = DetectorConfig(threshold=0.8, sigma_e_initial=cfg.sigma_e, grid=grid)
+            with mock.patch.object(RunLengthState, "advance", advance):
+                events = detect_series(cys, fm, config)[1]
+        assert events
+        fresh = list(dict.fromkeys(states))
+        assert len(fresh) >= 2
+        assert fresh[1].cfg.sigma_e == cfg.sigma_e * config.sigma_e_post_factor
+        for state in fresh:
+            a = conjugate_terms(0.0, fm, state.cfg)[0]
+            by_slot = state.terms.precision[slot_counts(state.k, cys.size + 2)]
+            assert by_slot.tobytes() == sequential_sums(a, state.k, cys.size + 2).tobytes()
+
+
+class TestBlockBuffers:
+    """A block's arrays are views into buffers each thread reuses."""
+
+    def test_alternate_states_keep_their_arrays(self, unit_fm, coarse_grid):
+        # Two states of different sizes advanced in turn in one thread: a
+        # call leaves the Steps of the call before it, and the other
+        # state, as they were, and each state steps as it does alone.
+        rng = np.random.default_rng(12)
+        runs = [
+            (rng.uniform(1.0, 3.0, (1, 24)), LikelihoodConfig(0.3)),
+            (rng.uniform(1.0, 3.0, (3, 24)), LikelihoodConfig(0.1)),
+        ]
+        cuts = [0, 8, 11, 24]
+
+        def state_arrays(state):
+            return [state.mode, state.log_mass, state.weights, state.log_evidence]
+
+        def step_arrays(steps):
+            return [steps.done, steps.alarm, steps.cp, steps.precision, steps.mode, steps.log_mass]
+
+        def copies(arrays):
+            return [array.copy() for array in arrays]
+
+        def same(arrays, expected):
+            return all(np.array_equal(x, y) for x, y in zip(arrays, expected, strict=True))
+
+        def fresh(stream, cfg):
+            return RunLengthState(stream.shape[0], 24, coarse_grid, unit_fm, cfg)
+
+        states = [fresh(*run) for run in runs]
+        steps = [[], []]
+        for lo, hi in zip(cuts, cuts[1:]):
+            for i, (stream, _) in enumerate(runs):
+                other = state_arrays(states[1 - i])
+                before = [copies(other)] + [copies(step_arrays(s)) for s in steps[1 - i][-1:]]
+                steps[i].append(states[i].advance(stream[:, lo:hi], 15.0, math.inf))
+                assert same(other, before[0])
+                if len(before) > 1:
+                    assert same(step_arrays(steps[1 - i][-1]), before[1])
+
+        for i, run in enumerate(runs):
+            alone = fresh(*run)
+            for lo, hi, got in zip(cuts, cuts[1:], steps[i]):
+                assert same(step_arrays(got), step_arrays(alone.advance(run[0][:, lo:hi], 15.0, math.inf)))
+            assert same(state_arrays(states[i]), state_arrays(alone))

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -708,8 +711,8 @@ class TestBlockStep:
         assert first_alarms(np.array([cys]), fm, cfg)[0].tolist() == [2]
 
         def advance(block):
-            state = RunLengthState(1, len(block), cfg.grid)
-            return state.advance(np.array([block]), fm, LikelihoodConfig(sigma_e), cfg.lam, math.inf)
+            state = RunLengthState(1, len(block), cfg.grid, fm, LikelihoodConfig(sigma_e))
+            return state.advance(np.array([block]), cfg.lam, math.inf)
 
         steps, before = advance(cys), advance(cys[:3])
         assert steps.done.tolist() == [4]
@@ -722,7 +725,7 @@ class TestBlockStep:
         cys = 2.0 + np.random.default_rng(60).normal(0.0, 0.004, 60)
         cfg = make_config(sigma_e_initial=0.004, grid=QGrid(0.0, 5.0, 0.05))
         with (
-            mock.patch.object(bocd, "log_grid_mass", wraps=bocd.log_grid_mass) as blocks,
+            mock.patch.object(bocd, "log_mass_by_count", wraps=bocd.log_mass_by_count) as blocks,
             mock.patch.object(
                 inference, "window_log_mass", wraps=inference.window_log_mass
             ) as window,
@@ -831,3 +834,43 @@ class TestBlockSizes:
         for streams, sizes in [(1000, [8] * 5), (3, [8, 8, 16, 8])]:
             calls = advance_calls(lambda: first_alarms(np.ones((streams, 40)), unit_fm, cfg))
             assert [n for _, n, _ in calls] == sizes
+
+
+def test_threads_at_once_give_the_bytes_of_each_alone(unit_fm):
+    # Each thread keeps its own block arrays: detect_series on a stream with
+    # an alarm and first_alarms on a block of streams, run in more threads
+    # than cores at once, with a short switch interval, several times over,
+    # give the bytes each gives alone.
+    rng = np.random.default_rng(31)
+    stream = np.concatenate([rng.normal(1.0, 0.05, 150), rng.normal(2.5, 0.05, 150)])
+    block = rng.normal(2.0, 0.1, (30, 40))
+    block[::2, 25:] *= 1.5
+    runs = [
+        lambda: repr(detect_series(stream, unit_fm, make_config(sigma_e_initial=0.05))).encode(),
+        lambda: b"".join(
+            a.tobytes() for a in first_alarms(block, unit_fm, make_config(sigma_e_initial=0.1))
+        ),
+    ]
+    alone = [run() for run in runs]
+    assert b"DetectionEvent" in alone[0]
+    n_threads = min((os.cpu_count() or 2) + 1, 9)
+    start = threading.Barrier(n_threads)
+    got = [[] for _ in range(n_threads)]
+
+    def repeat(i):
+        start.wait()
+        for _ in range(4):
+            got[i].append(runs[i % 2]())
+
+    threads = [threading.Thread(target=repeat, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [[alone[i % 2]] * 4 for i in range(n_threads)]

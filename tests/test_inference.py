@@ -146,8 +146,8 @@ class TestLikelihoodVector:
         # every hypothesis, without a RuntimeWarning, and the stream beside
         # it runs as it would alone.
         cfg = LikelihoodConfig(1e-3)
-        state = RunLengthState(2, 1, medium_grid)
-        errors = state.advance(np.array([[2.0], [cy]]), unit_fm, cfg, 15.0, math.inf).errors
+        state = RunLengthState(2, 1, medium_grid, unit_fm, cfg)
+        errors = state.advance(np.array([[2.0], [cy]]), 15.0, math.inf).errors
         assert errors == {1: "observation impossible under all run-length hypotheses"}
         alone = run_core([2.0], unit_fm, cfg, 15.0, medium_grid)
         assert np.array_equal(state.weights[0], alone.weights)
