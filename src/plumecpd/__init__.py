@@ -5,6 +5,7 @@ from .detector import (
     DetectionEvent,
     DetectorConfig,
     PassReport,
+    PassReports,
     detect_series,
 )
 from .errors import (
@@ -62,6 +63,7 @@ __all__ = [
     "InsufficientDataError",
     "MetSummary",
     "PassReport",
+    "PassReports",
     "PerformanceReport",
     "PlumeCpdError",
     "QGrid",

@@ -23,8 +23,12 @@ map, exp(-A (q - mode)^2 / 2) / Z on the grid (see ``inference``), so a
 hypothesis is held as (A, mode, log Z), not as a row: a step is O(k)
 scalar work and memory is O(k + n) for n grid points. A measurement c
 with forward ratio r and noise sigma adds a = r^2 / sigma^2 to A and
-moves the mode to the precision-weighted mean of it and c / r. The
-marginal predictive of hypothesis j is
+b = r c / sigma^2 to the row's sum B, and the mode is B / A. Every pass
+adds the same a, so the hypothesis that opened at pass j has, after pass
+k, the mode (b_j + ... + b_k) / A: a window of the stream's prefix sums
+of b, which the state keeps with the running sum of their rounding
+errors (TwoSum), so that a window is the compensated sum of its terms.
+The marginal predictive of hypothesis j is
 
     pi_j = Z_j' / Z_j * exp(-(A_j / (A_j + a)) z_j^2 / 2) / (sigma sqrt(2 pi))
 
@@ -36,11 +40,13 @@ report the closed form cannot summarize (``inference.summarize_rows``).
 
 A hypothesis's (A, mode, log Z) and its predictive depend on the
 measurements and the noise scale alone, never on the weights, so
-``RunLengthState.advance`` computes them for a block of passes at once,
-each with the arithmetic of a one-pass step, so that they keep the bits of
-passes taken one at a time. ``block_passes`` sizes a block: it grows with
-the run length k, so a call's fixed cost is spread over more passes the
-longer a run lasts, up to a bound on the block's hypothesis slots.
+``RunLengthState.advance`` computes them for a block of passes at once:
+the prefix sums extended one pass after another, every mode as a window
+of them, and each log Z and predictive from its own row, so that they
+keep the bits of passes taken one at a time. ``block_passes`` sizes a
+block: it grows with the run length k, so a call's fixed cost is spread
+over more passes the longer a run lasts, up to a bound on the block's
+hypothesis slots.
 
 A state is built for one forward model and noise scale,
 ``RunLengthState(n_streams, n_passes, grid, fm, cfg)``, and every pass it
@@ -152,10 +158,15 @@ class RunLengthState:
 
     ``weights[b, i]`` is stream b's probability of run length i, (B, k + 1),
     and ``log_evidence[b]`` the sum of its log step evidences. Slot j of
-    ``mode`` and ``log_mass`` (log Z), both (B, n_passes + 2), is run
-    length k - j. Slot 0 is the full run, which a report summarizes; slots
-    k + 1 on hold the flat prior (A = 0, mode 0, Z = q_max - q_min), so a
-    step folds the pass into slots 0 .. k + 1.
+    ``log_mass`` (log Z), (B, n_passes + 2), is run length k - j. Slot 0
+    is the full run, which a report summarizes; slots k + 1 on hold the
+    flat prior (A = 0, mode 0, Z = q_max - q_min), so a step folds the
+    pass into slots 0 .. k + 1. ``sums[b, i]``, (B, n_passes + 1), is the
+    sum of b over stream b's first i passes, added one after another, and
+    ``errs[b, i]`` the sum of those additions' rounding errors. Slot j
+    holds passes max(j, 1) .. k, so its mode is
+    ((B_k - B_i) + (E_k - E_i)) / A with i = max(j - 1, 0), and 0 in a slot
+    with no pass.
 
     Every pass adds the same a = r^2 / sigma_e^2 to the precision A, so a
     slot's A depends only on the passes it has taken, which
@@ -163,7 +174,8 @@ class RunLengthState:
     one after another, the bits of a slot that took c passes. ``terms``
     (``inference.RowTerms``) and ``half_shrink[c]``, the predictive's
     A / (2 A') for a slot that takes its pass c + 1, hold each term that
-    depends on A alone once per pass count, for counts 0 .. n_passes.
+    depends on A alone once per pass count, for counts 0 .. n_passes; a
+    count whose A passes the float range holds NaN.
 
     A precision r^2 / sigma_e^2 that overflows raises ``ValueError``.
     """
@@ -178,7 +190,11 @@ class RunLengthState:
         a = scale * scale
         increments = np.full(n_passes + 1, a)
         increments[0] = 0.0
-        precision = np.add.accumulate(increments)
+        with np.errstate(over="ignore"):
+            precision = np.add.accumulate(increments)
+        # A count whose precision overflows holds NaN, which every term of
+        # the count and the mode of a row that reaches it carry.
+        precision[precision == math.inf] = math.nan
         precision.setflags(write=False)
         self.terms = row_terms(grid, precision)
         # Where no pass adds precision, every slot keeps its row and the
@@ -186,7 +202,8 @@ class RunLengthState:
         self.half_shrink = np.full(n_passes, 0.5)
         if a > 0:
             np.divide(0.5 * precision[:-1], precision[1:], out=self.half_shrink)
-        self.mode = np.zeros((n_streams, n_passes + 2))
+        self.sums = np.zeros((n_streams, n_passes + 1))
+        self.errs = np.zeros((n_streams, n_passes + 1))
         self.log_mass = np.full((n_streams, n_passes + 2), math.log(grid.q_max - grid.q_min))
         self.weights = np.ones((n_streams, 1))
         self.log_evidence = np.zeros(n_streams)
@@ -197,7 +214,7 @@ class RunLengthState:
 
     def select(self, keep: np.ndarray) -> None:
         """Keep only the streams where the boolean ``keep`` is true."""
-        self.mode, self.log_mass = self.mode[keep], self.log_mass[keep]
+        self.sums, self.errs, self.log_mass = self.sums[keep], self.errs[keep], self.log_mass[keep]
         self.weights, self.log_evidence = self.weights[keep], self.log_evidence[keep]
 
     def advance(self, cys: np.ndarray, lam: float, threshold: float) -> Steps:
@@ -207,7 +224,10 @@ class RunLengthState:
         Each stream stops at its first alarm, a changepoint probability of
         at least ``threshold``, or at its first failure: a measurement
         impossible under every hypothesis, or a full-run density that
-        overflows at the top of the grid. The state then holds the values
+        overflows at the top of the grid. A full-run row whose A or prefix
+        sum passes the float range has a NaN mode and log Z, so the pass
+        into it has a predictive that is not finite, and fails as
+        impossible. The state then holds the values
         after the last pass taken; a stream that stopped before it, or
         failed, is meaningless there and is dropped with ``select``.
 
@@ -235,18 +255,25 @@ class RunLengthState:
         width = k0 + n_block + 1
         hypotheses = np.arange(width) <= k0 + 1 + np.arange(n_block)[:, np.newaxis]
         counts = slot_counts(k0 + np.arange(n_block + 1), width)
-        precision = terms.precision[counts]
         mode, log_mass, pis, spare, products = _block_arrays(n_streams, n_block, width)
-        mode[:] = self.mode[:, np.newaxis, :width]
-        # With a forward ratio of 0 no pass says anything about the rate,
-        # and every row keeps the mode it had.
+        sums, errs = self._extend_sums(k0, b)
+        # Every mode of the block is a window of the prefix sums over its
+        # count's precision: slot s after k passes holds passes
+        # max(s, 1) .. k. A slot with no pass, and every slot under a
+        # forward ratio of 0, which says nothing about the rate, keeps the
+        # flat prior's mode 0; a window past an overflowed B is NaN. The
+        # log Z buffer holds the windows' error terms until log Z is taken.
         if a > 0:
-            for p in range(n_block):
-                live = slice(0, k0 + p + 2)
-                # (A mode + b) / A', in place
-                after = np.multiply(precision[p, live], mode[:, p, live], out=mode[:, p + 1, live])
-                after += b[:, p, np.newaxis]
-                after /= precision[p + 1, live]
+            starts = np.maximum(np.arange(width) - 1, 0)
+            with np.errstate(invalid="ignore"):
+                np.subtract(sums[:, :, np.newaxis], self.sums[:, np.newaxis, starts], out=mode)
+                mode += np.subtract(
+                    errs[:, :, np.newaxis], self.errs[:, np.newaxis, starts], out=log_mass
+                )
+            np.divide(mode, terms.precision[counts], out=mode, where=counts > 0)
+            np.copyto(mode, 0.0, where=counts == 0)
+        else:
+            mode.fill(0.0)
 
         # log Z of every hypothesis of every pass, in one call, written into
         # a contiguous buffer first. Each entry depends on its own row
@@ -254,6 +281,10 @@ class RunLengthState:
         # before it, and slots past a pass's hypotheses, flat rows, hold the
         # state's exact log(q_max - q_min).
         log_mass_by_count(grid, terms, counts[1:], mode[:, 1:], out=spare, scratch=pis)
+        # A full-run row past the float range, its mode NaN, has no log Z,
+        # so the pass into it has a predictive that is not finite.
+        full = spare[:, :, 0]
+        full[np.isnan(mode[:, 1:, 0])] = np.nan
         log_mass[:, 0] = self.log_mass[:, :width]
         log_mass[:, 1:] = spare
 
@@ -335,7 +366,6 @@ class RunLengthState:
         total = after[:, taken - 1, np.newaxis]
         weights = origin[:, slots - 1 :: -1] * products[:, taken - 1, slots - 1 :: -1]
         self.weights = np.divide(weights, total, out=np.zeros(weights.shape), where=total > 0)
-        self.mode[:, :width] = mode[:, taken]
         self.log_mass[:, :width] = log_mass[:, taken]
         return Steps(
             done,
@@ -346,6 +376,31 @@ class RunLengthState:
             mode[:, 1 : taken + 1, 0].copy(),
             log_mass[:, 1 : taken + 1, 0].copy(),
         )
+
+    def _extend_sums(self, k0: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Extend each stream's prefix sums B, and the running sums E of
+        their rounding errors, over the block's terms ``b``, (B, passes),
+        from those after pass k0; return views of both after passes
+        k0 .. k0 + passes.
+
+        B is summed one term after another, so a block's partition changes
+        no bit of it, and each addition's exact error comes from its own
+        pair (B_{i-1}, b_i) by TwoSum (Knuth; Ogita, Rump and Oishi 2005).
+        Past the float range B is inf and E NaN, which the modes carry.
+        """
+        stop = k0 + b.shape[1] + 1
+        sums, errs = self.sums[:, k0:stop], self.errs[:, k0:stop]
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums[:, 1:] = b
+            np.add.accumulate(sums, axis=1, out=sums)
+            before, after = sums[:, :-1], sums[:, 1:]
+            # after - before is the part of b_i the sum took; what each of
+            # before and b_i lost in the rounding is the error.
+            taken = after - before
+            lost = np.subtract(before, after - taken, out=errs[:, 1:])
+            lost += b - taken
+        np.add.accumulate(errs, axis=1, out=errs)
+        return sums, errs
 
 
 def slot_counts(k, width: int) -> np.ndarray:
@@ -402,7 +457,9 @@ def _marginal_density(cys, ratio, sigma, mode, log_mass, new_log_mass, half_shri
     log_pis = np.subtract(new_log_mass, log_mass, out=pis)
     log_pis -= shrink
     log_pis -= math.log(sigma) + HALF_LOG_2PI
-    return np.exp(log_pis, out=log_pis)
+    # A density past the float range is inf, which fails its pass.
+    with np.errstate(over="ignore"):
+        return np.exp(log_pis, out=log_pis)
 
 
 def _top_overflows(grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mass: np.ndarray) -> np.ndarray:
@@ -413,6 +470,8 @@ def _top_overflows(grid: QGrid, precision: np.ndarray, mode: np.ndarray, log_mas
     suspect = log_mass < -LOG_MAX_FLOAT
     if not suspect.any():
         return suspect
+    # Only a suspect row's mode is cast to an index: another's may be NaN.
+    mode = np.where(suspect, mode, grid.q_min)
     at = np.rint((np.clip(mode, grid.q_min, grid.q_max) - grid.q_min) / grid.dq)
     offset = grid.values[at.astype(int)] - mode
     peak = -0.5 * precision * offset**2 - log_mass

@@ -262,7 +262,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         reports, events = detect_series(
             exp.cy_series, fm, cfg, pass_indices=indices
         )
-        report_rows += [(exp_id, r) for r in reports]
+        report_rows.append((exp_id, reports))
         for event in events:
             # detect_series has checked the row: it is the previous pass's
             # report row, or the flat prior.

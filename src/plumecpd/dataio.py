@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .detector import DetectionEvent, PassReport
+from .detector import DetectionEvent, PassReports
 from .errors import InputDataError
 from .metrics import PerformanceReport
 from .synthesis import ExperimentRecord
@@ -556,9 +556,13 @@ def write_passes_csv(path: Path, rows: Iterable[tuple[str, int, float]]) -> None
     _write_csv(path, PASS_COLUMNS, zip(*rows), [_ints, _floats])
 
 
-def write_pass_reports_csv(path: Path, rows: Iterable[tuple[str, PassReport]]) -> None:
-    fields = operator.attrgetter(*PASS_REPORT_COLUMNS[1:])
-    values = zip(*((exp, *fields(report)) for exp, report in rows))
+def write_pass_reports_csv(path: Path, rows: Iterable[tuple[str, PassReports]]) -> None:
+    """The reports of (experiment id, ``PassReports``) pairs, in order."""
+    values: list[list] = [[] for _ in PASS_REPORT_COLUMNS]
+    for exp, reports in rows:
+        values[0] += [exp] * len(reports)
+        for column, name in zip(values[1:], PASS_REPORT_COLUMNS[1:]):
+            column += getattr(reports, name)
     _write_csv(path, PASS_REPORT_COLUMNS, values, [_ints] + [_floats] * 5)
 
 

@@ -19,19 +19,22 @@ also checks the full-run row.
 pass reports together from their full-run rows' (A, mode, log Z) with
 ``inference.summarize_rows``, which builds a row on the grid only where
 the closed form cannot stand in for it, and raises the first failing
-row's reason. An event keeps its row as (A, mode, log Z), unbuilt, and
-a fresh state starts at the next pass. ``first_alarms``
-serves Monte Carlo scoring, which needs only each stream's first alarm:
-it advances a whole block of equal-length streams in lockstep, never
-builds a row, drops a stream at its first alarm and never takes the
-passes after it.
+row's reason. It keeps the reports as columns, each block's arrays
+appended as Python numbers, and returns them as one ``PassReports``. An
+event keeps its row as (A, mode, log Z), unbuilt: the full-run row of
+the pass before it, from its block or the block before, or the flat
+prior at a state's first pass. A fresh state starts at the next pass.
+``first_alarms`` serves Monte Carlo scoring, which needs only each
+stream's first alarm: it advances a whole block of equal-length streams
+in lockstep, never builds a row, drops a stream at its first alarm and
+never takes the passes after it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,17 +101,48 @@ class PassReport:
     std_g_per_s: float
 
 
+@dataclass(frozen=True)
+class PassReports:
+    """The reports of a stream's passes as columns, one tuple of Python
+    ints or floats per field of ``PassReport``, all of one length.
+
+    It reads as a sequence of ``PassReport`` rows: ``len``, indexing and
+    iteration give rows, built as they are read, and a slice gives the
+    ``PassReports`` of its rows.
+    """
+
+    pass_index: tuple[int, ...]
+    cy_g_per_m2: tuple[float, ...]
+    changepoint_probability: tuple[float, ...]
+    mode_g_per_s: tuple[float, ...]
+    mean_g_per_s: tuple[float, ...]
+    std_g_per_s: tuple[float, ...]
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return tuple(vars(self).values())
+
+    def __len__(self) -> int:
+        return len(self.pass_index)
+
+    def __getitem__(self, i: int | slice) -> PassReport | PassReports:
+        columns = (column[i] for column in self._columns())
+        return PassReports(*columns) if isinstance(i, slice) else PassReport(*columns)
+
+    def __iter__(self) -> Iterator[PassReport]:
+        return map(PassReport, *self._columns())
+
+
 def detect_series(
     cys: Sequence[float],
     fm: ForwardModel,
     cfg: DetectorConfig,
     pass_indices: Sequence[int] | None = None,
-) -> tuple[list[PassReport], list[DetectionEvent]]:
+) -> tuple[PassReports, list[DetectionEvent]]:
     """Run the detector over raw integrated concentrations, every pass
     with forward model ``fm``.
 
-    Returns one report per pass and the events in pass order. Any failure
-    raises ``DetectionError`` naming the pass.
+    Returns the reports of every pass, as columns, and the events in pass
+    order. Any failure raises ``DetectionError`` naming the pass.
     """
     cys = np.asarray(cys, dtype=float)
     if cys.size == 0:
@@ -121,7 +155,8 @@ def detect_series(
     grid = cfg.grid
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = None
-    reports: list[PassReport] = []
+    # Changepoint probability, mode, mean and std of each pass.
+    columns: tuple[list[float], ...] = ([], [], [], [])
     events: list[DetectionEvent] = []
 
     # The passes before the first negative measurement run; that pass then
@@ -135,13 +170,10 @@ def detect_series(
             # noise scale it rejects fails.
             if state is None:
                 state = RunLengthState(1, cys.size, grid, fm, lik_cfg)
+                # The full-run row before the block: the flat prior in a
+                # fresh state, else the last row of the block before.
+                before = (0.0, 0.0, math.log(grid.q_max - grid.q_min))
             stop = min(start + block_passes(1, state.k), n_run)
-            # The full-run row before the block, the flat prior in a fresh state.
-            before = (
-                float(state.terms.precision[state.k]),
-                float(state.mode[0, 0]),
-                float(state.log_mass[0, 0]),
-            )
             steps = state.advance(cys[np.newaxis, start:stop], cfg.lam, cfg.threshold)
         except ValueError as exc:
             raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
@@ -155,10 +187,8 @@ def detect_series(
         if bad is not None:
             row, reason = bad
             raise DetectionError(f"pass {pass_indices[start + row]}: {reason}")
-        for j, values in enumerate(zip(modes.tolist(), means.tolist(), stds.tolist())):
-            reports.append(
-                PassReport(int(pass_indices[start + j]), float(cys[start + j]), cps[j], *values)
-            )
+        for column, values in zip(columns, (cps, modes.tolist(), means.tolist(), stds.tolist())):
+            column += values
         if failure is not None:
             raise DetectionError(f"pass {pass_indices[start + done - 1]}: {failure}")
         if steps.alarm[0]:
@@ -176,9 +206,14 @@ def detect_series(
             # new regime and is not folded into the reset state.
             state = None
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
+        else:
+            before = tuple(float(row[-1]) for row in rows)
         start += done
     if n_run < cys.size:
         raise DetectionError(f"pass {pass_indices[n_run]}: {NEGATIVE_CONCENTRATION}")
+    reports = PassReports(
+        tuple(map(int, pass_indices)), tuple(cys.tolist()), *map(tuple, columns)
+    )
     return reports, events
 
 

@@ -67,6 +67,7 @@ REPORT_BATCH_POINTS = 2**20
 LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 POSTERIOR_OVERFLOW = "rate posterior density overflows at the top of the grid"
+POSTERIOR_NOT_FINITE = "rate posterior terms overflow the float range"
 NEGATIVE_CONCENTRATION = "integrated concentration must be non-negative"
 
 
@@ -384,10 +385,11 @@ def conjugate_densities(
     """The densities exp(-A (q - mode)^2 / 2) / Z of rows given as 1-D
     arrays of (A, mode, log Z), shape (rows, n_points), with each row's
     largest log density and its left-Riemann total."""
-    log_density = _log_density(
-        grid.values, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
-    )
+    # A narrow row's log density far from its mode is -inf, and its density 0.
     with np.errstate(over="ignore"):
+        log_density = _log_density(
+            grid.values, precision[:, np.newaxis], mode[:, np.newaxis], log_mass[:, np.newaxis]
+        )
         densities = np.exp(log_density)
     totals = np.sum(densities[:, :-1], axis=1) * grid.dq
     return densities, log_density.max(axis=1), totals
@@ -410,9 +412,10 @@ def summarize_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, str] | None]:
     """Mode, mean and standard deviation of rows given as 1-D arrays of
     (A, mode, log Z), as ``built_summaries`` gives them, and the first row
-    that is no density on the grid with the reason, or None: its density
-    overflows at q_max, which no integral weights, for a narrow row piled
-    against it, or its total is not 1 within 1e-8.
+    that is no density on the grid with the reason, or None: its mode or
+    log Z is not finite, its density overflows at q_max, which no
+    integral weights, for a narrow row piled against it, or its total is
+    not 1 within 1e-8. A row that is not finite is not built.
 
     A row on the interior path of ``log_grid_mass`` is not built. Its
     grid mean and std are its mode and A^-1/2 within 1e-13 relative: less
@@ -424,9 +427,10 @@ def summarize_rows(
     """
     with np.errstate(divide="ignore"):
         width = precision**-0.5
-    interior = _interior(grid, width, mode)
+    finite = np.isfinite(mode) & np.isfinite(log_mass)
+    interior = _interior(grid, width, mode) & finite
     modes, means, stds = np.empty(mode.shape), mode.copy(), width.copy()
-    peaks, totals = np.empty(mode.shape), np.ones(mode.shape)
+    peaks, totals = np.full(mode.shape, np.nan), np.ones(mode.shape)
     rows = np.flatnonzero(interior)
     if rows.size:
         # A row's density falls away from its mode on either side, weakly
@@ -449,7 +453,7 @@ def summarize_rows(
         # the interior path's own error, far inside the 1e-8 check.
         peaks[rows] = log_density.max(axis=1)
         interior[rows[first == 0]] = False
-    built = np.flatnonzero(~interior)
+    built = np.flatnonzero(~interior & finite)
     per_batch = max(1, REPORT_BATCH_POINTS // grid.n_points)
     for lo in range(0, built.size, per_batch):
         rows = built[lo : lo + per_batch]
@@ -461,6 +465,8 @@ def summarize_rows(
     if good.all():
         return modes, means, stds, None
     row = int(np.argmin(good))
+    if not finite[row]:
+        return modes, means, stds, (row, POSTERIOR_NOT_FINITE)
     if not peaks[row] <= LOG_MAX_FLOAT:
         return modes, means, stds, (row, POSTERIOR_OVERFLOW)
     return modes, means, stds, (row, f"density integrates to {float(totals[row])!r}, not 1")

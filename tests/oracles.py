@@ -524,20 +524,26 @@ class StepOracle:
 
     Layout as ``bocd.RunLengthState``: slot j of ``precision`` (shared),
     ``mode`` and ``log_mass`` is run length k - j, slots k + 1 on hold the
-    flat prior. Each call computes log Z of the pass's hypotheses in one
-    ``log_grid_mass`` call, and their marginal predictives, for every
-    stream.
+    flat prior, and ``sums[:, i]`` and ``errs[:, i]`` are each stream's
+    sum of b over its first i passes and the sum of that sum's rounding
+    errors, each added one pass at a time by TwoSum. A slot's mode is its
+    window of them, passes max(j, 1) .. k, over its precision. Each call
+    computes log Z of the pass's hypotheses in one ``log_grid_mass``
+    call, and their marginal predictives, for every stream.
     """
 
     def __init__(self, n_streams: int, n_passes: int, grid) -> None:
         self.grid = grid
         self.precision = np.zeros(n_passes + 2)
+        self.sums = np.zeros((n_streams, n_passes + 1))
+        self.errs = np.zeros((n_streams, n_passes + 1))
         self.mode = np.zeros((n_streams, n_passes + 2))
         self.log_mass = np.full((n_streams, n_passes + 2), math.log(grid.q_max - grid.q_min))
         self.weights = np.ones((n_streams, 1))
 
     def select(self, keep: np.ndarray) -> None:
-        self.mode, self.log_mass, self.weights = self.mode[keep], self.log_mass[keep], self.weights[keep]
+        self.sums, self.errs, self.mode = self.sums[keep], self.errs[keep], self.mode[keep]
+        self.log_mass, self.weights = self.log_mass[keep], self.weights[keep]
 
     def full_run_row(self) -> tuple[float, float, float]:
         """(A, mode, log Z) of stream 0's full run: the flat prior before its first pass."""
@@ -562,8 +568,16 @@ class StepOracle:
         live = slice(0, k + 2)
         precision, mode, log_mass = self.precision[live], self.mode[:, live], self.log_mass[:, live]
         new_precision = precision + a
+        total = self.sums[:, k] + b
+        part = total - self.sums[:, k]
+        error = (self.sums[:, k] - (total - part)) + (b - part)
+        self.sums[:, k + 1] = total
+        self.errs[:, k + 1] = self.errs[:, k] + error
         if a > 0:
-            new_mode = (precision * mode + b[:, np.newaxis]) / new_precision
+            starts = np.maximum(np.arange(k + 2) - 1, 0)
+            window = total[:, np.newaxis] - self.sums[:, starts]
+            window_error = self.errs[:, k + 1, np.newaxis] - self.errs[:, starts]
+            new_mode = (window + window_error) / new_precision
             new_log_mass = log_grid_mass(grid, new_precision, new_mode)
             half_shrink = 0.5 * precision / new_precision
         else:

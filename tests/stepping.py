@@ -38,7 +38,9 @@ class CoreRun(NamedTuple):
     ``weights`` is the run-length distribution, shape (k + 1,);
     ``log_evidence`` is the sum of the logs of the step evidences of the
     passes run; ``precision``, ``mode`` and ``log_mass`` are each run
-    length's A, B / A and log Z.
+    length's A, B / A and log Z. ``sums`` and ``errs``, indexed by pass
+    count 0 .. k, are the stream's prefix sums of b and of their rounding
+    errors, from which each mode is read as a window.
     """
 
     grid: QGrid
@@ -47,6 +49,8 @@ class CoreRun(NamedTuple):
     precision: np.ndarray
     mode: np.ndarray
     log_mass: np.ndarray
+    sums: np.ndarray
+    errs: np.ndarray
 
     @property
     def rows(self) -> np.ndarray:
@@ -70,20 +74,21 @@ def run_core(
     """Advance one stream through ``RunLengthState.advance`` over ``cys``.
 
     The stream starts from the flat prior with run length 0, or from
-    ``start``, a (weights, mode, log_mass) tuple indexed by run length as
-    in ``CoreRun``, after as many passes of ``fm`` and ``cfg`` as it has
-    run lengths less one: the state holds each run length's precision
-    for those passes. An impossible measurement raises
+    ``start``, a (weights, sums, errs, log_mass) tuple indexed as in
+    ``CoreRun``, after as many passes of ``fm`` and ``cfg`` as it has run
+    lengths less one: the state holds each run length's precision for
+    those passes. An impossible measurement raises
     ``MeasurementIncompatibleError`` with the core's reason.
     """
     if start is None:
         state = RunLengthState(1, len(cys), grid, fm, cfg)
     else:
-        weights, mode, log_mass = start
+        weights, sums, errs, log_mass = start
         k = weights.size - 1
         state = RunLengthState(1, k + len(cys), grid, fm, cfg)
         state.weights = np.array(weights, dtype=float)[np.newaxis]
-        state.mode[0, : k + 1] = mode[::-1]
+        state.sums[0, : k + 1] = sums
+        state.errs[0, : k + 1] = errs
         state.log_mass[0, : k + 1] = log_mass[::-1]
     cys = np.array(cys, dtype=float).reshape(1, -1)
     start = 0
@@ -93,17 +98,22 @@ def run_core(
         if steps.errors:
             raise MeasurementIncompatibleError(steps.errors[0])
         start += int(steps.done[0])
+    k = state.k
+    sums, errs = state.sums[0, : k + 1].copy(), state.errs[0, : k + 1].copy()
+    counts = slot_counts(k, k + 1)
+    precision = state.terms.precision[counts]
+    # Slot s holds passes max(s, 1) .. k: its window of the prefix sums
+    # over its precision, and 0 with no precision.
+    starts = np.maximum(np.arange(k + 1) - 1, 0)
+    window = (sums[k] - sums[starts]) + (errs[k] - errs[starts])
+    mode = np.divide(window, precision, out=np.zeros(k + 1), where=precision > 0)
     return CoreRun(
         grid,
         state.weights[0].copy(),
         float(state.log_evidence[0]),
-        slot_precision(state)[::-1],
-        state.mode[0, state.k :: -1].copy(),
-        state.log_mass[0, state.k :: -1].copy(),
+        precision[::-1],
+        mode[::-1],
+        state.log_mass[0, k::-1].copy(),
+        sums,
+        errs,
     )
-
-
-def slot_precision(state: RunLengthState) -> np.ndarray:
-    """The precision A of slots 0 .. k of ``state``, read from its table
-    by the passes each slot has taken."""
-    return state.terms.precision[slot_counts(state.k, state.k + 1)]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -42,7 +43,7 @@ def each_pass(cys, fm, cfg, lam, grid, **kwargs):
     covers its own pass alone."""
     run = None
     for cy in cys:
-        start = None if run is None else (run.weights, run.mode, run.log_mass)
+        start = None if run is None else (run.weights, run.sums, run.errs, run.log_mass)
         run = run_core([cy], fm, cfg, lam, grid, start=start, **kwargs)
         yield run
 
@@ -95,7 +96,7 @@ class TestHazard:
         assert not run.precision.any()
         weights = np.zeros(k + 1)
         weights[-1] = 1.0
-        long_run = (weights, run.mode, run.log_mass)
+        long_run = (weights, run.sums, run.errs, run.log_mass)
         fresh = self.first_step_cp(coarse_grid, flat, 7.0)
         assert self.first_step_cp(coarse_grid, flat, 7.0, long_run) == pytest.approx(fresh, rel=1e-12)
         assert fresh == pytest.approx(1.0 / 7.0, rel=1e-12)
@@ -277,6 +278,36 @@ class TestBocdStep:
         assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
 
 
+class TestModeAccuracy:
+    def test_modes_are_within_two_ulps_of_their_exact_window(self, unit_fm):
+        # Every mode a block computes, full run or not, is its window of b
+        # summed exactly, over its precision, within 2 ulps; a mode updated
+        # pass by pass as (A mode + b) / A' drifted up to 34 ulps away.
+        grid = QGrid(0.0, 5.0, 0.005)
+        cfg = LikelihoodConfig(0.3)
+        rng = np.random.default_rng(2000)
+        cys = rng.lognormal(math.log(2.0), 0.3, 2000)
+        b = conjugate_terms(cys, unit_fm, cfg)[1].tolist()
+        windows = []
+
+        def sampling(grid, terms, counts, mode, out, scratch):
+            # Rows and slots of the block's passes that hold a pass; slot 0
+            # holds all k passes so far.
+            rows, slots = np.nonzero(counts > 0)
+            for i in rng.choice(rows.size, min(rows.size, 80), replace=False):
+                p, s = rows[i], slots[i]
+                k, c = int(counts[p, 0]), int(counts[p, s])
+                windows.append((k, c, float(mode[0, p, s]), float(terms.precision[c])))
+            return log_mass_by_count(grid, terms, counts, mode, out, scratch)
+
+        with mock.patch.object(bocd, "log_mass_by_count", side_effect=sampling):
+            run_core(cys, unit_fm, cfg, 15.0, grid)
+        assert len(windows) >= 10_000
+        for k, c, mode, precision in windows:
+            exact = float(Fraction(math.fsum(b[k - c : k])) / Fraction(precision))
+            assert abs(mode - exact) <= 2 * math.ulp(exact), (k, c, mode, exact)
+
+
 class TestBlockPasses:
     @settings(max_examples=500, deadline=None)
     @given(n_streams=st.integers(1, 5000), k=st.integers(0, 10_000))
@@ -297,8 +328,9 @@ class TestBlockPasses:
 
 
 class TestRowBuffer:
-    """The per-hypothesis state (weight, A, mode and log Z) that took the
-    place of the run-length row buffers."""
+    """The per-hypothesis state (weight and log Z, with A by pass count and
+    the mode read off the stream's prefix sums) that took the place of the
+    run-length row buffers."""
 
     def test_growth_matches_state_rebuilt_from_posteriors(self, unit_fm, coarse_grid):
         # The four arrays are the whole state: a run rebuilt from them before
@@ -312,7 +344,7 @@ class TestRowBuffer:
         for stepped in each_pass(cys, unit_fm, cfg, 15.0, coarse_grid):
             log_evidence += stepped.log_evidence
         np.testing.assert_allclose(stepped.weights, whole.weights, rtol=0, atol=1e-12)
-        for field in ("precision", "mode", "log_mass"):
+        for field in ("precision", "mode", "log_mass", "sums", "errs"):
             assert np.array_equal(getattr(stepped, field), getattr(whole, field)), field
         assert log_evidence == pytest.approx(whole.log_evidence, rel=1e-12)
         assert whole.weights.size == 102
@@ -429,7 +461,7 @@ class TestBlockBuffers:
         cuts = [0, 8, 11, 24]
 
         def state_arrays(state):
-            return [state.mode, state.log_mass, state.weights, state.log_evidence]
+            return [state.sums, state.errs, state.log_mass, state.weights, state.log_evidence]
 
         def step_arrays(steps):
             return [steps.done, steps.alarm, steps.cp, steps.precision, steps.mode, steps.log_mass]

@@ -32,7 +32,7 @@ from plumecpd.dataio import (
     write_passes_csv,
     write_report_csv,
 )
-from plumecpd.detector import DetectionEvent, PassReport
+from plumecpd.detector import DetectionEvent, PassReport, PassReports
 from plumecpd.errors import InputDataError
 from plumecpd.inference import QGrid
 from plumecpd.metrics import PerformanceReport
@@ -512,10 +512,15 @@ class TestPassesRoundTrip:
         assert np.array_equal(records[1].cy_series, [0.1, 0.2])
 
 
+def as_columns(reports):
+    """``PassReports`` holding the ``PassReport`` rows ``reports``."""
+    return PassReports(*zip(*map(dataclasses.astuple, reports)))
+
+
 class TestPassReportsRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         path = tmp_path / "passes_report.csv"
-        reports = [
+        rows = [
             (
                 "e1",
                 PassReport(
@@ -539,8 +544,8 @@ class TestPassReportsRoundTrip:
                 ),
             ),
         ]
-        write_pass_reports_csv(path, reports)
-        assert read_pass_reports_csv(path) == reports
+        write_pass_reports_csv(path, [(exp, as_columns([report])) for exp, report in rows])
+        assert read_pass_reports_csv(path) == rows
 
 
 class TestEventsRoundTrip:
@@ -662,8 +667,9 @@ class TestWriters:
         assert path.read_bytes() == (header + "\n").encode()
 
     def test_pass_report_columns_are_the_report_fields(self):
-        # write_pass_reports_csv reads each report's fields by these names.
-        assert dataio.PASS_REPORT_COLUMNS[1:] == [field.name for field in dataclasses.fields(PassReport)]
+        # write_pass_reports_csv reads each column of the reports by these names.
+        for fields in (dataclasses.fields(PassReport), dataclasses.fields(PassReports)):
+            assert dataio.PASS_REPORT_COLUMNS[1:] == [field.name for field in fields]
 
 
 # Ids that a CSV field holds only in quotes, and plain ones.
@@ -696,7 +702,7 @@ class TestQuotedIds:
         report = PassReport(1, 0.3, 0.5, 0.085, 0.09, 0.01)
         instances = np.array([[0.1, 0.2], [0.3, 0.4]])
         for exp in QUOTED_IDS:
-            write_pass_reports_csv(tmp_path / "r.csv", [(exp, report)])
+            write_pass_reports_csv(tmp_path / "r.csv", [(exp, as_columns([report]))])
             assert read_pass_reports_csv(tmp_path / "r.csv") == [(exp, report)]
             write_instances_csv(tmp_path / "i.csv", [(exp, 2.0, instances)])
             assert {r["experiment_id"] for r in read_instances_csv(tmp_path / "i.csv")} == {exp}

@@ -145,6 +145,18 @@ class TestStepChangeDetection:
         assert events == []
         assert len(reports) == 20
 
+    def test_reports_read_as_rows(self, unit_fm):
+        # The report columns read as the list of rows detect_series used to
+        # return: by index, from the end, by slice and in order.
+        reports, _ = detect_series([2.0, 2.1, 1.9, 2.05, 2.0], unit_fm, make_config())
+        rows = list(reports)
+        assert all(isinstance(row, PassReport) for row in rows)
+        assert [row.pass_index for row in rows] == [1, 2, 3, 4, 5]
+        assert [reports[i] for i in range(-5, 5)] == rows + rows
+        assert list(reports[1:4]) == rows[1:4]
+        assert list(reports[::-2]) == rows[::-2]
+        assert reports[1:4] == reports[1:4] != reports[:3]
+
     def test_threshold_near_one_never_triggers(self, unit_fm):
         cfg = make_config(threshold=1.0 - 1e-9, sigma_e_initial=0.3)
         stream = [2.0] * 8 + [3.0] * 8
@@ -663,6 +675,31 @@ class TestBlockStep:
         block = [[1.0] * LONGEST, cys]
         got = assert_steps_as_one_pass_at_a_time(cys, unit_fm, cfg, block)
         assert got == f"pass {at}: observation impossible under all run-length hypotheses"
+
+    @pytest.mark.parametrize(
+        "cys, precision, at",
+        [
+            # The prefix sum of b passes the float range at pass 2, A does not.
+            ([4.99] * 12, 3e307, 2),
+            ([2.0] * 12, 5e307, 2),
+            ([4.99] * 3, 3e307, 2),
+            # A passes it at pass 4, the prefix sum does not.
+            ([0.5] * 12, 5e307, 4),
+            # Rows about 1e-154 wide: a predictive at pass 4 passes the
+            # float range.
+            ([1.0] * 12, 2.0**1021, 4),
+        ],
+    )
+    def test_terms_past_the_float_range_fail_their_pass(self, unit_fm, cys, precision, at):
+        # A full-run row past the float range fails the pass into it, with
+        # no warning, in both drivers; its NaN mode used to be cast to a
+        # grid index later in the block.
+        cfg = make_config(threshold=0.999999999, sigma_e_initial=1 / math.sqrt(precision))
+        message = f"^pass {at}: observation impossible under all run-length hypotheses$"
+        with pytest.raises(DetectionError, match=message):
+            detect_series(cys, unit_fm, cfg)
+        with pytest.raises(DetectionError, match=message):
+            first_alarms(np.array([cys]), unit_fm, cfg)
 
     @pytest.mark.parametrize("at", range(1, LONGEST + 1))
     def test_top_of_grid_overflow_at_every_pass(self, unit_fm, at):

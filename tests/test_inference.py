@@ -24,6 +24,7 @@ from plumecpd.inference import (
     DEFAULT_GRID,
     ERF_IS_ONE,
     MIN_SIGMA_E,
+    POSTERIOR_NOT_FINITE,
     LikelihoodConfig,
     QGrid,
     conjugate_terms,
@@ -535,6 +536,17 @@ class TestSummarizeRows:
         assert failure is None
         assert modes[0] == posterior_mode(post)
         assert [b.tolist() for b in built] == [[1e4]]
+
+    @pytest.mark.parametrize("field", [1, 2], ids=["mode", "log_mass"])
+    def test_a_row_that_is_not_finite_fails_unbuilt(self, field):
+        # Beside interior rows, a NaN mode used to be cast to a grid index;
+        # a row whose mode or log Z is NaN fails with its own reason.
+        grid = DEFAULT_GRID
+        precision, mode = np.full(3, 1e4), np.array([1.0, 2.0, 3.0])
+        rows = np.array([precision, mode, log_grid_mass(grid, precision, mode)])
+        rows[field, 1] = math.nan
+        _, _, _, failure = summarize_rows(grid, *rows)
+        assert failure == (1, POSTERIOR_NOT_FINITE)
 
 
 class TestConsistency:
