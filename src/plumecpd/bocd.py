@@ -89,6 +89,7 @@ import numpy as np
 from .inference import (
     HALF_LOG_2PI,
     LOG_MAX_FLOAT,
+    POSTERIOR_NOT_FINITE,
     POSTERIOR_OVERFLOW,
     LikelihoodConfig,
     QGrid,
@@ -175,7 +176,9 @@ class RunLengthState:
     (``inference.RowTerms``) and ``half_shrink[c]``, the predictive's
     A / (2 A') for a slot that takes its pass c + 1, hold each term that
     depends on A alone once per pass count, for counts 0 .. n_passes; a
-    count whose A passes the float range holds NaN.
+    count whose A passes the float range holds NaN. ``divisor[c]``, what a
+    slot's window of prefix sums is divided by for its mode, is A but +inf
+    at count 0, a slot with no pass.
 
     A precision r^2 / sigma_e^2 that overflows raises ``ValueError``.
     """
@@ -197,6 +200,8 @@ class RunLengthState:
         precision[precision == math.inf] = math.nan
         precision.setflags(write=False)
         self.terms = row_terms(grid, precision)
+        self.divisor = precision.copy()
+        self.divisor[0] = math.inf
         # Where no pass adds precision, every slot keeps its row and the
         # factor is the flat one's 1/2.
         self.half_shrink = np.full(n_passes, 0.5)
@@ -223,13 +228,13 @@ class RunLengthState:
 
         Each stream stops at its first alarm, a changepoint probability of
         at least ``threshold``, or at its first failure: a measurement
-        impossible under every hypothesis, or a full-run density that
-        overflows at the top of the grid. A full-run row whose A or prefix
-        sum passes the float range has a NaN mode and log Z, so the pass
-        into it has a predictive that is not finite, and fails as
-        impossible. The state then holds the values
-        after the last pass taken; a stream that stopped before it, or
-        failed, is meaningless there and is dropped with ``select``.
+        impossible under every hypothesis, a full-run row whose A or prefix
+        sum passes the float range, so that its mode or log Z is not finite
+        (``POSTERIOR_NOT_FINITE``, whatever the pass's predictive), or a
+        full-run density that overflows at the top of the grid. The state
+        then holds the values after the last pass taken; a stream that
+        stopped before it, or failed, is meaningless there and is dropped
+        with ``select``.
 
         Arguments no stream can run raise ``ValueError`` before any pass is
         taken, checked once for the whole block in this order: ``lam`` not
@@ -258,11 +263,13 @@ class RunLengthState:
         mode, log_mass, pis, spare, products = _block_arrays(n_streams, n_block, width)
         sums, errs = self._extend_sums(k0, b)
         # Every mode of the block is a window of the prefix sums over its
-        # count's precision: slot s after k passes holds passes
-        # max(s, 1) .. k. A slot with no pass, and every slot under a
-        # forward ratio of 0, which says nothing about the rate, keeps the
-        # flat prior's mode 0; a window past an overflowed B is NaN. The
-        # log Z buffer holds the windows' error terms until log Z is taken.
+        # count's divisor: slot s after k passes holds passes max(s, 1) .. k.
+        # The slot a pass opens has the window 0 and the divisor +inf, so
+        # the flat prior's mode 0; a slot not yet opened gets ±0 or NaN,
+        # which its flat log Z and zeroed predictive never read. Every slot
+        # under a forward ratio of 0, which says nothing about the rate,
+        # keeps the mode 0; a window past an overflowed B is NaN. The log Z
+        # buffer holds the windows' error terms until log Z is taken.
         if a > 0:
             starts = np.maximum(np.arange(width) - 1, 0)
             with np.errstate(invalid="ignore"):
@@ -270,8 +277,7 @@ class RunLengthState:
                 mode += np.subtract(
                     errs[:, :, np.newaxis], self.errs[:, np.newaxis, starts], out=log_mass
                 )
-            np.divide(mode, terms.precision[counts], out=mode, where=counts > 0)
-            np.copyto(mode, 0.0, where=counts == 0)
+                np.divide(mode, self.divisor[counts], out=mode)
         else:
             mode.fill(0.0)
 
@@ -344,7 +350,11 @@ class RunLengthState:
         evidences = np.divide(after, before, out=np.zeros(after.shape), where=before > 0) * unit
         impossible = ~((evidences > 0) & (evidences < math.inf))
         full_run = terms.precision[k0 + 1 : k0 + n_block + 1]
-        failure = impossible | _top_overflows(grid, full_run, mode[:, 1:, 0], log_mass[:, 1:, 0])
+        row_mode, row_log_mass = mode[:, 1:, 0], log_mass[:, 1:, 0]
+        not_finite = ~(np.isfinite(row_mode) & np.isfinite(row_log_mass))
+        failure = (
+            impossible | not_finite | _top_overflows(grid, full_run, row_mode, row_log_mass)
+        )
         hit = failure | (cp >= threshold)
         first = hit.argmax(axis=1)
         at = np.arange(n_streams), first
@@ -353,7 +363,11 @@ class RunLengthState:
         failed = stopped & failure[at]
         alarm = stopped & ~failed
         errors = {
-            b: IMPOSSIBLE if impossible[b, first[b]] else POSTERIOR_OVERFLOW
+            b: (
+                POSTERIOR_NOT_FINITE if not_finite[b, first[b]]
+                else IMPOSSIBLE if impossible[b, first[b]]
+                else POSTERIOR_OVERFLOW
+            )
             for b in np.flatnonzero(failed).tolist()
         }
 

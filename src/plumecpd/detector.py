@@ -15,15 +15,16 @@ its one step, which takes a block of passes sized by
 ``bocd.block_passes`` (at least ``PASS_BLOCK``, more as the run since the
 last reset grows), stops a stream at its first alarm or failure, and
 also checks the full-run row.
-``detect_series`` runs one stream to its end. It summarizes a block's
-pass reports together from their full-run rows' (A, mode, log Z) with
-``inference.summarize_rows``, which builds a row on the grid only where
-the closed form cannot stand in for it, and raises the first failing
-row's reason. It keeps the reports as columns, each block's arrays
-appended as Python numbers, and returns them as one ``PassReports``. An
-event keeps its row as (A, mode, log Z), unbuilt: the full-run row of
-the pass before it, from its block or the block before, or the flat
-prior at a state's first pass. A fresh state starts at the next pass.
+``detect_series`` runs one stream to its end. Every block writes its
+passes' changepoint probabilities and full-run rows (A, mode, log Z) into
+arrays that span the stream. When the stream ends or first fails, one
+``inference.summarize_rows`` call summarizes the rows before that pass,
+building a row on the grid only where the closed form cannot stand in for
+it; a row that fails its summary fails at its own pass, before any later
+failure. The reports are returned as one ``PassReports``, each column
+converted to Python numbers once. An event keeps its row as
+(A, mode, log Z), unbuilt: the full-run row of the pass before it, or the
+flat prior at a state's first pass. A fresh state starts at the next pass.
 ``first_alarms`` serves Monte Carlo scoring, which needs only each
 stream's first alarm: it advances a whole block of equal-length streams
 in lockstep, never builds a row, drops a stream at its first alarm and
@@ -155,49 +156,50 @@ def detect_series(
     grid = cfg.grid
     lik_cfg = LikelihoodConfig(cfg.sigma_e_initial)
     state = None
-    # Changepoint probability, mode, mean and std of each pass.
-    columns: tuple[list[float], ...] = ([], [], [], [])
+    # Each pass's changepoint probability and full-run row (A, mode, log Z),
+    # written by the block that takes it.
+    n = cys.size
+    cps, precision, mode, log_mass = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     events: list[DetectionEvent] = []
 
     # The passes before the first negative measurement run; that pass then
     # fails, unless one before it already has.
     negative = np.flatnonzero(cys < 0)
-    n_run = int(negative[0]) if negative.size else cys.size
+    n_run = int(negative[0]) if negative.size else n
+    # The first pass that fails, with its reason and the exception behind
+    # it; n when none does.
+    failed, failure, cause = n_run, NEGATIVE_CONCENTRATION, None
     start = 0
     while start < n_run:
         try:
             # A fresh state is built at the pass it starts from, which a
             # noise scale it rejects fails.
             if state is None:
-                state = RunLengthState(1, cys.size, grid, fm, lik_cfg)
-                # The full-run row before the block: the flat prior in a
-                # fresh state, else the last row of the block before.
-                before = (0.0, 0.0, math.log(grid.q_max - grid.q_min))
+                state = RunLengthState(1, n, grid, fm, lik_cfg)
+                fresh = start
             stop = min(start + block_passes(1, state.k), n_run)
             steps = state.advance(cys[np.newaxis, start:stop], cfg.lam, cfg.threshold)
         except ValueError as exc:
-            raise DetectionError(f"pass {pass_indices[start]}: {exc}") from exc
-        done = int(steps.done[0])
-        failure = steps.errors.get(0)
-        cps = steps.cp[0].tolist()
-        # A pass that failed has no row to report.
-        built = done - 1 if failure is not None else done
-        rows = steps.precision[:built], steps.mode[0, :built], steps.log_mass[0, :built]
-        modes, means, stds, bad = summarize_rows(grid, *rows)
-        if bad is not None:
-            row, reason = bad
-            raise DetectionError(f"pass {pass_indices[start + row]}: {reason}")
-        for column, values in zip(columns, (cps, modes.tolist(), means.tolist(), stds.tolist())):
-            column += values
-        if failure is not None:
-            raise DetectionError(f"pass {pass_indices[start + done - 1]}: {failure}")
+            failed, failure, cause = start, str(exc), exc
+            break
+        end = start + int(steps.done[0])
+        cps[start:end], precision[start:end] = steps.cp[0], steps.precision
+        mode[start:end], log_mass[start:end] = steps.mode[0], steps.log_mass[0]
+        if 0 in steps.errors:
+            failed, failure = end - 1, steps.errors[0]
+            break
         if steps.alarm[0]:
+            at = end - 1
             events.append(
                 DetectionEvent(
-                    pass_index=int(pass_indices[start + done - 1]),
-                    changepoint_probability=cps[done - 1],
+                    pass_index=int(pass_indices[at]),
+                    changepoint_probability=float(cps[at]),
+                    # The full-run row of the pass before, or the flat prior
+                    # at a state's first pass.
                     pre_change_row=(
-                        before if done == 1 else tuple(float(row[done - 2]) for row in rows)
+                        (0.0, 0.0, math.log(grid.q_max - grid.q_min))
+                        if at == fresh
+                        else tuple(float(row[at - 1]) for row in (precision, mode, log_mass))
                     ),
                     regime_index=len(events) + 1,
                 )
@@ -206,13 +208,20 @@ def detect_series(
             # new regime and is not folded into the reset state.
             state = None
             lik_cfg = LikelihoodConfig(cfg.sigma_e_initial * cfg.sigma_e_post_factor)
-        else:
-            before = tuple(float(row[-1]) for row in rows)
-        start += done
-    if n_run < cys.size:
-        raise DetectionError(f"pass {pass_indices[n_run]}: {NEGATIVE_CONCENTRATION}")
+        start = end
+    # A pass that failed has no row to report; a row before it that fails
+    # its summary fails first.
+    modes, means, stds, bad = summarize_rows(
+        grid, precision[:failed], mode[:failed], log_mass[:failed]
+    )
+    if bad is not None:
+        (failed, failure), cause = bad, None
+    if failed < n:
+        raise DetectionError(f"pass {pass_indices[failed]}: {failure}") from cause
     reports = PassReports(
-        tuple(map(int, pass_indices)), tuple(cys.tolist()), *map(tuple, columns)
+        tuple(map(int, pass_indices)),
+        tuple(cys.tolist()),
+        *(tuple(column.tolist()) for column in (cps, modes, means, stds)),
     )
     return reports, events
 

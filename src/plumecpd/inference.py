@@ -330,15 +330,34 @@ def _edge_log_mass(
     below, h f(t) (1/2 + c1 t + c3 t^3 + c5 t^5), with c1, c3 and c5
     polynomials in r = h / sigma_q that ``row_terms`` computes.
     """
-    ends = (np.array([[grid.q_min], [grid.q_max]]) - mode) / width
+    # t at [q_min, q_max], one row each.
+    ends = np.empty((2, mode.size))
+    np.subtract(grid.q_min, mode, out=ends[0])
+    np.subtract(grid.q_max, mode, out=ends[1])
+    ends /= width
     # erf(u_b) - erf(u_a), u = t / sqrt(2), reflected about the mode so
     # that the interval's middle is at or above it.
-    u = ends * np.where(ends[0] + ends[1] < 0, -math.sqrt(0.5), math.sqrt(0.5))
-    gap = _erf_gaps(u.min(axis=0), u.max(axis=0))
-    t2 = ends * ends
-    terms = np.exp(-0.5 * t2) * (0.5 + ends * (c1 + t2 * (c3 + t2 * c5)))
-    integral = width * math.sqrt(0.5 * math.pi) * gap
-    return np.log(integral + grid.dq * (terms[0] - terms[1]))
+    u = ends * math.sqrt(0.5)
+    np.negative(u, out=u, where=ends[0] + ends[1] < 0)
+    gap = _erf_gaps(np.minimum(u[0], u[1]), np.maximum(u[0], u[1]))
+    # exp(-t^2 / 2) (0.5 + t (c1 + t^2 (c3 + t^2 c5))), in place
+    t2 = np.multiply(ends, ends, out=u)
+    poly = t2 * c5
+    poly += c3
+    poly *= t2
+    poly += c1
+    poly *= ends
+    poly += 0.5
+    t2 *= -0.5
+    terms = np.exp(t2, out=t2)
+    terms *= poly
+    # width sqrt(pi / 2) gap + dq (terms_a - terms_b), in place
+    integral = width * math.sqrt(0.5 * math.pi)
+    integral *= gap
+    tails = np.subtract(terms[0], terms[1], out=terms[0])
+    tails *= grid.dq
+    integral += tails
+    return np.log(integral, out=integral)
 
 
 def window_log_mass(grid: QGrid, precision: np.ndarray, mode: np.ndarray) -> np.ndarray:

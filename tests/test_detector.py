@@ -20,8 +20,8 @@ from oracles import (
     step_oracle_first_alarms,
     uniform_prior,
 )
-from plumecpd import bocd, inference
-from plumecpd.bocd import PASS_BLOCK, RunLengthState
+from plumecpd import bocd, detector, inference
+from plumecpd.bocd import IMPOSSIBLE, PASS_BLOCK, RunLengthState
 from plumecpd.detector import (
     DetectionEvent,
     DetectorConfig,
@@ -30,7 +30,7 @@ from plumecpd.detector import (
     first_alarms,
 )
 from plumecpd.errors import ConfigError, DetectionError
-from plumecpd.inference import MIN_SIGMA_E, LikelihoodConfig, QGrid
+from plumecpd.inference import MIN_SIGMA_E, POSTERIOR_NOT_FINITE, LikelihoodConfig, QGrid
 from plumecpd.surrogate import make_surrogate_experiment, make_unit_forward_experiment
 from plumecpd.synthesis import synthesize_batch
 from plumecpd.inference import estimate_sigma_e
@@ -468,6 +468,48 @@ class TestReportSummaries:
         assert abs(total - 1.0) > 1e-8
         assert str(info.value) == f"pass 121: density integrates to {float(total)!r}, not 1"
 
+    @pytest.mark.parametrize("bad_row", [True, False])
+    def test_a_row_that_fails_its_summary_wins_over_a_later_block(self, unit_fm, bad_row):
+        # As above, pass 121 is the first row built. Pass 140 is impossible,
+        # in the third block after the reset at pass 120. The reports are
+        # summarized once, when the stream fails, but a row that fails its
+        # summary still fails before the later pass; the blocks taken past
+        # it warn nothing, under the suite's error::RuntimeWarning.
+        cys = [2.0] * 19 + [3.5] + [2.0] * 30
+        cys[39] = 1e3
+        cfg = make_config(sigma_e_initial=0.1)
+        real = inference.conjugate_densities
+
+        def conjugate_densities(*args):
+            densities, peaks, totals = real(*args)
+            return densities, peaks, totals + 2e-8 * bad_row
+
+        with mock.patch.object(inference, "conjugate_densities", conjugate_densities):
+            with pytest.raises(DetectionError) as info:
+                detect_series(cys, unit_fm, cfg, pass_indices=range(101, 151))
+        if bad_row:
+            assert str(info.value).startswith("pass 121: density integrates to ")
+        else:
+            assert str(info.value) == f"pass 140: {IMPOSSIBLE}"
+
+    def test_a_stream_is_summarized_once(self, unit_fm):
+        # Five events, in blocks of 8 passes and more: one summary call
+        # over every pass.
+        cys = ([1.0] * 20 + [3.0] * 20) * 3
+        cfg = make_config(sigma_e_initial=0.03)
+        calls = []
+        real = detector.summarize_rows
+
+        def summarize_rows(grid, precision, *rows):
+            calls.append(precision.size)
+            return real(grid, precision, *rows)
+
+        with mock.patch.object(detector, "summarize_rows", summarize_rows):
+            reports, events = detect_series(cys, unit_fm, cfg)
+        assert len(events) == 5
+        assert calls == [len(cys)]
+        assert len(reports) == len(cys)
+
 
 def first_alarm_of(cys, fm, cfg):
     """detect_series's first event as (pass, cp), (0, 0.0) without one, or
@@ -686,16 +728,21 @@ class TestBlockStep:
             # A passes it at pass 4, the prefix sum does not.
             ([0.5] * 12, 5e307, 4),
             # Rows about 1e-154 wide: a predictive at pass 4 passes the
-            # float range.
+            # float range, while its row stays finite.
             ([1.0] * 12, 2.0**1021, 4),
         ],
     )
     def test_terms_past_the_float_range_fail_their_pass(self, unit_fm, cys, precision, at):
         # A full-run row past the float range fails the pass into it, with
-        # no warning, in both drivers; its NaN mode used to be cast to a
-        # grid index later in the block.
+        # no warning, in both drivers, naming the row's terms as the cause;
+        # its NaN mode used to be cast to a grid index later in the block.
+        # At pass ``at`` the row's A (at x precision) or its B (up to
+        # at x max(cys) x precision) passes the float range, in every case
+        # but the last, where only a predictive does.
+        row_overflows = at * max(1.0, *cys) * precision == math.inf
+        reason = POSTERIOR_NOT_FINITE if row_overflows else IMPOSSIBLE
         cfg = make_config(threshold=0.999999999, sigma_e_initial=1 / math.sqrt(precision))
-        message = f"^pass {at}: observation impossible under all run-length hypotheses$"
+        message = f"^pass {at}: {reason}$"
         with pytest.raises(DetectionError, match=message):
             detect_series(cys, unit_fm, cfg)
         with pytest.raises(DetectionError, match=message):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -547,6 +548,49 @@ class TestSummarizeRows:
         rows[field, 1] = math.nan
         _, _, _, failure = summarize_rows(grid, *rows)
         assert failure == (1, POSTERIOR_NOT_FINITE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grid=st.sampled_from([DEFAULT_GRID, QGrid(1.0, 2.0, 0.01)]),
+        kinds=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        batch=st.sampled_from([None, 1, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_keep_their_bits_in_any_company(self, grid, kinds, batch, seed):
+        # Interior, edge, narrow, flat and built rows in one call, in
+        # batches of the built rows of every size, give each row the mode,
+        # mean and std it gets alone, bit for bit: so a stream's reports
+        # do not depend on which rows are summarized together.
+        rng = np.random.default_rng(seed)
+        span = grid.q_max - grid.q_min
+        precision, mode = [], []
+        for kind in kinds:
+            if kind == 0:  # interior
+                width, at = 3.0 * grid.dq, grid.q_min + span * rng.uniform(0.3, 0.7)
+            elif kind == 1:  # wide, near an edge: the edge path, built
+                width = grid.dq * rng.uniform(20.0, 200.0)
+                at = grid.q_min + rng.uniform(-1.0, 1.0) * width
+            elif kind == 2:  # narrow: the window path, built
+                width, at = 0.1 * grid.dq, grid.q_min + span * rng.uniform(-0.1, 0.95)
+            elif kind == 3:  # flat
+                width, at = math.inf, 0.0
+            else:  # interior, halfway between two points: may tie, built
+                width = 0.01 * span
+                at = grid.q_min + (round(rng.uniform(0.3, 0.7) * span / grid.dq) + 0.5) * grid.dq
+            precision.append(width**-2.0)
+            mode.append(at)
+        precision, mode = np.array(precision), np.array(mode)
+        log_mass = log_grid_mass(grid, precision, mode)
+        points = inference.REPORT_BATCH_POINTS if batch is None else batch * grid.n_points
+        with mock.patch.object(inference, "REPORT_BATCH_POINTS", points):
+            *together, failure = summarize_rows(grid, precision, mode, log_mass)
+            assert failure is None
+            for i in range(len(kinds)):
+                *alone, _ = summarize_rows(
+                    grid, precision[i : i + 1], mode[i : i + 1], log_mass[i : i + 1]
+                )
+                for column, row in zip(together, alone):
+                    assert column[i].tobytes() == row[0].tobytes()
 
 
 class TestConsistency:
